@@ -71,6 +71,9 @@ _CONFIG_KEYS = {
 
 _FORMATS = ("csv", "json", "svg")
 
+# a start:stop:step grid longer than this is refused before it is built
+_MAX_GRID_POINTS = 10_000
+
 
 @dataclass
 class RunConfig:
@@ -111,25 +114,37 @@ class RunConfig:
 # flag and config-file parsing
 
 
+def _parse_number(value, key: str, kind=float):
+    """Convert a flag or config value to `kind`, refusing non-finite numbers."""
+    try:
+        number = kind(value)
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse --{key} {value!r}") from exc
+    if not math.isfinite(number):
+        raise ConfigError(f"--{key} must be finite, got {value!r}")
+    return number
+
+
 def _parse_grid(text: str) -> list[float]:
     text = text.strip()
-    try:
-        if ":" in text:
-            start_s, stop_s, step_s = text.split(":")
-            start, stop, step = float(start_s), float(stop_s), float(step_s)
-            if step <= 0.0:
-                raise ConfigError(f"--grid step must be positive, got {step:g}")
-            vals = []
-            v = start
-            while v <= stop + 1e-9 * max(1.0, abs(stop)):
-                vals.append(round(v, 12))
-                v += step
-        else:
-            vals = [float(tok) for tok in text.split(",") if tok.strip()]
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse --grid {text!r}: {exc}") from exc
+    if ":" in text:
+        parts = text.split(":")
+        if len(parts) != 3:
+            raise ConfigError(f"cannot parse --grid {text!r}: expected start:stop:step")
+        start, stop, step = (_parse_number(part, "grid") for part in parts)
+        if step <= 0.0:
+            raise ConfigError(f"--grid step must be positive, got {step:g}")
+        if (stop - start) / step > _MAX_GRID_POINTS:
+            raise ConfigError(f"--grid {text!r} spans more than {_MAX_GRID_POINTS} steps")
+        vals = []
+        v = start
+        # the length guard stops a step too small to change v; the repeated
+        # values are then refused below
+        while v <= stop + 1e-9 * max(1.0, abs(stop)) and len(vals) <= _MAX_GRID_POINTS:
+            vals.append(round(v, 12))
+            v += step
+    else:
+        vals = [_parse_number(tok, "grid") for tok in text.split(",") if tok.strip()]
     if not vals:
         raise ConfigError(f"--grid {text!r} produced no values")
     if any(b <= a for a, b in zip(vals, vals[1:])):
@@ -147,18 +162,23 @@ def _parse_multi_index(text: str, flag: str) -> MultiIndex:
 def _parse_r(text: str) -> float:
     if text.strip().lower() in ("inf", "infinity"):
         return math.inf
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse --r {text!r}") from exc
+    return _parse_number(text, "r")
+
+
+def _parse_direction(text: str) -> tuple[float, ...]:
+    return tuple(_parse_number(tok, "direction") for tok in text.split(","))
 
 
 def load_config_file(path: Path) -> dict[str, str]:
     """Flat `key = value` lines; # starts a comment; unknown keys rejected."""
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -204,14 +224,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge(cli_value, file_map: dict[str, str], key: str, convert):
-    if cli_value is not None:
-        return cli_value
-    if key in file_map:
-        return convert(file_map[key])
-    return None
-
-
 def parse_run_config(args: argparse.Namespace) -> RunConfig:
     file_map: dict[str, str] = {}
     if args.config is not None:
@@ -221,41 +233,39 @@ def parse_run_config(args: argparse.Namespace) -> RunConfig:
                 f"config file names probe {file_map['probe']!r} but {args.probe!r} was invoked"
             )
 
-    def merged(key: str, convert):
-        return _merge(getattr(args, key), file_map, key, convert)
+    def merged(key: str, convert=str):
+        """The flag if given, else the config value, passed through `convert`."""
+        value = getattr(args, key)
+        if value is None:
+            value = file_map.get(key)
+        return None if value is None else convert(value)
+
+    def merged_number(key: str, kind=float):
+        return merged(key, lambda value: _parse_number(value, key, kind))
 
     cfg = RunConfig(probe=args.probe)
-    n = merged("n", int)
+    n = merged_number("n", int)
     if n is not None:
         cfg.n = n
-    cfg.manifold = merged("manifold", str)
-    grid = merged("grid", str)
-    cfg.grid = _parse_grid(grid) if isinstance(grid, str) else grid
-    cfg.tau = merged("tau", float)
-    cfg.delta = merged("delta", float)
-    cfg.sigma = merged("sigma", float)
-    r = merged("r", str)
-    cfg.r = _parse_r(r) if isinstance(r, str) else r
-    cfg.s = merged("s", float)
-    cfg.family = merged("family", str)
-    alpha = merged("alpha", str)
-    cfg.alpha = _parse_multi_index(alpha, "alpha") if isinstance(alpha, str) else alpha
-    beta = merged("beta", str)
-    cfg.beta = _parse_multi_index(beta, "beta") if isinstance(beta, str) else beta
-    cfg.eps = merged("eps", float)
-    direction = merged("direction", str)
-    if isinstance(direction, str):
-        try:
-            cfg.direction = tuple(float(tok) for tok in direction.split(","))
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse --direction {direction!r}") from exc
+    cfg.manifold = merged("manifold")
+    cfg.grid = merged("grid", _parse_grid)
+    cfg.tau = merged_number("tau")
+    cfg.delta = merged_number("delta")
+    cfg.sigma = merged_number("sigma")
+    cfg.r = merged("r", _parse_r)
+    cfg.s = merged_number("s")
+    cfg.family = merged("family")
+    cfg.alpha = merged("alpha", lambda text: _parse_multi_index(text, "alpha"))
+    cfg.beta = merged("beta", lambda text: _parse_multi_index(text, "beta"))
+    cfg.eps = merged_number("eps")
+    cfg.direction = merged("direction", _parse_direction)
     out = merged("out", Path)
     if out is not None:
         cfg.out = Path(out)
-    formats = merged("formats", str)
+    formats = merged("formats")
     if formats is not None:
-        cfg.formats = tuple(tok.strip() for tok in str(formats).split(",") if tok.strip())
-    threads = merged("threads", int)
+        cfg.formats = tuple(tok.strip() for tok in formats.split(",") if tok.strip())
+    threads = merged_number("threads", int)
     if threads is not None:
         cfg.threads = threads
     cfg.require()

@@ -144,7 +144,7 @@ def check_torus_count_bruteforce() -> None:
             assert torus.eigenvalue_count(n, float(lam)) == int(running[lam * lam])
 
 
-def check_torus_cache_roundtrip() -> None:
+def check_torus_enumeration_repeatable() -> None:
     first = torus.enumerate_lattice(2, 12.0)
     again = torus.enumerate_lattice(2, 12.0)
     assert np.array_equal(first.points, again.points)
@@ -312,7 +312,7 @@ def run_selftest(out_dir: Path, threads: int = 1) -> int:
         ("gauss_legendre_moments", check_gauss_legendre_moments),
         ("gegenbauer_interlacing", check_gegenbauer_interlacing),
         ("torus_count_bruteforce", check_torus_count_bruteforce),
-        ("torus_cache_roundtrip", check_torus_cache_roundtrip),
+        ("torus_enumeration_repeatable", check_torus_enumeration_repeatable),
         ("torus_spectral_bounds", check_torus_spectral_bounds),
         ("torus_parity_zero", check_torus_parity_zero),
         ("sphere_multiplicities", check_sphere_multiplicities),

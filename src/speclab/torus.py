@@ -10,16 +10,13 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError
 
 __all__ = [
-    "CACHE_ENV",
     "LatticeEnumeration",
     "Displacement",
     "SmoothingWindow",
@@ -33,7 +30,6 @@ __all__ = [
     "smoothed_diagonal_sum",
 ]
 
-CACHE_ENV = "SPECLAB_CACHE"
 TWO_PI = 2.0 * math.pi
 
 _RADIUS_LIMIT = {2: 1500.0, 3: 200.0}
@@ -165,32 +161,22 @@ class SmoothingWindow:
 
 
 # --------------------------------------------------------------------------
-# enumeration and its disk cache
-
-
-def cache_dir() -> Path:
-    return Path(os.environ.get(CACHE_ENV, "cache"))
-
-
-def _cache_path(n: int, radius: float) -> Path:
-    return cache_dir() / f"lattice_n{n}_R{radius:g}.txt"
+# enumeration
 
 
 def _enumerate_points(n: int, radius: float) -> np.ndarray:
+    # both branches emit rows in lexicographic order: ascending a, then b
+    # (then c), so no final sort is needed
     bound = norm_sq_bound(radius)
     top = int(math.floor(radius))
     k1 = np.arange(-top, top + 1, dtype=np.int64)
     if n == 2:
         rows = []
         for a in k1:
-            rem = (bound - a * a) if isinstance(bound, int) else bound - float(a * a)
+            rem = bound - int(a * a)
             if rem < 0:
                 continue
-            b_top = int(math.floor(math.sqrt(rem)))
-            while (b_top + 1) * (b_top + 1) <= rem:  # guard sqrt rounding
-                b_top += 1
-            while b_top >= 0 and b_top * b_top > rem:
-                b_top -= 1
+            b_top = math.isqrt(int(rem))
             bs = np.arange(-b_top, b_top + 1, dtype=np.int64)
             rows.append(np.stack([np.full_like(bs, a), bs], axis=1))
         pts = np.concatenate(rows, axis=0)
@@ -205,26 +191,15 @@ def _enumerate_points(n: int, radius: float) -> np.ndarray:
         pts = np.concatenate(rows, axis=0)
     else:
         raise DomainError(f"torus dimension must be 2 or 3, got {n}")
-    order = np.lexsort(tuple(pts[:, j] for j in range(n - 1, -1, -1)))
-    return np.ascontiguousarray(pts[order].astype(np.int32))
+    return np.ascontiguousarray(pts.astype(np.int32))
 
 
-def _write_cache(path: Path, points: np.ndarray) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    with open(tmp, "w", encoding="ascii", newline="\n") as fh:
-        cols = [points[:, j].tolist() for j in range(points.shape[1])]
-        fh.writelines(" ".join(map(str, row)) + "\n" for row in zip(*cols))
-    os.replace(tmp, path)  # atomic: concurrent writers race benignly
+def enumerate_lattice(n: int, radius: float) -> LatticeEnumeration:
+    """Enumerate {k in Z^n : |k| <= radius} in memory, in lexicographic order.
 
-
-def _read_cache(path: Path, n: int) -> np.ndarray:
-    flat = np.fromfile(path, dtype=np.int64, sep=" ")
-    return np.ascontiguousarray(flat.reshape(-1, n).astype(np.int32))
-
-
-def enumerate_lattice(n: int, radius: float, use_cache: bool = True) -> LatticeEnumeration:
-    """Enumerate {k in Z^n : |k| <= radius}, with a human-readable disk cache."""
+    Each call builds the points afresh; a caller that evaluates several sums
+    at radii up to R builds one enumeration of radius R and passes it to each.
+    """
     limit = enumeration_limit(n)
     if radius < 0.0:
         raise DomainError(f"radius must be >= 0, got {radius}")
@@ -232,13 +207,7 @@ def enumerate_lattice(n: int, radius: float, use_cache: bool = True) -> LatticeE
         raise ResourceLimitError(
             f"radius {radius:g} exceeds the n={n} enumeration limit of {limit:g}"
         )
-    path = _cache_path(n, radius)
-    if use_cache and path.exists():
-        return LatticeEnumeration(n=n, radius=radius, points=_read_cache(path, n))
-    points = _enumerate_points(n, radius)
-    if use_cache:
-        _write_cache(path, points)
-    return LatticeEnumeration(n=n, radius=radius, points=points)
+    return LatticeEnumeration(n=n, radius=radius, points=_enumerate_points(n, radius))
 
 
 def eigenvalue_count(n: int, lam: float) -> int:

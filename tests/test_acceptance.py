@@ -10,7 +10,6 @@ import sys
 import time
 
 import numpy as np
-import pytest
 
 from speclab.analytic import (
     MultiIndex,
@@ -45,7 +44,7 @@ from speclab.sphere import (
     nadirashvili_ratio,
     nodal_gap_zonal,
 )
-from speclab.torus import eigenvalue_count, enumerate_lattice
+from speclab.torus import eigenvalue_count
 
 TWO_PI = 2.0 * math.pi
 DEGREE_GRID = list(range(20, 401, 20))
@@ -70,13 +69,6 @@ class _Budget:
         else:
             print(f"FAIL {self.label}")
         return False
-
-
-@pytest.fixture(scope="module", autouse=True)
-def warm_lattice_cache(session_cache):
-    # criterion budgets assume the on-disk enumeration cache, as in normal use
-    enumerate_lattice(2, 301.0)
-    yield
 
 
 def test_criterion_01_local_weyl_law():
@@ -229,7 +221,7 @@ def _parity_pairs(n: int, top: int):
                 yield alpha, beta
 
 
-def test_criterion_13_selftest_determinism(tmp_path, session_cache):
+def test_criterion_13_selftest_determinism(tmp_path):
     with _Budget("criterion 13: selftest determinism", 600.0):
         outputs = {}
         for threads in (1, 4):

@@ -1,14 +1,26 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 
+import speclab
 from speclab import output
 from speclab.analytic import weyl_constant
-from speclab.cli import load_config_file, run_command
+from speclab.cli import _parse_grid, load_config_file, run_command
 from speclab.errors import ConfigError, DomainError
 from speclab.probes import probe_band, probe_difference, probe_weyl, scaling_fit
+
+
+def _limit_address_space():
+    # a child that starts building an unbounded grid hits this cap within
+    # seconds instead of exhausting the machine's memory
+    limit = 512 << 20
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
 def _files(out_dir: Path, suffix: str) -> list[Path]:
@@ -82,6 +94,42 @@ class TestRunCommand:
     def test_no_probe_prints_usage(self, capsys):
         assert run_command([]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["offdiag", "--manifold", "torus", "--tau", "nan"],
+            ["hoelder", "--manifold", "torus", "--delta", "inf"],
+            ["offdiag", "--manifold", "torus", "--tau", "1", "--direction=1,nan"],
+            ["lp", "--family", "zonal", "--r", "nan", "--s", "0"],
+            ["smoothed", "--eps=-inf"],
+            ["weyl", "--manifold", "torus", "--grid", "nan,1"],
+            ["weyl", "--manifold", "torus", "--grid", "1:10:inf"],
+        ],
+    )
+    def test_non_finite_values_exit_code(self, argv, tmp_path, capsys):
+        assert run_command(argv + ["--out", str(tmp_path)]) == 2
+        assert "must be finite" in capsys.readouterr().err
+
+    def test_grid_step_count_capped(self):
+        with pytest.raises(ConfigError, match="more than"):
+            _parse_grid("1:1e6:1")
+        with pytest.raises(ConfigError, match="strictly increasing"):
+            _parse_grid("1e17:1.000000000000001e17:1")  # 1e17 + 1 == 1e17
+
+    def test_unbounded_grid_refused(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(Path(speclab.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "speclab.cli", "weyl", "--manifold", "torus",
+             "--grid", "1:inf:1", "--out", str(tmp_path)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+            preexec_fn=_limit_address_space,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "must be finite" in proc.stderr
+
 
 class TestConfigFile:
     def test_config_file_run(self, tmp_path):
@@ -119,6 +167,23 @@ class TestConfigFile:
         cfg.write_text("probe = band\nmanifold = torus\n")
         code = run_command(["weyl", "--config", str(cfg)])
         assert code == 2
+
+    def test_non_finite_value_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"probe = offdiag\nmanifold = torus\ntau = nan\nout = {tmp_path}\n")
+        assert run_command(["--config", str(cfg)]) == 2
+        assert "--tau must be finite" in capsys.readouterr().err
+
+    def test_unparsable_number_rejected(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"probe = weyl\nmanifold = torus\nn = two\nout = {tmp_path}\n")
+        assert run_command(["--config", str(cfg)]) == 2
+
+    def test_non_utf8_file_rejected(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"probe = weyl\nmanifold = torus \xff\n")
+        assert run_command(["--config", str(cfg)]) == 2
+        assert run_command(["weyl", "--config", str(cfg)]) == 2
 
     def test_malformed_line(self, tmp_path):
         cfg = tmp_path / "run.cfg"

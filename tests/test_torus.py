@@ -71,26 +71,27 @@ class TestEnumeration:
         assert eigenvalue_count(2, 2.5) == 21
 
     def test_lexicographic_order_and_symmetry(self):
-        e = enumerate_lattice(2, 7.0)
-        rows = [tuple(r) for r in e.points.tolist()]
-        assert rows == sorted(rows)
-        as_set = set(rows)
-        assert (0, 0) in as_set
-        assert all((-a, -b) in as_set for a, b in as_set)
+        for n, radius in ((2, 7.0), (3, 5.5)):
+            e = enumerate_lattice(n, radius)
+            rows = [tuple(r) for r in e.points.tolist()]
+            assert rows == sorted(rows)
+            as_set = set(rows)
+            assert len(as_set) == len(rows)
+            assert (0,) * n in as_set
+            assert all(tuple(-v for v in row) in as_set for row in as_set)
+        rows = [tuple(r) for r in enumerate_lattice(2, 1.0).points.tolist()]
+        assert rows == [(-1, 0), (0, -1), (0, 0), (0, 1), (1, 0)]
 
-    def test_cache_round_trip(self, session_cache):
-        fresh = enumerate_lattice(3, 4.0, use_cache=False)
-        cached_write = enumerate_lattice(3, 4.0)
-        path = session_cache / "lattice_n3_R4.txt"
-        assert path.exists()
-        reload = enumerate_lattice(3, 4.0)
-        assert np.array_equal(fresh.points, cached_write.points)
-        assert np.array_equal(fresh.points, reload.points)
+    def test_nearby_radii_in_one_process(self):
+        # the two radii agree to six significant digits but not in their counts
+        def square_scan(lam):
+            ks = np.arange(-math.floor(lam), math.floor(lam) + 1, dtype=np.int64)
+            sq = ks * ks
+            return int(np.count_nonzero(sq[:, None] + sq[None, :] <= lam * lam))
 
-    def test_cache_file_format(self, session_cache):
-        enumerate_lattice(2, 1.0)
-        text = (session_cache / "lattice_n2_R1.txt").read_text()
-        assert text == "-1 0\n0 -1\n0 0\n0 1\n1 0\n"
+        for lam, expected in ((1234.5704, 4788329), (1234.5749, 4788369)):
+            assert eigenvalue_count(2, lam) == expected
+            assert square_scan(lam) == expected
 
     def test_limits(self):
         with pytest.raises(ResourceLimitError, match="1500"):
