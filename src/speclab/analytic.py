@@ -12,7 +12,6 @@ import functools
 import math
 from dataclasses import dataclass
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import DomainError, NumericError, RangeError
 
@@ -48,6 +47,9 @@ TWO_PI = 2.0 * math.pi
 ZERO_TOL = 1e-10
 ZERO_GRID_STEP = 0.1
 PHI_ZERO_TAU_MAX = 200.0
+
+# largest Gauss-Legendre order gauss_legendre_rule builds
+QUAD_ORDER_MAX = 5000
 
 
 # --------------------------------------------------------------------------
@@ -292,6 +294,10 @@ def gegenbauer_at_one(m: int, nu: float) -> float:
 
 def _jacobi_matrix_zeros(m: int, nu: float) -> np.ndarray:
     """Zeros of C_m^nu as eigenvalues of the symmetric Jacobi matrix."""
+    # scipy costs more to import than most runs spend computing; only runs
+    # that find zeros (quadrature rules, nodal gaps) pay for it
+    from scipy.linalg import eigh_tridiagonal
+
     if m == 1:
         return np.zeros(1)
     j = np.arange(1, m, dtype=float)
@@ -337,8 +343,8 @@ def gauss_legendre_rule(order: int) -> QuadratureRule:
 
     Nodes are the Legendre zeros; weights use 2 / ((1-t^2) P_N'(t)^2).
     """
-    if order < 1 or order > 5000:
-        raise DomainError(f"quadrature order must lie in [1, 5000], got {order}")
+    if order < 1 or order > QUAD_ORDER_MAX:
+        raise DomainError(f"quadrature order must lie in [1, {QUAD_ORDER_MAX}], got {order}")
     if order == 1:
         nodes = np.zeros(1)
         weights = np.full(1, 2.0)
@@ -472,6 +478,10 @@ def _phi_rule_order(tau: float) -> int:
     return 96 + 16 * int(math.ceil(tau / 8.0))
 
 
+# largest tau whose Phi rule stays within QUAD_ORDER_MAX (2448)
+PHI_TAU_MAX = 8.0 * ((QUAD_ORDER_MAX - 96) // 16)
+
+
 def _phi_quadrature(n: int, tau: float) -> float:
     # Phi_n(tau) = (2 pi)^{-n} vol(B_{n-1}) Int_{-1}^{1} cos(tau t)(1-t^2)^{(n-1)/2} dt,
     # evaluated after t = cos(psi), which makes the integrand entire for every n.
@@ -513,6 +523,8 @@ def phi_kernel(n: int, tau: float) -> PhiValue:
         raise DomainError(f"dimension must be >= 2, got {n}")
     if tau < 0.0:
         raise DomainError(f"tau must be >= 0, got {tau}")
+    if tau > PHI_TAU_MAX:
+        raise DomainError(f"tau = {tau:g} exceeds the largest supported tau, {PHI_TAU_MAX:g}")
     value = _phi_quadrature(n, tau)
     if n in (2, 3):
         other = phi_kernel_bessel(n, tau)

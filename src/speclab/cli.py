@@ -297,14 +297,11 @@ def execute_probe(cfg: RunConfig) -> probes.ProbeResult:
             cfg.manifold, cfg.n, cfg.delta, None, cfg.grid, direction=cfg.direction, workers=w
         )
     if cfg.probe == "lp":
-        grid = [int(v) for v in cfg.grid] if cfg.grid else None
-        return probes.probe_lp(cfg.family, cfg.r, cfg.s, grid, n=cfg.n, workers=w)
+        return probes.probe_lp(cfg.family, cfg.r, cfg.s, cfg.grid, n=cfg.n, workers=w)
     if cfg.probe == "cksigma":
-        grid = [int(v) for v in cfg.grid] if cfg.grid else None
-        return probes.probe_cksigma(cfg.sigma, grid, n=cfg.n, workers=w)
+        return probes.probe_cksigma(cfg.sigma, cfg.grid, n=cfg.n, workers=w)
     if cfg.probe == "nodal":
-        grid = [int(v) for v in cfg.grid] if cfg.grid else None
-        return probes.probe_nodal(grid, n=cfg.n, workers=w)
+        return probes.probe_nodal(cfg.grid, n=cfg.n, workers=w)
     if cfg.probe == "smoothed":
         window = SmoothingWindow(eps=cfg.eps) if cfg.eps is not None else None
         return probes.probe_smoothed(cfg.n, window, cfg.grid, workers=w)

@@ -175,6 +175,9 @@ def _check_grid(grid, name: str = "grid") -> list[float]:
 
 
 def _pin_sphere_lambdas(n: int, degrees) -> tuple[list[int], list[float]]:
+    bad = [m for m in degrees if not float(m).is_integer()]
+    if bad:
+        raise DomainError(f"degree grid entries must be integers, got {bad[0]!r}")
     ms = [int(m) for m in degrees]
     return ms, [eigen_level(n, m).eigenvalue for m in ms]
 
@@ -440,12 +443,12 @@ def probe_lp(
     ms, lambdas = _pin_sphere_lambdas(n, m_grid if m_grid is not None else default_degree_grid())
     _check_grid(ms, "degree grid")
 
-    def one(pair) -> float:
-        m, lam = pair
-        norm = sphere.zonal_norm(n, m, r) if family == "zonal" else sphere.hw_norm(n, m, r)
-        return sphere.sobolev_scale(lam, s) * norm
-
-    raws = _ordered_map(one, list(zip(ms, lambdas)), workers)
+    if family == "zonal":
+        # one quadrature rule and one recurrence serve the whole grid
+        norms = sphere.zonal_norms(n, ms, r)
+    else:
+        norms = _ordered_map(lambda m: sphere.hw_norm(n, m, r), ms, workers)
+    raws = [sphere.sobolev_scale(lam, s) * norm for lam, norm in zip(lambdas, norms)]
     exponent = s + epsilon_exponent(n, r)
     rows = [
         ProbeRow(abscissa=float(m), raw=v, ratio=v / lam ** exponent)

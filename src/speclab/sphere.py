@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import (
+    QUAD_ORDER_MAX,
     gauss_legendre_rule,
     gegenbauer_at_one,
     gegenbauer_value_and_deriv,
@@ -38,6 +39,7 @@ __all__ = [
     "band_kernel_sphere",
     "zonal_eval",
     "zonal_norm",
+    "zonal_norms",
     "zonal_gradient_sup",
     "hw_norm",
     "hw_norm_quad",
@@ -47,8 +49,6 @@ __all__ = [
     "nadirashvili_ratio",
     "sobolev_scale",
 ]
-
-_QUAD_ORDER_CAP = 5000
 
 
 def _check_dim(n: int) -> None:
@@ -213,37 +213,87 @@ def zonal_eval(n: int, m: int, theta: float) -> float:
 
 def _zonal_quad_order(n: int, m: int, r: float) -> int:
     needed = int(math.ceil(m * max(r, 2.0) / 2.0)) + 1
-    if needed > _QUAD_ORDER_CAP:
+    if needed > QUAD_ORDER_MAX:
         raise ResourceLimitError(
-            f"zonal L_{r} norm at degree {m} needs a quadrature order beyond {_QUAD_ORDER_CAP}"
+            f"zonal L_{r} norm at degree {m} needs a quadrature order beyond {QUAD_ORDER_MAX}"
         )
-    return min(int(math.ceil(2.0 * m * max(r, 2.0))) + 16, _QUAD_ORDER_CAP)
+    return needed
 
 
-def zonal_norm(n: int, m: int, r: float) -> float:
-    """L_r norm of the zonal family member (its L_2 norm is 1 by construction).
+def _exact_zonal_integrals(degrees: list[int], r: float, order: int) -> dict[int, float]:
+    """Int_{-1}^{1} |Z_m(t)|^r dt on S^2 for each m, from one Gauss-Legendre rule.
 
-    r = math.inf returns the pole value, which is the global maximum.
-    Finite r uses Gauss-Legendre in cos(theta) for n = 2 (polynomially exact
-    for even integer r) and in theta for n = 3.
+    |Z_m|^r is a polynomial of degree m r for even r, so `order` = max m r/2 + 1
+    nodes are exact for every degree at once; one Legendre recurrence up to the
+    largest degree passes each requested one on the way.
     """
-    fam = ZonalFamily.create(n, m)
+    rule = gauss_legendre_rule(order)
+    t = rule.nodes
+    wanted = set(degrees)
+    out = {}
+    c_prev, c = np.zeros_like(t), np.ones_like(t)
+    for k in range(max(degrees) + 1):
+        if k:
+            c_prev, c = c, (2.0 * t * (k - 0.5) * c - (k - 1.0) * c_prev) / k
+        if k in wanted:
+            profile = ZonalFamily.create(2, k).scale * np.abs(c) / gegenbauer_at_one(k, 0.5)
+            out[k] = rule.integrate(profile**r)
+    return out
+
+
+# Gauss-Legendre nodes per nodal piece; the cubic map u -> 3u^2 - 2u^3 turns
+# the |Z|^r ~ dist^r behaviour at the zeros bounding a piece into u^(2r+1)
+_PIECE_NODES = 24
+
+
+def _piecewise_zonal_integral(fam: ZonalFamily, r: float) -> float:
+    """Int_0^pi |Z_m(theta)|^r sin^(n-1)(theta) dtheta, one small rule per nodal piece.
+
+    Between consecutive zeros of Z_m the integrand is smooth, so a fixed rule
+    per piece converges fast for every r; the reference test pins it against
+    adaptive quadrature to 1e-10 relative.
+    """
+    zeros = np.arccos(gegenbauer_zeros(fam.m, fam.nu))[::-1] if fam.m else np.empty(0)
+    edges = np.concatenate(([0.0], zeros, [math.pi]))
+    rule = gauss_legendre_rule(_PIECE_NODES)
+    u = 0.5 * (rule.nodes + 1.0)
+    width = np.diff(edges)[:, None]
+    theta = (edges[:-1, None] + width * (u * u * (3.0 - 2.0 * u))).ravel()
+    w = (width * (3.0 * u * (1.0 - u) * rule.weights)).ravel()
+    profile = np.abs(fam.eval(theta))
+    return float(np.sum(w * profile**r * np.sin(theta) ** (fam.n - 1)))
+
+
+def zonal_norms(n: int, degrees, r: float) -> list[float]:
+    """L_r norms of the zonal family members of the given degrees (L_2 norm 1 each).
+
+    r = math.inf returns the pole values, which are the global maxima.  For
+    n = 2 and even integer r, one Gauss-Legendre rule in cos(theta) at the
+    exact order for the largest degree serves every degree.  Otherwise each
+    degree integrates in theta over the pieces between consecutive zeros.
+    """
+    fams = [ZonalFamily.create(n, m) for m in degrees]
     if math.isinf(r):
-        return fam.scale
+        return [fam.scale for fam in fams]
     if r < 2.0:
         raise DomainError(f"norm exponent must satisfy r >= 2, got {r}")
     if n not in (2, 3):
         raise DomainError("zonal norms are implemented for n in {2, 3}")
-    rule = gauss_legendre_rule(_zonal_quad_order(n, m, r))
-    if n == 2:
-        vals, _ = _gegenbauer_pair(m, fam.nu, rule.nodes)
-        profile = fam.scale * np.abs(vals) / gegenbauer_at_one(m, fam.nu)
-        integral = rule.integrate(profile**r)
-        return float((2.0 * math.pi * integral) ** (1.0 / r))
-    theta, w = rule.mapped(0.0, math.pi)
-    profile = np.abs(fam.eval(theta))
-    integral = float(np.sum(w * profile**r * np.sin(theta) ** 2))
-    return float((sphere_area(2) * integral) ** (1.0 / r))
+    if not fams:
+        return []
+    # the resource cap applies to both routes, whatever size of rule each builds
+    order = max(_zonal_quad_order(n, fam.m, r) for fam in fams)
+    if n == 2 and r % 2.0 == 0.0:  # even integer r
+        integrals = _exact_zonal_integrals([fam.m for fam in fams], r, order)
+        values = [integrals[fam.m] for fam in fams]
+    else:
+        values = [_piecewise_zonal_integral(fam, r) for fam in fams]
+    return [float((sphere_area(n - 1) * v) ** (1.0 / r)) for v in values]
+
+
+def zonal_norm(n: int, m: int, r: float) -> float:
+    """L_r norm of one zonal family member; see zonal_norms."""
+    return zonal_norms(n, [m], r)[0]
 
 
 def _golden_max(f, lo: float, hi: float, tol: float = 1e-11) -> tuple[float, float]:
@@ -353,7 +403,7 @@ def hw_norm_quad(n: int, m: int, r: float) -> float:
 
     def log_norm(rr: float) -> float:
         order = int(math.ceil(m * rr / 2.0)) + 24
-        if order > _QUAD_ORDER_CAP:
+        if order > QUAD_ORDER_MAX:
             raise ResourceLimitError("highest-weight quadrature order exceeds the cap")
         rule = gauss_legendre_rule(order)
         t, w = rule.mapped(0.0, 1.0)

@@ -5,6 +5,7 @@ import pytest
 from scipy import special
 
 from speclab.analytic import (
+    PHI_TAU_MAX,
     MultiIndex,
     ball_moment,
     bessel_j0,
@@ -296,6 +297,12 @@ class TestPhiKernel:
             phi_kernel(2, -0.1)
         with pytest.raises(DomainError):
             phi_kernel(1, 0.0)
+
+    def test_tau_beyond_rule_cap_names_the_limit(self):
+        # 96 + 16 ceil(tau/8) nodes stay within the 5000-node cap up to tau = 2448
+        assert PHI_TAU_MAX == 2448.0
+        with pytest.raises(DomainError, match=r"tau = 2448\.5 .* 2448"):
+            phi_kernel(2, 2448.5)
 
 
 class TestPhiKernelZero:

@@ -71,6 +71,31 @@ class TestRunCommand:
         )
         assert code == 2
 
+    def test_tau_beyond_phi_limit_names_it(self, tmp_path, capsys):
+        code = run_command(["offdiag", "--manifold", "torus", "--tau", "3000", "--grid", "50:100:25",
+                            "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "3000" in err and "2448" in err
+
+    @pytest.mark.parametrize(
+        "argv,entry",
+        [
+            (["nodal", "--grid", "20.5,40.5,60.5"], "20.5"),
+            (["lp", "--family", "zonal", "--r", "6", "--s", "0", "--grid", "20.9:60:10"], "20.9"),
+            (["cksigma", "--sigma", "1", "--grid", "20,40.5"], "40.5"),
+        ],
+    )
+    def test_non_integer_degree_grid_refused(self, argv, entry, tmp_path, capsys):
+        assert run_command(argv + ["--out", str(tmp_path)]) == 2
+        assert entry in capsys.readouterr().err
+
+    def test_integral_float_degrees_accepted(self, tmp_path):
+        assert run_command(["nodal", "--grid", "20.0,40.0", "--formats", "csv", "--out", str(tmp_path)]) == 0
+        (csv_path,) = _files(tmp_path, ".csv")
+        rows = csv_path.read_text().split("\n")[1:-1]
+        assert [float(row.split(",")[0]) for row in rows] == [20.0, 40.0]
+
     def test_formats_subset(self, tmp_path):
         code = run_command(
             ["band", "--manifold", "sphere", "--grid", "10,20,30", "--formats", "json",
@@ -129,6 +154,30 @@ class TestRunCommand:
         )
         assert proc.returncode == 2, proc.stderr
         assert "must be finite" in proc.stderr
+
+
+class TestImportCost:
+    def test_scipy_loads_only_for_zero_finding(self, tmp_path):
+        # scipy is only needed by Gegenbauer zero finding; importing the CLI
+        # and running a torus probe without a Phi limit never find zeros
+        script = (
+            "import sys\n"
+            "import speclab.cli\n"
+            "assert 'scipy' not in sys.modules, 'import speclab.cli loaded scipy'\n"
+            "rc = speclab.cli.run_command(['weyl', '--manifold', 'torus', '--grid', '50:100:25',\n"
+            "                              '--out', sys.argv[1]])\n"
+            "assert rc == 0, rc\n"
+            "assert 'scipy' not in sys.modules, 'the torus weyl run loaded scipy'\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(speclab.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestConfigFile:

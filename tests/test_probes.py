@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from speclab.analytic import MultiIndex, phi_kernel_zero, weyl_constant
+from speclab.analytic import MultiIndex, gauss_legendre_rule, phi_kernel_zero, weyl_constant
 from speclab.errors import DomainError
 from speclab.probes import (
     ProbeResult,
@@ -109,6 +109,7 @@ class TestDeterminism:
             lambda w: probe_lp("hw", 4.0, 0.0, SMALL_DEGREES, workers=w),
             lambda w: probe_cksigma(0.5, SMALL_DEGREES[:3], workers=w),
             lambda w: probe_nodal(SMALL_DEGREES[:3], workers=w),
+            lambda w: probe_lp("zonal", 6.0, 0.5, SMALL_DEGREES, workers=w),
         ],
     )
     def test_worker_count_invariance(self, make):
@@ -237,6 +238,21 @@ class TestLpProbe:
     def test_family_validation(self):
         with pytest.raises(DomainError):
             probe_lp("radial", 4.0, 0.0, SMALL_DEGREES)
+
+    def test_zonal_builds_one_exact_rule_per_run(self):
+        # the largest default degree, 400, needs 400 * 6/2 + 1 = 1201 nodes for r = 6
+        gauss_legendre_rule.cache_clear()
+        probe_lp("zonal", 6.0, 0.0)
+        assert gauss_legendre_rule.cache_info().misses == 1
+        gauss_legendre_rule(1201)
+        assert gauss_legendre_rule.cache_info().misses == 1
+
+    def test_non_integer_degrees_refused(self):
+        with pytest.raises(DomainError, match="20.5"):
+            probe_lp("zonal", 6.0, 0.0, [20.5, 40.0])
+        with pytest.raises(DomainError, match="integers"):
+            probe_weyl("sphere", 2, [20.0, 40.25])
+        assert probe_lp("zonal", 6.0, 0.0, [20.0, 40.0]) == probe_lp("zonal", 6.0, 0.0, [20, 40])
 
 
 class TestCkSigmaProbe:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate, special
 
 from speclab.analytic import (
     bessel_j0,
@@ -29,6 +30,7 @@ from speclab.sphere import (
     zonal_eval,
     zonal_gradient_sup,
     zonal_norm,
+    zonal_norms,
 )
 
 FOUR_PI = 4.0 * math.pi
@@ -216,6 +218,86 @@ class TestZonal:
             zonal_norm(2, 5, 1.5)
         with pytest.raises(DomainError):
             zonal_eval(2, 5, -0.1)
+
+
+# ||Z_400||_r for r = 4, 6 from a 34-digit Gauss-Legendre rule at the exact
+# order (mpmath, Newton-refined nodes).  The r=4 value also equals, to the
+# last digit, the exact sum Int P_m^4 = sum_L 2(2L+1) (m m L; 0 0 0)^4 done in
+# rational arithmetic.  scipy.special.roots_legendre weights at orders 801 and
+# 1201 are off by up to 4.5e-9 relative at the end nodes, which moves a
+# roots_legendre reference by 6e-11 (r=4) and 7e-10 (r=6).
+ZONAL_NORM_400 = {4.0: 0.8042785149369742, 6.0: 1.3775692329449976}
+
+
+def _legendre_zonal_norm(m: int, r: float) -> float:
+    """||Z_m||_r on S^2 from scipy Legendre roots and values, exact order m r/2 + 1."""
+    nodes, weights = special.roots_legendre(int(r) * m // 2 + 1)
+    profile = math.sqrt((2 * m + 1) / FOUR_PI) * np.abs(special.eval_legendre(m, nodes))
+    return float(2.0 * math.pi * np.sum(weights * profile**r)) ** (1.0 / r)
+
+
+def _adaptive_zonal_norm(n: int, m: int, r: float) -> float:
+    """||Z_m||_r by adaptive quadrature with the zeros of Z_m as break points."""
+    if n == 2:
+        scale = math.sqrt((2 * m + 1) / FOUR_PI)
+        zeros = special.roots_legendre(m)[0]
+        lo, hi, area = -1.0, 1.0, 2.0 * math.pi
+
+        def f(t):
+            return abs(scale * special.eval_legendre(m, t)) ** r
+
+    else:
+        # on S^3, Z_m = U_m(cos theta) / (pi sqrt 2) against sin^2(theta) dtheta
+        zeros = np.sort(np.arccos(special.roots_chebyu(m)[0]))
+        lo, hi, area = 0.0, math.pi, FOUR_PI
+
+        def f(th):
+            return abs(special.eval_chebyu(m, math.cos(th)) / (math.pi * math.sqrt(2.0))) ** r * math.sin(th) ** 2
+
+    value, _ = integrate.quad(f, lo, hi, points=zeros, epsabs=0.0, epsrel=1e-12, limit=50 * (m + 1))
+    return (area * value) ** (1.0 / r)
+
+
+class TestZonalNorms:
+    @pytest.mark.parametrize("r", [4.0, 6.0])
+    def test_even_r_against_scipy_legendre(self, r):
+        for m in (1, 20):
+            assert zonal_norm(2, m, r) == pytest.approx(_legendre_zonal_norm(m, r), rel=1e-12)
+        assert zonal_norm(2, 400, r) == pytest.approx(ZONAL_NORM_400[r], rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "n,m,r",
+        [(2, 1, 3.0), (2, 20, 3.0), (2, 400, 3.0), (2, 100, 2.5), (2, 900, 5.0), (3, 1, 3.0), (3, 60, 3.0)],
+    )
+    def test_other_r_against_adaptive_quadrature(self, n, m, r):
+        assert zonal_norm(n, m, r) == pytest.approx(_adaptive_zonal_norm(n, m, r), rel=1e-10)
+
+    def test_one_rule_for_the_whole_grid(self):
+        degrees = [0, 3, 20, 7, 20]
+        gauss_legendre_rule.cache_clear()
+        norms = zonal_norms(2, degrees, 6.0)
+        assert gauss_legendre_rule.cache_info().misses == 1
+        gauss_legendre_rule(3 * 20 + 1)
+        assert gauss_legendre_rule.cache_info().misses == 1
+        # single degrees use smaller exact rules, so only rounding may differ
+        assert norms == pytest.approx([zonal_norm(2, m, 6.0) for m in degrees], rel=1e-13)
+
+    @pytest.mark.parametrize("n,r", [(2, math.inf), (2, 3.0), (3, 2.0)])
+    def test_batch_matches_single(self, n, r):
+        degrees = [1, 5, 12]
+        assert zonal_norms(n, degrees, r) == [zonal_norm(n, m, r) for m in degrees]
+
+    def test_degree_zero(self):
+        # Z_0 = area^(-1/2), so ||Z_0||_r = area^(1/r - 1/2)
+        for n, area in ((2, FOUR_PI), (3, 2.0 * math.pi**2)):
+            for r in (3.0, 6.0):
+                assert zonal_norm(n, 0, r) == pytest.approx(area ** (1.0 / r - 0.5), rel=1e-14)
+
+    def test_resource_cap_counts_every_degree(self):
+        with pytest.raises(ResourceLimitError):
+            zonal_norms(2, [20, 4000], 6.0)
+        with pytest.raises(ResourceLimitError):
+            zonal_norm(2, 3334, 3.0)  # 3334 * 3/2 + 1 > 5000 nodes
 
 
 class TestZonalGradient:
