@@ -71,6 +71,8 @@ _CONFIG_KEYS = {
 
 _FORMATS = ("csv", "json", "svg")
 
+_THREADS_HELP = "accepted for compatibility (>= 1); has no effect, probes run serially"
+
 # a start:stop:step grid longer than this is refused before it is built
 _MAX_GRID_POINTS = 10_000
 
@@ -93,7 +95,6 @@ class RunConfig:
     direction: tuple[float, ...] | None = None
     out: Path = field(default_factory=lambda: Path("speclab_out"))
     formats: tuple[str, ...] = _FORMATS
-    threads: int = 1
 
     def require(self) -> None:
         for key in _REQUIRED[self.probe]:
@@ -103,8 +104,6 @@ class RunConfig:
             raise ConfigError(f"--manifold must be 'torus' or 'sphere', got {self.manifold!r}")
         if self.family is not None and self.family not in ("zonal", "hw"):
             raise ConfigError(f"--family must be 'zonal' or 'hw', got {self.family!r}")
-        if self.threads < 1:
-            raise ConfigError("--threads must be >= 1")
         bad = [f for f in self.formats if f not in _FORMATS]
         if bad:
             raise ConfigError(f"unknown output format(s): {', '.join(bad)}")
@@ -123,6 +122,12 @@ def _parse_number(value, key: str, kind=float):
     if not math.isfinite(number):
         raise ConfigError(f"--{key} must be finite, got {value!r}")
     return number
+
+
+def _check_threads(value) -> None:
+    """--threads selects nothing (every probe runs serially) but must be >= 1."""
+    if value is not None and _parse_number(value, "threads", int) < 1:
+        raise ConfigError("--threads must be >= 1")
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -217,10 +222,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--direction", type=str, default=None, help="comma-separated vector")
         p.add_argument("--out", type=Path, default=None)
         p.add_argument("--formats", type=str, default=None, help="subset of csv,json,svg")
-        p.add_argument("--threads", type=int, default=None)
+        p.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
     st = sub.add_parser("selftest", help="run the invariant battery")
     st.add_argument("--out", type=Path, default=None)
-    st.add_argument("--threads", type=int, default=None)
+    st.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
     return parser
 
 
@@ -265,9 +270,7 @@ def parse_run_config(args: argparse.Namespace) -> RunConfig:
     formats = merged("formats")
     if formats is not None:
         cfg.formats = tuple(tok.strip() for tok in formats.split(",") if tok.strip())
-    threads = merged_number("threads", int)
-    if threads is not None:
-        cfg.threads = threads
+    _check_threads(merged("threads"))
     cfg.require()
     return cfg
 
@@ -277,34 +280,33 @@ def parse_run_config(args: argparse.Namespace) -> RunConfig:
 
 
 def execute_probe(cfg: RunConfig) -> probes.ProbeResult:
-    w = cfg.threads
     if cfg.probe == "weyl":
-        return probes.probe_weyl(cfg.manifold, cfg.n, cfg.grid, workers=w)
+        return probes.probe_weyl(cfg.manifold, cfg.n, cfg.grid)
     if cfg.probe == "offdiag":
         return probes.probe_offdiag(
-            cfg.manifold, cfg.n, cfg.tau, cfg.grid, direction=cfg.direction, workers=w
+            cfg.manifold, cfg.n, cfg.tau, cfg.grid, direction=cfg.direction
         )
     if cfg.probe == "difference":
         return probes.probe_difference(
-            cfg.manifold, cfg.n, cfg.tau, cfg.grid, direction=cfg.direction, workers=w
+            cfg.manifold, cfg.n, cfg.tau, cfg.grid, direction=cfg.direction
         )
     if cfg.probe == "deriv":
-        return probes.probe_derivative(cfg.n, cfg.alpha, cfg.beta, cfg.grid, workers=w)
+        return probes.probe_derivative(cfg.n, cfg.alpha, cfg.beta, cfg.grid)
     if cfg.probe == "band":
-        return probes.probe_band(cfg.manifold, cfg.n, cfg.grid, workers=w)
+        return probes.probe_band(cfg.manifold, cfg.n, cfg.grid)
     if cfg.probe == "hoelder":
         return probes.probe_hoelder(
-            cfg.manifold, cfg.n, cfg.delta, None, cfg.grid, direction=cfg.direction, workers=w
+            cfg.manifold, cfg.n, cfg.delta, None, cfg.grid, direction=cfg.direction
         )
     if cfg.probe == "lp":
-        return probes.probe_lp(cfg.family, cfg.r, cfg.s, cfg.grid, n=cfg.n, workers=w)
+        return probes.probe_lp(cfg.family, cfg.r, cfg.s, cfg.grid, n=cfg.n)
     if cfg.probe == "cksigma":
-        return probes.probe_cksigma(cfg.sigma, cfg.grid, n=cfg.n, workers=w)
+        return probes.probe_cksigma(cfg.sigma, cfg.grid, n=cfg.n)
     if cfg.probe == "nodal":
-        return probes.probe_nodal(cfg.grid, n=cfg.n, workers=w)
+        return probes.probe_nodal(cfg.grid, n=cfg.n)
     if cfg.probe == "smoothed":
         window = SmoothingWindow(eps=cfg.eps) if cfg.eps is not None else None
-        return probes.probe_smoothed(cfg.n, window, cfg.grid, workers=w)
+        return probes.probe_smoothed(cfg.n, window, cfg.grid)
     raise ConfigError(f"unknown probe {cfg.probe!r}")
 
 
@@ -354,9 +356,13 @@ def run_command(argv=None) -> int:
         return 2
 
     if args.probe == "selftest":
+        try:
+            _check_threads(args.threads)
+        except ConfigError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         out = args.out if args.out is not None else Path("speclab_out") / "selftest"
-        threads = args.threads if args.threads is not None else 1
-        failures = selftest.run_selftest(out_dir=out, threads=threads)
+        failures = selftest.run_selftest(out_dir=out)
         return 0 if failures == 0 else 1
 
     try:

@@ -2,14 +2,13 @@
 
 Each probe walks a lambda or degree grid, records the raw spectral quantity
 and its normalization against the predicted power of the abscissa, and can be
-fitted for an empirical growth exponent.  Probes are deterministic: the same
-inputs give byte-identical tables for any worker count.
+fitted for an empirical growth exponent.  Each probe evaluates its grid
+serially, in grid order, so the same inputs give byte-identical tables.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -156,13 +155,6 @@ def default_tau_grid() -> list[float]:
     return [0.5 * k for k in range(1, 13)]
 
 
-def _ordered_map(fn, items, workers: int):
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _check_grid(grid, name: str = "grid") -> list[float]:
     vals = [float(g) for g in grid]
     if not vals:
@@ -218,42 +210,40 @@ def _snap_phi_limit(n: int, tau: float) -> float:
 # spectral-function probes (torus and sphere)
 
 
-def _torus_offdiag_raws(n, lambdas, tau, direction, workers):
+def _torus_offdiag_raws(n, lambdas, tau, direction):
     enum = torus.enumerate_lattice(n, max(lambdas))
-
-    def one(lam: float) -> float:
-        u = Displacement.from_vector(direction * (tau / lam)) if tau else Displacement.from_vector(np.zeros(n))
-        return torus.spectral_function_torus(n, u, lam, enum)
-
-    return _ordered_map(one, lambdas, workers)
-
-
-def _sphere_offdiag_raws(n, ms, lambdas, tau, workers):
-    def one(pair) -> float:
-        _, lam = pair
-        return sphere.spectral_function_sphere(n, math.cos(tau / lam) if tau else 1.0, lam)
-
-    return _ordered_map(one, list(zip(ms, lambdas)), workers)
+    raws = []
+    for lam in lambdas:
+        u = Displacement.from_vector(direction * (tau / lam) if tau else np.zeros(n))
+        raws.append(torus.spectral_function_torus(n, u, lam, enum))
+    return raws
 
 
-def _offdiag_table(manifold, n, tau, grid, direction, workers):
+def _sphere_offdiag_raws(n, lambdas, tau):
+    return [
+        sphere.spectral_function_sphere(n, math.cos(tau / lam) if tau else 1.0, lam)
+        for lam in lambdas
+    ]
+
+
+def _offdiag_table(manifold, n, tau, grid, direction):
     if tau < 0.0:
         raise DomainError(f"tau must be >= 0, got {tau}")
     if manifold == "torus":
         lambdas = _check_grid(grid if grid is not None else default_lambda_grid())
-        return lambdas, _torus_offdiag_raws(n, lambdas, tau, _direction(n, direction), workers)
+        return lambdas, _torus_offdiag_raws(n, lambdas, tau, _direction(n, direction))
     if manifold == "sphere":
-        ms, lambdas = _pin_sphere_lambdas(n, grid if grid is not None else default_degree_grid())
+        _, lambdas = _pin_sphere_lambdas(n, grid if grid is not None else default_degree_grid())
         _check_grid(lambdas, "pinned lambda grid")
         if tau and tau / min(lambdas) > math.pi:
             raise DomainError("tau/lambda exceeds pi: no such sphere displacement")
-        return lambdas, _sphere_offdiag_raws(n, ms, lambdas, tau, workers)
+        return lambdas, _sphere_offdiag_raws(n, lambdas, tau)
     raise DomainError(f"manifold must be 'torus' or 'sphere', got {manifold!r}")
 
 
-def probe_weyl(manifold: str, n: int, lambda_grid=None, *, workers: int = 1) -> ProbeResult:
+def probe_weyl(manifold: str, n: int, lambda_grid=None) -> ProbeResult:
     """Diagonal spectral function against the volume-counting prediction."""
-    lambdas, raws = _offdiag_table(manifold, n, 0.0, lambda_grid, None, workers)
+    lambdas, raws = _offdiag_table(manifold, n, 0.0, lambda_grid, None)
     limit = weyl_constant(n)
     return ProbeResult(
         probe="weyl",
@@ -271,10 +261,9 @@ def probe_offdiag(
     lambda_grid=None,
     *,
     direction=None,
-    workers: int = 1,
 ) -> ProbeResult:
     """Off-diagonal spectral function at rescaled distance tau = lambda dist."""
-    lambdas, raws = _offdiag_table(manifold, n, tau, lambda_grid, direction, workers)
+    lambdas, raws = _offdiag_table(manifold, n, tau, lambda_grid, direction)
     limit = _snap_phi_limit(n, tau)
     return ProbeResult(
         probe="offdiag",
@@ -292,11 +281,10 @@ def probe_difference(
     lambda_grid=None,
     *,
     direction=None,
-    workers: int = 1,
 ) -> ProbeResult:
     """Square-sum of eigenfunction differences via 2(e_diag - e_offdiag)."""
-    lambdas, offs = _offdiag_table(manifold, n, tau, lambda_grid, direction, workers)
-    _, diags = _offdiag_table(manifold, n, 0.0, lambda_grid, direction, workers)
+    lambdas, offs = _offdiag_table(manifold, n, tau, lambda_grid, direction)
+    _, diags = _offdiag_table(manifold, n, 0.0, lambda_grid, direction)
     raws = [2.0 * (d - o) for d, o in zip(diags, offs)]
     limit = 2.0 * (weyl_constant(n) - _snap_phi_limit(n, tau))
     if abs(limit) < _ZERO_LIMIT_REL * weyl_constant(n):
@@ -310,15 +298,11 @@ def probe_difference(
     )
 
 
-def probe_derivative(
-    n: int, alpha: MultiIndex, beta: MultiIndex, lambda_grid=None, *, workers: int = 1
-) -> ProbeResult:
+def probe_derivative(n: int, alpha: MultiIndex, beta: MultiIndex, lambda_grid=None) -> ProbeResult:
     """Derivative diagonal sums on the torus against their leading constants."""
     lambdas = _check_grid(lambda_grid if lambda_grid is not None else default_lambda_grid())
     enum = torus.enumerate_lattice(n, max(lambdas))
-    raws = _ordered_map(
-        lambda lam: torus.derivative_diagonal_sum(n, alpha, beta, lam, enum), lambdas, workers
-    )
+    raws = [torus.derivative_diagonal_sum(n, alpha, beta, lam, enum) for lam in lambdas]
     limit = deriv_weyl_constant(n, alpha, beta)
     exponent = float(n + alpha.order + beta.order)
     return ProbeResult(
@@ -335,7 +319,7 @@ def probe_derivative(
     )
 
 
-def probe_band(manifold: str, n: int, lambda_grid=None, *, workers: int = 1) -> ProbeResult:
+def probe_band(manifold: str, n: int, lambda_grid=None) -> ProbeResult:
     """Unit-band diagonal sums, plus the projector-norm witness sqrt(band)/lambda^((n-1)/2).
 
     Sphere grids here are plain lambda values (consecutive pinned eigenvalues
@@ -345,9 +329,9 @@ def probe_band(manifold: str, n: int, lambda_grid=None, *, workers: int = 1) -> 
     lambdas = _check_grid(lambda_grid if lambda_grid is not None else default_lambda_grid())
     if manifold == "torus":
         enum = torus.enumerate_lattice(n, max(lambdas) + 1.0)
-        raws = _ordered_map(lambda lam: torus.band_diagonal_sum(n, lam, enum), lambdas, workers)
+        raws = [torus.band_diagonal_sum(n, lam, enum) for lam in lambdas]
     elif manifold == "sphere":
-        raws = _ordered_map(lambda lam: sphere.band_kernel_sphere(n, 1.0, lam), lambdas, workers)
+        raws = [sphere.band_kernel_sphere(n, 1.0, lam) for lam in lambdas]
     else:
         raise DomainError(f"manifold must be 'torus' or 'sphere', got {manifold!r}")
     witness = [math.sqrt(v) / lam ** ((n - 1) / 2.0) for v, lam in zip(raws, lambdas)]
@@ -369,7 +353,6 @@ def probe_hoelder(
     lambda_grid=None,
     *,
     direction=None,
-    workers: int = 1,
 ) -> ProbeResult:
     """Band Hoelder quotients: sup over tau of the difference sum over dist^(2 delta)."""
     if not 0.0 < delta < 1.0:
@@ -413,7 +396,7 @@ def probe_hoelder(
     else:
         raise DomainError(f"manifold must be 'torus' or 'sphere', got {manifold!r}")
 
-    raws = _ordered_map(one, lambdas, workers)
+    raws = [one(lam) for lam in lambdas]
     exponent = (n - 1.0) + 2.0 * delta
     return ProbeResult(
         probe="hoelder",
@@ -428,9 +411,7 @@ def probe_hoelder(
 # extremizing-family probes (sphere, n = 2 by default)
 
 
-def probe_lp(
-    family: str, r: float, s: float, m_grid=None, *, n: int = 2, workers: int = 1
-) -> ProbeResult:
+def probe_lp(family: str, r: float, s: float, m_grid=None, *, n: int = 2) -> ProbeResult:
     """Sobolev-scaled L_r norm growth of an extremizing family.
 
     The zonal family realizes the large-r regime, the highest-weight family
@@ -447,7 +428,7 @@ def probe_lp(
         # one quadrature rule and one recurrence serve the whole grid
         norms = sphere.zonal_norms(n, ms, r)
     else:
-        norms = _ordered_map(lambda m: sphere.hw_norm(n, m, r), ms, workers)
+        norms = [sphere.hw_norm(n, m, r) for m in ms]
     raws = [sphere.sobolev_scale(lam, s) * norm for lam, norm in zip(lambdas, norms)]
     exponent = s + epsilon_exponent(n, r)
     rows = [
@@ -478,7 +459,7 @@ def _hoelder_proxy(n: int, m: int, lam: float, delta: float) -> float:
     return best
 
 
-def probe_cksigma(sigma: float, m_grid=None, *, n: int = 2, workers: int = 1) -> ProbeResult:
+def probe_cksigma(sigma: float, m_grid=None, *, n: int = 2) -> ProbeResult:
     """Smoothness-norm growth of zonal harmonics against lambda^sigma ||Z||_inf.
 
     sigma = 0 uses the sup norm itself, sigma in (0, 1) a sampled Hoelder
@@ -489,15 +470,14 @@ def probe_cksigma(sigma: float, m_grid=None, *, n: int = 2, workers: int = 1) ->
     ms, lambdas = _pin_sphere_lambdas(n, m_grid if m_grid is not None else default_degree_grid())
     _check_grid(ms, "degree grid")
 
-    def one(pair) -> float:
-        m, lam = pair
+    def one(m: int, lam: float) -> float:
         if sigma == 0.0:
             return sphere.zonal_norm(n, m, math.inf)
         if sigma == 1.0:
             return sphere.zonal_gradient_sup(n, m)
         return _hoelder_proxy(n, m, lam, sigma)
 
-    raws = _ordered_map(one, list(zip(ms, lambdas)), workers)
+    raws = [one(m, lam) for m, lam in zip(ms, lambdas)]
     sups = [sphere.zonal_norm(n, m, math.inf) for m in ms]
     rows = [
         ProbeRow(abscissa=float(m), raw=v, ratio=v / (lam ** sigma * sup))
@@ -513,7 +493,7 @@ def probe_cksigma(sigma: float, m_grid=None, *, n: int = 2, workers: int = 1) ->
     )
 
 
-def probe_nodal(m_grid=None, *, n: int = 2, workers: int = 1) -> ProbeResult:
+def probe_nodal(m_grid=None, *, n: int = 2) -> ProbeResult:
     """Nodal gap of the zonal family: lambda times the first zero colatitude.
 
     The raw value converges to the first zero of J_0 (recomputed, not quoted);
@@ -522,12 +502,7 @@ def probe_nodal(m_grid=None, *, n: int = 2, workers: int = 1) -> ProbeResult:
     ms, lambdas = _pin_sphere_lambdas(n, m_grid if m_grid is not None else default_degree_grid())
     _check_grid(ms, "degree grid")
 
-    def one(pair):
-        m, _ = pair
-        gap = sphere.nodal_gap_zonal(n, m)
-        return gap, sphere.nadirashvili_ratio(n, m)
-
-    out = _ordered_map(one, list(zip(ms, lambdas)), workers)
+    out = [(sphere.nodal_gap_zonal(n, m), sphere.nadirashvili_ratio(n, m)) for m in ms]
     limit = bessel_j0_zero(1)
     rows = [
         ProbeRow(abscissa=float(m), raw=gap.product_with_eigenvalue, ratio=gap.product_with_eigenvalue)
@@ -548,16 +523,12 @@ def probe_nodal(m_grid=None, *, n: int = 2, workers: int = 1) -> ProbeResult:
     )
 
 
-def probe_smoothed(
-    n: int, window: SmoothingWindow | None = None, lambda_grid=None, *, workers: int = 1
-) -> ProbeResult:
+def probe_smoothed(n: int, window: SmoothingWindow | None = None, lambda_grid=None) -> ProbeResult:
     """Window-smoothed diagonal sums on the torus against the band growth order."""
     win = window if window is not None else SmoothingWindow()
     lambdas = _check_grid(lambda_grid if lambda_grid is not None else default_lambda_grid())
     enum = torus.enumerate_lattice(n, max(lambdas) + win.truncation_radius)
-    raws = _ordered_map(
-        lambda lam: torus.smoothed_diagonal_sum(n, lam, win, enum), lambdas, workers
-    )
+    raws = [torus.smoothed_diagonal_sum(n, lam, win, enum) for lam in lambdas]
     return ProbeResult(
         probe="smoothed",
         params={"manifold": "torus", "n": n, "window": win.shape, "eps": win.eps},

@@ -2,7 +2,7 @@
 
 Each check is independent and prints one PASS/FAIL line; probe-backed checks
 also persist their tables (fixed file names, timestamp-free contents) so two
-selftest runs can be compared byte for byte regardless of worker count.
+selftest runs can be compared byte for byte.
 """
 
 from __future__ import annotations
@@ -236,27 +236,27 @@ def _write_probe(result, fit, out_dir: Path, name: str) -> None:
     output.write_summary(result, fit, out_dir / f"selftest_{name}_summary.json")
 
 
-def make_probe_checks(out_dir: Path, threads: int):
+def make_probe_checks(out_dir: Path):
     def probe_weyl_torus() -> None:
-        res = probes.probe_weyl("torus", 2, [50.0, 75.0, 100.0, 125.0, 150.0], workers=threads)
+        res = probes.probe_weyl("torus", 2, [50.0, 75.0, 100.0, 125.0, 150.0])
         fit = probes.scaling_fit(res)
         _write_probe(res, fit, out_dir, "weyl_torus")
         assert abs(res.rows[-1].ratio / weyl_constant(2) - 1.0) <= 0.05
         assert abs(fit.exponent - 2.0) <= 0.05
 
     def probe_weyl_sphere() -> None:
-        res = probes.probe_weyl("sphere", 2, list(range(20, 201, 20)), workers=threads)
+        res = probes.probe_weyl("sphere", 2, list(range(20, 201, 20)))
         fit = probes.scaling_fit(res)
         _write_probe(res, fit, out_dir, "weyl_sphere")
         assert abs(res.rows[-1].ratio / weyl_constant(2) - 1.0) <= 0.05
 
     def probe_offdiag_consistency() -> None:
         grid = [50.0, 75.0, 100.0]
-        w = probes.probe_weyl("torus", 2, grid, workers=threads)
-        o = probes.probe_offdiag("torus", 2, 0.0, grid, workers=threads)
+        w = probes.probe_weyl("torus", 2, grid)
+        o = probes.probe_offdiag("torus", 2, 0.0, grid)
         assert [r.raw for r in w.rows] == [r.raw for r in o.rows]
-        d = probes.probe_difference("torus", 2, 1.5, grid, workers=threads)
-        o15 = probes.probe_offdiag("torus", 2, 1.5, grid, workers=threads)
+        d = probes.probe_difference("torus", 2, 1.5, grid)
+        o15 = probes.probe_offdiag("torus", 2, 1.5, grid)
         _write_probe(o15, probes.scaling_fit(o15), out_dir, "offdiag_torus")
         assert all(
             dr.raw == 2.0 * (wr.raw - orow.raw)
@@ -264,28 +264,22 @@ def make_probe_checks(out_dir: Path, threads: int):
         )
 
     def probe_band_sphere() -> None:
-        res = probes.probe_band("sphere", 2, [float(v) for v in range(20, 201, 20)], workers=threads)
+        res = probes.probe_band("sphere", 2, [float(v) for v in range(20, 201, 20)])
         fit = probes.scaling_fit(res)
         _write_probe(res, fit, out_dir, "band_sphere")
         assert abs(fit.exponent - 1.0) <= 0.2
 
     def probe_lp_zonal() -> None:
-        res = probes.probe_lp("zonal", math.inf, 0.0, list(range(20, 201, 20)), workers=threads)
+        res = probes.probe_lp("zonal", math.inf, 0.0, list(range(20, 201, 20)))
         fit = probes.scaling_fit(res)
         _write_probe(res, fit, out_dir, "lp_zonal")
         assert abs(fit.exponent - 0.5) <= 0.02
 
     def probe_nodal_gap() -> None:
-        res = probes.probe_nodal(list(range(20, 121, 20)), workers=threads)
+        res = probes.probe_nodal(list(range(20, 121, 20)))
         fit = None
         _write_probe(res, fit, out_dir, "nodal")
         assert abs(res.rows[-1].raw / res.predicted_limit - 1.0) <= 0.01
-
-    def probe_worker_determinism() -> None:
-        grid = [50.0, 75.0, 100.0]
-        assert probes.probe_weyl("torus", 2, grid, workers=1) == probes.probe_weyl(
-            "torus", 2, grid, workers=4
-        )
 
     return [
         ("probe_weyl_torus", probe_weyl_torus),
@@ -294,11 +288,10 @@ def make_probe_checks(out_dir: Path, threads: int):
         ("probe_band_sphere", probe_band_sphere),
         ("probe_lp_zonal", probe_lp_zonal),
         ("probe_nodal_gap", probe_nodal_gap),
-        ("probe_worker_determinism", probe_worker_determinism),
     ]
 
 
-def run_selftest(out_dir: Path, threads: int = 1) -> int:
+def run_selftest(out_dir: Path) -> int:
     """Run every invariant check; returns the number of failures."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -322,7 +315,7 @@ def run_selftest(out_dir: Path, threads: int = 1) -> int:
         ("hw_norm_routes", check_hw_norm_routes),
         ("odd_nadirashvili", check_odd_nadirashvili),
     ]
-    checks.extend(make_probe_checks(out_dir, threads))
+    checks.extend(make_probe_checks(out_dir))
     failures = 0
     for name, fn in checks:
         try:

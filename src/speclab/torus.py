@@ -2,8 +2,9 @@
 
 The orthonormal eigenbasis is (2 pi)^{-n/2} e^{i<k,x>} with eigenvalue |k|^2,
 so every spectral quantity reduces to a finite lattice sum over integer
-vectors; the sums here are evaluated with numpy in a fixed deterministic
-order so results are bit-identical across worker counts.
+vectors.  A sum that depends on k only through |k|^2 runs over the lattice
+shells |k|^2 = j, weighted by their multiplicities r_n(j).  The sums are
+evaluated with numpy in a fixed order, so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -90,16 +91,20 @@ class LatticeEnumeration:
         return out
 
     @functools.cached_property
-    def _norms(self) -> np.ndarray:
-        out = np.sqrt(self._norms_sq.astype(np.float64))
-        out.setflags(write=False)
-        return out
+    def _shells(self) -> tuple[np.ndarray, np.ndarray]:
+        counts = np.bincount(self._norms_sq)
+        values = np.flatnonzero(counts)
+        mult = counts[values]
+        values.setflags(write=False)
+        mult.setflags(write=False)
+        return values, mult
 
     def norms_sq(self) -> np.ndarray:
         return self._norms_sq
 
-    def norms(self) -> np.ndarray:
-        return self._norms
+    def shells(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending distinct |k|^2 values and the number of points on each."""
+        return self._shells
 
 
 @dataclass(frozen=True)
@@ -156,7 +161,14 @@ class SmoothingWindow:
 
     @property
     def truncation_radius(self) -> float:
-        """T with rho(T) <= 1e-12: the sinc envelope gives (4/(eps T))^4."""
+        """T with rho(T) <= 1e-12: the sinc envelope gives (4/(eps T))^4.
+
+        This bounds the weight at T, not the sum over the lattice beyond it.
+        In n = 2 there are about 2 pi |k| points per unit of |k|, so the tail a
+        smoothed sum at lambda omits is at most about
+        (4/eps)^4 (1/(2 T^2) + lambda/(3 T^3)) / (2 pi): 8e-8 to 1e-7 at
+        eps 4 (T = 1000) for lambda <= 300.
+        """
         return 4.0e3 / self.eps
 
 
@@ -290,7 +302,15 @@ def smoothed_diagonal_sum(
     window: SmoothingWindow | None = None,
     enum: LatticeEnumeration | None = None,
 ) -> float:
-    """Window-weighted diagonal sum, truncated where the tail is below 1e-12."""
+    """Window-weighted diagonal sum sum_k rho(lambda - |k|) / (2 pi)^n.
+
+    The weight depends on k only through |k|^2, so the sum runs over the
+    lattice shells with |k| <= lambda + T (T = window.truncation_radius),
+    each weighted by its multiplicity.  The cut drops weights below 1e-12,
+    but the omitted tail is larger (see SmoothingWindow.truncation_radius):
+    at eps 4 in n = 2, the shells in (lambda + T, 1500] alone add 1.2e-8 to
+    1.7e-8 for lambda in [0, 300].
+    """
     if lam < 0.0:
         raise DomainError(f"lambda must be >= 0, got {lam}")
     if window is None:
@@ -301,6 +321,7 @@ def smoothed_diagonal_sum(
             f"truncation radius {radius:g} exceeds the n={n} enumeration limit "
             f"of {enumeration_limit(n):g}; increase the window eps"
         )
-    cover = _covering(enum, n, radius)
-    norms = cover.norms()[cover.norms_sq() <= norm_sq_bound(radius)]
-    return float(np.sum(window.value(lam - norms))) / TWO_PI ** n
+    values, mult = _covering(enum, n, radius).shells()
+    top = int(np.searchsorted(values, norm_sq_bound(radius), side="right"))
+    weights = window.value(lam - np.sqrt(values[:top].astype(np.float64)))
+    return float(np.sum(mult[:top] * weights)) / TWO_PI ** n

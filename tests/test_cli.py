@@ -156,6 +156,41 @@ class TestRunCommand:
         assert "must be finite" in proc.stderr
 
 
+class TestThreadsFlag:
+    """--threads is accepted for compatibility: validated, but it selects nothing."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["selftest", "--threads", "0"],
+            ["selftest", "--threads", "-3"],
+            ["weyl", "--manifold", "torus", "--grid", "50:100:25", "--threads", "0"],
+            ["smoothed", "--threads", "-3"],
+        ],
+    )
+    def test_below_one_refused(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_command(argv + ["--out", str(out)]) == 2
+        assert "--threads must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_below_one_refused_in_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"probe = weyl\nmanifold = torus\nthreads = 0\nout = {tmp_path / 'out'}\n")
+        assert run_command(["--config", str(cfg)]) == 2
+        assert "--threads must be >= 1" in capsys.readouterr().err
+
+    def test_smoothed_tables_identical_across_settings(self, tmp_path):
+        tables = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            assert run_command(["smoothed", "--grid", "50:100:25", "--threads", threads,
+                                "--formats", "csv,json", "--out", str(out)]) == 0
+            tables[threads] = [p.read_bytes() for p in _files(out, ".csv") + _files(out, ".json")]
+        assert len(tables["1"]) == 3  # csv, json table, summary.json
+        assert tables["1"] == tables["2"]
+
+
 class TestImportCost:
     def test_scipy_loads_only_for_zero_finding(self, tmp_path):
         # scipy is only needed by Gegenbauer zero finding; importing the CLI

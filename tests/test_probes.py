@@ -100,20 +100,22 @@ class TestProbeConsistency:
 
 
 class TestDeterminism:
+    # probes run serially, so the former worker-count comparison is now a
+    # repeatability check; the test keeps its name and case order
     @pytest.mark.parametrize(
         "make",
         [
-            lambda w: probe_weyl("torus", 2, SMALL_LAMBDAS, workers=w),
-            lambda w: probe_offdiag("sphere", 2, 1.0, SMALL_DEGREES, workers=w),
-            lambda w: probe_hoelder("torus", 2, 0.5, None, SMALL_LAMBDAS, workers=w),
-            lambda w: probe_lp("hw", 4.0, 0.0, SMALL_DEGREES, workers=w),
-            lambda w: probe_cksigma(0.5, SMALL_DEGREES[:3], workers=w),
-            lambda w: probe_nodal(SMALL_DEGREES[:3], workers=w),
-            lambda w: probe_lp("zonal", 6.0, 0.5, SMALL_DEGREES, workers=w),
+            lambda: probe_weyl("torus", 2, SMALL_LAMBDAS),
+            lambda: probe_offdiag("sphere", 2, 1.0, SMALL_DEGREES),
+            lambda: probe_hoelder("torus", 2, 0.5, None, SMALL_LAMBDAS),
+            lambda: probe_lp("hw", 4.0, 0.0, SMALL_DEGREES),
+            lambda: probe_cksigma(0.5, SMALL_DEGREES[:3]),
+            lambda: probe_nodal(SMALL_DEGREES[:3]),
+            lambda: probe_lp("zonal", 6.0, 0.5, SMALL_DEGREES),
         ],
     )
     def test_worker_count_invariance(self, make):
-        assert make(1) == make(4)
+        assert make() == make()
 
 
 class TestWeylProbe:

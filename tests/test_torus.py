@@ -22,8 +22,8 @@ from speclab.torus import (
 TWO_PI = 2.0 * math.pi
 
 
-def brute_force_counts(n, lam_max):
-    """Cumulative shell counts by a plain nested-loop cube scan (oracle)."""
+def brute_force_shells(n, lam_max):
+    """r_n(q) for q <= lam_max^2 by a plain nested-loop cube scan (oracle)."""
     top = lam_max
     buckets = [0] * (lam_max * lam_max + 1)
     rng = range(-top, top + 1)
@@ -40,9 +40,14 @@ def brute_force_counts(n, lam_max):
                     q = a * a + b * b + c * c
                     if q <= lam_max * lam_max:
                         buckets[q] += 1
+    return buckets
+
+
+def brute_force_counts(n, lam_max):
+    """Cumulative shell counts from the cube-scan multiplicities."""
     out = {}
     total = 0
-    for q, cnt in enumerate(buckets):
+    for q, cnt in enumerate(brute_force_shells(n, lam_max)):
         total += cnt
         out[q] = total
     return out
@@ -102,6 +107,17 @@ class TestEnumeration:
             enumerate_lattice(4, 1.0)
         with pytest.raises(DomainError):
             enumerate_lattice(2, -1.0)
+
+
+class TestShells:
+    @pytest.mark.parametrize("n, radius", [(2, 20), (3, 12)])
+    def test_multiplicities_match_cube_scan(self, n, radius):
+        enum = enumerate_lattice(n, float(radius))
+        values, mult = enum.shells()
+        expected = {q: cnt for q, cnt in enumerate(brute_force_shells(n, radius)) if cnt}
+        assert values.tolist() == sorted(expected)
+        assert dict(zip(values.tolist(), mult.tolist())) == expected
+        assert int(mult.sum()) == enum.count
 
 
 class TestDisplacement:
@@ -289,6 +305,31 @@ class TestSmoothedSum:
     def test_truncation_resource_error(self):
         with pytest.raises(ResourceLimitError):
             smoothed_diagonal_sum(2, 600.0, SmoothingWindow(eps=4.0))
+
+    @pytest.mark.parametrize(
+        "n, eps, lams", [(2, 4.0, (0.0, 57.3, 100.0)), (3, 80.0, (0.0, 10.0, 30.0))]
+    )
+    def test_shell_route_matches_pointwise_sum(self, n, eps, lams):
+        w = SmoothingWindow(eps=eps)
+        enum = enumerate_lattice(n, max(lams) + w.truncation_radius)
+        pts = enum.points.astype(np.float64)
+        norms = np.sqrt(np.sum(pts * pts, axis=1))
+        for lam in lams:
+            inside = enum.norms_sq() <= norm_sq_bound(lam + w.truncation_radius)
+            reference = float(np.sum(w.value(lam - norms[inside]))) / TWO_PI**n
+            got = smoothed_diagonal_sum(n, lam, w, enum)
+            assert got == pytest.approx(reference, rel=1e-13, abs=0.0)
+
+    def test_omitted_tail_is_bounded(self):
+        # the cut at lambda + T bounds the weight by 1e-12, not the tail: the
+        # shells out to the n=2 limit still add about 1e-8
+        w = SmoothingWindow(eps=4.0)
+        values, mult = enumerate_lattice(2, 1500.0).shells()
+        radii = np.sqrt(values.astype(np.float64))
+        for lam in (50.0, 300.0):
+            beyond = values > norm_sq_bound(lam + w.truncation_radius)
+            tail = float(np.sum(mult[beyond] * w.value(lam - radii[beyond]))) / TWO_PI**2
+            assert 0.0 < tail < 1e-7
 
 
 class TestNormSqBound:
