@@ -2,8 +2,14 @@
 
 One probe per invocation: parse flags and/or a flat key=value config file,
 run the probe, persist CSV/JSON/SVG tables plus a summary.json with the
-exponent fit.  Exit codes: 0 success, 2 configuration error, 3 resource
-limit; file names carry a timestamp but file contents never do.
+exponent fit.  Exit codes: 0 success, 2 configuration or domain error, 3
+resource or numerical limit; file names carry a timestamp but file contents
+never do.
+
+Two tables describe the probes: `_PARAMS` maps each parameter to its parser,
+`_PROBES` maps each probe to the parameters it reads and to its call.  The
+subcommand flags, the config keys, the required checks and dispatch all come
+from them, and a flag or config key that a probe does not read is refused.
 """
 
 from __future__ import annotations
@@ -11,106 +17,25 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import output, probes, selftest
 from .analytic import MultiIndex
-from .errors import ConfigError, DomainError, RangeError, ResourceLimitError
+from .errors import ConfigError, DomainError, NumericError, ResourceLimitError, SpecLabError
 from .torus import SmoothingWindow
 
-__all__ = ["RunConfig", "run_command", "main"]
-
-PROBES = (
-    "weyl",
-    "offdiag",
-    "difference",
-    "deriv",
-    "band",
-    "hoelder",
-    "lp",
-    "cksigma",
-    "nodal",
-    "smoothed",
-)
-
-# which optional parameters each probe requires (beyond --n and the grid)
-_REQUIRED = {
-    "weyl": ("manifold",),
-    "offdiag": ("manifold", "tau"),
-    "difference": ("manifold", "tau"),
-    "deriv": ("alpha", "beta"),
-    "band": ("manifold",),
-    "hoelder": ("manifold", "delta"),
-    "lp": ("family", "r", "s"),
-    "cksigma": ("sigma",),
-    "nodal": (),
-    "smoothed": (),
-}
-
-_CONFIG_KEYS = {
-    "probe",
-    "manifold",
-    "n",
-    "grid",
-    "tau",
-    "delta",
-    "sigma",
-    "r",
-    "s",
-    "family",
-    "alpha",
-    "beta",
-    "eps",
-    "direction",
-    "out",
-    "formats",
-    "threads",
-}
+__all__ = ["run_command", "main"]
 
 _FORMATS = ("csv", "json", "svg")
-
-_THREADS_HELP = "accepted for compatibility (>= 1); has no effect, probes run serially"
 
 # a start:stop:step grid longer than this is refused before it is built
 _MAX_GRID_POINTS = 10_000
 
 
-@dataclass
-class RunConfig:
-    probe: str
-    n: int = 2
-    manifold: str | None = None
-    grid: list[float] | None = None
-    tau: float | None = None
-    delta: float | None = None
-    sigma: float | None = None
-    r: float | None = None
-    s: float | None = None
-    family: str | None = None
-    alpha: MultiIndex | None = None
-    beta: MultiIndex | None = None
-    eps: float | None = None
-    direction: tuple[float, ...] | None = None
-    out: Path = field(default_factory=lambda: Path("speclab_out"))
-    formats: tuple[str, ...] = _FORMATS
-
-    def require(self) -> None:
-        for key in _REQUIRED[self.probe]:
-            if getattr(self, key) is None:
-                raise ConfigError(f"probe '{self.probe}' requires --{key}")
-        if self.manifold is not None and self.manifold not in ("torus", "sphere"):
-            raise ConfigError(f"--manifold must be 'torus' or 'sphere', got {self.manifold!r}")
-        if self.family is not None and self.family not in ("zonal", "hw"):
-            raise ConfigError(f"--family must be 'zonal' or 'hw', got {self.family!r}")
-        bad = [f for f in self.formats if f not in _FORMATS]
-        if bad:
-            raise ConfigError(f"unknown output format(s): {', '.join(bad)}")
-
-
 # --------------------------------------------------------------------------
-# flag and config-file parsing
+# parameter parsers: each takes the flag or config text and the parameter name
 
 
 def _parse_number(value, key: str, kind=float):
@@ -124,23 +49,38 @@ def _parse_number(value, key: str, kind=float):
     return number
 
 
-def _check_threads(value) -> None:
+def _parse_int(text: str, key: str) -> int:
+    return _parse_number(text, key, int)
+
+
+def _parse_threads(text: str, key: str) -> int:
     """--threads selects nothing (every probe runs serially) but must be >= 1."""
-    if value is not None and _parse_number(value, "threads", int) < 1:
+    threads = _parse_number(text, key, int)
+    if threads < 1:
         raise ConfigError("--threads must be >= 1")
+    return threads
 
 
-def _parse_grid(text: str) -> list[float]:
+def _choice(*options: str):
+    def parse(text: str, key: str) -> str:
+        if text not in options:
+            raise ConfigError(f"--{key} must be {' or '.join(map(repr, options))}, got {text!r}")
+        return text
+
+    return parse
+
+
+def _parse_grid(text: str, key: str = "grid") -> list[float]:
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise ConfigError(f"cannot parse --grid {text!r}: expected start:stop:step")
-        start, stop, step = (_parse_number(part, "grid") for part in parts)
+            raise ConfigError(f"cannot parse --{key} {text!r}: expected start:stop:step")
+        start, stop, step = (_parse_number(part, key) for part in parts)
         if step <= 0.0:
-            raise ConfigError(f"--grid step must be positive, got {step:g}")
+            raise ConfigError(f"--{key} step must be positive, got {step:g}")
         if (stop - start) / step > _MAX_GRID_POINTS:
-            raise ConfigError(f"--grid {text!r} spans more than {_MAX_GRID_POINTS} steps")
+            raise ConfigError(f"--{key} {text!r} spans more than {_MAX_GRID_POINTS} steps")
         vals = []
         v = start
         # the length guard stops a step too small to change v; the repeated
@@ -149,29 +89,139 @@ def _parse_grid(text: str) -> list[float]:
             vals.append(round(v, 12))
             v += step
     else:
-        vals = [_parse_number(tok, "grid") for tok in text.split(",") if tok.strip()]
+        vals = [_parse_number(tok, key) for tok in text.split(",") if tok.strip()]
     if not vals:
-        raise ConfigError(f"--grid {text!r} produced no values")
+        raise ConfigError(f"--{key} {text!r} produced no values")
     if any(b <= a for a, b in zip(vals, vals[1:])):
-        raise ConfigError("--grid values must be strictly increasing")
+        raise ConfigError(f"--{key} values must be strictly increasing")
     return vals
 
 
-def _parse_multi_index(text: str, flag: str) -> MultiIndex:
+def _parse_multi_index(text: str, key: str) -> MultiIndex:
     try:
         return MultiIndex(tuple(int(tok) for tok in text.split(",")))
     except (ValueError, DomainError) as exc:
-        raise ConfigError(f"cannot parse --{flag} {text!r}: {exc}") from exc
+        raise ConfigError(f"cannot parse --{key} {text!r}: {exc}") from exc
 
 
-def _parse_r(text: str) -> float:
+def _parse_r(text: str, key: str) -> float:
     if text.strip().lower() in ("inf", "infinity"):
         return math.inf
-    return _parse_number(text, "r")
+    return _parse_number(text, key)
 
 
-def _parse_direction(text: str) -> tuple[float, ...]:
-    return tuple(_parse_number(tok, "direction") for tok in text.split(","))
+def _parse_direction(text: str, key: str) -> tuple[float, ...]:
+    return tuple(_parse_number(tok, key) for tok in text.split(","))
+
+
+def _parse_formats(text: str, key: str) -> tuple[str, ...]:
+    formats = tuple(tok.strip() for tok in text.split(",") if tok.strip())
+    bad = [f for f in formats if f not in _FORMATS]
+    if bad:
+        raise ConfigError(f"unknown output format(s): {', '.join(bad)}")
+    return formats
+
+
+# --------------------------------------------------------------------------
+# the two tables
+
+
+class _Param(NamedTuple):
+    parse: Callable[[str, str], object]
+    help: str
+    default: object = None
+
+
+_THREADS_HELP = "accepted for compatibility (>= 1); has no effect, probes run serially"
+
+_PARAMS = {
+    "manifold": _Param(_choice("torus", "sphere"), "torus or sphere"),
+    "n": _Param(_parse_int, "dimension (default 2)", 2),
+    "grid": _Param(_parse_grid, "start:stop:step or v1,v2,..."),
+    "tau": _Param(_parse_number, "rescaled distance lambda * dist(x, y)"),
+    "delta": _Param(_parse_number, "Hoelder exponent in (0, 1)"),
+    "sigma": _Param(_parse_number, "smoothness order in [0, 1]"),
+    "r": _Param(_parse_r, "norm exponent >= 2, or 'inf'"),
+    "s": _Param(_parse_number, "Sobolev order >= 0"),
+    "family": _Param(_choice("zonal", "hw"), "zonal or hw"),
+    "alpha": _Param(_parse_multi_index, "comma-separated multi-index"),
+    "beta": _Param(_parse_multi_index, "comma-separated multi-index"),
+    "eps": _Param(_parse_number, "window Fourier half-width"),
+    "direction": _Param(_parse_direction, "comma-separated vector (torus only)"),
+    "out": _Param(lambda text, key: Path(text), "output directory", Path("speclab_out")),
+    "formats": _Param(_parse_formats, "subset of csv,json,svg", _FORMATS),
+    "threads": _Param(_parse_threads, _THREADS_HELP),
+}
+
+# parameters every probe reads
+_COMMON = ("out", "formats", "threads")
+
+
+class _Probe(NamedTuple):
+    required: tuple[str, ...]
+    optional: tuple[str, ...]
+    call: Callable[[dict], probes.ProbeResult]
+
+    def params(self) -> tuple[str, ...]:
+        return (*self.required, *self.optional, *_COMMON)
+
+
+# the calls look up `probes.probe_*` at run time, so wrappers installed on the
+# probes module see every call
+_PROBES = {
+    "weyl": _Probe(
+        ("manifold",), ("n", "grid"),
+        lambda a: probes.probe_weyl(a["manifold"], a["n"], a["grid"]),
+    ),
+    "offdiag": _Probe(
+        ("manifold", "tau"), ("n", "grid", "direction"),
+        lambda a: probes.probe_offdiag(
+            a["manifold"], a["n"], a["tau"], a["grid"], direction=a["direction"]
+        ),
+    ),
+    "difference": _Probe(
+        ("manifold", "tau"), ("n", "grid", "direction"),
+        lambda a: probes.probe_difference(
+            a["manifold"], a["n"], a["tau"], a["grid"], direction=a["direction"]
+        ),
+    ),
+    "deriv": _Probe(
+        ("alpha", "beta"), ("n", "grid"),
+        lambda a: probes.probe_derivative(a["n"], a["alpha"], a["beta"], a["grid"]),
+    ),
+    "band": _Probe(
+        ("manifold",), ("n", "grid"),
+        lambda a: probes.probe_band(a["manifold"], a["n"], a["grid"]),
+    ),
+    "hoelder": _Probe(
+        ("manifold", "delta"), ("n", "grid", "direction"),
+        lambda a: probes.probe_hoelder(
+            a["manifold"], a["n"], a["delta"], None, a["grid"], direction=a["direction"]
+        ),
+    ),
+    "lp": _Probe(
+        ("family", "r", "s"), ("n", "grid"),
+        lambda a: probes.probe_lp(a["family"], a["r"], a["s"], a["grid"], n=a["n"]),
+    ),
+    "cksigma": _Probe(
+        ("sigma",), ("n", "grid"),
+        lambda a: probes.probe_cksigma(a["sigma"], a["grid"], n=a["n"]),
+    ),
+    "nodal": _Probe(
+        (), ("n", "grid"),
+        lambda a: probes.probe_nodal(a["grid"], n=a["n"]),
+    ),
+    "smoothed": _Probe(
+        (), ("n", "grid", "eps"),
+        lambda a: probes.probe_smoothed(
+            a["n"], None if a["eps"] is None else SmoothingWindow(eps=a["eps"]), a["grid"]
+        ),
+    ),
+}
+
+
+# --------------------------------------------------------------------------
+# flag and config-file parsing
 
 
 def load_config_file(path: Path) -> dict[str, str]:
@@ -190,7 +240,7 @@ def load_config_file(path: Path) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key != "probe" and key not in _PARAMS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
@@ -204,129 +254,79 @@ def _build_parser() -> argparse.ArgumentParser:
         description="spectral-asymptotics probes on the flat torus and the round sphere",
     )
     sub = parser.add_subparsers(dest="probe", metavar="PROBE")
-    for name in PROBES:
-        p = sub.add_parser(name, help=f"run the {name} probe")
+    for name, probe in _PROBES.items():
+        # no abbreviations: `cksigma --s 1` must not read as `--sigma 1`
+        p = sub.add_parser(name, help=f"run the {name} probe", allow_abbrev=False)
         p.add_argument("--config", type=Path, default=None, help="flat key=value config file")
-        p.add_argument("--manifold", choices=("torus", "sphere"))
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--grid", type=str, default=None, help="start:stop:step or v1,v2,...")
-        p.add_argument("--tau", type=float, default=None)
-        p.add_argument("--delta", type=float, default=None)
-        p.add_argument("--sigma", type=float, default=None)
-        p.add_argument("--r", type=str, default=None, help="norm exponent >= 2, or 'inf'")
-        p.add_argument("--s", type=float, default=None)
-        p.add_argument("--family", choices=("zonal", "hw"), default=None)
-        p.add_argument("--alpha", type=str, default=None, help="comma-separated multi-index")
-        p.add_argument("--beta", type=str, default=None, help="comma-separated multi-index")
-        p.add_argument("--eps", type=float, default=None, help="window Fourier half-width")
-        p.add_argument("--direction", type=str, default=None, help="comma-separated vector")
-        p.add_argument("--out", type=Path, default=None)
-        p.add_argument("--formats", type=str, default=None, help="subset of csv,json,svg")
-        p.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
+        for key in probe.params():
+            p.add_argument(f"--{key}", help=_PARAMS[key].help)
     st = sub.add_parser("selftest", help="run the invariant battery")
     st.add_argument("--out", type=Path, default=None)
-    st.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
+    st.add_argument("--threads", default=None, help=_THREADS_HELP)
     return parser
 
 
-def parse_run_config(args: argparse.Namespace) -> RunConfig:
+def parse_run_config(args: argparse.Namespace) -> dict:
+    """The probe's parameters: each flag if given, else its config key, else its default."""
+    probe = _PROBES[args.probe]
     file_map: dict[str, str] = {}
     if args.config is not None:
         file_map = load_config_file(args.config)
-        if "probe" in file_map and file_map["probe"] != args.probe:
+        if file_map.get("probe", args.probe) != args.probe:
             raise ConfigError(
                 f"config file names probe {file_map['probe']!r} but {args.probe!r} was invoked"
             )
-
-    def merged(key: str, convert=str):
-        """The flag if given, else the config value, passed through `convert`."""
-        value = getattr(args, key)
-        if value is None:
-            value = file_map.get(key)
-        return None if value is None else convert(value)
-
-    def merged_number(key: str, kind=float):
-        return merged(key, lambda value: _parse_number(value, key, kind))
-
-    cfg = RunConfig(probe=args.probe)
-    n = merged_number("n", int)
-    if n is not None:
-        cfg.n = n
-    cfg.manifold = merged("manifold")
-    cfg.grid = merged("grid", _parse_grid)
-    cfg.tau = merged_number("tau")
-    cfg.delta = merged_number("delta")
-    cfg.sigma = merged_number("sigma")
-    cfg.r = merged("r", _parse_r)
-    cfg.s = merged_number("s")
-    cfg.family = merged("family")
-    cfg.alpha = merged("alpha", lambda text: _parse_multi_index(text, "alpha"))
-    cfg.beta = merged("beta", lambda text: _parse_multi_index(text, "beta"))
-    cfg.eps = merged_number("eps")
-    cfg.direction = merged("direction", _parse_direction)
-    out = merged("out", Path)
-    if out is not None:
-        cfg.out = Path(out)
-    formats = merged("formats")
-    if formats is not None:
-        cfg.formats = tuple(tok.strip() for tok in formats.split(",") if tok.strip())
-    _check_threads(merged("threads"))
-    cfg.require()
-    return cfg
+        unread = [key for key in file_map if key != "probe" and key not in probe.params()]
+        if unread:
+            raise ConfigError(
+                f"{args.config}: probe {args.probe!r} does not read key(s) "
+                + ", ".join(map(repr, unread))
+            )
+    values = {}
+    for key in probe.params():
+        text = getattr(args, key)
+        if text is None:
+            text = file_map.get(key)
+        values[key] = _PARAMS[key].default if text is None else _PARAMS[key].parse(text, key)
+    for key in probe.required:
+        if values[key] is None:
+            raise ConfigError(f"probe '{args.probe}' requires --{key}")
+    return values
 
 
 # --------------------------------------------------------------------------
 # execution
 
 
-def execute_probe(cfg: RunConfig) -> probes.ProbeResult:
-    if cfg.probe == "weyl":
-        return probes.probe_weyl(cfg.manifold, cfg.n, cfg.grid)
-    if cfg.probe == "offdiag":
-        return probes.probe_offdiag(
-            cfg.manifold, cfg.n, cfg.tau, cfg.grid, direction=cfg.direction
-        )
-    if cfg.probe == "difference":
-        return probes.probe_difference(
-            cfg.manifold, cfg.n, cfg.tau, cfg.grid, direction=cfg.direction
-        )
-    if cfg.probe == "deriv":
-        return probes.probe_derivative(cfg.n, cfg.alpha, cfg.beta, cfg.grid)
-    if cfg.probe == "band":
-        return probes.probe_band(cfg.manifold, cfg.n, cfg.grid)
-    if cfg.probe == "hoelder":
-        return probes.probe_hoelder(
-            cfg.manifold, cfg.n, cfg.delta, None, cfg.grid, direction=cfg.direction
-        )
-    if cfg.probe == "lp":
-        return probes.probe_lp(cfg.family, cfg.r, cfg.s, cfg.grid, n=cfg.n)
-    if cfg.probe == "cksigma":
-        return probes.probe_cksigma(cfg.sigma, cfg.grid, n=cfg.n)
-    if cfg.probe == "nodal":
-        return probes.probe_nodal(cfg.grid, n=cfg.n)
-    if cfg.probe == "smoothed":
-        window = SmoothingWindow(eps=cfg.eps) if cfg.eps is not None else None
-        return probes.probe_smoothed(cfg.n, window, cfg.grid)
-    raise ConfigError(f"unknown probe {cfg.probe!r}")
-
-
 def _timestamp() -> str:
     return datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%S%fZ")
 
 
-def run_probe(cfg: RunConfig) -> list[Path]:
-    result = execute_probe(cfg)
+def run_probe(name: str, values: dict) -> list[Path]:
+    result = _PROBES[name].call(values)
     fit = probes.scaling_fit(result)
-    stem = f"{cfg.probe}_{_timestamp()}"
+    out, formats = values["out"], values["formats"]
+    stem = f"{name}_{_timestamp()}"
     written = []
-    if "csv" in cfg.formats:
-        written.append(output.write_csv(result, cfg.out / f"{stem}.csv"))
-    if "json" in cfg.formats:
-        written.append(output.write_json(result, cfg.out / f"{stem}.json"))
-    if "svg" in cfg.formats:
-        written.append(output.write_svg(result, fit, cfg.out / f"{stem}.svg"))
-    written.append(output.write_summary(result, fit, cfg.out / "summary.json"))
+    if "csv" in formats:
+        written.append(output.write_csv(result, out / f"{stem}.csv"))
+    if "json" in formats:
+        written.append(output.write_json(result, out / f"{stem}.json"))
+    if "svg" in formats:
+        written.append(output.write_svg(result, fit, out / f"{stem}.svg"))
+    written.append(output.write_summary(result, fit, out / "summary.json"))
     return written
+
+
+def _run(args: argparse.Namespace) -> int:
+    if args.probe == "selftest":
+        if args.threads is not None:
+            _parse_threads(args.threads, "threads")
+        out = args.out if args.out is not None else Path("speclab_out") / "selftest"
+        return 0 if selftest.run_selftest(out_dir=out) == 0 else 1
+    for path in run_probe(args.probe, parse_run_config(args)):
+        print(path)
+    return 0
 
 
 def run_command(argv=None) -> int:
@@ -354,33 +354,14 @@ def run_command(argv=None) -> int:
     if args.probe is None:
         parser.print_usage(sys.stderr)
         return 2
-
-    if args.probe == "selftest":
-        try:
-            _check_threads(args.threads)
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        out = args.out if args.out is not None else Path("speclab_out") / "selftest"
-        failures = selftest.run_selftest(out_dir=out)
-        return 0 if failures == 0 else 1
-
     try:
-        cfg = parse_run_config(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        written = run_probe(cfg)
-    except ResourceLimitError as exc:
+        return _run(args)
+    except (ResourceLimitError, NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, DomainError, RangeError) as exc:
+    except SpecLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    for path in written:
-        print(path)
-    return 0
 
 
 def main() -> None:

@@ -210,40 +210,55 @@ def _snap_phi_limit(n: int, tau: float) -> float:
 # spectral-function probes (torus and sphere)
 
 
-def _torus_offdiag_raws(n, lambdas, tau, direction):
+def _torus_offdiag_raws(n, lambdas, taus, direction):
+    # one enumeration serves every tau (probe_difference asks for tau and 0)
     enum = torus.enumerate_lattice(n, max(lambdas))
-    raws = []
-    for lam in lambdas:
+
+    def one(tau, lam):
         u = Displacement.from_vector(direction * (tau / lam) if tau else np.zeros(n))
-        raws.append(torus.spectral_function_torus(n, u, lam, enum))
-    return raws
+        return torus.spectral_function_torus(n, u, lam, enum)
+
+    return [[one(tau, lam) for lam in lambdas] for tau in taus]
 
 
-def _sphere_offdiag_raws(n, lambdas, tau):
+def _sphere_offdiag_raws(n, lambdas, taus):
     return [
-        sphere.spectral_function_sphere(n, math.cos(tau / lam) if tau else 1.0, lam)
-        for lam in lambdas
+        [
+            sphere.spectral_function_sphere(n, math.cos(tau / lam) if tau else 1.0, lam)
+            for lam in lambdas
+        ]
+        for tau in taus
     ]
 
 
-def _offdiag_table(manifold, n, tau, grid, direction):
-    if tau < 0.0:
-        raise DomainError(f"tau must be >= 0, got {tau}")
+def _no_sphere_direction(direction) -> None:
+    if direction is not None:
+        raise DomainError(
+            "direction applies only to the torus: sphere kernels depend on dist(x, y) alone"
+        )
+
+
+def _offdiag_table(manifold, n, taus, grid, direction):
+    """The grid's lambdas and, for each tau in `taus`, the off-diagonal sums at tau/lambda."""
+    for tau in taus:
+        if tau < 0.0:
+            raise DomainError(f"tau must be >= 0, got {tau}")
     if manifold == "torus":
         lambdas = _check_grid(grid if grid is not None else default_lambda_grid())
-        return lambdas, _torus_offdiag_raws(n, lambdas, tau, _direction(n, direction))
+        return lambdas, _torus_offdiag_raws(n, lambdas, taus, _direction(n, direction))
     if manifold == "sphere":
+        _no_sphere_direction(direction)
         _, lambdas = _pin_sphere_lambdas(n, grid if grid is not None else default_degree_grid())
         _check_grid(lambdas, "pinned lambda grid")
-        if tau and tau / min(lambdas) > math.pi:
+        if max(taus) / min(lambdas) > math.pi:
             raise DomainError("tau/lambda exceeds pi: no such sphere displacement")
-        return lambdas, _sphere_offdiag_raws(n, lambdas, tau)
+        return lambdas, _sphere_offdiag_raws(n, lambdas, taus)
     raise DomainError(f"manifold must be 'torus' or 'sphere', got {manifold!r}")
 
 
 def probe_weyl(manifold: str, n: int, lambda_grid=None) -> ProbeResult:
     """Diagonal spectral function against the volume-counting prediction."""
-    lambdas, raws = _offdiag_table(manifold, n, 0.0, lambda_grid, None)
+    lambdas, (raws,) = _offdiag_table(manifold, n, (0.0,), lambda_grid, None)
     limit = weyl_constant(n)
     return ProbeResult(
         probe="weyl",
@@ -263,7 +278,7 @@ def probe_offdiag(
     direction=None,
 ) -> ProbeResult:
     """Off-diagonal spectral function at rescaled distance tau = lambda dist."""
-    lambdas, raws = _offdiag_table(manifold, n, tau, lambda_grid, direction)
+    lambdas, (raws,) = _offdiag_table(manifold, n, (tau,), lambda_grid, direction)
     limit = _snap_phi_limit(n, tau)
     return ProbeResult(
         probe="offdiag",
@@ -283,8 +298,7 @@ def probe_difference(
     direction=None,
 ) -> ProbeResult:
     """Square-sum of eigenfunction differences via 2(e_diag - e_offdiag)."""
-    lambdas, offs = _offdiag_table(manifold, n, tau, lambda_grid, direction)
-    _, diags = _offdiag_table(manifold, n, 0.0, lambda_grid, direction)
+    lambdas, (offs, diags) = _offdiag_table(manifold, n, (tau, 0.0), lambda_grid, direction)
     raws = [2.0 * (d - o) for d, o in zip(diags, offs)]
     limit = 2.0 * (weyl_constant(n) - _snap_phi_limit(n, tau))
     if abs(limit) < _ZERO_LIMIT_REL * weyl_constant(n):
@@ -383,6 +397,7 @@ def probe_hoelder(
             return best
 
     elif manifold == "sphere":
+        _no_sphere_direction(direction)
 
         def one(lam: float) -> float:
             best = 0.0

@@ -5,12 +5,15 @@ PASS/FAIL line (visible under `pytest -s` or in the captured output).
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
+import speclab
 from speclab.analytic import (
     MultiIndex,
     ball_moment,
@@ -223,6 +226,8 @@ def _parity_pairs(n: int, top: int):
 
 def test_criterion_13_selftest_determinism(tmp_path):
     with _Budget("criterion 13: selftest determinism", 600.0):
+        # the child imports speclab from the same tree as this process
+        env = dict(os.environ, PYTHONPATH=str(Path(speclab.__file__).parents[1]))
         outputs = {}
         for threads in (1, 4):
             out = tmp_path / f"threads{threads}"
@@ -231,6 +236,7 @@ def test_criterion_13_selftest_determinism(tmp_path):
                  "--threads", str(threads), "--out", str(out)],
                 capture_output=True,
                 text=True,
+                env=env,
                 check=False,
             )
             assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -9,10 +9,10 @@ from pathlib import Path
 import pytest
 
 import speclab
-from speclab import output
+from speclab import output, probes
 from speclab.analytic import weyl_constant
 from speclab.cli import _parse_grid, load_config_file, run_command
-from speclab.errors import ConfigError, DomainError
+from speclab.errors import ConfigError, DomainError, NumericError
 from speclab.probes import probe_band, probe_difference, probe_weyl, scaling_fit
 
 
@@ -154,6 +154,66 @@ class TestRunCommand:
         )
         assert proc.returncode == 2, proc.stderr
         assert "must be finite" in proc.stderr
+
+
+class TestStrictInputs:
+    """Each probe accepts only the flags and config keys it reads."""
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["weyl", "--manifold", "torus", "--tau", "3"], "--tau"),
+            (["offdiag", "--manifold", "torus", "--tau", "1", "--delta", "0.5"], "--delta"),
+            (["difference", "--manifold", "torus", "--tau", "1", "--eps", "4"], "--eps"),
+            (["deriv", "--alpha", "1,0", "--beta", "1,0", "--manifold", "sphere"], "--manifold"),
+            (["band", "--manifold", "torus", "--direction=1,0"], "--direction"),
+            (["hoelder", "--manifold", "torus", "--delta", "0.5", "--sigma", "1"], "--sigma"),
+            (["lp", "--family", "zonal", "--r", "6", "--s", "0", "--manifold", "torus"], "--manifold"),
+            (["cksigma", "--sigma", "1", "--family", "hw"], "--family"),
+            (["cksigma", "--sigma", "1", "--s", "1"], "--s"),
+            (["nodal", "--manifold", "torus"], "--manifold"),
+            (["smoothed", "--manifold", "sphere"], "--manifold"),
+        ],
+        ids=lambda v: v[0] if isinstance(v, list) else None,
+    )
+    def test_unread_flag_refused(self, argv, flag, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_command(argv + ["--grid", "50,75,100", "--out", str(out)]) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unread_config_key_refused(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"probe = weyl\nmanifold = torus\ntau = 2\nout = {out}\n")
+        assert run_command(["--config", str(cfg)]) == 2
+        assert "'tau'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["offdiag", "--manifold", "sphere", "--tau", "1"],
+            ["difference", "--manifold", "sphere", "--tau", "1"],
+            ["hoelder", "--manifold", "sphere", "--delta", "0.5"],
+        ],
+        ids=lambda v: v[0],
+    )
+    def test_direction_refused_on_sphere(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_command(argv + ["--direction=1,0", "--grid", "20,40,60", "--out", str(out)]) == 2
+        assert "direction" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_numeric_error_exit_code(self, monkeypatch, tmp_path, capsys):
+        def diverge(m_grid=None, *, n=2):
+            raise NumericError("Newton iteration did not converge")
+
+        monkeypatch.setattr(probes, "probe_nodal", diverge)
+        out = tmp_path / "out"
+        assert run_command(["nodal", "--out", str(out)]) == 3
+        assert "did not converge" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestThreadsFlag:

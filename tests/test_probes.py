@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from speclab import torus
 from speclab.analytic import MultiIndex, gauss_legendre_rule, phi_kernel_zero, weyl_constant
 from speclab.errors import DomainError
 from speclab.probes import (
@@ -153,6 +154,33 @@ class TestOffdiagProbe:
         a = probe_offdiag("torus", 2, 2.0, SMALL_LAMBDAS)
         b = probe_offdiag("torus", 2, 2.0, SMALL_LAMBDAS, direction=(1.0, 0.0))
         assert [r.raw for r in a.rows] != [r.raw for r in b.rows]
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda d: probe_offdiag("sphere", 2, 1.0, SMALL_DEGREES, direction=d),
+            lambda d: probe_difference("sphere", 2, 1.0, SMALL_DEGREES, direction=d),
+            lambda d: probe_hoelder("sphere", 2, 0.5, None, [10.0, 20.0, 30.0], direction=d),
+        ],
+        ids=["offdiag", "difference", "hoelder"],
+    )
+    def test_direction_refused_on_sphere(self, run):
+        # sphere kernels depend on dist(x, y) alone, so a direction would be ignored
+        with pytest.raises(DomainError, match="direction"):
+            run((1.0, 0.0))
+
+    def test_difference_enumerates_torus_lattice_once(self, monkeypatch):
+        calls = []
+        enumerate_lattice = torus.enumerate_lattice
+
+        def counting(n, radius):
+            calls.append((n, radius))
+            return enumerate_lattice(n, radius)
+
+        monkeypatch.setattr(torus, "enumerate_lattice", counting)
+        probe_difference("torus", 2, 1.5, SMALL_LAMBDAS)
+        # the rows themselves are held by test_difference_identity
+        assert calls == [(2, 150.0)]
 
 
 class TestDerivativeProbe:
