@@ -29,7 +29,10 @@ __all__ = [
     "gegenbauer",
     "gegenbauer_value_and_deriv",
     "gegenbauer_at_one",
+    "gegenbauer_derivatives",
+    "gegenbauer_largest_zero",
     "gegenbauer_zeros",
+    "largest_zero",
     "gauss_legendre_rule",
     "bessel_j0",
     "bessel_j1",
@@ -50,6 +53,10 @@ PHI_ZERO_TAU_MAX = 200.0
 
 # largest Gauss-Legendre order gauss_legendre_rule builds
 QUAD_ORDER_MAX = 5000
+
+# Newton's method settles once every step is at most NEWTON_TOL in t
+NEWTON_TOL = 1e-13
+NEWTON_MAX_STEPS = 100
 
 
 # --------------------------------------------------------------------------
@@ -292,45 +299,80 @@ def gegenbauer_at_one(m: int, nu: float) -> float:
     return out
 
 
-def _jacobi_matrix_zeros(m: int, nu: float) -> np.ndarray:
-    """Zeros of C_m^nu as eigenvalues of the symmetric Jacobi matrix."""
-    # scipy costs more to import than most runs spend computing; only runs
-    # that find zeros (quadrature rules, nodal gaps) pay for it
-    from scipy.linalg import eigh_tridiagonal
+def gegenbauer_derivatives(m: int, nu: float, t, order: int) -> list:
+    """C_m^nu(t) and its first `order` t-derivatives, at a float or elementwise.
 
-    if m == 1:
-        return np.zeros(1)
-    j = np.arange(1, m, dtype=float)
-    beta = j * (j + 2.0 * nu - 1.0) / (4.0 * (j + nu) * (j + nu - 1.0))
-    return eigh_tridiagonal(np.zeros(m), np.sqrt(beta), eigvals_only=True)
+    d/dt C_k^nu = 2 nu C_{k-1}^{nu+1}, so the j-th derivative is
+    2^j (nu)_j C_{m-j}^{nu+j}, one recurrence each.  Nothing is divided by
+    1 - t^2, so t = +-1 are valid arguments.
+    """
+    out = []
+    factor = 1.0
+    for j in range(order + 1):
+        out.append(factor * _gegenbauer_pair(m - j, nu + j, t)[0] if j <= m else 0.0 * t)
+        factor *= 2.0 * (nu + j)
+    return out
+
+
+def _newton(fn, x, what: str, *, from_pole: bool = False):
+    """Newton's method for fn(x) -> (value, derivative), elementwise over x.
+
+    Returns the iterate after the first step whose every entry is at most
+    NEWTON_TOL.  from_pole marks a start to the right of every zero of a
+    polynomial whose zeros are all real; from there the iterates fall
+    monotonically to its largest zero, and a step that raises them instead
+    is refused.
+    """
+    for _ in range(NEWTON_MAX_STEPS):
+        val, der = fn(x)
+        step = val / der
+        if from_pole and step < -NEWTON_TOL:
+            raise NumericError(f"Newton iterates for {what} rose on the way down from t = 1")
+        x = x - step
+        if np.max(np.abs(step)) <= NEWTON_TOL:
+            return x
+    raise NumericError(f"Newton refinement for {what} did not settle in {NEWTON_MAX_STEPS} steps")
+
+
+def largest_zero(fn, what: str) -> float:
+    """Largest zero of a polynomial with only real zeros, all below 1, by Newton from t = 1.
+
+    fn(t) returns the polynomial and its derivative at a float t.
+    """
+    return float(_newton(fn, 1.0, what, from_pole=True))
+
+
+def gegenbauer_largest_zero(m: int, nu: float) -> float:
+    """Largest zero of C_m^nu (m >= 1, any nu > 0), by Newton from t = 1."""
+    _check_gegenbauer_args(m, nu)
+    if m < 1:
+        raise DomainError("zero finding requires degree >= 1")
+    return largest_zero(lambda t: gegenbauer_derivatives(m, nu, t, 1), f"C_{m}^{nu:g}")
 
 
 @functools.lru_cache(maxsize=256)
 def _gegenbauer_zeros_cached(m: int, nu: float) -> np.ndarray:
-    # Brackets from the degree-(m-1) zeros: consecutive zeros of C_{m-1},
-    # padded with the endpoints, straddle exactly one zero of C_m each.
-    if m == 1:
-        return np.zeros(1)
-    inner = _jacobi_matrix_zeros(m - 1, nu)
-    lo = np.concatenate(([-1.0], inner))
-    hi = np.concatenate((inner, [1.0]))
-    x = 0.5 * (lo + hi)
-    for _ in range(100):
-        val, der = gegenbauer_value_and_deriv(m, nu, x)
-        step = val / der
-        x = np.clip(x - step, lo, hi)
-        if float(np.max(np.abs(step))) <= 1e-13:
-            break
-    else:
-        raise NumericError(f"Newton refinement did not settle for degree {m}, nu={nu}")
+    k = np.arange(m, 0, -1, dtype=float)
+    x = np.cos(math.pi * (k + 0.5 * nu - 0.5) / (m + nu))
+    x = _newton(lambda t: gegenbauer_value_and_deriv(m, nu, t), x, f"the zeros of C_{m}^{nu:g}")
     # enforce the exact symmetry of the zero set under t -> -t
     x = 0.5 * (x - x[::-1])
+    if not (-1.0 < x[0] and x[-1] < 1.0 and np.all(np.diff(x) > 0.0)):
+        raise NumericError(f"Newton from the cosine seeds lost a zero of C_{m}^{nu:g}")
     x.setflags(write=False)
     return x
 
 
 def gegenbauer_zeros(m: int, nu: float) -> np.ndarray:
-    """All m zeros of C_m^nu in increasing order, refined by safeguarded Newton."""
+    """All m zeros of C_m^nu in increasing order, by Newton from cosine seeds.
+
+    Newton starts at t_k = cos(pi (k + nu/2 - 1/2) / (m + nu)), which is exact
+    for Chebyshev U (nu = 1) and the standard Legendre guess at nu = 1/2.
+    Its callers use nu = 1/2 (Gauss-Legendre rules, zonal norms on S^2) and
+    nu = 1 (zonal norms on S^3).  For nu >= 5 the seeds drift too far from
+    the zeros; if Newton does not settle, or the zeros come out outside
+    (-1, 1) or not strictly increasing, NumericError is raised.
+    """
     _check_gegenbauer_args(m, nu)
     if m < 1:
         raise DomainError("zero finding requires degree >= 1")

@@ -466,12 +466,10 @@ def _hoelder_proxy(n: int, m: int, lam: float, delta: float) -> float:
     fam = ZonalFamily.create(n, m)
     base = np.linspace(0.0, 10.0 / lam, 201)
     seps = np.exp(np.linspace(math.log(0.1 / lam), math.log(10.0 / lam), 25))
-    zb = fam.eval(base)
-    best = 0.0
-    for h in seps:
-        diff = np.abs(fam.eval(base + h) - zb)
-        best = max(best, float(np.max(diff)) / h ** delta)
-    return best
+    # row 0 is the base points, row i the base points shifted by seps[i-1]
+    z = fam.eval(np.concatenate(([0.0], seps))[:, None] + base)
+    diffs = np.max(np.abs(z[1:] - z[0]), axis=1)
+    return max(float(d) / h ** delta for d, h in zip(diffs, seps))
 
 
 def probe_cksigma(sigma: float, m_grid=None, *, n: int = 2) -> ProbeResult:
@@ -508,17 +506,28 @@ def probe_cksigma(sigma: float, m_grid=None, *, n: int = 2) -> ProbeResult:
     )
 
 
+def _nodal_limit(n: int) -> float | None:
+    """lim lambda theta_1 = j_{(n-2)/2, 1}: j_{0,1} (recomputed) for n = 2, pi for n = 3."""
+    if n == 2:
+        return bessel_j0_zero(1)
+    if n == 3:
+        return math.pi
+    return None
+
+
 def probe_nodal(m_grid=None, *, n: int = 2) -> ProbeResult:
     """Nodal gap of the zonal family: lambda times the first zero colatitude.
 
-    The raw value converges to the first zero of J_0 (recomputed, not quoted);
-    the extras carry the cap inner radius and the Nadirashvili ratio per row.
+    The raw value converges to j_{(n-2)/2, 1}, the first zero of J_{(n-2)/2}.
+    The predicted limit is reported for n = 2 (j_{0,1}, recomputed rather
+    than quoted) and n = 3 (pi), and left out for n >= 4.  The extras carry
+    the cap inner radius and the Nadirashvili ratio per row.
     """
     ms, lambdas = _pin_sphere_lambdas(n, m_grid if m_grid is not None else default_degree_grid())
     _check_grid(ms, "degree grid")
 
     out = [(sphere.nodal_gap_zonal(n, m), sphere.nadirashvili_ratio(n, m)) for m in ms]
-    limit = bessel_j0_zero(1)
+    limit = _nodal_limit(n)
     rows = [
         ProbeRow(abscissa=float(m), raw=gap.product_with_eigenvalue, ratio=gap.product_with_eigenvalue)
         for m, (gap, _) in zip(ms, out)

@@ -18,14 +18,17 @@ from speclab.analytic import (
     gauss_legendre_rule,
     gegenbauer,
     gegenbauer_at_one,
+    gegenbauer_derivatives,
+    gegenbauer_largest_zero,
     gegenbauer_zeros,
+    largest_zero,
     phi_kernel,
     phi_kernel_bessel,
     phi_kernel_zero,
     weyl_constant,
     _phi_quadrature,
 )
-from speclab.errors import DomainError, RangeError
+from speclab.errors import DomainError, NumericError, RangeError
 
 TWO_PI = 2.0 * math.pi
 
@@ -220,6 +223,60 @@ class TestGegenbauerZeros:
         assert z.shape == (2000,)
         ref = special.roots_legendre(2000)[0]
         np.testing.assert_allclose(z, ref, atol=1e-14)
+
+    @pytest.mark.parametrize("nu", [0.5, 1.0, 1.5, 2.0])
+    def test_against_scipy_gegenbauer(self, nu):
+        for m in (2, 17, 400, 1201, 5000):
+            z = gegenbauer_zeros(m, nu)
+            np.testing.assert_allclose(z, special.roots_gegenbauer(m, nu)[0], rtol=0.0, atol=1e-15)
+            assert z[0] > -1.0 and z[-1] < 1.0 and np.all(np.diff(z) > 0.0)
+
+    def test_guard_refuses_far_seeds(self):
+        # the cosine seeds drift too far from the zeros once nu >= 5
+        with pytest.raises(NumericError):
+            gegenbauer_zeros(400, 10.0)
+
+
+class TestLargestZero:
+    @pytest.mark.parametrize("nu", [0.5, 1.0, 4.5, 74.5])
+    def test_against_scipy(self, nu):
+        for m in (1, 2, 7, 40, 400):
+            ref = float(np.max(special.roots_gegenbauer(m, nu)[0]))
+            assert gegenbauer_largest_zero(m, nu) == pytest.approx(ref, rel=0.0, abs=2e-16)
+
+    def test_matches_all_zeros_route(self):
+        for nu in (0.5, 1.0):
+            for m in (1, 3, 20, 301):
+                assert abs(gegenbauer_largest_zero(m, nu) - gegenbauer_zeros(m, nu)[-1]) <= 2e-16
+
+    def test_derivatives_at_the_endpoints(self):
+        # C_m^nu(1) = (2 nu)_m / m!, C'(1) = C(1) m (m + 2 nu) / (2 nu + 1)
+        for m, nu in ((5, 0.5), (12, 1.0), (30, 2.5)):
+            c, d1 = gegenbauer_derivatives(m, nu, 1.0, 1)
+            at_one = gegenbauer_at_one(m, nu)
+            assert c == pytest.approx(at_one, rel=1e-13)
+            assert d1 == pytest.approx(at_one * m * (m + 2 * nu) / (2 * nu + 1), rel=1e-13)
+            c_minus, d1_minus = gegenbauer_derivatives(m, nu, -1.0, 1)
+            assert c_minus == (-1) ** m * c and d1_minus == (-1) ** (m + 1) * d1
+
+    def test_derivatives_against_scipy(self):
+        ts = np.linspace(-0.9, 0.9, 19)
+        for m, nu in ((6, 0.5), (11, 1.5)):
+            _, d1, d2 = gegenbauer_derivatives(m, nu, ts, 2)
+            ref1 = 2 * nu * special.eval_gegenbauer(m - 1, nu + 1, ts)
+            ref2 = 4 * nu * (nu + 1) * special.eval_gegenbauer(m - 2, nu + 2, ts)
+            np.testing.assert_allclose(d1, ref1, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(d2, ref2, rtol=1e-12, atol=1e-12)
+        assert gegenbauer_derivatives(1, 0.5, 0.3, 2)[2] == 0.0
+
+    def test_rising_iterates_refused(self):
+        # t - 2 has its zero above the start t = 1, so Newton would climb
+        with pytest.raises(NumericError, match="rose"):
+            largest_zero(lambda t: (t - 2.0, 1.0), "t - 2")
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            gegenbauer_largest_zero(0, 0.5)
 
 
 class TestGaussLegendre:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import resource
 import subprocess
@@ -251,28 +252,80 @@ class TestThreadsFlag:
         assert tables["1"] == tables["2"]
 
 
+# The first five used to import scipy for Gegenbauer zeros; the rest add one
+# small run of every other subcommand and route.
+_RUNS = (
+    ["nodal"],
+    ["cksigma", "--sigma", "1"],
+    ["lp", "--family", "zonal", "--r", "6", "--s", "0"],
+    ["offdiag", "--manifold", "torus", "--tau", "1.5"],
+    ["selftest"],
+    ["weyl", "--manifold", "torus", "--grid", "50:100:25"],
+    ["offdiag", "--manifold", "sphere", "--tau", "1.5", "--grid", "20:100:20"],
+    ["difference", "--manifold", "torus", "--tau", "1.5", "--grid", "50:100:25"],
+    ["deriv", "--alpha", "1,0", "--beta", "1,0", "--grid", "50:100:25"],
+    ["band", "--manifold", "sphere", "--grid", "20:100:20"],
+    ["hoelder", "--manifold", "torus", "--delta", "0.5", "--grid", "50:100:25"],
+    ["lp", "--family", "zonal", "--r", "3", "--s", "0", "--n", "3", "--grid", "20:60:20"],
+    ["smoothed", "--grid", "50:100:25"],
+)
+
+
+def _run_script(script: str, tmp_path: Path) -> subprocess.CompletedProcess:
+    # the child gets the output root as argv[1] and _RUNS as JSON in argv[2]
+    env = dict(os.environ, PYTHONPATH=str(Path(speclab.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path), json.dumps(_RUNS)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+
+
 class TestImportCost:
-    def test_scipy_loads_only_for_zero_finding(self, tmp_path):
-        # scipy is only needed by Gegenbauer zero finding; importing the CLI
-        # and running a torus probe without a Phi limit never find zeros
+    def test_no_run_loads_scipy(self, tmp_path):
+        # scipy is a test oracle only: importing the CLI and every run, selftest
+        # included, leave it unloaded
         script = (
-            "import sys\n"
+            "import json, sys\n"
             "import speclab.cli\n"
             "assert 'scipy' not in sys.modules, 'import speclab.cli loaded scipy'\n"
-            "rc = speclab.cli.run_command(['weyl', '--manifold', 'torus', '--grid', '50:100:25',\n"
-            "                              '--out', sys.argv[1]])\n"
-            "assert rc == 0, rc\n"
-            "assert 'scipy' not in sys.modules, 'the torus weyl run loaded scipy'\n"
+            "for i, argv in enumerate(json.loads(sys.argv[2])):\n"
+            "    rc = speclab.cli.run_command(argv + ['--out', f'{sys.argv[1]}/{i}'])\n"
+            "    assert rc == 0, (argv, rc)\n"
+            "    assert 'scipy' not in sys.modules, f'{argv} loaded scipy'\n"
         )
-        env = dict(os.environ, PYTHONPATH=str(Path(speclab.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-c", script, str(tmp_path)],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=120,
-        )
+        proc = _run_script(script, tmp_path)
         assert proc.returncode == 0, proc.stderr
+
+    def test_every_subcommand_runs_without_scipy(self, tmp_path):
+        # sys.modules[name] = None makes every import of scipy raise ImportError
+        script = (
+            "import json, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import speclab.cli\n"
+            "for i, argv in enumerate(json.loads(sys.argv[2])):\n"
+            "    rc = speclab.cli.run_command(argv + ['--out', f'{sys.argv[1]}/{i}'])\n"
+            "    assert rc == 0, (argv, rc)\n"
+        )
+        proc = _run_script(script, tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert "ImportError" not in proc.stderr and "scipy" not in proc.stderr
+
+
+class TestHighDimensionalZonalRuns:
+    @pytest.mark.parametrize("argv", [["nodal", "--n", "150"], ["cksigma", "--sigma", "1", "--n", "150"]])
+    def test_exit_zero(self, argv, tmp_path):
+        assert run_command(argv + ["--formats", "csv", "--out", str(tmp_path)]) == 0
+
+    def test_nodal_limit_on_s3(self, tmp_path):
+        # lambda theta_1 -> j_{1/2, 1} = pi on S^3, not j_{0,1}
+        argv = ["nodal", "--n", "3", "--grid", "100:400:100", "--formats", "csv,json"]
+        assert run_command(argv + ["--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["predicted_limit"] == math.pi
+        assert summary["relative_deviation"] <= 1e-5
 
 
 class TestConfigFile:

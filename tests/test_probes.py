@@ -22,7 +22,9 @@ from speclab.probes import (
     probe_smoothed,
     probe_weyl,
     scaling_fit,
+    _hoelder_proxy,
 )
+from speclab.sphere import ZonalFamily, eigen_level
 from speclab.torus import SmoothingWindow
 
 SMALL_LAMBDAS = [50.0, 75.0, 100.0, 125.0, 150.0]
@@ -302,6 +304,18 @@ class TestCkSigmaProbe:
         with pytest.raises(DomainError):
             probe_cksigma(1.5, SMALL_DEGREES)
 
+    def test_hoelder_proxy_matches_the_loop(self):
+        # one (26, 201) array keeps the arithmetic of one evaluation per separation
+        for n, m, delta in ((2, 40, 0.5), (3, 120, 0.25)):
+            lam = eigen_level(n, m).eigenvalue
+            fam = ZonalFamily.create(n, m)
+            base = np.linspace(0.0, 10.0 / lam, 201)
+            zb = fam.eval(base)
+            best = 0.0
+            for h in np.exp(np.linspace(math.log(0.1 / lam), math.log(10.0 / lam), 25)):
+                best = max(best, float(np.max(np.abs(fam.eval(base + h) - zb))) / h ** delta)
+            assert _hoelder_proxy(n, m, lam, delta) == best
+
 
 class TestNodalProbe:
     def test_limit_and_rows(self):
@@ -318,6 +332,13 @@ class TestNodalProbe:
     def test_closed_form_row(self):
         res = probe_nodal([3, 4, 5])
         assert res.rows[0].raw == pytest.approx(2.371936897036044, abs=1e-9)
+
+    def test_limit_per_dimension(self):
+        # lambda theta_1 -> j_{(n-2)/2, 1}: pi on S^3, and no predicted limit from n = 4 on
+        res = probe_nodal([100, 200, 300, 400], n=3)
+        assert res.predicted_limit == math.pi
+        assert abs(res.rows[-1].raw / math.pi - 1.0) <= 1e-5
+        assert probe_nodal([20, 40, 60], n=4).predicted_limit is None
 
 
 class TestSmoothedProbe:

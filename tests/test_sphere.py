@@ -12,8 +12,10 @@ from speclab.analytic import (
     phi_kernel_zero,
     weyl_constant,
 )
-from speclab.errors import DomainError, ResourceLimitError
+from speclab import sphere
+from speclab.errors import DomainError, NumericError, ResourceLimitError
 from speclab.sphere import (
+    ZonalFamily,
     addition_kernel,
     band_degrees,
     band_kernel_sphere,
@@ -319,6 +321,45 @@ class TestZonalGradient:
         slope = np.polyfit(np.log(lams), np.log(vals), 1)[0]
         assert slope == pytest.approx(1.5, abs=0.02)
 
+    def test_zero_at_the_poles(self):
+        # cos(math.pi) is exactly -1, so the south pole gives an exact zero;
+        # sin(math.pi) = 1.2e-16 used to leave a spurious 5e10 there
+        fam = ZonalFamily.create(10, 260)
+        assert fam.gradient(math.pi) == 0.0
+        assert fam.gradient(0.0) == 0.0
+
+    def test_high_dimension_reference(self):
+        # 40-digit mpmath, |Z'| where Z'' = 0 nearest the pole: 2.23981448713e9
+        # (the scan used to read 5.42e10 at theta = pi)
+        assert zonal_gradient_sup(10, 260) == pytest.approx(2.2398144871e9, rel=1e-9)
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 150])
+    def test_never_below_a_dense_scan(self, n):
+        for m in (2, 5, 40, 200):
+            fam = ZonalFamily.create(n, m)
+            scan = float(np.max(np.abs(fam.gradient(np.linspace(0.0, math.pi, 200 * m + 1)))))
+            assert scan <= zonal_gradient_sup(n, m) * (1.0 + 1e-14)
+
+    def test_against_scipy_derivative(self):
+        # |Z'| = scale sin(theta) C_m'(cos theta) / C_m(1) at the scipy-located inflection
+        for n, m in ((2, 30), (3, 17)):
+            nu = (n - 1) / 2.0
+            lam_sq = m * (m + n - 1)
+            theta = np.linspace(1e-4, 1.5, 200001)
+            t = np.cos(theta)
+            d1 = 2 * nu * special.eval_gegenbauer(m - 1, nu + 1, t)
+            g = lam_sq * special.eval_gegenbauer(m, nu, t) - (n - 1) * t * d1
+            i = int(np.argmax(np.sign(g) != np.sign(g[0])))
+            scale = ZonalFamily.create(n, m).scale / special.eval_gegenbauer(m, nu, 1.0)
+            peak = np.max(scale * np.sin(theta[i - 5:i + 5]) * np.abs(d1[i - 5:i + 5]))
+            assert zonal_gradient_sup(n, m) == pytest.approx(peak, rel=1e-9)
+
+    def test_guard_on_the_inflection_point(self, monkeypatch):
+        # an inflection point below the first zero is refused, not reported
+        monkeypatch.setattr(sphere, "largest_zero", lambda fn, what: -0.5)
+        with pytest.raises(NumericError, match="inflection"):
+            zonal_gradient_sup(2, 10)
+
 
 def bessel_j1_like(x: float) -> float:
     from speclab.analytic import bessel_j1
@@ -374,6 +415,31 @@ class TestNodalGap:
         target = bessel_j0_zero(1)
         errs = [abs(p - target) for p in prods]
         assert all(a >= b for a, b in zip(errs, errs[1:]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 150])
+class TestZonalExtremaAgainstScipy:
+    """First zero and max/|min| ratio against scipy roots and values."""
+
+    DEGREES = (1, 2, 7, 40, 301, 400)
+
+    def test_first_zero(self, n):
+        nu = (n - 1) / 2.0
+        for m in self.DEGREES:
+            ref = math.acos(float(np.max(special.roots_gegenbauer(m, nu)[0])))
+            assert nodal_gap_zonal(n, m).theta_first_zero == pytest.approx(ref, rel=1e-12)
+
+    def test_ratio(self, n):
+        nu = (n - 1) / 2.0
+        for m in self.DEGREES:
+            # every critical point of C_m^nu: the zeros of C_{m-1}^{nu+1}, a
+            # Jacobi polynomial with alpha = beta = nu + 1/2, plus t = +-1
+            crit = np.array([-1.0, 1.0])
+            if m >= 2:
+                crit = np.concatenate((crit, special.roots_jacobi(m - 1, nu + 0.5, nu + 0.5)[0]))
+            vals = special.eval_gegenbauer(m, nu, crit)
+            ref = special.eval_gegenbauer(m, nu, 1.0) / -float(np.min(vals))
+            assert nadirashvili_ratio(n, m) == pytest.approx(ref, rel=1e-12)
 
 
 class TestNadirashvili:
