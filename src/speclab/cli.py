@@ -359,6 +359,10 @@ def run_command(argv=None) -> int:
     except (ResourceLimitError, NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except (OverflowError, MemoryError) as exc:
+        # float overflow and memory exhaustion are resource limits too
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     except SpecLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

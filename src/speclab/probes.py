@@ -47,8 +47,6 @@ __all__ = [
     "probe_smoothed",
 ]
 
-TWO_PI = 2.0 * math.pi
-
 # fits drop the smallest abscissae: one-term asymptotics carry O(1/lambda)
 # relative remainders that pollute the pre-asymptotic points
 FIT_DISCARD_FRACTION = 0.2
@@ -211,12 +209,9 @@ def _snap_phi_limit(n: int, tau: float) -> float:
 
 
 def _torus_offdiag_raws(n, lambdas, taus, direction):
-    # one enumeration serves every tau (probe_difference asks for tau and 0)
-    enum = torus.enumerate_lattice(n, max(lambdas))
-
     def one(tau, lam):
         u = Displacement.from_vector(direction * (tau / lam) if tau else np.zeros(n))
-        return torus.spectral_function_torus(n, u, lam, enum)
+        return torus.spectral_function_torus(n, u, lam)
 
     return [[one(tau, lam) for lam in lambdas] for tau in taus]
 
@@ -315,8 +310,7 @@ def probe_difference(
 def probe_derivative(n: int, alpha: MultiIndex, beta: MultiIndex, lambda_grid=None) -> ProbeResult:
     """Derivative diagonal sums on the torus against their leading constants."""
     lambdas = _check_grid(lambda_grid if lambda_grid is not None else default_lambda_grid())
-    enum = torus.enumerate_lattice(n, max(lambdas))
-    raws = [torus.derivative_diagonal_sum(n, alpha, beta, lam, enum) for lam in lambdas]
+    raws = [torus.derivative_diagonal_sum(n, alpha, beta, lam) for lam in lambdas]
     limit = deriv_weyl_constant(n, alpha, beta)
     exponent = float(n + alpha.order + beta.order)
     return ProbeResult(
@@ -342,8 +336,7 @@ def probe_band(manifold: str, n: int, lambda_grid=None) -> ProbeResult:
     """
     lambdas = _check_grid(lambda_grid if lambda_grid is not None else default_lambda_grid())
     if manifold == "torus":
-        enum = torus.enumerate_lattice(n, max(lambdas) + 1.0)
-        raws = [torus.band_diagonal_sum(n, lam, enum) for lam in lambdas]
+        raws = [torus.band_diagonal_sum(n, lam) for lam in lambdas]
     elif manifold == "sphere":
         raws = [sphere.band_kernel_sphere(n, 1.0, lam) for lam in lambdas]
     else:
@@ -376,40 +369,35 @@ def probe_hoelder(
         raise DomainError("tau grid must lie in (0, 10]")
     lambdas = _check_grid(lambda_grid if lambda_grid is not None else default_lambda_grid())
 
+    # band(lam, dist): the kernel of the band (lam, lam+1] at distance dist
     if manifold == "torus":
         d = _direction(n, direction)
-        enum = torus.enumerate_lattice(n, max(lambdas) + 1.0)
-        norms_sq = enum.norms_sq()
 
-        def one(lam: float) -> float:
-            mask = (norms_sq > torus.norm_sq_bound(lam)) & (
-                norms_sq <= torus.norm_sq_bound(lam + 1.0)
+        def band(lam: float, dist: float) -> float:
+            if dist == 0.0:
+                return torus.band_diagonal_sum(n, lam)
+            u = Displacement.from_vector(d * dist)
+            return torus.spectral_function_torus(n, u, lam + 1.0) - torus.spectral_function_torus(
+                n, u, lam
             )
-            pts = enum.points[mask].astype(np.float64)
-            best = 0.0
-            for tau in taus:
-                dist = tau / lam
-                dots = pts[:, 0] * (d[0] * dist)
-                for j in range(1, n):
-                    dots = dots + pts[:, j] * (d[j] * dist)
-                diff = 2.0 * float(np.sum(1.0 - np.cos(dots))) / TWO_PI ** n
-                best = max(best, diff / dist ** (2.0 * delta))
-            return best
 
     elif manifold == "sphere":
         _no_sphere_direction(direction)
 
-        def one(lam: float) -> float:
-            best = 0.0
-            k0 = sphere.band_kernel_sphere(n, 1.0, lam)
-            for tau in taus:
-                dist = tau / lam
-                diff = 2.0 * (k0 - sphere.band_kernel_sphere(n, math.cos(dist), lam))
-                best = max(best, diff / dist ** (2.0 * delta))
-            return best
+        def band(lam: float, dist: float) -> float:
+            return sphere.band_kernel_sphere(n, math.cos(dist), lam)
 
     else:
         raise DomainError(f"manifold must be 'torus' or 'sphere', got {manifold!r}")
+
+    def one(lam: float) -> float:
+        best = 0.0
+        k0 = band(lam, 0.0)
+        for tau in taus:
+            dist = tau / lam
+            diff = 2.0 * (k0 - band(lam, dist))
+            best = max(best, diff / dist ** (2.0 * delta))
+        return best
 
     raws = [one(lam) for lam in lambdas]
     exponent = (n - 1.0) + 2.0 * delta
@@ -551,8 +539,7 @@ def probe_smoothed(n: int, window: SmoothingWindow | None = None, lambda_grid=No
     """Window-smoothed diagonal sums on the torus against the band growth order."""
     win = window if window is not None else SmoothingWindow()
     lambdas = _check_grid(lambda_grid if lambda_grid is not None else default_lambda_grid())
-    enum = torus.enumerate_lattice(n, max(lambdas) + win.truncation_radius)
-    raws = [torus.smoothed_diagonal_sum(n, lam, win, enum) for lam in lambdas]
+    raws = [torus.smoothed_diagonal_sum(n, lam, win) for lam in lambdas]
     return ProbeResult(
         probe="smoothed",
         params={"manifold": "torus", "n": n, "window": win.shape, "eps": win.eps},

@@ -144,38 +144,49 @@ def check_torus_count_bruteforce() -> None:
             assert torus.eigenvalue_count(n, float(lam)) == int(running[lam * lam])
 
 
-def check_torus_enumeration_repeatable() -> None:
-    first = torus.enumerate_lattice(2, 12.0)
-    again = torus.enumerate_lattice(2, 12.0)
-    assert np.array_equal(first.points, again.points)
-    pts = first.points
-    assert (pts == 0).all(axis=1).any()
-    as_set = {tuple(row) for row in pts.tolist()}
-    assert all(tuple(-v for v in row) in as_set for row in as_set)
+def check_torus_kernel_bruteforce() -> None:
+    for n, lam_max in ((2, 20), (3, 8)):
+        axis = np.arange(-lam_max, lam_max + 1)
+        pts = np.stack([g.ravel() for g in np.meshgrid(*[axis] * n, indexing="ij")], axis=1)
+        norms_sq = np.sum(pts * pts, axis=1)
+        # the origin, a generic shift, a last component of exactly 0 or 1e-9
+        # (where the Dirichlet kernel is special or nearly so), and (pi, ..., pi)
+        shifts = (
+            np.zeros(n),
+            np.linspace(0.3, -1.1, n),
+            np.append(np.full(n - 1, 2.9), 0.0),
+            np.append(np.full(n - 1, -0.4), 1e-9),
+            np.full(n, math.pi),
+        )
+        for lam in np.linspace(0.0, lam_max, 4 * lam_max + 1):
+            inside = pts[norms_sq <= lam * lam]
+            for shift in shifts:
+                u = torus.Displacement.from_vector(shift)
+                ref = float(np.sum(np.cos(inside @ u.u)))
+                got = torus.spectral_function_torus(n, u, float(lam)) * TWO_PI ** n
+                assert abs(got - ref) <= 1e-12 * len(inside), f"n={n} lam={lam}: {got} vs {ref}"
 
 
 def check_torus_spectral_bounds() -> None:
-    enum = torus.enumerate_lattice(2, 40.0)
     diag = torus.Displacement.from_vector([0.0, 0.0])
     prev = -1.0
     for lam in (5.0, 10.0, 20.0, 40.0):
-        e0 = torus.spectral_function_torus(2, diag, lam, enum)
+        e0 = torus.spectral_function_torus(2, diag, lam)
         assert e0 >= prev
         prev = e0
         for scale in (0.01, 0.3, 1.5):
             u = torus.Displacement.from_vector(torus.default_direction(2) * scale)
-            eu = torus.spectral_function_torus(2, u, lam, enum)
+            eu = torus.spectral_function_torus(2, u, lam)
             assert abs(eu) <= e0
             assert 2.0 * (e0 - eu) >= 0.0
 
 
 def check_torus_parity_zero() -> None:
-    enum = torus.enumerate_lattice(2, 30.0)
     a, b = MultiIndex.of(1, 0), MultiIndex.of(0, 0)
     for lam in (5.0, 17.0, 30.0):
-        assert torus.derivative_diagonal_sum(2, a, b, lam, enum) == 0.0
-        ab = torus.derivative_diagonal_sum(2, a, a, lam, enum)
-        ba = torus.derivative_diagonal_sum(2, a, a, lam, enum)
+        assert torus.derivative_diagonal_sum(2, a, b, lam) == 0.0
+        ab = torus.derivative_diagonal_sum(2, a, a, lam)
+        ba = torus.derivative_diagonal_sum(2, a, a, lam)
         assert ab == ba
 
 
@@ -305,7 +316,7 @@ def run_selftest(out_dir: Path) -> int:
         ("gauss_legendre_moments", check_gauss_legendre_moments),
         ("gegenbauer_interlacing", check_gegenbauer_interlacing),
         ("torus_count_bruteforce", check_torus_count_bruteforce),
-        ("torus_enumeration_repeatable", check_torus_enumeration_repeatable),
+        ("torus_kernel_bruteforce", check_torus_kernel_bruteforce),
         ("torus_spectral_bounds", check_torus_spectral_bounds),
         ("torus_parity_zero", check_torus_parity_zero),
         ("sphere_multiplicities", check_sphere_multiplicities),

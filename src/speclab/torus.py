@@ -2,7 +2,11 @@
 
 The orthonormal eigenbasis is (2 pi)^{-n/2} e^{i<k,x>} with eigenvalue |k|^2,
 so every spectral quantity reduces to a finite lattice sum over integer
-vectors.  A sum that depends on k only through |k|^2 runs over the lattice
+vectors.  No sum stores those vectors.  The ball |k| <= R is a set of rows
+{(p, c) : |c| <= w(p)} along the last axis, where p is every coordinate but
+the last, and each row's sum over c has a closed form: the Dirichlet kernel
+for the spectral function, a power sum for the derivative sums and 2w + 1 for
+counts.  A sum that depends on k only through |k|^2 runs over the lattice
 shells |k|^2 = j, weighted by their multiplicities r_n(j).  The sums are
 evaluated with numpy in a fixed order, so repeated runs are bit-identical.
 """
@@ -18,12 +22,10 @@ import numpy as np
 from .errors import DomainError, ResourceLimitError
 
 __all__ = [
-    "LatticeEnumeration",
     "Displacement",
     "SmoothingWindow",
     "default_direction",
     "enumeration_limit",
-    "enumerate_lattice",
     "eigenvalue_count",
     "spectral_function_torus",
     "derivative_diagonal_sum",
@@ -37,7 +39,7 @@ _RADIUS_LIMIT = {2: 1500.0, 3: 200.0}
 
 
 def enumeration_limit(n: int) -> float:
-    """Largest supported enumeration radius for dimension n."""
+    """Largest supported radius for dimension n; it bounds the work of one sum."""
     try:
         return _RADIUS_LIMIT[n]
     except KeyError:
@@ -64,47 +66,6 @@ def norm_sq_bound(radius: float):
     if r2 <= 2 ** 53 and float(r2).is_integer():
         return int(r2)
     return r2
-
-
-@dataclass(frozen=True)
-class LatticeEnumeration:
-    """All integer vectors k with |k| <= radius, lexicographically sorted."""
-
-    n: int
-    radius: float
-    points: np.ndarray  # (count, n) int32
-
-    def __post_init__(self) -> None:
-        self.points.setflags(write=False)
-
-    @property
-    def count(self) -> int:
-        return self.points.shape[0]
-
-    @functools.cached_property
-    def _norms_sq(self) -> np.ndarray:
-        pts = self.points.astype(np.int64)
-        out = pts[:, 0] * pts[:, 0]
-        for j in range(1, self.n):
-            out = out + pts[:, j] * pts[:, j]
-        out.setflags(write=False)
-        return out
-
-    @functools.cached_property
-    def _shells(self) -> tuple[np.ndarray, np.ndarray]:
-        counts = np.bincount(self._norms_sq)
-        values = np.flatnonzero(counts)
-        mult = counts[values]
-        values.setflags(write=False)
-        mult.setflags(write=False)
-        return values, mult
-
-    def norms_sq(self) -> np.ndarray:
-        return self._norms_sq
-
-    def shells(self) -> tuple[np.ndarray, np.ndarray]:
-        """Ascending distinct |k|^2 values and the number of points on each."""
-        return self._shells
 
 
 @dataclass(frozen=True)
@@ -173,44 +134,16 @@ class SmoothingWindow:
 
 
 # --------------------------------------------------------------------------
-# enumeration
+# the ball as rows along the last axis
 
 
-def _enumerate_points(n: int, radius: float) -> np.ndarray:
-    # both branches emit rows in lexicographic order: ascending a, then b
-    # (then c), so no final sort is needed
-    bound = norm_sq_bound(radius)
-    top = int(math.floor(radius))
-    k1 = np.arange(-top, top + 1, dtype=np.int64)
-    if n == 2:
-        rows = []
-        for a in k1:
-            rem = bound - int(a * a)
-            if rem < 0:
-                continue
-            b_top = math.isqrt(int(rem))
-            bs = np.arange(-b_top, b_top + 1, dtype=np.int64)
-            rows.append(np.stack([np.full_like(bs, a), bs], axis=1))
-        pts = np.concatenate(rows, axis=0)
-    elif n == 3:
-        rows = []
-        grid_b, grid_c = np.meshgrid(k1, k1, indexing="ij")
-        bc_sq = grid_b * grid_b + grid_c * grid_c
-        for a in k1:
-            mask = bc_sq + a * a <= bound
-            b, c = grid_b[mask], grid_c[mask]
-            rows.append(np.stack([np.full_like(b, a), b, c], axis=1))
-        pts = np.concatenate(rows, axis=0)
-    else:
-        raise DomainError(f"torus dimension must be 2 or 3, got {n}")
-    return np.ascontiguousarray(pts.astype(np.int32))
+def _rows(n: int, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Rows {(p, c) : |c| <= w} that make up {k in Z^n : |k| <= radius}.
 
-
-def enumerate_lattice(n: int, radius: float) -> LatticeEnumeration:
-    """Enumerate {k in Z^n : |k| <= radius} in memory, in lexicographic order.
-
-    Each call builds the points afresh; a caller that evaluates several sums
-    at radii up to R builds one enumeration of radius R and passes it to each.
+    Returns the prefixes p, shape (rows, n - 1), and the half-widths w.  Every
+    |k|^2 is an integer, so |k|^2 <= radius^2 iff |k|^2 <= floor(radius^2),
+    and w = floor(sqrt(floor(radius^2) - |p|^2)) is exact in floating point,
+    since its argument lies far below 2^52.
     """
     limit = enumeration_limit(n)
     if radius < 0.0:
@@ -219,88 +152,118 @@ def enumerate_lattice(n: int, radius: float) -> LatticeEnumeration:
         raise ResourceLimitError(
             f"radius {radius:g} exceeds the n={n} enumeration limit of {limit:g}"
         )
-    return LatticeEnumeration(n=n, radius=radius, points=_enumerate_points(n, radius))
+    bound = math.floor(radius * radius)
+    top = math.isqrt(bound)
+    axis = np.arange(-top, top + 1, dtype=np.int64)
+    if n == 2:
+        p = axis[:, None]
+    else:
+        a, b = np.meshgrid(axis, axis, indexing="ij")
+        inside = a * a + b * b <= bound
+        p = np.stack([a[inside], b[inside]], axis=1)
+    w = np.floor(np.sqrt(bound - np.sum(p * p, axis=1))).astype(np.int64)
+    return p, w
 
 
 def eigenvalue_count(n: int, lam: float) -> int:
     """N(lambda): number of eigenvalues (with multiplicity) at most lambda^2."""
-    return enumerate_lattice(n, lam).count
+    _, w = _rows(n, lam)
+    return int(np.sum(2 * w + 1))
+
+
+@functools.lru_cache(maxsize=2)
+def _shells(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending j <= limit^2 with r_n(j) > 0, and r_n(j), for n = 2 or 3.
+
+    r_2 counts a^2 + b^2 over the quadrant a >= 1, b >= 0, whose four
+    rotations tile Z^2 minus the origin; r_3(j) = sum_c r_2(j - c^2).
+    """
+    top = int(enumeration_limit(n))
+    bound = top * top
+    a = np.arange(1, top + 1, dtype=np.int64)
+    b = np.arange(0, top + 1, dtype=np.int64)
+    q = (a[:, None] * a[:, None] + b * b).ravel()
+    counts = 4 * np.bincount(q[q <= bound], minlength=bound + 1)
+    counts[0] = 1
+    if n == 3:
+        r2, counts = counts, np.zeros_like(counts)
+        for c in range(-top, top + 1):
+            counts[c * c:] += r2[: bound + 1 - c * c]
+    values = np.flatnonzero(counts)
+    mult = counts[values]
+    values.setflags(write=False)
+    mult.setflags(write=False)
+    return values, mult
 
 
 # --------------------------------------------------------------------------
-# spectral sums; each accepts a pre-built enumeration covering its radius
+# spectral sums
 
 
-def _covering(enum: LatticeEnumeration | None, n: int, radius: float) -> LatticeEnumeration:
-    if enum is None:
-        return enumerate_lattice(n, radius)
-    if enum.n != n or enum.radius < radius:
-        raise DomainError("supplied enumeration does not cover the requested radius")
-    return enum
+def spectral_function_torus(n: int, u: Displacement, lam: float, *, enum=None) -> float:
+    """e(x, y, lambda) on T^n as a cosine lattice sum, with x - y = u.
 
-
-def _points_within(enum: LatticeEnumeration | None, n: int, radius: float) -> np.ndarray:
-    cover = _covering(enum, n, radius)
-    mask = cover.norms_sq() <= norm_sq_bound(radius)
-    return cover.points[mask]
-
-
-def spectral_function_torus(
-    n: int, u: Displacement, lam: float, enum: LatticeEnumeration | None = None
-) -> float:
-    """e(x, y, lambda) on T^n as a cosine lattice sum, with x - y = u."""
+    Row p contributes cos(p . u') D_w(u_n), where u' is u without its last
+    component and D_w(x) = sum_{|c|<=w} cos(c x) = sin((w + 1/2) x)/sin(x/2)
+    is the Dirichlet kernel; D_w(0) is exactly 2w + 1.  `enum` is unused and
+    stays only until ROADMAP item 0 changes the tracer.
+    """
     if u.n != n:
         raise DomainError("displacement length must equal the dimension")
-    pts = _points_within(enum, n, lam)
-    dots = pts[:, 0] * float(u.u[0])
-    for j in range(1, n):
-        dots = dots + pts[:, j] * float(u.u[j])
-    return float(np.sum(np.cos(dots))) / TWO_PI ** n
+    p, w = _rows(n, lam)
+    x = float(u.u[-1])
+    if x == 0.0:
+        kernel = (2 * w + 1).astype(np.float64)
+    else:
+        kernel = np.sin((w + 0.5) * x) / math.sin(0.5 * x)
+    return float(np.sum(np.cos(p @ u.u[:-1]) * kernel)) / TWO_PI ** n
 
 
-def derivative_diagonal_sum(
-    n: int,
-    alpha,
-    beta,
-    lam: float,
-    enum: LatticeEnumeration | None = None,
-) -> float:
+def derivative_diagonal_sum(n: int, alpha, beta, lam: float, *, enum=None) -> float:
     """Diagonal sum of the (alpha, beta)-derivatives of the eigenbasis.
 
     On the torus this is a pure lattice moment: parity-mismatched pairs cancel
     under k -> -k, so they return an exact 0.0 without floating summation.
+    Matched parity makes every entry of gamma = alpha + beta even, so row p
+    contributes p^gamma' S_g(w), where S_g(w) = sum_{|c|<=w} c^g with g the
+    last entry of gamma.  The sum is formed in exact integers.  `enum` is
+    unused and stays only until ROADMAP item 0 changes the tracer.
     """
     if len(alpha) != n or len(beta) != n:
         raise DomainError("multi-index lengths must equal the dimension")
     if alpha.order + beta.order > 6:
         raise DomainError("total derivative order is capped at 6")
+    p, w = _rows(n, lam)  # checks n and lam even where parity makes the sum 0
     if not alpha.same_parity(beta):
         return 0.0
-    gam = alpha + beta
-    pts = _points_within(enum, n, lam).astype(np.float64)
-    moment = np.ones(pts.shape[0])
-    for j, g in enumerate(gam.entries):
-        if g:
-            moment = moment * pts[:, j] ** g
+    *head, g = (alpha + beta).entries
+    # power_sums[m] = sum_{c=0}^{m} c^g, so S_g(w) = 2 power_sums[w] - 0^g
+    power_sums = np.cumsum(np.arange(int(w.max()) + 1, dtype=object) ** g)
+    moment = 2 * power_sums[w] - (1 if g == 0 else 0)
+    for j, e in enumerate(head):
+        if e:
+            moment = moment * p[:, j].astype(object) ** e
     half_gap = abs(alpha.order - beta.order) // 2
     sign = -1.0 if half_gap % 2 else 1.0
     return sign * float(np.sum(moment)) / TWO_PI ** n
 
 
-def band_diagonal_sum(n: int, lam: float, enum: LatticeEnumeration | None = None) -> float:
-    """Diagonal sum over the half-open eigenvalue band (lambda, lambda+1]."""
+def band_diagonal_sum(n: int, lam: float, *, enum=None) -> float:
+    """Diagonal sum over the half-open eigenvalue band (lambda, lambda+1].
+
+    `enum` is unused and stays only until ROADMAP item 0 changes the tracer.
+    """
     if lam < 0.0:
         raise DomainError(f"lambda must be >= 0, got {lam}")
-    inner = _points_within(enum, n, lam).shape[0]
-    outer = _points_within(enum, n, lam + 1.0).shape[0]
-    return (outer - inner) / TWO_PI ** n
+    return (eigenvalue_count(n, lam + 1.0) - eigenvalue_count(n, lam)) / TWO_PI ** n
 
 
 def smoothed_diagonal_sum(
     n: int,
     lam: float,
     window: SmoothingWindow | None = None,
-    enum: LatticeEnumeration | None = None,
+    *,
+    enum=None,
 ) -> float:
     """Window-weighted diagonal sum sum_k rho(lambda - |k|) / (2 pi)^n.
 
@@ -309,7 +272,8 @@ def smoothed_diagonal_sum(
     each weighted by its multiplicity.  The cut drops weights below 1e-12,
     but the omitted tail is larger (see SmoothingWindow.truncation_radius):
     at eps 4 in n = 2, the shells in (lambda + T, 1500] alone add 1.2e-8 to
-    1.7e-8 for lambda in [0, 300].
+    1.7e-8 for lambda in [0, 300].  `enum` is unused and stays only until
+    ROADMAP item 0 changes the tracer.
     """
     if lam < 0.0:
         raise DomainError(f"lambda must be >= 0, got {lam}")
@@ -321,7 +285,7 @@ def smoothed_diagonal_sum(
             f"truncation radius {radius:g} exceeds the n={n} enumeration limit "
             f"of {enumeration_limit(n):g}; increase the window eps"
         )
-    values, mult = _covering(enum, n, radius).shells()
+    values, mult = _shells(n)
     top = int(np.searchsorted(values, norm_sq_bound(radius), side="right"))
     weights = window.value(lam - np.sqrt(values[:top].astype(np.float64)))
     return float(np.sum(mult[:top] * weights)) / TWO_PI ** n

@@ -216,6 +216,58 @@ class TestStrictInputs:
         assert "did not converge" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_memory_error_exit_code(self, monkeypatch, tmp_path, capsys):
+        def exhaust(manifold, n, lambda_grid=None):
+            raise MemoryError()
+
+        monkeypatch.setattr(probes, "probe_weyl", exhaust)
+        out = tmp_path / "out"
+        assert run_command(["weyl", "--manifold", "torus", "--out", str(out)]) == 3
+        assert "MemoryError" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def _run_cli(argv, out_dir, limit_memory=False):
+    env = dict(os.environ, PYTHONPATH=str(Path(speclab.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "speclab.cli", *argv, "--out", str(out_dir)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+        preexec_fn=_limit_address_space if limit_memory else None,
+    )
+
+
+class TestResourceLimits:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # lambda ** exponent overflows in the ratio column
+            ["weyl", "--manifold", "sphere", "--n", "151"],
+            # the multiplicity of degree 5000 on S^150 does not fit in a float
+            ["cksigma", "--sigma", "1", "--n", "150", "--grid", "5000,7000"],
+        ],
+        ids=["weyl-sphere-n151", "cksigma-n150"],
+    )
+    def test_float_overflow_exits_3(self, argv, tmp_path):
+        proc = _run_cli(argv, tmp_path)
+        assert proc.returncode == 3, proc.stderr
+        assert "error:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["weyl"], ["offdiag", "--tau", "1.5"]],
+        ids=["weyl", "offdiag"],
+    )
+    def test_torus_n3_cap_fits_in_512_mib(self, argv, tmp_path):
+        # at the n=3 radius cap the sums run over rows, never over all points
+        proc = _run_cli(
+            argv + ["--manifold", "torus", "--n", "3", "--grid", "50:200:50"], tmp_path, True
+        )
+        assert proc.returncode == 0, proc.stderr
+
 
 class TestThreadsFlag:
     """--threads is accepted for compatibility: validated, but it selects nothing."""

@@ -171,19 +171,6 @@ class TestOffdiagProbe:
         with pytest.raises(DomainError, match="direction"):
             run((1.0, 0.0))
 
-    def test_difference_enumerates_torus_lattice_once(self, monkeypatch):
-        calls = []
-        enumerate_lattice = torus.enumerate_lattice
-
-        def counting(n, radius):
-            calls.append((n, radius))
-            return enumerate_lattice(n, radius)
-
-        monkeypatch.setattr(torus, "enumerate_lattice", counting)
-        probe_difference("torus", 2, 1.5, SMALL_LAMBDAS)
-        # the rows themselves are held by test_difference_identity
-        assert calls == [(2, 150.0)]
-
 
 class TestDerivativeProbe:
     def test_parity_mismatch_rows_exactly_zero(self):

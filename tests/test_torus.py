@@ -2,18 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from speclab import torus
 from speclab.analytic import MultiIndex, phi_kernel, weyl_constant
 from speclab.errors import DomainError, ResourceLimitError
 from speclab.torus import (
     Displacement,
-    LatticeEnumeration,
     SmoothingWindow,
     band_diagonal_sum,
     default_direction,
     derivative_diagonal_sum,
     eigenvalue_count,
-    enumerate_lattice,
     norm_sq_bound,
     smoothed_diagonal_sum,
     spectral_function_torus,
@@ -43,6 +44,32 @@ def brute_force_shells(n, lam_max):
     return buckets
 
 
+def cube_scan(n, top):
+    """Every integer vector of the cube [-top, top]^n, one per row (oracle)."""
+    axis = np.arange(-top, top + 1, dtype=np.int64)
+    return np.stack([g.ravel() for g in np.meshgrid(*[axis] * n, indexing="ij")], axis=1)
+
+
+def cube_norms_sq(n, top):
+    """|k|^2 over the cube [-top, top]^n, without storing the vectors (oracle)."""
+    sq = np.arange(-top, top + 1, dtype=np.int64) ** 2
+    q = sq
+    for _ in range(n - 1):
+        q = (q[..., None] + sq).ravel()
+    return q
+
+
+def square_scan_shells(top):
+    """r_2(j) for j <= top^2 by a bincount over the square, block by block (oracle)."""
+    bound = top * top
+    sq = np.arange(-top, top + 1, dtype=np.int64) ** 2
+    counts = np.zeros(bound + 1, dtype=np.int64)
+    for block in np.array_split(sq, 16):
+        q = (block[:, None] + sq).ravel()
+        counts += np.bincount(q[q <= bound], minlength=bound + 1)
+    return counts
+
+
 def brute_force_counts(n, lam_max):
     """Cumulative shell counts from the cube-scan multiplicities."""
     out = {}
@@ -55,9 +82,7 @@ def brute_force_counts(n, lam_max):
 
 class TestEnumeration:
     def test_radius_one(self):
-        e = enumerate_lattice(2, 1.0)
-        assert e.count == 5
-        assert {tuple(p) for p in e.points.tolist()} == {(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)}
+        assert eigenvalue_count(2, 1.0) == 5
 
     def test_gauss_circle_examples(self):
         assert eigenvalue_count(2, 5.0) == 81
@@ -75,18 +100,6 @@ class TestEnumeration:
         # |k|^2 <= 6.25 keeps 21 points: q in {0,1,2,4,5}
         assert eigenvalue_count(2, 2.5) == 21
 
-    def test_lexicographic_order_and_symmetry(self):
-        for n, radius in ((2, 7.0), (3, 5.5)):
-            e = enumerate_lattice(n, radius)
-            rows = [tuple(r) for r in e.points.tolist()]
-            assert rows == sorted(rows)
-            as_set = set(rows)
-            assert len(as_set) == len(rows)
-            assert (0,) * n in as_set
-            assert all(tuple(-v for v in row) in as_set for row in as_set)
-        rows = [tuple(r) for r in enumerate_lattice(2, 1.0).points.tolist()]
-        assert rows == [(-1, 0), (0, -1), (0, 0), (0, 1), (1, 0)]
-
     def test_nearby_radii_in_one_process(self):
         # the two radii agree to six significant digits but not in their counts
         def square_scan(lam):
@@ -100,24 +113,25 @@ class TestEnumeration:
 
     def test_limits(self):
         with pytest.raises(ResourceLimitError, match="1500"):
-            enumerate_lattice(2, 1500.5)
+            eigenvalue_count(2, 1500.5)
         with pytest.raises(ResourceLimitError, match="200"):
-            enumerate_lattice(3, 201.0)
+            eigenvalue_count(3, 201.0)
         with pytest.raises(DomainError):
-            enumerate_lattice(4, 1.0)
+            eigenvalue_count(4, 1.0)
         with pytest.raises(DomainError):
-            enumerate_lattice(2, -1.0)
+            eigenvalue_count(2, -1.0)
 
 
 class TestShells:
     @pytest.mark.parametrize("n, radius", [(2, 20), (3, 12)])
     def test_multiplicities_match_cube_scan(self, n, radius):
-        enum = enumerate_lattice(n, float(radius))
-        values, mult = enum.shells()
+        values, mult = torus._shells(n)
+        keep = values <= radius * radius
+        values, mult = values[keep], mult[keep]
         expected = {q: cnt for q, cnt in enumerate(brute_force_shells(n, radius)) if cnt}
         assert values.tolist() == sorted(expected)
         assert dict(zip(values.tolist(), mult.tolist())) == expected
-        assert int(mult.sum()) == enum.count
+        assert int(mult.sum()) == eigenvalue_count(n, float(radius))
 
 
 class TestDisplacement:
@@ -150,35 +164,29 @@ class TestSpectralFunction:
         assert spectral_function_torus(2, u, 0.0) == pytest.approx(1 / TWO_PI**2, abs=1e-16)
 
     def test_even_in_u(self):
-        enum = enumerate_lattice(2, 20.0)
         u = Displacement.from_vector([0.37, -0.22])
         minus = Displacement.from_vector([-0.37, 0.22])
-        assert spectral_function_torus(2, u, 20.0, enum) == spectral_function_torus(
-            2, minus, 20.0, enum
-        )
+        assert spectral_function_torus(2, u, 20.0) == spectral_function_torus(2, minus, 20.0)
 
     def test_dominated_by_diagonal(self):
-        enum = enumerate_lattice(2, 30.0)
         u0 = Displacement.from_vector([0.0, 0.0])
-        e0 = spectral_function_torus(2, u0, 30.0, enum)
+        e0 = spectral_function_torus(2, u0, 30.0)
         rng = np.random.default_rng(7)
         for _ in range(25):
             u = Displacement.from_vector(rng.uniform(-math.pi, math.pi, size=2))
-            assert abs(spectral_function_torus(2, u, 30.0, enum)) <= e0
+            assert abs(spectral_function_torus(2, u, 30.0)) <= e0
 
     def test_diagonal_monotone_in_lambda(self):
-        enum = enumerate_lattice(2, 25.0)
         u0 = Displacement.from_vector([0.0, 0.0])
-        vals = [spectral_function_torus(2, u0, lam, enum) for lam in (1.0, 5.0, 10.0, 25.0)]
+        vals = [spectral_function_torus(2, u0, lam) for lam in (1.0, 5.0, 10.0, 25.0)]
         assert all(a <= b for a, b in zip(vals, vals[1:]))
 
     def test_difference_sum_nonnegative(self):
-        enum = enumerate_lattice(2, 40.0)
         u0 = Displacement.from_vector([0.0, 0.0])
-        e0 = spectral_function_torus(2, u0, 40.0, enum)
+        e0 = spectral_function_torus(2, u0, 40.0)
         for tau in (0.5, 2.0, 3.83, 7.0):
             u = Displacement.from_vector(default_direction(2) * (tau / 40.0))
-            assert 2.0 * (e0 - spectral_function_torus(2, u, 40.0, enum)) >= 0.0
+            assert 2.0 * (e0 - spectral_function_torus(2, u, 40.0)) >= 0.0
 
     def test_matches_phi_at_moderate_lambda(self):
         lam, tau = 300.0, 2.0
@@ -197,18 +205,14 @@ class TestDerivativeSum:
         assert derivative_diagonal_sum(2, z, z, 5.0) == pytest.approx(81 / TWO_PI**2, abs=1e-13)
 
     def test_parity_mismatch_exact_zero(self):
-        enum = enumerate_lattice(2, 50.0)
         a = MultiIndex.of(1, 0)
         for lam in (5.0, 20.0, 50.0):
-            assert derivative_diagonal_sum(2, a, MultiIndex.of(0, 0), lam, enum) == 0.0
-            assert derivative_diagonal_sum(2, MultiIndex.of(2, 1), MultiIndex.of(1, 0), lam, enum) == 0.0
+            assert derivative_diagonal_sum(2, a, MultiIndex.of(0, 0), lam) == 0.0
+            assert derivative_diagonal_sum(2, MultiIndex.of(2, 1), MultiIndex.of(1, 0), lam) == 0.0
 
     def test_symmetric_in_alpha_beta(self):
-        enum = enumerate_lattice(2, 40.0)
         a, b = MultiIndex.of(2, 0), MultiIndex.of(0, 2)
-        assert derivative_diagonal_sum(2, a, b, 40.0, enum) == derivative_diagonal_sum(
-            2, b, a, 40.0, enum
-        )
+        assert derivative_diagonal_sum(2, a, b, 40.0) == derivative_diagonal_sum(2, b, a, 40.0)
 
     def test_leading_constant(self):
         a = MultiIndex.of(1, 0)
@@ -243,9 +247,8 @@ class TestBandSum:
         assert shell5 > 0  # the shell exists and is excluded from the band
 
     def test_nonnegative(self):
-        enum = enumerate_lattice(2, 31.0)
         for lam in np.linspace(0.0, 30.0, 61):
-            assert band_diagonal_sum(2, float(lam), enum) >= 0.0
+            assert band_diagonal_sum(2, float(lam)) >= 0.0
 
 
 class TestSmoothingWindow:
@@ -286,18 +289,14 @@ class TestSmoothedSum:
 
     def test_dominates_band(self):
         w = SmoothingWindow()
-        enum = enumerate_lattice(2, 100.0 + w.truncation_radius)
         floor = float(np.min(w.value(np.linspace(-1.0, 0.0, 2001))))
         for lam in (30.0, 60.0, 100.0):
-            assert smoothed_diagonal_sum(2, lam, w, enum) >= floor * band_diagonal_sum(
-                2, lam, enum
-            )
+            assert smoothed_diagonal_sum(2, lam, w) >= floor * band_diagonal_sum(2, lam)
 
     def test_value_decreases_as_eps_grows(self):
         # wider Fourier support means a narrower weight in s, hence smaller sums
-        enum = enumerate_lattice(2, 80.0 + SmoothingWindow(eps=3.4).truncation_radius)
         vals = [
-            smoothed_diagonal_sum(2, 80.0, SmoothingWindow(eps=e), enum)
+            smoothed_diagonal_sum(2, 80.0, SmoothingWindow(eps=e))
             for e in (3.4, 4.0, 5.0, 6.5)
         ]
         assert all(a > b for a, b in zip(vals, vals[1:]))
@@ -311,20 +310,20 @@ class TestSmoothedSum:
     )
     def test_shell_route_matches_pointwise_sum(self, n, eps, lams):
         w = SmoothingWindow(eps=eps)
-        enum = enumerate_lattice(n, max(lams) + w.truncation_radius)
-        pts = enum.points.astype(np.float64)
-        norms = np.sqrt(np.sum(pts * pts, axis=1))
+        norms_sq = cube_norms_sq(n, math.floor(max(lams) + w.truncation_radius))
         for lam in lams:
-            inside = enum.norms_sq() <= norm_sq_bound(lam + w.truncation_radius)
-            reference = float(np.sum(w.value(lam - norms[inside]))) / TWO_PI**n
-            got = smoothed_diagonal_sum(n, lam, w, enum)
+            inside = norms_sq[norms_sq <= norm_sq_bound(lam + w.truncation_radius)]
+            reference = float(np.sum(w.value(lam - np.sqrt(inside)))) / TWO_PI**n
+            got = smoothed_diagonal_sum(n, lam, w)
             assert got == pytest.approx(reference, rel=1e-13, abs=0.0)
 
     def test_omitted_tail_is_bounded(self):
         # the cut at lambda + T bounds the weight by 1e-12, not the tail: the
         # shells out to the n=2 limit still add about 1e-8
         w = SmoothingWindow(eps=4.0)
-        values, mult = enumerate_lattice(2, 1500.0).shells()
+        counts = square_scan_shells(1500)
+        values = np.flatnonzero(counts)
+        mult = counts[values]
         radii = np.sqrt(values.astype(np.float64))
         for lam in (50.0, 300.0):
             beyond = values > norm_sq_bound(lam + w.truncation_radius)
@@ -341,14 +340,76 @@ class TestNormSqBound:
         assert norm_sq_bound(2.5) == 6.25
 
 
-class TestEnumerationReuse:
-    def test_masked_superset_matches_fresh(self):
-        big = enumerate_lattice(2, 40.0)
-        u = Displacement.from_vector([0.21, 0.13])
-        for lam in (7.0, 18.5, 33.0):
-            assert spectral_function_torus(2, u, lam, big) == spectral_function_torus(2, u, lam)
+# --------------------------------------------------------------------------
+# property tests: every row sum against a cube-scan point sum
 
-    def test_insufficient_radius_rejected(self):
-        small = enumerate_lattice(2, 5.0)
-        with pytest.raises(DomainError):
-            spectral_function_torus(2, Displacement.from_vector([0.0, 0.0]), 10.0, small)
+
+@st.composite
+def radii(draw, n):
+    """lambda in [0, 20] (n = 2) or [0, 9] (n = 3): any float, an integer or sqrt(k)."""
+    top = 20 if n == 2 else 9
+    return draw(
+        st.one_of(
+            st.floats(0.0, float(top)),
+            st.integers(0, top).map(float),
+            st.integers(0, top * top).map(math.sqrt),
+        )
+    )
+
+
+@st.composite
+def displacements(draw, n):
+    """u in [-pi, pi]^n whose last component is sometimes exactly 0 or about 1e-9."""
+    head = [draw(st.floats(-math.pi, math.pi)) for _ in range(n - 1)]
+    last = draw(
+        st.one_of(
+            st.floats(-math.pi, math.pi),
+            st.just(0.0),
+            st.floats(5e-10, 2e-9).flatmap(lambda x: st.sampled_from([x, -x])),
+        )
+    )
+    return Displacement.from_vector(head + [last])
+
+
+@st.composite
+def matched_pairs(draw, n):
+    """alpha, beta of matching parity and total order <= 6: each alpha_j + beta_j is even."""
+    alpha, beta, budget = [], [], 3
+    for _ in range(n):
+        half = draw(st.integers(0, budget))
+        budget -= half
+        a = draw(st.integers(0, 2 * half))
+        alpha.append(a)
+        beta.append(2 * half - a)
+    return MultiIndex(tuple(alpha)), MultiIndex(tuple(beta))
+
+
+@st.composite
+def torus_cases(draw):
+    n = draw(st.sampled_from([2, 3]))
+    return n, draw(radii(n)), draw(displacements(n)), draw(matched_pairs(n))
+
+
+class TestRowSumsAgainstCubeScan:
+    @settings(derandomize=True, deadline=None)
+    @given(torus_cases())
+    def test_row_sums_match_point_sums(self, case):
+        n, lam, u, (alpha, beta) = case
+        pts = cube_scan(n, math.floor(lam) + 1)
+        norms_sq = np.sum(pts * pts, axis=1)
+        inside = pts[norms_sq <= lam * lam]
+        count = len(inside)
+        assert eigenvalue_count(n, lam) == count
+        band = int(np.count_nonzero(norms_sq <= (lam + 1.0) * (lam + 1.0))) - count
+        assert band_diagonal_sum(n, lam) == band / TWO_PI**n
+
+        # |cos| <= 1, so the sum's rounding scale is the count
+        cosines = float(np.sum(np.cos(inside @ u.u)))
+        assert abs(spectral_function_torus(n, u, lam) * TWO_PI**n - cosines) <= 1e-12 * count
+
+        # each weight k^gamma is at most lambda^|gamma|, which sets the scale here
+        gam = alpha + beta
+        moment = int(np.sum(np.prod(inside ** np.asarray(gam.entries), axis=1)))
+        sign = -1 if (abs(alpha.order - beta.order) // 2) % 2 else 1
+        got = derivative_diagonal_sum(n, alpha, beta, lam) * TWO_PI**n
+        assert abs(got - sign * moment) <= 1e-12 * count * max(1.0, lam) ** gam.order
