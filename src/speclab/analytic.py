@@ -131,35 +131,11 @@ class PhiValue:
 # --------------------------------------------------------------------------
 # gamma and friends
 
-# Lanczos approximation, g = 7 with 9 coefficients.  Relative error stays
-# below ~1e-15 on the positive axis, comfortably inside the 1e-13 contract.
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
 def gamma(x: float) -> float:
-    """Gamma function on the positive axis."""
+    """Gamma function on the positive axis, from math.gamma."""
     if not x > 0.0:
         raise DomainError(f"gamma requires x > 0, got {x}")
-    if x < 0.5:
-        # reflection keeps the Lanczos sum in its sweet spot
-        return math.pi / (math.sin(math.pi * x) * gamma(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS[0]
-    for k in range(1, len(_LANCZOS)):
-        acc += _LANCZOS[k] / (z + k)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(TWO_PI) * t ** (z + 0.5) * math.exp(-t) * acc
+    return math.gamma(x)
 
 
 def double_factorial(k: int) -> int:
@@ -177,35 +153,23 @@ def ball_volume(n: int) -> float:
     """Volume of the unit ball in R^n (n >= 0)."""
     if n < 0:
         raise DomainError("ball dimension must be >= 0")
-    if n == 0:
-        return 1.0
     if n == 1:
-        return 2.0
-    if n == 2:
-        return math.pi
-    return math.pi ** (n / 2.0) / gamma(1.0 + n / 2.0)
+        return 2.0  # math.gamma(1.5) rounds the quotient one ulp low
+    return math.pi ** (n / 2.0) / math.gamma(1.0 + n / 2.0)
 
 
 def sphere_area(dim: int) -> float:
     """Surface area of the unit sphere S^dim embedded in R^{dim+1}."""
     if dim < 0:
         raise DomainError("sphere dimension must be >= 0")
-    if dim == 0:
-        return 2.0
-    if dim == 1:
-        return TWO_PI
-    if dim == 2:
-        return 4.0 * math.pi
-    if dim == 3:
-        return TWO_PI * math.pi
-    return 2.0 * math.pi ** ((dim + 1) / 2.0) / gamma((dim + 1) / 2.0)
+    return 2.0 * math.pi ** ((dim + 1) / 2.0) / math.gamma((dim + 1) / 2.0)
 
 
 def weyl_constant(n: int) -> float:
     """Leading constant of the diagonal spectral function, vol(B_n)/(2 pi)^n."""
     if n < 2:
         raise DomainError(f"dimension must be >= 2, got {n}")
-    return 1.0 / (2.0 ** n * math.pi ** (n / 2.0) * gamma(1.0 + n / 2.0))
+    return 1.0 / (2.0 ** n * math.pi ** (n / 2.0) * math.gamma(1.0 + n / 2.0))
 
 
 def deriv_weyl_constant(n: int, alpha: MultiIndex, beta: MultiIndex) -> float:
@@ -225,7 +189,8 @@ def deriv_weyl_constant(n: int, alpha: MultiIndex, beta: MultiIndex) -> float:
     num = 1.0
     for g in gam.entries:
         num *= double_factorial(g - 1)
-    den = math.pi ** (n / 2.0) * 2.0 ** (n + gam.order // 2) * gamma((gam.order + n) / 2.0 + 1.0)
+    den = math.pi ** (n / 2.0) * 2.0 ** (n + gam.order // 2)
+    den *= math.gamma((gam.order + n) / 2.0 + 1.0)
     half_gap = abs(alpha.order - beta.order) // 2
     sign = -1.0 if half_gap % 2 else 1.0
     return sign * num / den
@@ -246,7 +211,7 @@ def ball_moment(n: int, gam: MultiIndex) -> float:
     for j, g in enumerate(gam.entries):
         tail -= g
         s = ((n - j - 1) + tail) / 2.0
-        out *= gamma((g + 1) / 2.0) * gamma(s + 1.0) / gamma((g + 1) / 2.0 + s + 1.0)
+        out *= math.gamma((g + 1) / 2.0) * math.gamma(s + 1.0) / math.gamma((g + 1) / 2.0 + s + 1.0)
     return out
 
 
@@ -350,19 +315,6 @@ def gegenbauer_largest_zero(m: int, nu: float) -> float:
     return largest_zero(lambda t: gegenbauer_derivatives(m, nu, t, 1), f"C_{m}^{nu:g}")
 
 
-@functools.lru_cache(maxsize=256)
-def _gegenbauer_zeros_cached(m: int, nu: float) -> np.ndarray:
-    k = np.arange(m, 0, -1, dtype=float)
-    x = np.cos(math.pi * (k + 0.5 * nu - 0.5) / (m + nu))
-    x = _newton(lambda t: gegenbauer_value_and_deriv(m, nu, t), x, f"the zeros of C_{m}^{nu:g}")
-    # enforce the exact symmetry of the zero set under t -> -t
-    x = 0.5 * (x - x[::-1])
-    if not (-1.0 < x[0] and x[-1] < 1.0 and np.all(np.diff(x) > 0.0)):
-        raise NumericError(f"Newton from the cosine seeds lost a zero of C_{m}^{nu:g}")
-    x.setflags(write=False)
-    return x
-
-
 def gegenbauer_zeros(m: int, nu: float) -> np.ndarray:
     """All m zeros of C_m^nu in increasing order, by Newton from cosine seeds.
 
@@ -376,7 +328,14 @@ def gegenbauer_zeros(m: int, nu: float) -> np.ndarray:
     _check_gegenbauer_args(m, nu)
     if m < 1:
         raise DomainError("zero finding requires degree >= 1")
-    return _gegenbauer_zeros_cached(m, float(nu))
+    k = np.arange(m, 0, -1, dtype=float)
+    x = np.cos(math.pi * (k + 0.5 * nu - 0.5) / (m + nu))
+    x = _newton(lambda t: gegenbauer_value_and_deriv(m, nu, t), x, f"the zeros of C_{m}^{nu:g}")
+    # enforce the exact symmetry of the zero set under t -> -t
+    x = 0.5 * (x - x[::-1])
+    if not (-1.0 < x[0] and x[-1] < 1.0 and np.all(np.diff(x) > 0.0)):
+        raise NumericError(f"Newton from the cosine seeds lost a zero of C_{m}^{nu:g}")
+    return x
 
 
 @functools.lru_cache(maxsize=128)
@@ -391,7 +350,7 @@ def gauss_legendre_rule(order: int) -> QuadratureRule:
         nodes = np.zeros(1)
         weights = np.full(1, 2.0)
     else:
-        nodes = np.array(gegenbauer_zeros(order, 0.5))
+        nodes = gegenbauer_zeros(order, 0.5)
         _, der = gegenbauer_value_and_deriv(order, 0.5, nodes)
         weights = 2.0 / ((1.0 - nodes) * (1.0 + nodes) * der * der)
         weights = 0.5 * (weights + weights[::-1])

@@ -165,8 +165,6 @@ def render_plot(result: ProbeResult, fit: ScalingFit | None = None) -> str:
     The ratio panel draws a horizontal reference line at the predicted limit
     when one exists; probes without ratios fall back to raw values there.
     """
-    if len(result.rows) < 2:
-        raise DomainError("plot rendering needs at least 2 rows")
     abscissae = result.abscissae()
     raws = result.raw_values()
     parts = [

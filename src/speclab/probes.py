@@ -209,6 +209,8 @@ def _snap_phi_limit(n: int, tau: float) -> float:
 
 
 def _torus_offdiag_raws(n, lambdas, taus, direction):
+    torus.check_radius(n, max(lambdas))
+
     def one(tau, lam):
         u = Displacement.from_vector(direction * (tau / lam) if tau else np.zeros(n))
         return torus.spectral_function_torus(n, u, lam)
@@ -310,6 +312,7 @@ def probe_difference(
 def probe_derivative(n: int, alpha: MultiIndex, beta: MultiIndex, lambda_grid=None) -> ProbeResult:
     """Derivative diagonal sums on the torus against their leading constants."""
     lambdas = _check_grid(lambda_grid if lambda_grid is not None else default_lambda_grid())
+    torus.check_radius(n, max(lambdas))
     raws = [torus.derivative_diagonal_sum(n, alpha, beta, lam) for lam in lambdas]
     limit = deriv_weyl_constant(n, alpha, beta)
     exponent = float(n + alpha.order + beta.order)
@@ -336,6 +339,7 @@ def probe_band(manifold: str, n: int, lambda_grid=None) -> ProbeResult:
     """
     lambdas = _check_grid(lambda_grid if lambda_grid is not None else default_lambda_grid())
     if manifold == "torus":
+        torus.check_radius(n, max(lambdas) + 1.0)
         raws = [torus.band_diagonal_sum(n, lam) for lam in lambdas]
     elif manifold == "sphere":
         raws = [sphere.band_kernel_sphere(n, 1.0, lam) for lam in lambdas]
@@ -372,6 +376,7 @@ def probe_hoelder(
     # band(lam, dist): the kernel of the band (lam, lam+1] at distance dist
     if manifold == "torus":
         d = _direction(n, direction)
+        torus.check_radius(n, max(lambdas) + 1.0)
 
         def band(lam: float, dist: float) -> float:
             if dist == 0.0:
@@ -539,6 +544,7 @@ def probe_smoothed(n: int, window: SmoothingWindow | None = None, lambda_grid=No
     """Window-smoothed diagonal sums on the torus against the band growth order."""
     win = window if window is not None else SmoothingWindow()
     lambdas = _check_grid(lambda_grid if lambda_grid is not None else default_lambda_grid())
+    torus.check_radius(n, max(lambdas) + win.truncation_radius)
     raws = [torus.smoothed_diagonal_sum(n, lam, win) for lam in lambdas]
     return ProbeResult(
         probe="smoothed",

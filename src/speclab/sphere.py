@@ -9,7 +9,6 @@ pole) and highest-weight harmonics (concentration along a great circle).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -128,38 +127,31 @@ def addition_kernel(n: int, m: int, cos_theta: float) -> float:
     return d / sphere_area(n) * float(val) / gegenbauer_at_one(m, nu)
 
 
-def _kernel_partial_sum(n: int, cos_theta: float, m_lo: int, m_hi: int) -> float:
-    if m_hi < m_lo:
-        return 0.0
+def _kernel_telescope(n: int, cos_theta: float, m: int) -> float:
+    """Sum of the addition kernels of degrees 0..m, times the area of S^n.
+
+    d_k / C_k^nu(1) = (k + nu)/nu and (k + nu)/nu C_k^nu = C_k^{nu+1} - C_{k-2}^{nu+1}
+    (DLMF 18.9), so the sum telescopes to C_m^{nu+1}(t) + C_{m-1}^{nu+1}(t); it
+    is 0 for m < 0.  At t = 1 on S^2 the recurrence runs in exact integers.
+    """
     if abs(cos_theta) > 1.0:
         raise DomainError("cos_theta must lie in [-1, 1]")
-    nu = (n - 1) / 2.0
-    area = sphere_area(n)
-    t = float(cos_theta)
-    c_prev, c = 0.0, 1.0  # C_{k-1}, C_k
-    top_prev, top = 0.0, 1.0  # same recurrence at t = 1
-    terms = []
-    if m_lo == 0:
-        terms.append(1.0 / area)
-    for k in range(1, m_hi + 1):
-        c_prev, c = c, (2.0 * t * (k + nu - 1.0) * c - (k + 2.0 * nu - 2.0) * c_prev) / k
-        top_prev, top = top, (2.0 * (k + nu - 1.0) * top - (k + 2.0 * nu - 2.0) * top_prev) / k
-        if k >= m_lo:
-            terms.append(multiplicity(n, k) / area * (c / top))
-    return math.fsum(terms)
+    if m < 0:
+        return 0.0
+    c, c_prev = _gegenbauer_pair(m, (n + 1) / 2.0, float(cos_theta))
+    return float(c + c_prev)
 
 
 def spectral_function_sphere(n: int, cos_theta: float, lam: float) -> float:
-    """e(x, y, lambda) on S^n with cos(dist(x, y)) = cos_theta."""
-    return _kernel_partial_sum(n, cos_theta, 0, max_degree(n, lam))
+    """e(x, y, lambda) on S^n with cos(dist(x, y)) = cos_theta, in closed form."""
+    return _kernel_telescope(n, cos_theta, max_degree(n, lam)) / sphere_area(n)
 
 
 def band_kernel_sphere(n: int, cos_theta: float, lam: float) -> float:
     """Kernel of the unit-band projection, summed over degrees in (lam, lam+1]."""
     degs = band_degrees(n, lam)
-    if len(degs) == 0:
-        return 0.0
-    return _kernel_partial_sum(n, cos_theta, degs.start, degs.stop - 1)
+    top = _kernel_telescope(n, cos_theta, degs.stop - 1)
+    return (top - _kernel_telescope(n, cos_theta, degs.start - 1)) / sphere_area(n)
 
 
 # --------------------------------------------------------------------------
@@ -175,7 +167,6 @@ class ZonalFamily:
     scale: float  # value at the pole, sqrt(multiplicity/area)
 
     @classmethod
-    @functools.lru_cache(maxsize=4096)
     def create(cls, n: int, m: int) -> "ZonalFamily":
         _check_dim(n)
         if m < 0:

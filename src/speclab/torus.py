@@ -26,6 +26,7 @@ __all__ = [
     "SmoothingWindow",
     "default_direction",
     "enumeration_limit",
+    "check_radius",
     "eigenvalue_count",
     "spectral_function_torus",
     "derivative_diagonal_sum",
@@ -44,6 +45,21 @@ def enumeration_limit(n: int) -> float:
         return _RADIUS_LIMIT[n]
     except KeyError:
         raise DomainError(f"torus dimension must be 2 or 3, got {n}") from None
+
+
+def check_radius(n: int, radius: float) -> None:
+    """Refuse a sum over |k| <= radius that n or the radius cap rules out.
+
+    A probe calls this once with the largest radius its grid needs, so a run
+    past the cap exits before any sum starts.
+    """
+    limit = enumeration_limit(n)
+    if radius < 0.0:
+        raise DomainError(f"radius must be >= 0, got {radius}")
+    if radius > limit:
+        raise ResourceLimitError(
+            f"radius {radius:g} exceeds the n={n} enumeration limit of {limit:g}"
+        )
 
 
 def default_direction(n: int) -> np.ndarray:
@@ -145,13 +161,7 @@ def _rows(n: int, radius: float) -> tuple[np.ndarray, np.ndarray]:
     and w = floor(sqrt(floor(radius^2) - |p|^2)) is exact in floating point,
     since its argument lies far below 2^52.
     """
-    limit = enumeration_limit(n)
-    if radius < 0.0:
-        raise DomainError(f"radius must be >= 0, got {radius}")
-    if radius > limit:
-        raise ResourceLimitError(
-            f"radius {radius:g} exceeds the n={n} enumeration limit of {limit:g}"
-        )
+    check_radius(n, radius)
     bound = math.floor(radius * radius)
     top = math.isqrt(bound)
     axis = np.arange(-top, top + 1, dtype=np.int64)
@@ -280,11 +290,7 @@ def smoothed_diagonal_sum(
     if window is None:
         window = SmoothingWindow()
     radius = lam + window.truncation_radius
-    if radius > enumeration_limit(n):
-        raise ResourceLimitError(
-            f"truncation radius {radius:g} exceeds the n={n} enumeration limit "
-            f"of {enumeration_limit(n):g}; increase the window eps"
-        )
+    check_radius(n, radius)
     values, mult = _shells(n)
     top = int(np.searchsorted(values, norm_sq_bound(radius), side="right"))
     weights = window.value(lam - np.sqrt(values[:top].astype(np.float64)))

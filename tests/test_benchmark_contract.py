@@ -62,6 +62,23 @@ CASES = {
         ["smoothed", "--eps", "100", "--grid", "20,40,60"],
         {"probe": "smoothed", "manifold": "torus", "n": 2, "grid": SMALL, "eps": 100.0},
     ),
+    "weyl-sphere": (
+        ["weyl", "--manifold", "sphere", "--grid", "20,40,60"],
+        {"probe": "weyl", "manifold": "sphere", "n": 2, "grid": [20, 40, 60]},
+    ),
+    "offdiag-sphere": (
+        ["offdiag", "--manifold", "sphere", "--tau", "1.25", "--grid", "20,40,60"],
+        {"probe": "offdiag", "manifold": "sphere", "n": 2, "grid": [20, 40, 60], "tau": 1.25},
+    ),
+    "band-sphere": (
+        ["band", "--manifold", "sphere", "--grid", "20,40,60"],
+        {"probe": "band", "manifold": "sphere", "n": 2, "grid": SMALL},
+    ),
+    "hoelder-sphere": (
+        ["hoelder", "--manifold", "sphere", "--delta", "0.5", "--grid", "20,40,60"],
+        {"probe": "hoelder", "manifold": "sphere", "n": 2, "grid": SMALL, "delta": 0.5,
+         "taus": TAUS},
+    ),
     "nodal-sphere": (
         ["nodal", "--grid", "20,40,60"],
         {"probe": "nodal", "manifold": "sphere", "n": 2, "grid": [20, 40, 60]},

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import speclab
-from speclab import output, probes
+from speclab import output, probes, torus
 from speclab.analytic import weyl_constant
 from speclab.cli import _parse_grid, load_config_file, run_command
 from speclab.errors import ConfigError, DomainError, NumericError
@@ -64,6 +64,20 @@ class TestRunCommand:
             ["weyl", "--manifold", "torus", "--grid", "100,1600", "--out", str(tmp_path)]
         )
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["weyl", "--manifold", "torus", "--grid", "100"],
+            ["lp", "--family", "zonal", "--r", "6", "--s", "0", "--grid", "20"],
+        ],
+        ids=["weyl-torus", "lp-zonal"],
+    )
+    def test_one_point_grid_writes_every_file(self, argv, tmp_path):
+        out = tmp_path / "out"
+        assert run_command(argv + ["--out", str(out)]) == 0
+        assert sorted(p.suffix for p in out.iterdir()) == [".csv", ".json", ".json", ".svg"]
+        assert (out / "summary.json").is_file()
 
     def test_invalid_value_exit_code(self, tmp_path):
         code = run_command(
@@ -267,6 +281,25 @@ class TestResourceLimits:
             argv + ["--manifold", "torus", "--n", "3", "--grid", "50:200:50"], tmp_path, True
         )
         assert proc.returncode == 0, proc.stderr
+
+
+    def test_torus_cap_refused_before_any_sum(self, monkeypatch, tmp_path, capsys):
+        # hoelder needs radius max(lambda) + 1 = 201, past the n=3 cap of 200
+        calls = []
+        real = torus.spectral_function_torus
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(torus, "spectral_function_torus", counting)
+        out = tmp_path / "out"
+        argv = ["hoelder", "--manifold", "torus", "--n", "3", "--delta", "0.5",
+                "--grid", "50:200:50", "--out", str(out)]
+        assert run_command(argv) == 3
+        assert calls == []
+        assert "radius 201 exceeds" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestThreadsFlag:
@@ -496,11 +529,15 @@ class TestSvg:
         assert "reference:" not in text
         ET.fromstring(text)
 
-    def test_requires_two_rows(self, tmp_path):
+    def test_one_row_renders(self, tmp_path):
+        # _scale widens the zero span of a single value, so one row plots one
+        # point per panel
         res = probe_weyl("torus", 2, [50.0, 75.0, 100.0])
         res.rows = res.rows[:1]
-        with pytest.raises(DomainError):
-            self._render(tmp_path, res)
+        text = self._render(tmp_path, res)
+        ET.fromstring(text)
+        assert text.count("<circle") == 2
+        assert "nan" not in text and "inf" not in text
 
     def test_zero_limit_probe_renders(self, tmp_path):
         res = probe_difference("torus", 2, 0.0, [50.0, 75.0, 100.0])

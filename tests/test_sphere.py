@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special
 
 from speclab.analytic import (
@@ -10,6 +13,7 @@ from speclab.analytic import (
     gauss_legendre_rule,
     phi_kernel,
     phi_kernel_zero,
+    sphere_area,
     weyl_constant,
 )
 from speclab import sphere
@@ -97,6 +101,40 @@ class TestMaxDegree:
         assert list(band_degrees(2, eigen_level(2, 20).eigenvalue)) == []
 
 
+@st.composite
+def max_degree_cases(draw):
+    """n, and lambda pinned to a level, one ulp or up to 1e-8 relative off it, or free."""
+    n = draw(st.integers(2, 12))
+    m = draw(st.integers(0, 10**6))
+    pinned = math.sqrt(m * (m + n - 1))
+    lam = draw(
+        st.one_of(
+            st.just(pinned),
+            st.just(math.nextafter(pinned, math.inf)),
+            st.just(math.nextafter(pinned, -math.inf)).filter(lambda x: x >= 0.0),
+            st.floats(-1e-8, 1e-8).map(lambda d: pinned * (1.0 + d)),
+            st.floats(0.0, 1.1e6),
+        )
+    )
+    return n, lam
+
+
+class TestMaxDegreeProperty:
+    @settings(derandomize=True, deadline=None)
+    @given(max_degree_cases())
+    def test_largest_level_below_snapped_lambda_sq(self, case):
+        n, lam = case
+        lam_sq = Fraction(lam) ** 2
+        nearest = round(lam_sq)
+        if abs(lam_sq - nearest) <= Fraction(1e-8) * max(1, nearest):
+            lam_sq = Fraction(nearest)
+        # M(M+n-1) <= X  iff  (2M+n-1)^2 <= (n-1)^2 + 4 floor(X), in integers
+        bound = math.floor(lam_sq)
+        expected = (math.isqrt((n - 1) ** 2 + 4 * bound) - (n - 1)) // 2
+        assert expected * (expected + n - 1) <= lam_sq < (expected + 1) * (expected + n)
+        assert max_degree(n, lam) == expected
+
+
 class TestAdditionKernel:
     def test_degree_zero_constant(self):
         for c in (-1.0, 0.2, 1.0):
@@ -180,6 +218,51 @@ class TestBandKernel:
     def test_order_of_growth(self):
         val = band_kernel_sphere(2, 1.0, 10.0)
         assert val / 10.0 == pytest.approx(1.0 / (2.0 * math.pi), rel=0.06)
+
+
+@st.composite
+def kernel_cases(draw):
+    """n, lambda and t = cos(dist): free, +-1, or cos(tau/lambda) at tau in (0, 10], dist <= pi."""
+    n = draw(st.integers(2, 8))
+    lam = draw(st.floats(0.0, 300.0))
+    tau = draw(st.floats(0.01, 10.0))
+    near = math.cos(min(tau / lam, math.pi)) if lam > 0.0 else 1.0
+    t = draw(st.one_of(st.floats(-1.0, 1.0), st.sampled_from([-1.0, 1.0]), st.just(near)))
+    return n, lam, t
+
+
+def _degree_sum(n, degrees, t):
+    """The per-degree route: addition kernels summed one at a time, and their diagonal."""
+    value = math.fsum(addition_kernel(n, k, t) for k in degrees)
+    diagonal = math.fsum(multiplicity(n, k) for k in degrees) / sphere_area(n)
+    return value, diagonal
+
+
+class TestClosedFormAgainstDegreeSum:
+    @settings(derandomize=True, deadline=None)
+    @given(kernel_cases())
+    def test_spectral_and_band_kernels(self, case):
+        n, lam, t = case
+        value, diagonal = _degree_sum(n, range(max_degree(n, lam) + 1), t)
+        assert abs(spectral_function_sphere(n, t, lam) - value) <= 1e-12 * diagonal
+        value, diagonal = _degree_sum(n, band_degrees(n, lam), t)
+        assert abs(band_kernel_sphere(n, t, lam) - value) <= 1e-12 * diagonal
+
+    # 40-digit mpmath: the per-degree sum of d_k C_k^nu(t) / C_k^nu(1) over
+    # k <= 400, divided by |S^n|, at t = cos(1.5 / lambda) as rounded to the
+    # float below, lambda = sqrt(400 (400 + n - 1))
+    @pytest.mark.parametrize(
+        "n,t,expected",
+        [
+            (2, 0.999992986292488, 9511.836600580801433301610859288699233041),
+            (3, 0.9999930037395013, 865484.4080390885150109803937149778353243),
+            (10, 0.9999931234797638, 2871753440108280024.691462803816895387439),
+        ],
+    )
+    def test_against_mpmath_at_degree_400(self, n, t, expected):
+        lam = eigen_level(n, 400).eigenvalue
+        diagonal = spectral_function_sphere(n, 1.0, lam)
+        assert abs(spectral_function_sphere(n, t, lam) - expected) <= 5e-13 * diagonal
 
 
 class TestZonal:
