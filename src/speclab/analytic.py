@@ -240,7 +240,18 @@ def gegenbauer(m: int, nu: float, t):
 
 
 def _gegenbauer_pair(m: int, nu: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(C_m, C_{m-1}) evaluated elementwise at t."""
+    """(C_m, C_{m-1}) evaluated elementwise at t.
+
+    A scalar t (a Python or numpy float, or a 0-d array) runs the recurrence
+    in Python floats, bit-equal to the array route and faster than numpy
+    scalar arithmetic.  For m >= 2 both routes return np.float64 values;
+    m < 2 takes the array route, which returns 0-d arrays there.
+    """
+    if m >= 2 and np.ndim(t) == 0:
+        x, c_prev, c = float(t), 0.0, 1.0
+        for k in range(1, m + 1):
+            c_prev, c = c, (2.0 * x * (k + nu - 1.0) * c - (k + 2.0 * nu - 2.0) * c_prev) / k
+        return np.float64(c), np.float64(c_prev)
     c_prev = np.zeros_like(t)
     c = np.ones_like(t)
     for k in range(1, m + 1):

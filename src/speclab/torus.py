@@ -129,12 +129,29 @@ class SmoothingWindow:
     def __post_init__(self) -> None:
         if self.shape != "sinc4":
             raise DomainError(f"unknown window shape {self.shape!r}")
-        if not self.eps > 0.0:
-            raise DomainError("window eps must be positive")
+        if not (self.eps > 0.0 and math.isfinite(self.eps)):
+            raise DomainError(f"window eps must be positive and finite, got {self.eps}")
 
     def value(self, s):
-        # np.sinc(x) = sin(pi x)/(pi x), so rescale the argument
-        return np.sinc(np.asarray(s, dtype=float) * (self.eps / (4.0 * math.pi))) ** 4
+        """rho(s) elementwise: a fresh array, or a numpy scalar for scalar input.
+
+        Computed per call in one pass, in place after the first product:
+        y = eps s/4, then sin(y)/y with an exact 1.0 where y == 0, then two
+        squarings.  y is formed as pi (s eps/(4 pi)), the argument that
+        np.sinc(s eps/(4 pi)) forms, so rho matches that route to 1e-15
+        relative at every s.  Next to a zero of sin(y), rounding y once less
+        would move rho by up to about 1e-6 relative (under 1e-15 absolute).
+        """
+        y = np.atleast_1d(np.multiply(s, self.eps / (4.0 * math.pi), dtype=np.float64))
+        y *= math.pi
+        out = np.sin(y)
+        zero = y == 0.0
+        out[zero] = 1.0  # the limit of sin(y)/y; dividing by 1 below keeps it
+        y[zero] = 1.0
+        out /= y
+        out *= out
+        out *= out
+        return out if np.ndim(s) else out[0]
 
     @property
     def truncation_radius(self) -> float:
@@ -182,11 +199,13 @@ def eigenvalue_count(n: int, lam: float) -> int:
 
 
 @functools.lru_cache(maxsize=2)
-def _shells(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending j <= limit^2 with r_n(j) > 0, and r_n(j), for n = 2 or 3.
+def _shells(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The lattice shells |k|^2 = j <= limit^2 of T^n, n = 2 or 3, built once per n.
 
-    r_2 counts a^2 + b^2 over the quadrant a >= 1, b >= 0, whose four
-    rotations tile Z^2 minus the origin; r_3(j) = sum_c r_2(j - c^2).
+    Returns the ascending j with r_n(j) > 0 (int64), the radii sqrt(j) and the
+    multiplicities r_n(j), both float64; all three are read-only.  r_2 counts
+    a^2 + b^2 over the quadrant a >= 1, b >= 0, whose four rotations tile
+    Z^2 minus the origin; r_3(j) = sum_c r_2(j - c^2).
     """
     top = int(enumeration_limit(n))
     bound = top * top
@@ -200,10 +219,11 @@ def _shells(n: int) -> tuple[np.ndarray, np.ndarray]:
         for c in range(-top, top + 1):
             counts[c * c:] += r2[: bound + 1 - c * c]
     values = np.flatnonzero(counts)
-    mult = counts[values]
-    values.setflags(write=False)
-    mult.setflags(write=False)
-    return values, mult
+    radii = np.sqrt(values.astype(np.float64))
+    mult = counts[values].astype(np.float64)
+    for table in (values, radii, mult):
+        table.setflags(write=False)
+    return values, radii, mult
 
 
 # --------------------------------------------------------------------------
@@ -279,11 +299,16 @@ def smoothed_diagonal_sum(
 
     The weight depends on k only through |k|^2, so the sum runs over the
     lattice shells with |k| <= lambda + T (T = window.truncation_radius),
-    each weighted by its multiplicity.  The cut drops weights below 1e-12,
-    but the omitted tail is larger (see SmoothingWindow.truncation_radius):
-    at eps 4 in n = 2, the shells in (lambda + T, 1500] alone add 1.2e-8 to
-    1.7e-8 for lambda in [0, 300].  `enum` is unused and stays only until
-    ROADMAP item 0 changes the tracer.
+    each weighted by its multiplicity.  The shell table, with its radii and
+    multiplicities as float64, is built once per run (`_shells`).  Per lambda
+    there is one window pass over the shells inside the cut, an in-place
+    product with their multiplicities and one pairwise np.sum in a fixed
+    order, so the result does not depend on a BLAS or its threads.
+
+    The cut drops weights below 1e-12, but the omitted tail is larger (see
+    SmoothingWindow.truncation_radius): at eps 4 in n = 2, the shells in
+    (lambda + T, 1500] alone add 1.2e-8 to 1.7e-8 for lambda in [0, 300].
+    `enum` is unused and stays only until ROADMAP item 0 changes the tracer.
     """
     if lam < 0.0:
         raise DomainError(f"lambda must be >= 0, got {lam}")
@@ -291,7 +316,8 @@ def smoothed_diagonal_sum(
         window = SmoothingWindow()
     radius = lam + window.truncation_radius
     check_radius(n, radius)
-    values, mult = _shells(n)
+    values, radii, mult = _shells(n)
     top = int(np.searchsorted(values, norm_sq_bound(radius), side="right"))
-    weights = window.value(lam - np.sqrt(values[:top].astype(np.float64)))
-    return float(np.sum(mult[:top] * weights)) / TWO_PI ** n
+    weights = window.value(lam - radii[:top])
+    weights *= mult[:top]
+    return float(np.sum(weights)) / TWO_PI ** n

@@ -26,6 +26,7 @@ from speclab.analytic import (
     phi_kernel_bessel,
     phi_kernel_zero,
     weyl_constant,
+    _gegenbauer_pair,
     _phi_quadrature,
 )
 from speclab.errors import DomainError, NumericError, RangeError
@@ -179,6 +180,36 @@ class TestGegenbauer:
             gegenbauer(3, 0.5, 1.5)
         with pytest.raises(DomainError):
             gegenbauer(-1, 0.5, 0.0)
+
+    @staticmethod
+    def _numpy_scalar_pair(m, nu, t):
+        # the recurrence as it runs on a 0-d array: numpy scalar arithmetic
+        c_prev, c = np.zeros_like(t), np.ones_like(t)
+        for k in range(1, m + 1):
+            c_prev, c = c, (2.0 * t * (k + nu - 1.0) * c - (k + 2.0 * nu - 2.0) * c_prev) / k
+        return c, c_prev
+
+    def test_scalar_route_matches_array_route(self):
+        ts = [-1.0, -0.73, -0.3, 0.0, 1e-3, 0.3, 0.5, 0.91, 1.0]
+        for nu in (0.5, 1.0, 1.5, 2.5, 6.0):
+            for m in (0, 1, 2, 3, 7, 40, 301):
+                array_c, array_prev = _gegenbauer_pair(m, nu, np.array(ts))
+                for i, t in enumerate(ts):
+                    ref = self._numpy_scalar_pair(m, nu, t)
+                    for arg in (t, np.float64(t), np.asarray(t)):
+                        got = _gegenbauer_pair(m, nu, arg)
+                        assert [type(v) for v in got] == [type(v) for v in ref], (m, nu, arg)
+                        assert float(got[0]) == float(ref[0]) == array_c[i], (m, nu, t)
+                        assert float(got[1]) == float(ref[1]) == array_prev[i], (m, nu, t)
+
+    def test_scalar_callers_keep_their_types(self):
+        from speclab.sphere import ZonalFamily, zonal_eval
+
+        assert zonal_eval(2, 0, 1.0) == zonal_eval(2, 0, 0.0)
+        for m in (0, 1, 2, 9):
+            assert type(zonal_eval(2, m, 1.0)) is float
+            assert type(ZonalFamily.create(2, m).eval(0.7)) is float
+            assert type(gegenbauer(m, 0.5, 0.3)) is float
 
 
 class TestGegenbauerZeros:

@@ -62,6 +62,11 @@ CASES = {
         ["smoothed", "--eps", "100", "--grid", "20,40,60"],
         {"probe": "smoothed", "manifold": "torus", "n": 2, "grid": SMALL, "eps": 100.0},
     ),
+    # the benchmark's eps: shells out to radius 300 + 4000/4 = 1300
+    "smoothed-torus-eps4": (
+        ["smoothed", "--eps", "4", "--grid", "50,300"],
+        {"probe": "smoothed", "manifold": "torus", "n": 2, "grid": [50.0, 300.0], "eps": 4.0},
+    ),
     "weyl-sphere": (
         ["weyl", "--manifold", "sphere", "--grid", "20,40,60"],
         {"probe": "weyl", "manifold": "sphere", "n": 2, "grid": [20, 40, 60]},

@@ -23,6 +23,11 @@ from speclab.torus import (
 TWO_PI = 2.0 * math.pi
 
 
+def sinc4_reference(s, eps):
+    """The sinc^4 window by np.sinc and a power, independent of SmoothingWindow.value."""
+    return np.sinc(np.asarray(s, dtype=float) * (eps / (4.0 * math.pi))) ** 4
+
+
 def brute_force_shells(n, lam_max):
     """r_n(q) for q <= lam_max^2 by a plain nested-loop cube scan (oracle)."""
     top = lam_max
@@ -125,13 +130,18 @@ class TestEnumeration:
 class TestShells:
     @pytest.mark.parametrize("n, radius", [(2, 20), (3, 12)])
     def test_multiplicities_match_cube_scan(self, n, radius):
-        values, mult = torus._shells(n)
+        values, radii, mult = torus._shells(n)
         keep = values <= radius * radius
-        values, mult = values[keep], mult[keep]
+        values, radii, mult = values[keep], radii[keep], mult[keep]
         expected = {q: cnt for q, cnt in enumerate(brute_force_shells(n, radius)) if cnt}
         assert values.tolist() == sorted(expected)
         assert dict(zip(values.tolist(), mult.tolist())) == expected
         assert int(mult.sum()) == eigenvalue_count(n, float(radius))
+        assert radii.tolist() == [math.sqrt(v) for v in values.tolist()]
+
+    def test_tables_are_read_only(self):
+        for table in torus._shells(2):
+            assert not table.flags.writeable
 
 
 class TestDisplacement:
@@ -277,8 +287,39 @@ class TestSmoothingWindow:
     def test_validation(self):
         with pytest.raises(DomainError):
             SmoothingWindow(eps=0.0)
+        for eps in (math.inf, -math.inf, math.nan):
+            with pytest.raises(DomainError):
+                SmoothingWindow(eps=eps)
         with pytest.raises(DomainError):
             SmoothingWindow(shape="hann")
+
+    @pytest.mark.parametrize("eps", [0.5, 1.0, 4.0, 5.5, 100.0])
+    def test_matches_sinc_route(self, eps):
+        w = SmoothingWindow(eps=eps)
+        t = w.truncation_radius
+        dense = np.linspace(-1.2 * t, 1.2 * t, 200_001)  # negative s and both sides of T
+        near_t = t + np.linspace(-1e-6, 1e-6, 201)
+        for s in (dense, near_t, np.array([0.0, -0.0, 5e-324, 1e-300])):
+            np.testing.assert_allclose(w.value(s), sinc4_reference(s, eps), rtol=1e-15, atol=0.0)
+
+    def test_exact_shell_radii(self):
+        # at integer lambda, lambda - sqrt(lambda^2) is exactly 0 on that shell
+        values, radii, _ = torus._shells(2)
+        w = SmoothingWindow()
+        s = 50.0 - radii[:200_000]
+        got = w.value(s)
+        assert got[np.searchsorted(values, 2500)] == 1.0
+        np.testing.assert_allclose(got, sinc4_reference(s, 4.0), rtol=1e-15, atol=0.0)
+
+    def test_scalar_and_0d_input(self):
+        w = SmoothingWindow()
+        for s in (0.0, 0, np.float64(0.0), np.asarray(0.0)):
+            assert type(w.value(s)) is np.float64
+            assert w.value(s) == 1.0
+        for s in (2.5, -7.0, np.asarray(1000.0)):
+            assert type(w.value(s)) is np.float64
+            assert w.value(s) == pytest.approx(float(sinc4_reference(s, 4.0)), rel=1e-15, abs=0.0)
+        assert w.value([0.0, 2.5]).shape == (2,)
 
 
 class TestSmoothedSum:
@@ -316,6 +357,19 @@ class TestSmoothedSum:
             reference = float(np.sum(w.value(lam - np.sqrt(inside)))) / TWO_PI**n
             got = smoothed_diagonal_sum(n, lam, w)
             assert got == pytest.approx(reference, rel=1e-13, abs=0.0)
+
+    def test_default_probe_rows_match_sinc_route(self):
+        from speclab.probes import default_lambda_grid, probe_smoothed
+
+        values, _, mult = torus._shells(2)
+        t = SmoothingWindow().truncation_radius
+        res = probe_smoothed(2, None, default_lambda_grid())
+        assert len(res.rows) == 11
+        for row in res.rows:
+            keep = values <= norm_sq_bound(row.abscissa + t)
+            s = row.abscissa - np.sqrt(values[keep].astype(np.float64))
+            reference = float(np.sum(mult[keep] * sinc4_reference(s, 4.0))) / TWO_PI**2
+            assert row.raw == pytest.approx(reference, rel=1e-15, abs=0.0)
 
     def test_omitted_tail_is_bounded(self):
         # the cut at lambda + T bounds the weight by 1e-12, not the tail: the
