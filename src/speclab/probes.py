@@ -164,12 +164,21 @@ def _check_grid(grid, name: str = "grid") -> list[float]:
     return vals
 
 
-def _pin_sphere_lambdas(n: int, degrees) -> tuple[list[int], list[float]]:
+def _lambda_grid(grid) -> list[float]:
+    """The checked eigenvalue thresholds of a lambda grid, or the default grid."""
+    return _check_grid(grid if grid is not None else default_lambda_grid())
+
+
+def _degree_grid(n: int, grid) -> tuple[list[int], list[float]]:
+    """The checked degrees of a degree grid, or the default grid, and their S^n eigenvalues."""
+    degrees = grid if grid is not None else default_degree_grid()
     bad = [m for m in degrees if not float(m).is_integer()]
     if bad:
         raise DomainError(f"degree grid entries must be integers, got {bad[0]!r}")
     ms = [int(m) for m in degrees]
-    return ms, [eigen_level(n, m).eigenvalue for m in ms]
+    lambdas = [eigen_level(n, m).eigenvalue for m in ms]
+    _check_grid(ms, "degree grid")
+    return ms, lambdas
 
 
 def _rows(abscissae, raws, limit, exponent) -> list[ProbeRow]:
@@ -208,54 +217,58 @@ def _snap_phi_limit(n: int, tau: float) -> float:
 # spectral-function probes (torus and sphere)
 
 
-def _torus_offdiag_raws(n, lambdas, taus, direction):
-    torus.check_radius(n, max(lambdas))
+def _kernel(manifold: str, n: int, grid, direction, taus, *, band: bool = False):
+    """The grid's lambdas and kernel(lam, dist): e or the band kernel at dist(x, y) = dist.
 
-    def one(tau, lam):
-        u = Displacement.from_vector(direction * (tau / lam) if tau else np.zeros(n))
-        return torus.spectral_function_torus(n, u, lam)
-
-    return [[one(tau, lam) for lam in lambdas] for tau in taus]
-
-
-def _sphere_offdiag_raws(n, lambdas, taus):
-    return [
-        [
-            sphere.spectral_function_sphere(n, math.cos(tau / lam) if tau else 1.0, lam)
-            for lam in lambdas
-        ]
-        for tau in taus
-    ]
-
-
-def _no_sphere_direction(direction) -> None:
-    if direction is not None:
-        raise DomainError(
-            "direction applies only to the torus: sphere kernels depend on dist(x, y) alone"
-        )
-
-
-def _offdiag_table(manifold, n, taus, grid, direction):
-    """The grid's lambdas and, for each tau in `taus`, the off-diagonal sums at tau/lambda."""
-    for tau in taus:
-        if tau < 0.0:
-            raise DomainError(f"tau must be >= 0, got {tau}")
+    kernel(lam, dist) is e(x, y, lam) or, with band=True, the kernel of the
+    band (lam, lam + 1] at dist(x, y) = dist; on the torus x - y is dist
+    times the unit direction.  Sphere spectral grids are degrees pinned to
+    their eigenvalues; band grids and torus grids are thresholds.  Every
+    tau/lambda must stay within the minimizing distance along the direction:
+    pi on S^n, and pi/max|d_i| on T^n, past which some |u_i| > pi and the
+    displacement wraps to a shorter one.
+    """
     if manifold == "torus":
-        lambdas = _check_grid(grid if grid is not None else default_lambda_grid())
-        return lambdas, _torus_offdiag_raws(n, lambdas, taus, _direction(n, direction))
-    if manifold == "sphere":
-        _no_sphere_direction(direction)
-        _, lambdas = _pin_sphere_lambdas(n, grid if grid is not None else default_degree_grid())
-        _check_grid(lambdas, "pinned lambda grid")
-        if max(taus) / min(lambdas) > math.pi:
-            raise DomainError("tau/lambda exceeds pi: no such sphere displacement")
-        return lambdas, _sphere_offdiag_raws(n, lambdas, taus)
-    raise DomainError(f"manifold must be 'torus' or 'sphere', got {manifold!r}")
+        lambdas = _lambda_grid(grid)
+        d = _direction(n, direction)
+        reach = math.pi / float(np.max(np.abs(d)))
+        reach_name = f"pi/max|d_i| = {reach:.6g}"
+        torus.check_radius(n, max(lambdas) + (1.0 if band else 0.0))
+
+        def spectral(lam: float, dist: float) -> float:
+            u = Displacement.from_vector(d * dist)
+            return torus.spectral_function_torus(n, u, lam)
+
+        def band_kernel(lam: float, dist: float) -> float:
+            if dist == 0.0:
+                return torus.band_diagonal_sum(n, lam)
+            return spectral(lam + 1.0, dist) - spectral(lam, dist)
+
+    elif manifold == "sphere":
+        if direction is not None:
+            raise DomainError(
+                "direction applies only to the torus: sphere kernels depend on dist(x, y) alone"
+            )
+        lambdas = _lambda_grid(grid) if band else _degree_grid(n, grid)[1]
+        reach, reach_name = math.pi, "pi"
+
+        def spectral(lam: float, dist: float) -> float:
+            return sphere.spectral_function_sphere(n, math.cos(dist), lam)
+
+        def band_kernel(lam: float, dist: float) -> float:
+            return sphere.band_kernel_sphere(n, math.cos(dist), lam)
+
+    else:
+        raise DomainError(f"manifold must be 'torus' or 'sphere', got {manifold!r}")
+    if max(taus) / min(lambdas) > reach:
+        raise DomainError(f"tau/lambda exceeds {reach_name}: no such {manifold} displacement")
+    return lambdas, band_kernel if band else spectral
 
 
 def probe_weyl(manifold: str, n: int, lambda_grid=None) -> ProbeResult:
     """Diagonal spectral function against the volume-counting prediction."""
-    lambdas, (raws,) = _offdiag_table(manifold, n, (0.0,), lambda_grid, None)
+    lambdas, kernel = _kernel(manifold, n, lambda_grid, None, (0.0,))
+    raws = [kernel(lam, 0.0) for lam in lambdas]
     limit = weyl_constant(n)
     return ProbeResult(
         probe="weyl",
@@ -275,8 +288,9 @@ def probe_offdiag(
     direction=None,
 ) -> ProbeResult:
     """Off-diagonal spectral function at rescaled distance tau = lambda dist."""
-    lambdas, (raws,) = _offdiag_table(manifold, n, (tau,), lambda_grid, direction)
     limit = _snap_phi_limit(n, tau)
+    lambdas, kernel = _kernel(manifold, n, lambda_grid, direction, (tau,))
+    raws = [kernel(lam, tau / lam) for lam in lambdas]
     return ProbeResult(
         probe="offdiag",
         params={"manifold": manifold, "n": n, "tau": tau},
@@ -295,9 +309,11 @@ def probe_difference(
     direction=None,
 ) -> ProbeResult:
     """Square-sum of eigenfunction differences via 2(e_diag - e_offdiag)."""
-    lambdas, (offs, diags) = _offdiag_table(manifold, n, (tau, 0.0), lambda_grid, direction)
-    raws = [2.0 * (d - o) for d, o in zip(diags, offs)]
     limit = 2.0 * (weyl_constant(n) - _snap_phi_limit(n, tau))
+    lambdas, kernel = _kernel(manifold, n, lambda_grid, direction, (tau,))
+    offs = [kernel(lam, tau / lam) for lam in lambdas]
+    diags = [kernel(lam, 0.0) for lam in lambdas]
+    raws = [2.0 * (d - o) for d, o in zip(diags, offs)]
     if abs(limit) < _ZERO_LIMIT_REL * weyl_constant(n):
         limit = 0.0
     return ProbeResult(
@@ -311,7 +327,7 @@ def probe_difference(
 
 def probe_derivative(n: int, alpha: MultiIndex, beta: MultiIndex, lambda_grid=None) -> ProbeResult:
     """Derivative diagonal sums on the torus against their leading constants."""
-    lambdas = _check_grid(lambda_grid if lambda_grid is not None else default_lambda_grid())
+    lambdas = _lambda_grid(lambda_grid)
     torus.check_radius(n, max(lambdas))
     raws = [torus.derivative_diagonal_sum(n, alpha, beta, lam) for lam in lambdas]
     limit = deriv_weyl_constant(n, alpha, beta)
@@ -337,14 +353,8 @@ def probe_band(manifold: str, n: int, lambda_grid=None) -> ProbeResult:
     sit slightly more than 1 apart, which would leave every band empty);
     empty-band rows report zero and are excluded from fits.
     """
-    lambdas = _check_grid(lambda_grid if lambda_grid is not None else default_lambda_grid())
-    if manifold == "torus":
-        torus.check_radius(n, max(lambdas) + 1.0)
-        raws = [torus.band_diagonal_sum(n, lam) for lam in lambdas]
-    elif manifold == "sphere":
-        raws = [sphere.band_kernel_sphere(n, 1.0, lam) for lam in lambdas]
-    else:
-        raise DomainError(f"manifold must be 'torus' or 'sphere', got {manifold!r}")
+    lambdas, band = _kernel(manifold, n, lambda_grid, None, (0.0,), band=True)
+    raws = [band(lam, 0.0) for lam in lambdas]
     witness = [math.sqrt(v) / lam ** ((n - 1) / 2.0) for v, lam in zip(raws, lambdas)]
     return ProbeResult(
         probe="band",
@@ -371,29 +381,7 @@ def probe_hoelder(
     taus = [float(t) for t in (tau_grid if tau_grid is not None else default_tau_grid())]
     if not taus or any(t <= 0.0 or t > 10.0 for t in taus):
         raise DomainError("tau grid must lie in (0, 10]")
-    lambdas = _check_grid(lambda_grid if lambda_grid is not None else default_lambda_grid())
-
-    # band(lam, dist): the kernel of the band (lam, lam+1] at distance dist
-    if manifold == "torus":
-        d = _direction(n, direction)
-        torus.check_radius(n, max(lambdas) + 1.0)
-
-        def band(lam: float, dist: float) -> float:
-            if dist == 0.0:
-                return torus.band_diagonal_sum(n, lam)
-            u = Displacement.from_vector(d * dist)
-            return torus.spectral_function_torus(n, u, lam + 1.0) - torus.spectral_function_torus(
-                n, u, lam
-            )
-
-    elif manifold == "sphere":
-        _no_sphere_direction(direction)
-
-        def band(lam: float, dist: float) -> float:
-            return sphere.band_kernel_sphere(n, math.cos(dist), lam)
-
-    else:
-        raise DomainError(f"manifold must be 'torus' or 'sphere', got {manifold!r}")
+    lambdas, band = _kernel(manifold, n, lambda_grid, direction, taus, band=True)
 
     def one(lam: float) -> float:
         best = 0.0
@@ -429,8 +417,7 @@ def probe_lp(family: str, r: float, s: float, m_grid=None, *, n: int = 2) -> Pro
         raise DomainError(f"family must be 'zonal' or 'hw', got {family!r}")
     if s < 0.0:
         raise DomainError(f"Sobolev order must be >= 0, got {s}")
-    ms, lambdas = _pin_sphere_lambdas(n, m_grid if m_grid is not None else default_degree_grid())
-    _check_grid(ms, "degree grid")
+    ms, lambdas = _degree_grid(n, m_grid)
 
     if family == "zonal":
         # one quadrature rule and one recurrence serve the whole grid
@@ -473,8 +460,7 @@ def probe_cksigma(sigma: float, m_grid=None, *, n: int = 2) -> ProbeResult:
     """
     if not 0.0 <= sigma <= 1.0:
         raise DomainError(f"sigma must lie in [0, 1], got {sigma}")
-    ms, lambdas = _pin_sphere_lambdas(n, m_grid if m_grid is not None else default_degree_grid())
-    _check_grid(ms, "degree grid")
+    ms, lambdas = _degree_grid(n, m_grid)
 
     def one(m: int, lam: float) -> float:
         if sigma == 0.0:
@@ -516,8 +502,7 @@ def probe_nodal(m_grid=None, *, n: int = 2) -> ProbeResult:
     than quoted) and n = 3 (pi), and left out for n >= 4.  The extras carry
     the cap inner radius and the Nadirashvili ratio per row.
     """
-    ms, lambdas = _pin_sphere_lambdas(n, m_grid if m_grid is not None else default_degree_grid())
-    _check_grid(ms, "degree grid")
+    ms, lambdas = _degree_grid(n, m_grid)
 
     out = [(sphere.nodal_gap_zonal(n, m), sphere.nadirashvili_ratio(n, m)) for m in ms]
     limit = _nodal_limit(n)
@@ -543,12 +528,12 @@ def probe_nodal(m_grid=None, *, n: int = 2) -> ProbeResult:
 def probe_smoothed(n: int, window: SmoothingWindow | None = None, lambda_grid=None) -> ProbeResult:
     """Window-smoothed diagonal sums on the torus against the band growth order."""
     win = window if window is not None else SmoothingWindow()
-    lambdas = _check_grid(lambda_grid if lambda_grid is not None else default_lambda_grid())
+    lambdas = _lambda_grid(lambda_grid)
     torus.check_radius(n, max(lambdas) + win.truncation_radius)
     raws = [torus.smoothed_diagonal_sum(n, lam, win) for lam in lambdas]
     return ProbeResult(
         probe="smoothed",
-        params={"manifold": "torus", "n": n, "window": win.shape, "eps": win.eps},
+        params={"manifold": "torus", "n": n, "window": "sinc4", "eps": win.eps},
         rows=_rows(lambdas, raws, None, float(n - 1)),
         predicted_limit=None,
         predicted_exponent=float(n - 1),

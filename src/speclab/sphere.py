@@ -30,7 +30,6 @@ from .errors import DomainError, NumericError, ResourceLimitError
 __all__ = [
     "SphereEigenLevel",
     "ZonalFamily",
-    "HighestWeightFamily",
     "eigen_level",
     "multiplicity",
     "max_degree",
@@ -325,34 +324,20 @@ def zonal_gradient_sup(n: int, m: int) -> float:
 
 
 # --------------------------------------------------------------------------
-# highest-weight family
+# highest-weight family: the degree-m harmonic Q_m with |Q_m| = sin^m(psi) up
+# to scale, psi the colatitude from the two-plane carrying the concentration
+# great circle
 
 
-@dataclass(frozen=True)
-class HighestWeightFamily:
-    """Highest-weight harmonic of degree m: |Q_m| = sin^m(psi) up to scale.
-
-    psi is the colatitude from the two-plane carrying the concentration great
-    circle; all norms reduce to Beta functions of the exponent m r.
-    """
-
-    n: int
-    m: int
-
-    def log_raw_norm(self, r: float) -> float:
-        """log of the unnormalized L_r norm of Q_m."""
-        n, m = self.n, self.m
-        lbeta = (
-            math.lgamma((m * r + 2.0) / 2.0)
-            + math.lgamma((n - 1.0) / 2.0)
-            - math.lgamma((m * r + n + 1.0) / 2.0)
-        )
-        const = math.log(2.0 * math.pi * sphere_area(n - 2) * 0.5)
-        return (const + lbeta) / r
-
-    def norm_ratio(self, r: float) -> float:
-        """||Q_m||_r / ||Q_m||_2 from the closed Beta/Gamma form, in log space."""
-        return math.exp(self.log_raw_norm(r) - self.log_raw_norm(2.0))
+def _hw_log_norm(n: int, m: int, r: float) -> float:
+    """log of the unnormalized L_r norm of Q_m, a Beta function of the exponent m r."""
+    lbeta = (
+        math.lgamma((m * r + 2.0) / 2.0)
+        + math.lgamma((n - 1.0) / 2.0)
+        - math.lgamma((m * r + n + 1.0) / 2.0)
+    )
+    const = math.log(2.0 * math.pi * sphere_area(n - 2) * 0.5)
+    return (const + lbeta) / r
 
 
 def _check_hw_args(n: int, m: int, r: float) -> None:
@@ -366,13 +351,13 @@ def _check_hw_args(n: int, m: int, r: float) -> None:
 def hw_raw_norm(n: int, m: int, r: float) -> float:
     """Unnormalized L_r norm of the highest-weight harmonic Q_m."""
     _check_hw_args(n, m, r)
-    return math.exp(HighestWeightFamily(n, m).log_raw_norm(r))
+    return math.exp(_hw_log_norm(n, m, r))
 
 
 def hw_norm(n: int, m: int, r: float) -> float:
-    """||Q_m||_r / ||Q_m||_2 via the closed Beta/Gamma form."""
+    """||Q_m||_r / ||Q_m||_2 via the closed Beta/Gamma form, in log space."""
     _check_hw_args(n, m, r)
-    return HighestWeightFamily(n, m).norm_ratio(r)
+    return math.exp(_hw_log_norm(n, m, r) - _hw_log_norm(n, m, 2.0))
 
 
 def hw_norm_quad(n: int, m: int, r: float) -> float:

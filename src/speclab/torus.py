@@ -25,7 +25,6 @@ __all__ = [
     "Displacement",
     "SmoothingWindow",
     "default_direction",
-    "enumeration_limit",
     "check_radius",
     "eigenvalue_count",
     "spectral_function_torus",
@@ -36,15 +35,8 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
-_RADIUS_LIMIT = {2: 1500.0, 3: 200.0}
-
-
-def enumeration_limit(n: int) -> float:
-    """Largest supported radius for dimension n; it bounds the work of one sum."""
-    try:
-        return _RADIUS_LIMIT[n]
-    except KeyError:
-        raise DomainError(f"torus dimension must be 2 or 3, got {n}") from None
+# largest supported radius per dimension; it bounds the work of one sum
+_RADIUS_CAP = {2: 1500, 3: 200}
 
 
 def check_radius(n: int, radius: float) -> None:
@@ -53,12 +45,13 @@ def check_radius(n: int, radius: float) -> None:
     A probe calls this once with the largest radius its grid needs, so a run
     past the cap exits before any sum starts.
     """
-    limit = enumeration_limit(n)
+    if n not in _RADIUS_CAP:
+        raise DomainError(f"torus dimension must be 2 or 3, got {n}")
     if radius < 0.0:
         raise DomainError(f"radius must be >= 0, got {radius}")
-    if radius > limit:
+    if radius > _RADIUS_CAP[n]:
         raise ResourceLimitError(
-            f"radius {radius:g} exceeds the n={n} enumeration limit of {limit:g}"
+            f"radius {radius:g} exceeds the n={n} radius cap of {_RADIUS_CAP[n]}"
         )
 
 
@@ -123,12 +116,9 @@ class SmoothingWindow:
     eps <= 5.5, so it dominates a quarter of the unit band indicator.
     """
 
-    shape: str = "sinc4"
     eps: float = 4.0
 
     def __post_init__(self) -> None:
-        if self.shape != "sinc4":
-            raise DomainError(f"unknown window shape {self.shape!r}")
         if not (self.eps > 0.0 and math.isfinite(self.eps)):
             raise DomainError(f"window eps must be positive and finite, got {self.eps}")
 
@@ -200,14 +190,14 @@ def eigenvalue_count(n: int, lam: float) -> int:
 
 @functools.lru_cache(maxsize=2)
 def _shells(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The lattice shells |k|^2 = j <= limit^2 of T^n, n = 2 or 3, built once per n.
+    """The lattice shells |k|^2 = j <= cap^2 of T^n, n = 2 or 3, built once per n.
 
     Returns the ascending j with r_n(j) > 0 (int64), the radii sqrt(j) and the
     multiplicities r_n(j), both float64; all three are read-only.  r_2 counts
     a^2 + b^2 over the quadrant a >= 1, b >= 0, whose four rotations tile
     Z^2 minus the origin; r_3(j) = sum_c r_2(j - c^2).
     """
-    top = int(enumeration_limit(n))
+    top = _RADIUS_CAP[n]
     bound = top * top
     a = np.arange(1, top + 1, dtype=np.int64)
     b = np.arange(0, top + 1, dtype=np.int64)

@@ -94,6 +94,23 @@ class TestRunCommand:
         assert "3000" in err and "2448" in err
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            # tau reaches 6 at lambda = 1, past pi on S^2
+            ["hoelder", "--manifold", "sphere", "--delta", "0.5", "--grid", "1,2,3"],
+            # past pi/max|d_i| = 3.73 for the default torus direction
+            ["hoelder", "--manifold", "torus", "--delta", "0.5", "--grid", "1,2,3"],
+            ["offdiag", "--manifold", "torus", "--tau", "20", "--grid", "1,2,3"],
+        ],
+        ids=["hoelder-sphere", "hoelder-torus", "offdiag-torus"],
+    )
+    def test_tau_past_minimizing_distance_refused(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_command(argv + ["--out", str(out)]) == 2
+        assert "tau/lambda exceeds pi" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "argv,entry",
         [
             (["nodal", "--grid", "20.5,40.5,60.5"], "20.5"),

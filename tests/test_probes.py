@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from speclab import torus
+from speclab import sphere, torus
 from speclab.analytic import MultiIndex, gauss_legendre_rule, phi_kernel_zero, weyl_constant
 from speclab.errors import DomainError
 from speclab.probes import (
@@ -152,6 +152,15 @@ class TestOffdiagProbe:
         with pytest.raises(DomainError):
             probe_offdiag("sphere", 2, 80.0, [20])
 
+    def test_torus_distance_cap_follows_direction(self):
+        # along (1, 1) the displacement first wraps at pi/max|d_i| = pi sqrt(2)
+        reach = math.pi * math.sqrt(2.0)
+        probe_offdiag("torus", 2, 0.99 * reach, [1.0, 2.0], direction=(1.0, 1.0))
+        with pytest.raises(DomainError, match="tau/lambda exceeds pi/max"):
+            probe_offdiag("torus", 2, 1.01 * reach, [1.0, 2.0], direction=(1.0, 1.0))
+        with pytest.raises(DomainError, match="tau/lambda exceeds pi/max"):
+            probe_hoelder("torus", 2, 0.5, [1.01 * reach], [1.0, 2.0], direction=(1.0, 1.0))
+
     def test_direction_override_changes_rows(self):
         a = probe_offdiag("torus", 2, 2.0, SMALL_LAMBDAS)
         b = probe_offdiag("torus", 2, 2.0, SMALL_LAMBDAS, direction=(1.0, 0.0))
@@ -209,6 +218,65 @@ class TestBandProbe:
         wit = res.extra["sqrt_band_norm_witness"]
         assert all(v == pytest.approx(math.sqrt(r.raw) / r.abscissa**0.5, rel=1e-12)
                    for v, r in zip(wit, res.rows))
+
+
+def _unit(direction):
+    d = np.asarray(direction, dtype=float)
+    return d / math.sqrt(float(np.sum(d * d)))
+
+
+def _band_reference(manifold, n, direction):
+    """The band kernel at dist(x, y) = dist, from the public torus and sphere sums."""
+    if manifold == "sphere":
+        return lambda lam, dist: sphere.band_kernel_sphere(n, math.cos(dist), lam)
+    d = torus.default_direction(n) if direction is None else _unit(direction)
+
+    def band(lam, dist):
+        if dist == 0.0:
+            return torus.band_diagonal_sum(n, lam)
+        u = torus.Displacement.from_vector(d * dist)
+        return torus.spectral_function_torus(n, u, lam + 1.0) - torus.spectral_function_torus(
+            n, u, lam
+        )
+
+    return band
+
+
+BAND_CASES = [
+    ("torus", 2, None, [20.0, 45.0, 70.0]),
+    ("torus", 2, (1.0, -2.0), [20.0, 45.0, 70.0]),
+    ("torus", 3, None, [10.0, 25.0, 40.0]),
+    ("torus", 3, (1.0, 2.0, 3.0), [10.0, 25.0, 40.0]),
+    ("sphere", 2, None, [20.0, 45.0, 70.0]),
+    ("sphere", 3, None, [10.0, 25.0, 40.0]),
+]
+
+
+class TestKernelAssembly:
+    """hoelder and band rows, bit for bit, against a loop over the public kernels."""
+
+    @pytest.mark.parametrize("manifold,n,direction,lambdas", BAND_CASES)
+    def test_hoelder_rows(self, manifold, n, direction, lambdas):
+        delta, taus = 0.4, [0.5, 1.5, 3.0, 6.0]
+        band = _band_reference(manifold, n, direction)
+        expected = []
+        for lam in lambdas:
+            k0 = band(lam, 0.0)
+            quotients = [2.0 * (k0 - band(lam, t / lam)) / (t / lam) ** (2.0 * delta) for t in taus]
+            expected.append(max([0.0] + quotients))
+        res = probe_hoelder(manifold, n, delta, taus, lambdas, direction=direction)
+        assert [r.raw for r in res.rows] == expected
+        assert res.abscissae() == lambdas
+
+    @pytest.mark.parametrize("manifold,n,lambdas", [(m, n, g) for m, n, d, g in BAND_CASES if d is None])
+    def test_band_rows(self, manifold, n, lambdas):
+        if manifold == "torus":
+            expected = [torus.band_diagonal_sum(n, lam) for lam in lambdas]
+        else:
+            expected = [sphere.band_kernel_sphere(n, 1.0, lam) for lam in lambdas]
+        res = probe_band(manifold, n, lambdas)
+        assert [r.raw for r in res.rows] == expected
+        assert res.abscissae() == lambdas
 
 
 class TestHoelderProbe:
