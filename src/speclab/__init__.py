@@ -6,6 +6,11 @@ asymptotics (local Weyl law, off-diagonal kernel limits, norm-growth
 exponents, nodal geometry) can be measured rather than merely cited.
 """
 
+import os
+
+# OpenBLAS reads this once, when numpy loads it; its idle worker thread would only spin
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .analytic import (
     MultiIndex,
     PhiValue,

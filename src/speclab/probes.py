@@ -22,7 +22,7 @@ from .analytic import (
     phi_kernel,
     weyl_constant,
 )
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 from .sphere import ZonalFamily, eigen_level
 from .torus import Displacement, SmoothingWindow
 
@@ -54,6 +54,12 @@ FIT_DISCARD_FRACTION = 0.2
 # a predicted limit this small relative to the diagonal constant counts as
 # an exact zero of the prediction (ratio columns are then left blank)
 _ZERO_LIMIT_REL = 1e-8
+
+# largest summed degree of a cksigma or nodal grid: each degree m costs O(m)
+# recurrence steps, about 7 us per unit of degree for nodal and cksigma
+# --sigma 1 and 27 us for 0 < sigma < 1 (2 cores), so a run at the budget
+# takes under 1 s or about 3 s; the default grid sums to 4200
+ZONAL_DEGREE_BUDGET = 100_000
 
 
 @dataclass(frozen=True)
@@ -179,6 +185,14 @@ def _degree_grid(n: int, grid) -> tuple[list[int], list[float]]:
     lambdas = [eigen_level(n, m).eigenvalue for m in ms]
     _check_grid(ms, "degree grid")
     return ms, lambdas
+
+
+def _check_zonal_budget(ms: list[int]) -> None:
+    total = sum(ms)
+    if total > ZONAL_DEGREE_BUDGET:
+        raise ResourceLimitError(
+            f"degree grid sums to {total}, past the budget of {ZONAL_DEGREE_BUDGET} summed degrees"
+        )
 
 
 def _rows(abscissae, raws, limit, exponent) -> list[ProbeRow]:
@@ -461,6 +475,7 @@ def probe_cksigma(sigma: float, m_grid=None, *, n: int = 2) -> ProbeResult:
     if not 0.0 <= sigma <= 1.0:
         raise DomainError(f"sigma must lie in [0, 1], got {sigma}")
     ms, lambdas = _degree_grid(n, m_grid)
+    _check_zonal_budget(ms)
 
     def one(m: int, lam: float) -> float:
         if sigma == 0.0:
@@ -503,6 +518,7 @@ def probe_nodal(m_grid=None, *, n: int = 2) -> ProbeResult:
     the cap inner radius and the Nadirashvili ratio per row.
     """
     ms, lambdas = _degree_grid(n, m_grid)
+    _check_zonal_budget(ms)
 
     out = [(sphere.nodal_gap_zonal(n, m), sphere.nadirashvili_ratio(n, m)) for m in ms]
     limit = _nodal_limit(n)

@@ -236,6 +236,8 @@ def spectral_function_torus(n: int, u: Displacement, lam: float, *, enum=None) -
         kernel = (2 * w + 1).astype(np.float64)
     else:
         kernel = np.sin((w + 0.5) * x) / math.sin(0.5 * x)
+    # dgemv fuses multiply-adds: written out elementwise, p . u' rounds differently
+    # (up to 4.4e-16 at n = 3) and the tables would change
     return float(np.sum(np.cos(p @ u.u[:-1]) * kernel)) / TWO_PI ** n
 
 

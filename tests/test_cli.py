@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import speclab
-from speclab import output, probes, torus
+from speclab import output, probes, sphere, torus
 from speclab.analytic import weyl_constant
 from speclab.cli import _parse_grid, load_config_file, run_command
 from speclab.errors import ConfigError, DomainError, NumericError
@@ -258,13 +258,25 @@ class TestStrictInputs:
         assert not out.exists()
 
 
-def _run_cli(argv, out_dir, limit_memory=False):
-    env = dict(os.environ, PYTHONPATH=str(Path(speclab.__file__).parents[1]))
+def _child_env(blas_threads: str | None = None) -> dict:
+    """os.environ with speclab importable and OPENBLAS_NUM_THREADS set to blas_threads.
+
+    With blas_threads None the variable is dropped: this process imported
+    speclab, which set it, so a plain copy would pass it on by inheritance.
+    """
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(speclab.__file__).parents[1])
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    return env
+
+
+def _run_cli(argv, out_dir, limit_memory=False, blas_threads=None):
     return subprocess.run(
         [sys.executable, "-m", "speclab.cli", *argv, "--out", str(out_dir)],
         capture_output=True,
         text=True,
-        env=env,
+        env=_child_env(blas_threads),
         timeout=120,
         preexec_fn=_limit_address_space if limit_memory else None,
     )
@@ -318,6 +330,31 @@ class TestResourceLimits:
         assert "radius 201 exceeds" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["nodal", "--grid", "1000000,1000001"],
+            ["cksigma", "--sigma", "1", "--grid", "200000,200001"],
+            ["cksigma", "--sigma", "0.5", "--grid", "50000,50001"],
+        ],
+        ids=["nodal", "cksigma-1", "cksigma-0.5"],
+    )
+    def test_zonal_degree_budget_refused_before_any_work(self, argv, monkeypatch, tmp_path, capsys):
+        # each grid sums past the budget; the nodal one would compute for about 15 s
+        calls = []
+        real = sphere.ZonalFamily.create.__func__
+
+        def counting(cls, n, m):
+            calls.append(m)
+            return real(cls, n, m)
+
+        monkeypatch.setattr(sphere.ZonalFamily, "create", classmethod(counting))
+        out = tmp_path / "out"
+        assert run_command(argv + ["--out", str(out)]) == 3
+        assert calls == []
+        assert f"budget of {probes.ZONAL_DEGREE_BUDGET} summed degrees" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestThreadsFlag:
     """--threads is accepted for compatibility: validated, but it selects nothing."""
@@ -351,6 +388,55 @@ class TestThreadsFlag:
                                 "--formats", "csv,json", "--out", str(out)]) == 0
             tables[threads] = [p.read_bytes() for p in _files(out, ".csv") + _files(out, ".json")]
         assert len(tables["1"]) == 3  # csv, json table, summary.json
+        assert tables["1"] == tables["2"]
+
+
+_PROC_STATUS = Path("/proc/self/status")
+
+
+@pytest.mark.skipif(
+    not _PROC_STATUS.exists() or (os.cpu_count() or 1) < 2,
+    reason="needs /proc/self/status and at least two CPUs, where OpenBLAS would start a worker",
+)
+class TestBlasThreads:
+    """A CLI run is one thread: speclab sets OPENBLAS_NUM_THREADS=1 unless the caller set it."""
+
+    SCRIPT = (
+        "import os\n"
+        "import speclab.cli\n"
+        "status = open('/proc/self/status').read().splitlines()\n"
+        "print(next(line for line in status if line.startswith('Threads:')).split()[1])\n"
+        "print(os.environ['OPENBLAS_NUM_THREADS'])\n"
+    )
+
+    @pytest.mark.parametrize("blas_threads, expected", [(None, ["1", "1"]), ("2", ["2", "2"])])
+    def test_thread_count_and_caller_setting(self, blas_threads, expected):
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT],
+            capture_output=True,
+            text=True,
+            env=_child_env(blas_threads),
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == expected
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["offdiag", "--manifold", "torus", "--n", "3", "--tau", "1.5", "--grid", "50:200:50"],
+         ["selftest"]],
+        ids=["offdiag-torus-n3", "selftest"],
+    )
+    def test_tables_identical_across_blas_threads(self, argv, tmp_path):
+        # the two BLAS calls (dgemv in torus.spectral_function_torus and in
+        # selftest) must not depend on how OpenBLAS splits the rows
+        tables = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"blas{threads}"
+            proc = _run_cli(argv, out, blas_threads=threads)
+            assert proc.returncode == 0, proc.stderr
+            tables[threads] = [p.read_bytes() for p in _files(out, ".csv") + _files(out, ".json")]
+        assert len(tables["1"]) >= 3
         assert tables["1"] == tables["2"]
 
 
