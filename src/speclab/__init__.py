@@ -13,7 +13,6 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .analytic import (
     MultiIndex,
-    PhiValue,
     QuadratureRule,
     ball_moment,
     deriv_weyl_constant,
@@ -32,7 +31,6 @@ from .errors import (
     ConfigError,
     DomainError,
     NumericError,
-    RangeError,
     ResourceLimitError,
     SpecLabError,
 )

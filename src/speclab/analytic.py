@@ -13,12 +13,11 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .errors import DomainError, NumericError, RangeError
+from .errors import DomainError, NumericError
 
 __all__ = [
     "MultiIndex",
     "QuadratureRule",
-    "PhiValue",
     "gamma",
     "double_factorial",
     "ball_volume",
@@ -117,15 +116,6 @@ class QuadratureRule:
         """Affinely mapped nodes and weights for integration over [a, b]."""
         half = 0.5 * (b - a)
         return a + half * (self.nodes + 1.0), half * self.weights
-
-
-@dataclass(frozen=True)
-class PhiValue:
-    """The radial kernel Phi_n evaluated at a rescaled distance tau."""
-
-    n: int
-    tau: float
-    value: float
 
 
 # --------------------------------------------------------------------------
@@ -463,7 +453,7 @@ def _grid_zeros(f, count: int, tau_max: float, what: str) -> list[float]:
     while len(zeros) < count:
         t_next = t + ZERO_GRID_STEP
         if t_next > tau_max:
-            raise RangeError(f"zero {count} of {what} lies beyond tau = {tau_max}")
+            raise DomainError(f"zero {count} of {what} lies beyond tau = {tau_max}")
         fnext = f(t_next)
         if flo == 0.0:
             zeros.append(t)
@@ -525,7 +515,7 @@ def phi_kernel_bessel(n: int, tau: float) -> float:
     raise DomainError(f"closed Bessel form only available for n in {{2, 3}}, got n={n}")
 
 
-def phi_kernel(n: int, tau: float) -> PhiValue:
+def phi_kernel(n: int, tau: float) -> float:
     """Phi_n(tau) by quadrature, cross-checked against the Bessel form for n in {2, 3}.
 
     Phi_n(0) equals the diagonal Weyl constant; the zeros of Phi_n mark the
@@ -544,7 +534,7 @@ def phi_kernel(n: int, tau: float) -> PhiValue:
             raise NumericError(
                 f"Phi_{n}({tau}): quadrature {value!r} and Bessel {other!r} routes disagree"
             )
-    return PhiValue(n=n, tau=tau, value=value)
+    return value
 
 
 def phi_kernel_zero(n: int, i: int) -> float:

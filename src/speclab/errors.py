@@ -9,10 +9,6 @@ class DomainError(SpecLabError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
-class RangeError(DomainError):
-    """A requested quantity lies beyond the supported search range."""
-
-
 class NumericError(SpecLabError, ArithmeticError):
     """An iteration failed to converge or a result would be numerically unsafe."""
 

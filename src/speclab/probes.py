@@ -23,7 +23,7 @@ from .analytic import (
     weyl_constant,
 )
 from .errors import DomainError, ResourceLimitError
-from .sphere import ZonalFamily, eigen_level
+from .sphere import ZonalFamily
 from .torus import Displacement, SmoothingWindow
 
 __all__ = [
@@ -60,6 +60,11 @@ _ZERO_LIMIT_REL = 1e-8
 # --sigma 1 and 27 us for 0 < sigma < 1 (2 cores), so a run at the budget
 # takes under 1 s or about 3 s; the default grid sums to 4200
 ZONAL_DEGREE_BUDGET = 100_000
+
+# largest summed degree of the Gegenbauer recurrences a sphere kernel grid
+# runs: one step costs 0.27-0.30 us at degree 10^6 (2 cores), so a run at the
+# budget takes about 3 s; the largest default grid, hoelder's, sums to 49,907
+KERNEL_DEGREE_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -182,17 +187,15 @@ def _degree_grid(n: int, grid) -> tuple[list[int], list[float]]:
     if bad:
         raise DomainError(f"degree grid entries must be integers, got {bad[0]!r}")
     ms = [int(m) for m in degrees]
-    lambdas = [eigen_level(n, m).eigenvalue for m in ms]
+    lambdas = [sphere.eigenvalue(n, m) for m in ms]
     _check_grid(ms, "degree grid")
     return ms, lambdas
 
 
-def _check_zonal_budget(ms: list[int]) -> None:
-    total = sum(ms)
-    if total > ZONAL_DEGREE_BUDGET:
-        raise ResourceLimitError(
-            f"degree grid sums to {total}, past the budget of {ZONAL_DEGREE_BUDGET} summed degrees"
-        )
+def _check_degree_budget(total: int, budget: int, what: str) -> None:
+    """Refuse, before any work, a grid whose recurrences sum past `budget` degrees."""
+    if total > budget:
+        raise ResourceLimitError(f"{what} sums to {total}, past the budget of {budget} summed degrees")
 
 
 def _rows(abscissae, raws, limit, exponent) -> list[ProbeRow]:
@@ -221,7 +224,7 @@ def _snap_phi_limit(n: int, tau: float) -> float:
     if tau == 0.0:
         # Phi_n(0) is the diagonal constant; avoid quadrature noise on it
         return weyl_constant(n)
-    value = phi_kernel(n, tau).value
+    value = phi_kernel(n, tau)
     if abs(value) < _ZERO_LIMIT_REL * weyl_constant(n):
         return 0.0
     return value
@@ -237,10 +240,11 @@ def _kernel(manifold: str, n: int, grid, direction, taus, *, band: bool = False)
     kernel(lam, dist) is e(x, y, lam) or, with band=True, the kernel of the
     band (lam, lam + 1] at dist(x, y) = dist; on the torus x - y is dist
     times the unit direction.  Sphere spectral grids are degrees pinned to
-    their eigenvalues; band grids and torus grids are thresholds.  Every
-    tau/lambda must stay within the minimizing distance along the direction:
-    pi on S^n, and pi/max|d_i| on T^n, past which some |u_i| > pi and the
-    displacement wraps to a shorter one.
+    their eigenvalues; band grids and torus grids are thresholds.  taus are
+    the rescaled distances the caller evaluates at each lambda, one kernel
+    call each.  Every tau/lambda must stay within the minimizing distance
+    along the direction: pi on S^n, and pi/max|d_i| on T^n, past which some
+    |u_i| > pi and the displacement wraps to a shorter one.
     """
     if manifold == "torus":
         lambdas = _lambda_grid(grid)
@@ -276,6 +280,14 @@ def _kernel(manifold: str, n: int, grid, direction, taus, *, band: bool = False)
         raise DomainError(f"manifold must be 'torus' or 'sphere', got {manifold!r}")
     if max(taus) / min(lambdas) > reach:
         raise DomainError(f"tau/lambda exceeds {reach_name}: no such {manifold} displacement")
+    if manifold == "sphere":
+        # a call runs one recurrence up to max_degree(lam); a band call, a
+        # second one up to max_degree(lam + 1)
+        steps = sum(
+            sphere.max_degree(n, lam) + (sphere.max_degree(n, lam + 1.0) if band else 0)
+            for lam in lambdas
+        )
+        _check_degree_budget(len(taus) * steps, KERNEL_DEGREE_BUDGET, "sphere kernel grid")
     return lambdas, band_kernel if band else spectral
 
 
@@ -324,7 +336,7 @@ def probe_difference(
 ) -> ProbeResult:
     """Square-sum of eigenfunction differences via 2(e_diag - e_offdiag)."""
     limit = 2.0 * (weyl_constant(n) - _snap_phi_limit(n, tau))
-    lambdas, kernel = _kernel(manifold, n, lambda_grid, direction, (tau,))
+    lambdas, kernel = _kernel(manifold, n, lambda_grid, direction, (0.0, tau))
     offs = [kernel(lam, tau / lam) for lam in lambdas]
     diags = [kernel(lam, 0.0) for lam in lambdas]
     raws = [2.0 * (d - o) for d, o in zip(diags, offs)]
@@ -395,7 +407,7 @@ def probe_hoelder(
     taus = [float(t) for t in (tau_grid if tau_grid is not None else default_tau_grid())]
     if not taus or any(t <= 0.0 or t > 10.0 for t in taus):
         raise DomainError("tau grid must lie in (0, 10]")
-    lambdas, band = _kernel(manifold, n, lambda_grid, direction, taus, band=True)
+    lambdas, band = _kernel(manifold, n, lambda_grid, direction, (0.0, *taus), band=True)
 
     def one(lam: float) -> float:
         best = 0.0
@@ -461,7 +473,7 @@ def _hoelder_proxy(n: int, m: int, lam: float, delta: float) -> float:
     base = np.linspace(0.0, 10.0 / lam, 201)
     seps = np.exp(np.linspace(math.log(0.1 / lam), math.log(10.0 / lam), 25))
     # row 0 is the base points, row i the base points shifted by seps[i-1]
-    z = fam.eval(np.concatenate(([0.0], seps))[:, None] + base)
+    z = fam.at(np.cos(np.concatenate(([0.0], seps))[:, None] + base))
     diffs = np.max(np.abs(z[1:] - z[0]), axis=1)
     return max(float(d) / h ** delta for d, h in zip(diffs, seps))
 
@@ -475,7 +487,7 @@ def probe_cksigma(sigma: float, m_grid=None, *, n: int = 2) -> ProbeResult:
     if not 0.0 <= sigma <= 1.0:
         raise DomainError(f"sigma must lie in [0, 1], got {sigma}")
     ms, lambdas = _degree_grid(n, m_grid)
-    _check_zonal_budget(ms)
+    _check_degree_budget(sum(ms), ZONAL_DEGREE_BUDGET, "degree grid")
 
     def one(m: int, lam: float) -> float:
         if sigma == 0.0:
@@ -518,25 +530,25 @@ def probe_nodal(m_grid=None, *, n: int = 2) -> ProbeResult:
     the cap inner radius and the Nadirashvili ratio per row.
     """
     ms, lambdas = _degree_grid(n, m_grid)
-    _check_zonal_budget(ms)
+    _check_degree_budget(sum(ms), ZONAL_DEGREE_BUDGET, "degree grid")
 
-    out = [(sphere.nodal_gap_zonal(n, m), sphere.nadirashvili_ratio(n, m)) for m in ms]
-    limit = _nodal_limit(n)
+    thetas = [sphere.nodal_gap_zonal(n, m) for m in ms]
+    ratios = [sphere.nadirashvili_ratio(n, m) for m in ms]
     rows = [
-        ProbeRow(abscissa=float(m), raw=gap.product_with_eigenvalue, ratio=gap.product_with_eigenvalue)
-        for m, (gap, _) in zip(ms, out)
+        ProbeRow(abscissa=float(m), raw=lam * theta, ratio=lam * theta)
+        for m, lam, theta in zip(ms, lambdas, thetas)
     ]
     return ProbeResult(
         probe="nodal",
         params={"manifold": "sphere", "n": n},
         rows=rows,
-        predicted_limit=limit,
+        predicted_limit=_nodal_limit(n),
         predicted_exponent=0.0,
         extra={
             "fit_abscissa": lambdas,
-            "theta_first_zero": [gap.theta_first_zero for gap, _ in out],
-            "cap_inner_radius": [gap.inner_radius_polar_cap for gap, _ in out],
-            "nadirashvili_ratio": [ratio for _, ratio in out],
+            "theta_first_zero": thetas,
+            "cap_inner_radius": thetas,
+            "nadirashvili_ratio": ratios,
         },
     )
 

@@ -54,7 +54,7 @@ def check_gamma_recursion() -> None:
 
 def check_phi_weyl_constant() -> None:
     for n in (2, 3, 4, 5):
-        assert abs(phi_kernel(n, 0.0).value - weyl_constant(n)) <= 1e-12
+        assert abs(phi_kernel(n, 0.0) - weyl_constant(n)) <= 1e-12
 
 
 def check_phi_dual_routes() -> None:

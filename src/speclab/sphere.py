@@ -28,9 +28,8 @@ from .analytic import (
 from .errors import DomainError, NumericError, ResourceLimitError
 
 __all__ = [
-    "SphereEigenLevel",
     "ZonalFamily",
-    "eigen_level",
+    "eigenvalue",
     "multiplicity",
     "max_degree",
     "band_degrees",
@@ -43,8 +42,6 @@ __all__ = [
     "zonal_gradient_sup",
     "hw_norm",
     "hw_norm_quad",
-    "hw_raw_norm",
-    "NodalGap",
     "nodal_gap_zonal",
     "nadirashvili_ratio",
     "sobolev_scale",
@@ -56,29 +53,25 @@ def _check_dim(n: int) -> None:
         raise DomainError(f"sphere dimension must be >= 2, got {n}")
 
 
-def multiplicity(n: int, m: int) -> int:
-    """dim of the degree-m eigenspace, (2m+n-1)(m+n-2)! / (m!(n-1)!), exact."""
+def _check_degree(n: int, m: int) -> None:
     _check_dim(n)
     if m < 0:
         raise DomainError(f"degree must be >= 0, got {m}")
+
+
+def multiplicity(n: int, m: int) -> int:
+    """dim of the degree-m eigenspace, (2m+n-1)(m+n-2)! / (m!(n-1)!), exact."""
+    _check_degree(n, m)
     num = (2 * m + n - 1) * math.comb(m + n - 2, n - 2)
     if num % (n - 1):
         raise ArithmeticError("multiplicity formula did not divide exactly")
     return num // (n - 1)
 
 
-@dataclass(frozen=True)
-class SphereEigenLevel:
-    n: int
-    m: int
-    eigenvalue: float  # sqrt(m(m+n-1))
-    multiplicity: int
-
-
-def eigen_level(n: int, m: int) -> SphereEigenLevel:
-    """Degree-m eigenvalue level of S^n with exact integer multiplicity."""
-    d = multiplicity(n, m)
-    return SphereEigenLevel(n=n, m=m, eigenvalue=math.sqrt(m * (m + n - 1)), multiplicity=d)
+def eigenvalue(n: int, m: int) -> float:
+    """sqrt(m(m+n-1)): the degree-m eigenvalue of S^n as a frequency."""
+    _check_degree(n, m)
+    return math.sqrt(m * (m + n - 1))
 
 
 def max_degree(n: int, lam: float) -> int:
@@ -167,9 +160,7 @@ class ZonalFamily:
 
     @classmethod
     def create(cls, n: int, m: int) -> "ZonalFamily":
-        _check_dim(n)
-        if m < 0:
-            raise DomainError(f"degree must be >= 0, got {m}")
+        # multiplicity checks n and m
         return cls(n=n, m=m, scale=math.sqrt(multiplicity(n, m) / sphere_area(n)))
 
     @property
@@ -187,25 +178,12 @@ class ZonalFamily:
         sin_th = np.sqrt((1.0 - t) * (1.0 + t))
         return -self.scale * sin_th * der / gegenbauer_at_one(self.m, self.nu)
 
-    def eval(self, theta):
-        out = self.at(np.cos(np.asarray(theta, dtype=float)))
-        return float(out) if out.ndim == 0 else out
-
-    def gradient(self, theta):
-        """d/dtheta of the zonal profile for theta in [0, pi]; exactly zero at both poles.
-
-        It is taken at arccos(cos theta), the colatitude that cos(theta)
-        represents, so theta = math.pi, where cos is exactly -1, gives 0.
-        """
-        out = self.slope_at(np.cos(np.asarray(theta, dtype=float)))
-        return float(out) if out.ndim == 0 else out
-
 
 def zonal_eval(n: int, m: int, theta: float) -> float:
     """L_2-normalized zonal harmonic at colatitude theta in [0, pi]."""
     if theta < 0.0 or theta > math.pi:
         raise DomainError("theta must lie in [0, pi]")
-    return float(ZonalFamily.create(n, m).eval(theta))
+    return float(ZonalFamily.create(n, m).at(np.cos(theta)))
 
 
 def _zonal_quad_order(n: int, m: int, r: float) -> int:
@@ -257,7 +235,7 @@ def _piecewise_zonal_integral(fam: ZonalFamily, r: float) -> float:
     width = np.diff(edges)[:, None]
     theta = (edges[:-1, None] + width * (u * u * (3.0 - 2.0 * u))).ravel()
     w = (width * (3.0 * u * (1.0 - u) * rule.weights)).ravel()
-    profile = np.abs(fam.eval(theta))
+    profile = np.abs(fam.at(np.cos(theta)))
     return float(np.sum(w * profile**r * np.sin(theta) ** (fam.n - 1)))
 
 
@@ -348,12 +326,6 @@ def _check_hw_args(n: int, m: int, r: float) -> None:
         raise DomainError(f"highest-weight norms require finite r >= 2, got {r}")
 
 
-def hw_raw_norm(n: int, m: int, r: float) -> float:
-    """Unnormalized L_r norm of the highest-weight harmonic Q_m."""
-    _check_hw_args(n, m, r)
-    return math.exp(_hw_log_norm(n, m, r))
-
-
 def hw_norm(n: int, m: int, r: float) -> float:
     """||Q_m||_r / ||Q_m||_2 via the closed Beta/Gamma form, in log space."""
     _check_hw_args(n, m, r)
@@ -384,28 +356,15 @@ def hw_norm_quad(n: int, m: int, r: float) -> float:
 # nodal geometry of the zonal family
 
 
-@dataclass(frozen=True)
-class NodalGap:
-    theta_first_zero: float
-    inner_radius_polar_cap: float
-    product_with_eigenvalue: float
-
-
-def nodal_gap_zonal(n: int, m: int) -> NodalGap:
-    """First zonal zero colatitude: the polar nodal domain is the cap it bounds.
+def nodal_gap_zonal(n: int, m: int) -> float:
+    """theta_1, the colatitude of the first zero of Z_m: the polar nodal domain is the cap it bounds.
 
     The pole is the concentration point, so theta_1 is simultaneously the
     nodal distance from the concentrating set and the cap's inner radius.
     """
     if m < 1:
         raise DomainError("nodal gap requires degree >= 1")
-    theta1 = math.acos(gegenbauer_largest_zero(m, (n - 1) / 2.0))
-    lam = eigen_level(n, m).eigenvalue
-    return NodalGap(
-        theta_first_zero=theta1,
-        inner_radius_polar_cap=theta1,
-        product_with_eigenvalue=lam * theta1,
-    )
+    return math.acos(gegenbauer_largest_zero(m, (n - 1) / 2.0))
 
 
 def nadirashvili_ratio(n: int, m: int) -> float:

@@ -41,7 +41,7 @@ from speclab.probes import (
 )
 from speclab.sphere import (
     band_kernel_sphere,
-    eigen_level,
+    eigenvalue,
     hw_norm,
     hw_norm_quad,
     nadirashvili_ratio,
@@ -106,7 +106,7 @@ def test_criterion_04_offdiagonal_asymptotics():
     with _Budget("criterion 4: off-diagonal asymptotics", 30.0):
         tol = 0.02 * weyl_constant(2)
         tau_zero = phi_kernel_zero(2, 1)
-        phi_2 = phi_kernel(2, 2.0).value
+        phi_2 = phi_kernel(2, 2.0)
         for manifold in ("torus", "sphere"):
             grid = LAMBDA_GRID if manifold == "torus" else DEGREE_GRID
             at_2 = probe_offdiag(manifold, 2, 2.0, grid)
@@ -120,7 +120,7 @@ def test_criterion_04_offdiagonal_asymptotics():
 def test_criterion_05_difference_formula():
     with _Budget("criterion 5: difference formula", 10.0):
         res = probe_difference("torus", 2, 2.0, LAMBDA_GRID)
-        target = 2.0 * (weyl_constant(2) - phi_kernel(2, 2.0).value)
+        target = 2.0 * (weyl_constant(2) - phi_kernel(2, 2.0))
         tol = 0.02 * 2.0 * weyl_constant(2)
         assert abs(res.rows[-1].ratio - target) <= tol
 
@@ -161,7 +161,7 @@ def test_criterion_09_cksigma_equivalence():
 
 def test_criterion_10_nodal_geometry():
     with _Budget("criterion 10: nodal geometry", 30.0):
-        product = nodal_gap_zonal(2, 300).product_with_eigenvalue
+        product = eigenvalue(2, 300) * nodal_gap_zonal(2, 300)
         assert 2.393 <= product <= 2.417
         oracle = bessel_j0_zero(1)  # recomputed by bisection, not hard-coded
         assert abs(product / oracle - 1.0) <= 0.005
@@ -179,7 +179,7 @@ def test_criterion_11_smoothed_sums():
 def test_criterion_12_analytic_cross_checks():
     with _Budget("criterion 12: analytic cross-checks", 5.0):
         for n in (2, 3, 4, 5):
-            assert abs(phi_kernel(n, 0.0).value - weyl_constant(n)) <= 1e-12
+            assert abs(phi_kernel(n, 0.0) - weyl_constant(n)) <= 1e-12
         taus = np.arange(0.0, 30.0001, 0.1)
         for n in (2, 3):
             sup = max(

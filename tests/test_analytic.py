@@ -29,7 +29,7 @@ from speclab.analytic import (
     _gegenbauer_pair,
     _phi_quadrature,
 )
-from speclab.errors import DomainError, NumericError, RangeError
+from speclab.errors import DomainError, NumericError
 
 TWO_PI = 2.0 * math.pi
 
@@ -203,12 +203,11 @@ class TestGegenbauer:
                         assert float(got[1]) == float(ref[1]) == array_prev[i], (m, nu, t)
 
     def test_scalar_callers_keep_their_types(self):
-        from speclab.sphere import ZonalFamily, zonal_eval
+        from speclab.sphere import zonal_eval
 
         assert zonal_eval(2, 0, 1.0) == zonal_eval(2, 0, 0.0)
         for m in (0, 1, 2, 9):
             assert type(zonal_eval(2, m, 1.0)) is float
-            assert type(ZonalFamily.create(2, m).eval(0.7)) is float
             assert type(gegenbauer(m, 0.5, 0.3)) is float
 
 
@@ -365,14 +364,10 @@ class TestBessel:
 class TestPhiKernel:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_value_at_zero_is_weyl_constant(self, n):
-        assert phi_kernel(n, 0.0).value == pytest.approx(weyl_constant(n), abs=1e-12)
-
-    def test_fields(self):
-        pv = phi_kernel(3, 1.25)
-        assert pv.n == 3 and pv.tau == 1.25
+        assert phi_kernel(n, 0.0) == pytest.approx(weyl_constant(n), abs=1e-12)
 
     def test_vanishes_at_first_bessel_zero(self):
-        assert abs(phi_kernel(2, J1_ZERO_1).value) <= 1e-8
+        assert abs(phi_kernel(2, J1_ZERO_1)) <= 1e-8
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_quadrature_vs_bessel_sup(self, n):
@@ -406,7 +401,7 @@ class TestPhiKernelZero:
             assert abs(math.sin(z) - z * math.cos(z)) <= 1e-10 * (1.0 + z * z)
 
     def test_range_error(self):
-        with pytest.raises(RangeError):
+        with pytest.raises(DomainError, match=r"zero 100 of Phi_2 lies beyond tau = 200"):
             phi_kernel_zero(2, 100)
 
     def test_domain(self):

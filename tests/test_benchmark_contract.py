@@ -43,6 +43,12 @@ CASES = {
         {"probe": "offdiag", "manifold": "torus", "n": 3, "grid": [10.0, 20.0, 30.0],
          "tau": 1.25, "direction": [0.3, -1.1, 0.7]},
     ),
+    "difference-torus": (
+        ["difference", "--manifold", "torus", "--tau", "2.25", "--direction=-0.4,1.3",
+         "--grid", "20,40,60"],
+        {"probe": "difference", "manifold": "torus", "n": 2, "grid": SMALL, "tau": 2.25,
+         "direction": [-0.4, 1.3]},
+    ),
     "deriv-torus": (
         ["deriv", "--alpha", "1,0", "--beta", "1,0", "--grid", "20,40,60"],
         {"probe": "deriv", "manifold": "torus", "n": 2, "grid": SMALL,
@@ -83,6 +89,20 @@ CASES = {
         ["hoelder", "--manifold", "sphere", "--delta", "0.5", "--grid", "20,40,60"],
         {"probe": "hoelder", "manifold": "sphere", "n": 2, "grid": SMALL, "delta": 0.5,
          "taus": TAUS},
+    ),
+    "lp-zonal-r6": (
+        ["lp", "--family", "zonal", "--r", "6", "--s", "0.75", "--grid", "20,40,60"],
+        {"probe": "lp", "manifold": "sphere", "n": 2, "grid": [20, 40, 60],
+         "family": "zonal", "r": 6.0, "s": 0.75},
+    ),
+    "lp-hw-r4": (
+        ["lp", "--family", "hw", "--r", "4", "--s", "1.5", "--grid", "20,40,60"],
+        {"probe": "lp", "manifold": "sphere", "n": 2, "grid": [20, 40, 60],
+         "family": "hw", "r": 4.0, "s": 1.5},
+    ),
+    "cksigma-1": (
+        ["cksigma", "--sigma", "1", "--grid", "20,40,60"],
+        {"probe": "cksigma", "manifold": "sphere", "n": 2, "grid": [20, 40, 60], "sigma": 1.0},
     ),
     "nodal-sphere": (
         ["nodal", "--grid", "20,40,60"],

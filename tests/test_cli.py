@@ -355,6 +355,69 @@ class TestResourceLimits:
         assert f"budget of {probes.ZONAL_DEGREE_BUDGET} summed degrees" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv,total",
+        [
+            # one recurrence per point, up to the grid degree
+            (["weyl", "--manifold", "sphere", "--grid", "5000000,5000001"], 10_000_001),
+            (["offdiag", "--manifold", "sphere", "--tau", "1.5", "--grid", "5000000,5000001"],
+             10_000_001),
+            # the diagonal and the off-diagonal call: 2 (2,500,000 + 2,500,001)
+            (["difference", "--manifold", "sphere", "--tau", "2", "--grid", "2500000,2500001"],
+             10_000_002),
+            # one band call runs to max_degree(lam + 1) = 5,000,001 and max_degree(lam) = 5,000,000
+            (["band", "--manifold", "sphere", "--grid", "5000001"], 10_000_001),
+            # 1 + 12 default taus band calls: 13 (384,616 + 384,615)
+            (["hoelder", "--manifold", "sphere", "--delta", "0.5", "--grid", "384616"],
+             10_000_003),
+        ],
+        ids=["weyl", "offdiag", "difference", "band", "hoelder"],
+    )
+    def test_sphere_kernel_budget_refused_before_any_kernel_call(
+        self, argv, total, monkeypatch, tmp_path, capsys
+    ):
+        # each grid sums just past the budget, about 3 s of recurrences
+        calls = []
+        for name in ("spectral_function_sphere", "band_kernel_sphere"):
+            monkeypatch.setattr(sphere, name, lambda *args: calls.append(args))
+        out = tmp_path / "out"
+        assert run_command(argv + ["--out", str(out)]) == 3
+        assert calls == []
+        assert (
+            f"sums to {total}, past the budget of {probes.KERNEL_DEGREE_BUDGET} summed degrees"
+            in capsys.readouterr().err
+        )
+        assert total - probes.KERNEL_DEGREE_BUDGET <= 3
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_default_sphere_grids_within_budget(self, n, monkeypatch, tmp_path):
+        checked = []
+        real = probes._check_degree_budget
+
+        def recording(total, budget, what):
+            checked.append((total, budget))
+            real(total, budget, what)
+
+        monkeypatch.setattr(probes, "_check_degree_budget", recording)
+        runs = [
+            ["weyl", "--manifold", "sphere"],
+            ["offdiag", "--manifold", "sphere", "--tau", "1.5"],
+            ["difference", "--manifold", "sphere", "--tau", "2"],
+            ["band", "--manifold", "sphere"],
+            ["hoelder", "--manifold", "sphere", "--delta", "0.5"],
+            ["nodal"],
+            ["cksigma", "--sigma", "0"],
+            ["cksigma", "--sigma", "0.5"],
+            ["cksigma", "--sigma", "1"],
+        ]
+        for i, argv in enumerate(runs):
+            out = tmp_path / str(i)
+            assert run_command(argv + ["--n", str(n), "--formats", "csv", "--out", str(out)]) == 0
+        # every run went through the budget check once, at a tenth of it or less
+        assert len(checked) == len(runs)
+        assert all(total <= budget // 10 for total, budget in checked), checked
+
 
 class TestThreadsFlag:
     """--threads is accepted for compatibility: validated, but it selects nothing."""

@@ -24,7 +24,7 @@ from speclab.probes import (
     scaling_fit,
     _hoelder_proxy,
 )
-from speclab.sphere import ZonalFamily, eigen_level
+from speclab.sphere import ZonalFamily, eigenvalue
 from speclab.torus import SmoothingWindow
 
 SMALL_LAMBDAS = [50.0, 75.0, 100.0, 125.0, 150.0]
@@ -203,9 +203,7 @@ class TestBandProbe:
 
     def test_sphere_empty_bands_excluded_from_fit(self):
         # pinned eigenvalue grid has empty bands (gaps exceed 1): rows are zero
-        from speclab.sphere import eigen_level
-
-        lams = [eigen_level(2, m).eigenvalue for m in (20, 40, 60)]
+        lams = [eigenvalue(2, m) for m in (20, 40, 60)]
         res = probe_band("sphere", 2, lams)
         assert all(r.raw == 0.0 for r in res.rows)
         assert scaling_fit(res) is None
@@ -362,13 +360,13 @@ class TestCkSigmaProbe:
     def test_hoelder_proxy_matches_the_loop(self):
         # one (26, 201) array keeps the arithmetic of one evaluation per separation
         for n, m, delta in ((2, 40, 0.5), (3, 120, 0.25)):
-            lam = eigen_level(n, m).eigenvalue
+            lam = eigenvalue(n, m)
             fam = ZonalFamily.create(n, m)
             base = np.linspace(0.0, 10.0 / lam, 201)
-            zb = fam.eval(base)
+            zb = fam.at(np.cos(base))
             best = 0.0
             for h in np.exp(np.linspace(math.log(0.1 / lam), math.log(10.0 / lam), 25)):
-                best = max(best, float(np.max(np.abs(fam.eval(base + h) - zb))) / h ** delta)
+                best = max(best, float(np.max(np.abs(fam.at(np.cos(base + h)) - zb))) / h ** delta)
             assert _hoelder_proxy(n, m, lam, delta) == best
 
 
@@ -383,6 +381,17 @@ class TestNodalProbe:
             q for m, q in zip(res.abscissae(), res.extra["nadirashvili_ratio"]) if int(m) % 2
         ]
         assert all(q == pytest.approx(1.0, abs=1e-10) for q in odd_ratio)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_rows_and_extras_bit_for_bit(self, n):
+        res = probe_nodal(SMALL_DEGREES, n=n)
+        thetas = res.extra["theta_first_zero"]
+        assert thetas == [sphere.nodal_gap_zonal(n, m) for m in SMALL_DEGREES]
+        products = [eigenvalue(n, m) * theta for m, theta in zip(SMALL_DEGREES, thetas)]
+        assert [r.raw for r in res.rows] == products
+        assert [r.ratio for r in res.rows] == products
+        assert res.extra["cap_inner_radius"] == thetas
+        assert res.extra["fit_abscissa"] == [eigenvalue(n, m) for m in SMALL_DEGREES]
 
     def test_closed_form_row(self):
         res = probe_nodal([3, 4, 5])

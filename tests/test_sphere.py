@@ -23,10 +23,9 @@ from speclab.sphere import (
     addition_kernel,
     band_degrees,
     band_kernel_sphere,
-    eigen_level,
+    eigenvalue,
     hw_norm,
     hw_norm_quad,
-    hw_raw_norm,
     max_degree,
     multiplicity,
     nadirashvili_ratio,
@@ -45,16 +44,14 @@ P3_ZERO = 0.7745966692414834
 
 class TestEigenLevel:
     def test_examples(self):
-        lvl = eigen_level(2, 1)
-        assert lvl.eigenvalue == pytest.approx(math.sqrt(2.0)) and lvl.multiplicity == 3
-        assert eigen_level(2, 10).multiplicity == 21
-        assert eigen_level(2, 10).eigenvalue == pytest.approx(math.sqrt(110.0))
-        lvl3 = eigen_level(3, 2)
-        assert lvl3.eigenvalue == pytest.approx(math.sqrt(8.0)) and lvl3.multiplicity == 9
+        assert eigenvalue(2, 1) == pytest.approx(math.sqrt(2.0)) and multiplicity(2, 1) == 3
+        assert multiplicity(2, 10) == 21
+        assert eigenvalue(2, 10) == pytest.approx(math.sqrt(110.0))
+        assert eigenvalue(3, 2) == pytest.approx(math.sqrt(8.0)) and multiplicity(3, 2) == 9
 
     def test_degree_zero(self):
-        assert eigen_level(2, 0).eigenvalue == 0.0
-        assert eigen_level(5, 0).multiplicity == 1
+        assert eigenvalue(2, 0) == 0.0
+        assert multiplicity(5, 0) == 1
 
     def test_harmonic_polynomial_dimension_oracle(self):
         # dim H_m in n+1 ambient variables: C(n+m, m) - C(n+m-2, m-2)
@@ -78,9 +75,9 @@ class TestEigenLevel:
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            eigen_level(1, 3)
+            eigenvalue(1, 3)
         with pytest.raises(DomainError):
-            eigen_level(2, -1)
+            eigenvalue(2, -1)
 
 
 class TestMaxDegree:
@@ -92,13 +89,13 @@ class TestMaxDegree:
 
     def test_pinned_grid_includes_its_level(self):
         for m in (20, 137, 400):
-            lam = eigen_level(2, m).eigenvalue
+            lam = eigenvalue(2, m)
             assert max_degree(2, lam) == m
 
     def test_band_degrees(self):
         assert list(band_degrees(2, 10.0)) == [10]
         assert list(band_degrees(2, 0.5)) == [1]
-        assert list(band_degrees(2, eigen_level(2, 20).eigenvalue)) == []
+        assert list(band_degrees(2, eigenvalue(2, 20))) == []
 
 
 @st.composite
@@ -198,10 +195,10 @@ class TestSpectralFunction:
                 assert abs(gap) <= 1e-13 * scale
 
     def test_off_diagonal_tracks_phi(self):
-        lam = eigen_level(2, 400).eigenvalue
+        lam = eigenvalue(2, 400)
         for tau in (2.0, phi_kernel_zero(2, 1)):
             e = spectral_function_sphere(2, math.cos(tau / lam), lam)
-            assert abs(e / lam**2 - phi_kernel(2, tau).value) <= 0.02 * weyl_constant(2)
+            assert abs(e / lam**2 - phi_kernel(2, tau)) <= 0.02 * weyl_constant(2)
 
 
 class TestBandKernel:
@@ -212,7 +209,7 @@ class TestBandKernel:
         assert band_kernel_sphere(2, 1.0, 0.5) == 3.0 / FOUR_PI
 
     def test_empty_band_is_zero(self):
-        lam = eigen_level(2, 20).eigenvalue  # next level sits just beyond lam + 1
+        lam = eigenvalue(2, 20)  # next level sits just beyond lam + 1
         assert band_kernel_sphere(2, 1.0, lam) == 0.0
 
     def test_order_of_growth(self):
@@ -260,7 +257,7 @@ class TestClosedFormAgainstDegreeSum:
         ],
     )
     def test_against_mpmath_at_degree_400(self, n, t, expected):
-        lam = eigen_level(n, 400).eigenvalue
+        lam = eigenvalue(n, 400)
         diagonal = spectral_function_sphere(n, 1.0, lam)
         assert abs(spectral_function_sphere(n, t, lam) - expected) <= 5e-13 * diagonal
 
@@ -392,7 +389,7 @@ class TestZonalGradient:
     def test_bessel_limit_ratio(self):
         # d/dz J_0 = -J_1: the rescaled gradient sup approaches max |J_1|
         m = 300
-        lam = eigen_level(2, m).eigenvalue
+        lam = eigenvalue(2, m)
         ratio = zonal_gradient_sup(2, m) / (lam * zonal_norm(2, m, math.inf))
         grid = np.linspace(1.0, 3.0, 4001)
         max_j1 = max(abs(bessel_j1_like(x)) for x in grid)
@@ -400,7 +397,7 @@ class TestZonalGradient:
 
     def test_scaling_with_lambda(self):
         vals = [zonal_gradient_sup(2, m) for m in (50, 100, 200)]
-        lams = [eigen_level(2, m).eigenvalue for m in (50, 100, 200)]
+        lams = [eigenvalue(2, m) for m in (50, 100, 200)]
         slope = np.polyfit(np.log(lams), np.log(vals), 1)[0]
         assert slope == pytest.approx(1.5, abs=0.02)
 
@@ -408,8 +405,8 @@ class TestZonalGradient:
         # cos(math.pi) is exactly -1, so the south pole gives an exact zero;
         # sin(math.pi) = 1.2e-16 used to leave a spurious 5e10 there
         fam = ZonalFamily.create(10, 260)
-        assert fam.gradient(math.pi) == 0.0
-        assert fam.gradient(0.0) == 0.0
+        assert fam.slope_at(np.cos(math.pi)) == 0.0
+        assert fam.slope_at(np.cos(0.0)) == 0.0
 
     def test_high_dimension_reference(self):
         # 40-digit mpmath, |Z'| where Z'' = 0 nearest the pole: 2.23981448713e9
@@ -420,7 +417,7 @@ class TestZonalGradient:
     def test_never_below_a_dense_scan(self, n):
         for m in (2, 5, 40, 200):
             fam = ZonalFamily.create(n, m)
-            scan = float(np.max(np.abs(fam.gradient(np.linspace(0.0, math.pi, 200 * m + 1)))))
+            scan = float(np.max(np.abs(fam.slope_at(np.cos(np.linspace(0.0, math.pi, 200 * m + 1))))))
             assert scan <= zonal_gradient_sup(n, m) * (1.0 + 1e-14)
 
     def test_against_scipy_derivative(self):
@@ -455,7 +452,9 @@ class TestHighestWeight:
         assert hw_norm(2, 7, 2.0) == 1.0
 
     def test_raw_l2_closed_form(self):
-        assert hw_raw_norm(2, 1, 2.0) ** 2 == pytest.approx(8.0 * math.pi / 3.0, rel=1e-12)
+        # the unnormalized ||Q_1||_2^2 = Int sin^2(psi) over S^2 = 8 pi/3
+        raw = math.exp(sphere._hw_log_norm(2, 1, 2.0))
+        assert raw**2 == pytest.approx(8.0 * math.pi / 3.0, rel=1e-12)
 
     @pytest.mark.parametrize("m", [1, 2, 5, 19, 80, 250, 500])
     @pytest.mark.parametrize("r", [2.0, 4.0, 6.0])
@@ -481,20 +480,19 @@ class TestHighestWeight:
 
 class TestNodalGap:
     def test_closed_form_m3(self):
-        gap = nodal_gap_zonal(2, 3)
-        assert gap.theta_first_zero == pytest.approx(math.acos(P3_ZERO), abs=1e-12)
-        assert gap.product_with_eigenvalue == pytest.approx(2.371936897036044, abs=1e-9)
-        assert gap.inner_radius_polar_cap == gap.theta_first_zero
+        theta = nodal_gap_zonal(2, 3)
+        assert theta == pytest.approx(math.acos(P3_ZERO), abs=1e-12)
+        assert eigenvalue(2, 3) * theta == pytest.approx(2.371936897036044, abs=1e-9)
 
     def test_degree_one(self):
-        assert nodal_gap_zonal(2, 1).theta_first_zero == pytest.approx(math.pi / 2.0, abs=1e-12)
+        assert nodal_gap_zonal(2, 1) == pytest.approx(math.pi / 2.0, abs=1e-12)
 
     def test_bessel_limit(self):
-        gap = nodal_gap_zonal(2, 300)
-        assert abs(gap.product_with_eigenvalue / bessel_j0_zero(1) - 1.0) <= 0.005
+        product = eigenvalue(2, 300) * nodal_gap_zonal(2, 300)
+        assert abs(product / bessel_j0_zero(1) - 1.0) <= 0.005
 
     def test_products_decrease_to_limit(self):
-        prods = [nodal_gap_zonal(2, m).product_with_eigenvalue for m in (10, 30, 100, 300)]
+        prods = [eigenvalue(2, m) * nodal_gap_zonal(2, m) for m in (10, 30, 100, 300)]
         target = bessel_j0_zero(1)
         errs = [abs(p - target) for p in prods]
         assert all(a >= b for a, b in zip(errs, errs[1:]))
@@ -510,7 +508,7 @@ class TestZonalExtremaAgainstScipy:
         nu = (n - 1) / 2.0
         for m in self.DEGREES:
             ref = math.acos(float(np.max(special.roots_gegenbauer(m, nu)[0])))
-            assert nodal_gap_zonal(n, m).theta_first_zero == pytest.approx(ref, rel=1e-12)
+            assert nodal_gap_zonal(n, m) == pytest.approx(ref, rel=1e-12)
 
     def test_ratio(self, n):
         nu = (n - 1) / 2.0
