@@ -557,8 +557,8 @@ def probe_smoothed(n: int, window: SmoothingWindow | None = None, lambda_grid=No
     """Window-smoothed diagonal sums on the torus against the band growth order."""
     win = window if window is not None else SmoothingWindow()
     lambdas = _lambda_grid(lambda_grid)
-    torus.check_radius(n, max(lambdas) + win.truncation_radius)
-    raws = [torus.smoothed_diagonal_sum(n, lam, win) for lam in lambdas]
+    shells = torus.lattice_shells(n, max(lambdas) + win.truncation_radius)
+    raws = [torus.smoothed_diagonal_sum(n, lam, win, shells=shells) for lam in lambdas]
     return ProbeResult(
         probe="smoothed",
         params={"manifold": "torus", "n": n, "window": "sinc4", "eps": win.eps},

@@ -13,7 +13,6 @@ evaluated with numpy in a fixed order, so repeated runs are bit-identical.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -30,6 +29,7 @@ __all__ = [
     "spectral_function_torus",
     "derivative_diagonal_sum",
     "band_diagonal_sum",
+    "lattice_shells",
     "smoothed_diagonal_sum",
 ]
 
@@ -37,6 +37,10 @@ TWO_PI = 2.0 * math.pi
 
 # largest supported radius per dimension; it bounds the work of one sum
 _RADIUS_CAP = {2: 1500, 3: 200}
+
+# largest window eps: at |s| <= 1500 + T the window forms y = eps s/4 of at
+# most 1500 eps/4 + 1000 < 4e307, so y stays finite
+_EPS_MAX = 1e305
 
 
 def check_radius(n: int, radius: float) -> None:
@@ -47,7 +51,7 @@ def check_radius(n: int, radius: float) -> None:
     """
     if n not in _RADIUS_CAP:
         raise DomainError(f"torus dimension must be 2 or 3, got {n}")
-    if radius < 0.0:
+    if not radius >= 0.0:
         raise DomainError(f"radius must be >= 0, got {radius}")
     if radius > _RADIUS_CAP[n]:
         raise ResourceLimitError(
@@ -113,14 +117,15 @@ class SmoothingWindow:
 
     The sinc^4 shape rho(s) = (sin(eps s/4)/(eps s/4))^4 has Fourier support
     in [-eps, eps] by construction and stays >= 1/4 on |s| <= 1 for every
-    eps <= 5.5, so it dominates a quarter of the unit band indicator.
+    eps <= 5.5, so it dominates a quarter of the unit band indicator.  eps is
+    at most 1e305, which keeps eps s/4 finite over every shell a sum reads.
     """
 
     eps: float = 4.0
 
     def __post_init__(self) -> None:
-        if not (self.eps > 0.0 and math.isfinite(self.eps)):
-            raise DomainError(f"window eps must be positive and finite, got {self.eps}")
+        if not 0.0 < self.eps <= _EPS_MAX:
+            raise DomainError(f"window eps must lie in (0, {_EPS_MAX:g}], got {self.eps}")
 
     def value(self, s):
         """rho(s) elementwise: a fresh array, or a numpy scalar for scalar input.
@@ -188,27 +193,33 @@ def eigenvalue_count(n: int, lam: float) -> int:
     return int(np.sum(2 * w + 1))
 
 
-@functools.lru_cache(maxsize=2)
-def _shells(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The lattice shells |k|^2 = j <= cap^2 of T^n, n = 2 or 3, built once per n.
+def lattice_shells(n: int, radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The lattice shells |k|^2 = j <= floor(radius^2) of T^n, n = 2 or 3.
 
     Returns the ascending j with r_n(j) > 0 (int64), the radii sqrt(j) and the
-    multiplicities r_n(j), both float64; all three are read-only.  r_2 counts
-    a^2 + b^2 over the quadrant a >= 1, b >= 0, whose four rotations tile
-    Z^2 minus the origin; r_3(j) = sum_c r_2(j - c^2).
+    multiplicities r_n(j), both float64; all three are read-only, so one table
+    can serve every sum of a probe.  r_2 counts a^2 + b^2 over the octant
+    0 <= b <= a, a >= 1, one column b at a time; each point stands for 8
+    points of Z^2 minus the origin, or for 4 on an axis (b = 0, j = a^2) or a
+    diagonal (b = a, j = 2 a^2).  r_3(j) = sum_c r_2(j - c^2).
     """
-    top = _RADIUS_CAP[n]
-    bound = top * top
-    a = np.arange(1, top + 1, dtype=np.int64)
-    b = np.arange(0, top + 1, dtype=np.int64)
-    q = (a[:, None] * a[:, None] + b * b).ravel()
-    counts = 4 * np.bincount(q[q <= bound], minlength=bound + 1)
+    check_radius(n, radius)
+    bound = math.floor(radius * radius)
+    top = math.isqrt(bound)
+    sq = np.arange(top + 1, dtype=np.int64) ** 2
+    diagonal = math.isqrt(bound // 2)
+    # column b of the octant holds a = max(b, 1) .. isqrt(bound - b^2)
+    columns = (sq[max(b, 1): math.isqrt(bound - b * b) + 1] + b * b for b in range(diagonal + 1))
+    counts = np.bincount(np.concatenate(list(columns)), minlength=bound + 1)
+    counts *= 8
+    counts[sq[1:]] -= 4
+    counts[2 * sq[1: diagonal + 1]] -= 4
     counts[0] = 1
     if n == 3:
         r2, counts = counts, np.zeros_like(counts)
         for c in range(-top, top + 1):
             counts[c * c:] += r2[: bound + 1 - c * c]
-    values = np.flatnonzero(counts)
+    values = np.flatnonzero(counts != 0)
     radii = np.sqrt(values.astype(np.float64))
     mult = counts[values].astype(np.float64)
     for table in (values, radii, mult):
@@ -285,30 +296,31 @@ def smoothed_diagonal_sum(
     lam: float,
     window: SmoothingWindow | None = None,
     *,
+    shells=None,
     enum=None,
 ) -> float:
     """Window-weighted diagonal sum sum_k rho(lambda - |k|) / (2 pi)^n.
 
     The weight depends on k only through |k|^2, so the sum runs over the
     lattice shells with |k| <= lambda + T (T = window.truncation_radius),
-    each weighted by its multiplicity.  The shell table, with its radii and
-    multiplicities as float64, is built once per run (`_shells`).  Per lambda
-    there is one window pass over the shells inside the cut, an in-place
-    product with their multiplicities and one pairwise np.sum in a fixed
-    order, so the result does not depend on a BLAS or its threads.
+    each weighted by its multiplicity.  `shells` is a `lattice_shells(n, R)`
+    table with R >= lambda + T, which a probe builds once for its whole grid;
+    without it the call builds one for lambda + T.  There is one window pass
+    over the shells inside the cut, an in-place product with their
+    multiplicities and one pairwise np.sum in a fixed order, so the result
+    does not depend on a BLAS, its threads or the size of the table.
 
     The cut drops weights below 1e-12, but the omitted tail is larger (see
     SmoothingWindow.truncation_radius): at eps 4 in n = 2, the shells in
     (lambda + T, 1500] alone add 1.2e-8 to 1.7e-8 for lambda in [0, 300].
     `enum` is unused and stays only until ROADMAP item 0 changes the tracer.
     """
-    if lam < 0.0:
+    if not lam >= 0.0:
         raise DomainError(f"lambda must be >= 0, got {lam}")
     if window is None:
         window = SmoothingWindow()
     radius = lam + window.truncation_radius
-    check_radius(n, radius)
-    values, radii, mult = _shells(n)
+    values, radii, mult = lattice_shells(n, radius) if shells is None else shells
     top = int(np.searchsorted(values, norm_sq_bound(radius), side="right"))
     weights = window.value(lam - radii[:top])
     weights *= mult[:top]

@@ -167,6 +167,14 @@ class TestRunCommand:
         assert run_command(argv + ["--out", str(tmp_path)]) == 2
         assert "must be finite" in capsys.readouterr().err
 
+    def test_eps_past_bound_refused(self, tmp_path, capsys):
+        # past eps 1e305, eps s/4 would overflow to inf and the rows would be nan
+        out = tmp_path / "out"
+        assert run_command(["smoothed", "--eps", "1e308", "--grid", "50,60", "--out", str(out)]) == 2
+        assert "1e+305" in capsys.readouterr().err
+        assert not out.exists()
+        assert run_command(["smoothed", "--eps", "1e305", "--grid", "50,60", "--out", str(out)]) == 0
+
     def test_grid_step_count_capped(self):
         with pytest.raises(ConfigError, match="more than"):
             _parse_grid("1:1e6:1")
@@ -501,6 +509,30 @@ class TestBlasThreads:
             tables[threads] = [p.read_bytes() for p in _files(out, ".csv") + _files(out, ".json")]
         assert len(tables["1"]) >= 3
         assert tables["1"] == tables["2"]
+
+
+@pytest.mark.skipif(not _PROC_STATUS.exists(), reason="needs /proc/self/status")
+def test_smoothed_peak_rss(tmp_path):
+    # the shell table is sized to the grid's radius (1300 at --eps 4), and its
+    # build holds no square of candidate points; the run peaked at about
+    # 55 MiB (Python 3.11.7, numpy 2.4.6), against 79 MiB with a table sized
+    # to the 1500 cap
+    script = (
+        "import sys\n"
+        "from speclab.cli import run_command\n"
+        "assert run_command(['smoothed', '--eps', '4', '--out', sys.argv[1]]) == 0\n"
+        "status = open('/proc/self/status').read().splitlines()\n"
+        "print(next(line for line in status if line.startswith('VmHWM:')).split()[1])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout.split()[-1]) < 64 << 10  # kB
 
 
 # The first five used to import scipy for Gegenbauer zeros; the rest add one

@@ -1,4 +1,6 @@
+import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -126,21 +128,72 @@ class TestEnumeration:
         with pytest.raises(DomainError):
             eigenvalue_count(2, -1.0)
 
+    def test_nan_radius_refused(self):
+        with pytest.raises(DomainError):
+            torus.check_radius(2, math.nan)
+        with pytest.raises(DomainError):
+            eigenvalue_count(2, math.nan)
+        with pytest.raises(DomainError):
+            smoothed_diagonal_sum(2, math.nan)
+        # an infinite radius lies past every cap
+        with pytest.raises(ResourceLimitError):
+            torus.check_radius(3, math.inf)
+
+
+@functools.lru_cache(maxsize=1)
+def square_scan_1300():
+    return square_scan_shells(1300)
+
 
 class TestShells:
     @pytest.mark.parametrize("n, radius", [(2, 20), (3, 12)])
     def test_multiplicities_match_cube_scan(self, n, radius):
-        values, radii, mult = torus._shells(n)
-        keep = values <= radius * radius
-        values, radii, mult = values[keep], radii[keep], mult[keep]
+        values, radii, mult = torus.lattice_shells(n, radius)
         expected = {q: cnt for q, cnt in enumerate(brute_force_shells(n, radius)) if cnt}
         assert values.tolist() == sorted(expected)
         assert dict(zip(values.tolist(), mult.tolist())) == expected
         assert int(mult.sum()) == eigenvalue_count(n, float(radius))
         assert radii.tolist() == [math.sqrt(v) for v in values.tolist()]
 
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("radius", [0.0, 1.0, 2.5, 7.3, 5.0, math.sqrt(8.0)])
+    def test_small_radii_match_cube_scan(self, n, radius):
+        # non-integer radii, and exact shell radii whose shell the table must end on
+        values, radii, mult = torus.lattice_shells(n, radius)
+        scan = brute_force_shells(n, 8)[: math.floor(radius * radius) + 1]
+        expected = {q: cnt for q, cnt in enumerate(scan) if cnt}
+        assert values.tolist() == sorted(expected)
+        assert dict(zip(values.tolist(), mult.tolist())) == expected
+        assert radii.tolist() == [math.sqrt(v) for v in values.tolist()]
+
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(
+        st.one_of(
+            st.floats(0.0, 1300.0),
+            st.integers(0, 1300).map(float),
+            st.integers(0, 1300 * 1300).map(math.sqrt),
+        )
+    )
+    def test_n2_prefix_of_square_scan(self, radius):
+        values, _, mult = torus.lattice_shells(2, radius)
+        counts = square_scan_1300()[: math.floor(radius * radius) + 1]
+        expected = np.flatnonzero(counts)
+        np.testing.assert_array_equal(values, expected)
+        np.testing.assert_array_equal(mult, counts[expected].astype(np.float64))
+
+    def test_radius_checked_first(self):
+        with pytest.raises(ResourceLimitError, match="1500"):
+            torus.lattice_shells(2, 1500.5)
+        with pytest.raises(ResourceLimitError, match="200"):
+            torus.lattice_shells(3, 200.5)
+        for radius in (-1.0, math.nan):
+            with pytest.raises(DomainError):
+                torus.lattice_shells(2, radius)
+        with pytest.raises(DomainError):
+            torus.lattice_shells(4, 1.0)
+
     def test_tables_are_read_only(self):
-        for table in torus._shells(2):
+        for table in torus.lattice_shells(2, 50.0):
             assert not table.flags.writeable
 
 
@@ -291,6 +344,21 @@ class TestSmoothingWindow:
             with pytest.raises(DomainError):
                 SmoothingWindow(eps=eps)
 
+    def test_eps_upper_bound(self):
+        # up to 1e305, y = eps s/4 stays finite out to the n=2 radius cap, so
+        # the sum at lambda is the one shell at s = 0: r_2(lambda^2)/(2 pi)^2
+        values, _, mult = torus.lattice_shells(2, 1499.0)
+        w = SmoothingWindow(eps=1e305)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for lam in (50.0, 1499.0):
+                expected = float(mult[np.searchsorted(values, int(lam) ** 2)]) / TWO_PI**2
+                assert smoothed_diagonal_sum(2, lam, w) == expected
+        with pytest.raises(DomainError, match="1e\\+305"):
+            SmoothingWindow(eps=math.nextafter(1e305, math.inf))
+        with pytest.raises(DomainError):
+            SmoothingWindow(eps=1e308)
+
     @pytest.mark.parametrize("eps", [0.5, 1.0, 4.0, 5.5, 100.0])
     def test_matches_sinc_route(self, eps):
         w = SmoothingWindow(eps=eps)
@@ -302,7 +370,7 @@ class TestSmoothingWindow:
 
     def test_exact_shell_radii(self):
         # at integer lambda, lambda - sqrt(lambda^2) is exactly 0 on that shell
-        values, radii, _ = torus._shells(2)
+        values, radii, _ = torus.lattice_shells(2, 1300.0)
         w = SmoothingWindow()
         s = 50.0 - radii[:200_000]
         got = w.value(s)
@@ -359,7 +427,7 @@ class TestSmoothedSum:
     def test_default_probe_rows_match_sinc_route(self):
         from speclab.probes import default_lambda_grid, probe_smoothed
 
-        values, _, mult = torus._shells(2)
+        values, _, mult = torus.lattice_shells(2, 1300.0)
         t = SmoothingWindow().truncation_radius
         res = probe_smoothed(2, None, default_lambda_grid())
         assert len(res.rows) == 11
@@ -368,6 +436,42 @@ class TestSmoothedSum:
             s = row.abscissa - np.sqrt(values[keep].astype(np.float64))
             reference = float(np.sum(mult[keep] * sinc4_reference(s, 4.0))) / TWO_PI**2
             assert row.raw == pytest.approx(reference, rel=1e-15, abs=0.0)
+
+    def test_probe_rows_equal_standalone_sums(self, monkeypatch):
+        # one table for the whole grid gives the sums of one table per lambda, bit for bit
+        from speclab.probes import probe_smoothed
+
+        built = []
+        real = torus.lattice_shells
+
+        def recording(n, radius):
+            built.append(real(n, radius))
+            return built[-1]
+
+        for n, window, grid in ((2, SmoothingWindow(), [50.0, 57.3, 300.0]),
+                                (3, SmoothingWindow(eps=80.0), [10.0, 25.5, 60.0])):
+            built.clear()
+            monkeypatch.setattr(torus, "lattice_shells", recording)
+            res = probe_smoothed(n, window, grid)
+            monkeypatch.undo()
+            [(values, _, _)] = built
+            bound = math.floor((max(grid) + window.truncation_radius) ** 2)
+            assert values[-1] == bound
+            assert [row.raw for row in res.rows] == [
+                smoothed_diagonal_sum(n, lam, window) for lam in grid
+            ]
+
+    def test_default_probe_raws_pinned(self):
+        from speclab.probes import probe_smoothed
+
+        # every bit of the eleven default rows, beside the 1e-15 sinc-route check
+        raws = [row.raw.hex() for row in probe_smoothed(2).rows]
+        assert raws == [
+            "0x1.0aaaaecf2886ap+4", "0x1.900001d2636cep+4", "0x1.0aaaab2be878ap+5",
+            "0x1.4d5555a66f3a3p+5", "0x1.90000036ec6bap+5", "0x1.d2aaaad1c7c9dp+5",
+            "0x1.0aaaaab914dc0p+6", "0x1.2c00000ae1074p+6", "0x1.4d55555dac789p+6",
+            "0x1.6eaaaab11ebe5p+6", "0x1.90000005029e7p+6",
+        ]
 
     def test_omitted_tail_is_bounded(self):
         # the cut at lambda + T bounds the weight by 1e-12, not the tail: the
