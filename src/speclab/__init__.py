@@ -8,7 +8,8 @@ exponents, nodal geometry) can be measured rather than merely cited.
 
 import os
 
-# OpenBLAS reads this once, when numpy loads it; its idle worker thread would only spin
+# OpenBLAS reads this once, when numpy loads it (at a run's first array path, not
+# at import); its idle worker thread would only spin
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .analytic import (
@@ -20,7 +21,6 @@ from .analytic import (
     epsilon_exponent,
     gamma,
     gauss_legendre_rule,
-    gegenbauer,
     gegenbauer_zeros,
     phi_kernel,
     phi_kernel_bessel,

@@ -11,9 +11,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, NumericError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "MultiIndex",
@@ -25,7 +28,6 @@ __all__ = [
     "weyl_constant",
     "deriv_weyl_constant",
     "ball_moment",
-    "gegenbauer",
     "gegenbauer_value_and_deriv",
     "gegenbauer_at_one",
     "gegenbauer_derivatives",
@@ -110,7 +112,7 @@ class QuadratureRule:
         self.weights.setflags(write=False)
 
     def integrate(self, values: np.ndarray) -> float:
-        return float(np.sum(self.weights * values))
+        return float((self.weights * values).sum())
 
     def mapped(self, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
         """Affinely mapped nodes and weights for integration over [a, b]."""
@@ -216,32 +218,17 @@ def _check_gegenbauer_args(m: int, nu: float) -> None:
         raise DomainError(f"Gegenbauer parameter must be positive, got {nu}")
 
 
-def gegenbauer(m: int, nu: float, t):
-    """Gegenbauer polynomial C_m^nu(t) by the three-term recurrence.
-
-    Accepts a scalar or an ndarray for t; nu = 1/2 gives Legendre P_m.
-    """
-    _check_gegenbauer_args(m, nu)
-    arr = np.asarray(t, dtype=float)
-    if np.any(np.abs(arr) > 1.0):
-        raise DomainError("argument must lie in [-1, 1]")
-    val, _ = _gegenbauer_pair(m, nu, arr)
-    return float(val) if np.isscalar(t) or arr.ndim == 0 else val
+def _gegenbauer_pair(m: int, nu: float, t: float) -> tuple[float, float]:
+    """(C_m, C_{m-1}) at a float t, by the three-term recurrence in Python floats."""
+    t, c_prev, c = float(t), 0.0, 1.0
+    for k in range(1, m + 1):
+        c_prev, c = c, (2.0 * t * (k + nu - 1.0) * c - (k + 2.0 * nu - 2.0) * c_prev) / k
+    return c, c_prev
 
 
-def _gegenbauer_pair(m: int, nu: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(C_m, C_{m-1}) evaluated elementwise at t.
-
-    A scalar t (a Python or numpy float, or a 0-d array) runs the recurrence
-    in Python floats, bit-equal to the array route and faster than numpy
-    scalar arithmetic.  For m >= 2 both routes return np.float64 values;
-    m < 2 takes the array route, which returns 0-d arrays there.
-    """
-    if m >= 2 and np.ndim(t) == 0:
-        x, c_prev, c = float(t), 0.0, 1.0
-        for k in range(1, m + 1):
-            c_prev, c = c, (2.0 * x * (k + nu - 1.0) * c - (k + 2.0 * nu - 2.0) * c_prev) / k
-        return np.float64(c), np.float64(c_prev)
+def _gegenbauer_pair_array(m: int, nu: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(C_m, C_{m-1}) elementwise over an array t; bit-equal to _gegenbauer_pair."""
+    import numpy as np
     c_prev = np.zeros_like(t)
     c = np.ones_like(t)
     for k in range(1, m + 1):
@@ -250,8 +237,8 @@ def _gegenbauer_pair(m: int, nu: float, t: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def gegenbauer_value_and_deriv(m: int, nu: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """C_m^nu and d/dt C_m^nu, for t strictly inside (-1, 1)."""
-    val, prev = _gegenbauer_pair(m, nu, t)
+    """C_m^nu and d/dt C_m^nu elementwise over an array t strictly inside (-1, 1)."""
+    val, prev = _gegenbauer_pair_array(m, nu, t)
     der = ((m + 2.0 * nu - 1.0) * prev - m * t * val) / ((1.0 - t) * (1.0 + t))
     return val, der
 
@@ -266,28 +253,29 @@ def gegenbauer_at_one(m: int, nu: float) -> float:
 
 
 def gegenbauer_derivatives(m: int, nu: float, t, order: int) -> list:
-    """C_m^nu(t) and its first `order` t-derivatives, at a float or elementwise.
+    """C_m^nu(t) and its first `order` t-derivatives: floats at a number t, arrays for an array.
 
     d/dt C_k^nu = 2 nu C_{k-1}^{nu+1}, so the j-th derivative is
     2^j (nu)_j C_{m-j}^{nu+j}, one recurrence each.  Nothing is divided by
     1 - t^2, so t = +-1 are valid arguments.
     """
+    pair = _gegenbauer_pair if isinstance(t, (int, float)) else _gegenbauer_pair_array
     out = []
     factor = 1.0
     for j in range(order + 1):
-        out.append(factor * _gegenbauer_pair(m - j, nu + j, t)[0] if j <= m else 0.0 * t)
+        out.append(factor * pair(m - j, nu + j, t)[0] if j <= m else 0.0 * t)
         factor *= 2.0 * (nu + j)
     return out
 
 
 def _newton(fn, x, what: str, *, from_pole: bool = False):
-    """Newton's method for fn(x) -> (value, derivative), elementwise over x.
+    """Newton's method for fn(x) -> (value, derivative), elementwise over an array x.
 
     Returns the iterate after the first step whose every entry is at most
-    NEWTON_TOL.  from_pole marks a start to the right of every zero of a
-    polynomial whose zeros are all real; from there the iterates fall
-    monotonically to its largest zero, and a step that raises them instead
-    is refused.
+    NEWTON_TOL.  from_pole marks a float x instead, to the right of every
+    zero of a polynomial whose zeros are all real; from there the iterates
+    fall monotonically to its largest zero, and a step that raises them
+    instead is refused.
     """
     for _ in range(NEWTON_MAX_STEPS):
         val, der = fn(x)
@@ -295,7 +283,7 @@ def _newton(fn, x, what: str, *, from_pole: bool = False):
         if from_pole and step < -NEWTON_TOL:
             raise NumericError(f"Newton iterates for {what} rose on the way down from t = 1")
         x = x - step
-        if np.max(np.abs(step)) <= NEWTON_TOL:
+        if (abs(step) if from_pole else abs(step).max()) <= NEWTON_TOL:
             return x
     raise NumericError(f"Newton refinement for {what} did not settle in {NEWTON_MAX_STEPS} steps")
 
@@ -305,7 +293,7 @@ def largest_zero(fn, what: str) -> float:
 
     fn(t) returns the polynomial and its derivative at a float t.
     """
-    return float(_newton(fn, 1.0, what, from_pole=True))
+    return _newton(fn, 1.0, what, from_pole=True)
 
 
 def gegenbauer_largest_zero(m: int, nu: float) -> float:
@@ -326,6 +314,7 @@ def gegenbauer_zeros(m: int, nu: float) -> np.ndarray:
     the zeros; if Newton does not settle, or the zeros come out outside
     (-1, 1) or not strictly increasing, NumericError is raised.
     """
+    import numpy as np
     _check_gegenbauer_args(m, nu)
     if m < 1:
         raise DomainError("zero finding requires degree >= 1")
@@ -345,6 +334,7 @@ def gauss_legendre_rule(order: int) -> QuadratureRule:
 
     Nodes are the Legendre zeros; weights use 2 / ((1-t^2) P_N'(t)^2).
     """
+    import numpy as np
     if order < 1 or order > QUAD_ORDER_MAX:
         raise DomainError(f"quadrature order must lie in [1, {QUAD_ORDER_MAX}], got {order}")
     if order == 1:
@@ -487,6 +477,7 @@ PHI_TAU_MAX = 8.0 * ((QUAD_ORDER_MAX - 96) // 16)
 def _phi_quadrature(n: int, tau: float) -> float:
     # Phi_n(tau) = (2 pi)^{-n} vol(B_{n-1}) Int_{-1}^{1} cos(tau t)(1-t^2)^{(n-1)/2} dt,
     # evaluated after t = cos(psi), which makes the integrand entire for every n.
+    import numpy as np
     rule = gauss_legendre_rule(_phi_rule_order(tau))
     psi, w = rule.mapped(0.0, math.pi)
     integrand = np.cos(tau * np.cos(psi)) * np.sin(psi) ** n

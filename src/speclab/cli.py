@@ -21,7 +21,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from . import output, probes, selftest
+from . import output, probes
 from .analytic import MultiIndex
 from .errors import ConfigError, DomainError, NumericError, ResourceLimitError, SpecLabError
 from .torus import SmoothingWindow
@@ -320,6 +320,8 @@ def run_probe(name: str, values: dict) -> list[Path]:
 
 def _run(args: argparse.Namespace) -> int:
     if args.probe == "selftest":
+        from . import selftest  # its checks load numpy; probe runs may not need it
+
         if args.threads is not None:
             _parse_threads(args.threads, "threads")
         out = args.out if args.out is not None else Path("speclab_out") / "selftest"

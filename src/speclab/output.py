@@ -12,13 +12,12 @@ import math
 from pathlib import Path
 
 from .errors import DomainError, ResourceLimitError
-from .probes import ProbeResult, ProbeRow, ScalingFit
+from .probes import ProbeResult, ScalingFit
 
 __all__ = [
     "format_float",
     "write_csv",
     "write_json",
-    "read_json",
     "render_plot",
     "write_svg",
     "summary_payload",
@@ -74,19 +73,6 @@ def write_json(result: ProbeResult, path) -> Path:
     path = Path(path)
     _write_text(path, json.dumps(_result_payload(result), sort_keys=True, indent=1) + "\n")
     return path
-
-
-def read_json(path) -> ProbeResult:
-    """Reparse a written table into an equal ProbeResult (exact floats)."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    return ProbeResult(
-        probe=payload["probe"],
-        params=payload["params"],
-        rows=[ProbeRow(abscissa=a, raw=v, ratio=q) for a, v, q in payload["rows"]],
-        predicted_limit=payload["predicted_limit"],
-        predicted_exponent=payload["predicted_exponent"],
-        extra=payload["extra"],
-    )
 
 
 def summary_payload(result: ProbeResult, fit: ScalingFit | None) -> dict:

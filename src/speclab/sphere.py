@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .analytic import (
     QUAD_ORDER_MAX,
@@ -27,6 +26,9 @@ from .analytic import (
 )
 from .errors import DomainError, NumericError, ResourceLimitError
 
+if TYPE_CHECKING:
+    import numpy as np
+
 __all__ = [
     "ZonalFamily",
     "eigenvalue",
@@ -36,7 +38,6 @@ __all__ = [
     "addition_kernel",
     "spectral_function_sphere",
     "band_kernel_sphere",
-    "zonal_eval",
     "zonal_norm",
     "zonal_norms",
     "zonal_gradient_sup",
@@ -115,8 +116,8 @@ def addition_kernel(n: int, m: int, cos_theta: float) -> float:
         raise DomainError("cos_theta must lie in [-1, 1]")
     nu = (n - 1) / 2.0
     d = multiplicity(n, m)
-    val, _ = _gegenbauer_pair(m, nu, np.float64(cos_theta))
-    return d / sphere_area(n) * float(val) / gegenbauer_at_one(m, nu)
+    val, _ = _gegenbauer_pair(m, nu, cos_theta)
+    return d / sphere_area(n) * val / gegenbauer_at_one(m, nu)
 
 
 def _kernel_telescope(n: int, cos_theta: float, m: int) -> float:
@@ -130,8 +131,8 @@ def _kernel_telescope(n: int, cos_theta: float, m: int) -> float:
         raise DomainError("cos_theta must lie in [-1, 1]")
     if m < 0:
         return 0.0
-    c, c_prev = _gegenbauer_pair(m, (n + 1) / 2.0, float(cos_theta))
-    return float(c + c_prev)
+    c, c_prev = _gegenbauer_pair(m, (n + 1) / 2.0, cos_theta)
+    return c + c_prev
 
 
 def spectral_function_sphere(n: int, cos_theta: float, lam: float) -> float:
@@ -168,22 +169,16 @@ class ZonalFamily:
         return (self.n - 1) / 2.0
 
     def at(self, t):
-        """The profile at t = cos(theta), elementwise or at a float."""
-        val, _ = _gegenbauer_pair(self.m, self.nu, t)
+        """The profile at t = cos(theta): a float at a number, elementwise over an array."""
+        (val,) = gegenbauer_derivatives(self.m, self.nu, t, 0)
         return self.scale * val / gegenbauer_at_one(self.m, self.nu)
 
     def slope_at(self, t):
         """d/dtheta of the profile at t = cos(theta): -sin(theta) Z'(t), zero at t = +-1."""
         _, der = gegenbauer_derivatives(self.m, self.nu, t, 1)
-        sin_th = np.sqrt((1.0 - t) * (1.0 + t))
+        sin_sq = (1.0 - t) * (1.0 + t)
+        sin_th = math.sqrt(sin_sq) if isinstance(sin_sq, float) else sin_sq**0.5
         return -self.scale * sin_th * der / gegenbauer_at_one(self.m, self.nu)
-
-
-def zonal_eval(n: int, m: int, theta: float) -> float:
-    """L_2-normalized zonal harmonic at colatitude theta in [0, pi]."""
-    if theta < 0.0 or theta > math.pi:
-        raise DomainError("theta must lie in [0, pi]")
-    return float(ZonalFamily.create(n, m).at(np.cos(theta)))
 
 
 def _zonal_quad_order(n: int, m: int, r: float) -> int:
@@ -202,6 +197,7 @@ def _exact_zonal_integrals(degrees: list[int], r: float, order: int) -> dict[int
     nodes are exact for every degree at once; one Legendre recurrence up to the
     largest degree passes each requested one on the way.
     """
+    import numpy as np
     rule = gauss_legendre_rule(order)
     t = rule.nodes
     wanted = set(degrees)
@@ -228,6 +224,7 @@ def _piecewise_zonal_integral(fam: ZonalFamily, r: float) -> float:
     per piece converges fast for every r; the reference test pins it against
     adaptive quadrature to 1e-10 relative.
     """
+    import numpy as np
     zeros = np.arccos(gegenbauer_zeros(fam.m, fam.nu))[::-1] if fam.m else np.empty(0)
     edges = np.concatenate(([0.0], zeros, [math.pi]))
     rule = gauss_legendre_rule(_PIECE_NODES)
@@ -346,7 +343,7 @@ def hw_norm_quad(n: int, m: int, r: float) -> float:
             raise ResourceLimitError("highest-weight quadrature order exceeds the cap")
         rule = gauss_legendre_rule(order)
         t, w = rule.mapped(0.0, 1.0)
-        integral = float(np.sum(w * (1.0 - t * t) ** (m * rr / 2.0) * t ** (n - 2)))
+        integral = float((w * (1.0 - t * t) ** (m * rr / 2.0) * t ** (n - 2)).sum())
         return (math.log(2.0 * math.pi * sphere_area(n - 2)) + math.log(integral)) / rr
 
     return math.exp(log_norm(r) - log_norm(2.0))

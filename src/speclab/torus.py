@@ -8,22 +8,26 @@ the last, and each row's sum over c has a closed form: the Dirichlet kernel
 for the spectral function, a power sum for the derivative sums and 2w + 1 for
 counts.  A sum that depends on k only through |k|^2 runs over the lattice
 shells |k|^2 = j, weighted by their multiplicities r_n(j).  The sums are
-evaluated with numpy in a fixed order, so repeated runs are bit-identical.
+evaluated with numpy in a fixed order, so repeated runs are bit-identical;
+numpy is imported by the functions that use it, at the first sum.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, ResourceLimitError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Displacement",
     "SmoothingWindow",
     "default_direction",
+    "unit_direction",
     "check_radius",
     "eigenvalue_count",
     "spectral_function_torus",
@@ -65,12 +69,27 @@ def default_direction(n: int) -> np.ndarray:
     Axis-aligned directions maximize lattice resonance in the remainder, so
     the defaults are deliberately irrational with respect to the lattice.
     """
+    import numpy as np
     s, c = math.sin(1.0), math.cos(1.0)
     if n == 2:
         return np.array([c, s])
     if n == 3:
         return np.array([c * s, s * s, c])
     raise DomainError(f"torus dimension must be 2 or 3, got {n}")
+
+
+def unit_direction(n: int, direction=None) -> np.ndarray:
+    """`direction` scaled to unit length, or default_direction(n) when it is None."""
+    if direction is None:
+        return default_direction(n)
+    import numpy as np
+    d = np.asarray(direction, dtype=float)
+    if d.shape != (n,):
+        raise DomainError(f"direction must have length {n}")
+    norm = math.sqrt(float(np.sum(d * d)))
+    if norm == 0.0:
+        raise DomainError("direction must be nonzero")
+    return d / norm
 
 
 def norm_sq_bound(radius: float):
@@ -89,11 +108,12 @@ class Displacement:
 
     def __post_init__(self) -> None:
         self.u.setflags(write=False)
-        if np.any(np.abs(self.u) > math.pi):
+        if (abs(self.u) > math.pi).any():
             raise DomainError("displacement components must lie in (-pi, pi]")
 
     @classmethod
     def from_vector(cls, values) -> "Displacement":
+        import numpy as np
         u = np.asarray(values, dtype=float).copy()
         for j, v in enumerate(u):
             r = math.remainder(v, TWO_PI)
@@ -108,7 +128,7 @@ class Displacement:
 
     @property
     def norm(self) -> float:
-        return float(math.sqrt(np.sum(self.u * self.u)))
+        return float(math.sqrt((self.u * self.u).sum()))
 
 
 @dataclass(frozen=True)
@@ -137,6 +157,7 @@ class SmoothingWindow:
         relative at every s.  Next to a zero of sin(y), rounding y once less
         would move rho by up to about 1e-6 relative (under 1e-15 absolute).
         """
+        import numpy as np
         y = np.atleast_1d(np.multiply(s, self.eps / (4.0 * math.pi), dtype=np.float64))
         y *= math.pi
         out = np.sin(y)
@@ -173,6 +194,7 @@ def _rows(n: int, radius: float) -> tuple[np.ndarray, np.ndarray]:
     and w = floor(sqrt(floor(radius^2) - |p|^2)) is exact in floating point,
     since its argument lies far below 2^52.
     """
+    import numpy as np
     check_radius(n, radius)
     bound = math.floor(radius * radius)
     top = math.isqrt(bound)
@@ -190,7 +212,7 @@ def _rows(n: int, radius: float) -> tuple[np.ndarray, np.ndarray]:
 def eigenvalue_count(n: int, lam: float) -> int:
     """N(lambda): number of eigenvalues (with multiplicity) at most lambda^2."""
     _, w = _rows(n, lam)
-    return int(np.sum(2 * w + 1))
+    return int((2 * w + 1).sum())
 
 
 def lattice_shells(n: int, radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -203,6 +225,7 @@ def lattice_shells(n: int, radius: float) -> tuple[np.ndarray, np.ndarray, np.nd
     points of Z^2 minus the origin, or for 4 on an axis (b = 0, j = a^2) or a
     diagonal (b = a, j = 2 a^2).  r_3(j) = sum_c r_2(j - c^2).
     """
+    import numpy as np
     check_radius(n, radius)
     bound = math.floor(radius * radius)
     top = math.isqrt(bound)
@@ -239,6 +262,7 @@ def spectral_function_torus(n: int, u: Displacement, lam: float, *, enum=None) -
     is the Dirichlet kernel; D_w(0) is exactly 2w + 1.  `enum` is unused and
     stays only until ROADMAP item 0 changes the tracer.
     """
+    import numpy as np
     if u.n != n:
         raise DomainError("displacement length must equal the dimension")
     p, w = _rows(n, lam)
@@ -262,6 +286,7 @@ def derivative_diagonal_sum(n: int, alpha, beta, lam: float, *, enum=None) -> fl
     last entry of gamma.  The sum is formed in exact integers.  `enum` is
     unused and stays only until ROADMAP item 0 changes the tracer.
     """
+    import numpy as np
     if len(alpha) != n or len(beta) != n:
         raise DomainError("multi-index lengths must equal the dimension")
     if alpha.order + beta.order > 6:
@@ -321,7 +346,7 @@ def smoothed_diagonal_sum(
         window = SmoothingWindow()
     radius = lam + window.truncation_radius
     values, radii, mult = lattice_shells(n, radius) if shells is None else shells
-    top = int(np.searchsorted(values, norm_sq_bound(radius), side="right"))
+    top = int(values.searchsorted(norm_sq_bound(radius), side="right"))
     weights = window.value(lam - radii[:top])
     weights *= mult[:top]
-    return float(np.sum(weights)) / TWO_PI ** n
+    return float(weights.sum()) / TWO_PI ** n

@@ -16,7 +16,6 @@ from speclab.analytic import (
     epsilon_exponent,
     gamma,
     gauss_legendre_rule,
-    gegenbauer,
     gegenbauer_at_one,
     gegenbauer_derivatives,
     gegenbauer_largest_zero,
@@ -27,9 +26,11 @@ from speclab.analytic import (
     phi_kernel_zero,
     weyl_constant,
     _gegenbauer_pair,
+    _gegenbauer_pair_array,
     _phi_quadrature,
 )
 from speclab.errors import DomainError, NumericError
+from speclab.sphere import ZonalFamily, addition_kernel
 
 TWO_PI = 2.0 * math.pi
 
@@ -39,6 +40,11 @@ J0_ZERO_1 = 2.4048255576957724
 TAN_ROOT_1 = 4.493409457909064
 TAN_ROOT_2 = 7.725251836937708
 P3_ZERO = 0.7745966692414834  # sqrt(3/5)
+
+
+def gegenbauer(m, nu, t):
+    """C_m^nu(t): the package's recurrence at a float, or elementwise over an array."""
+    return gegenbauer_derivatives(m, nu, t, 0)[0]
 
 
 class TestGamma:
@@ -177,9 +183,9 @@ class TestGegenbauer:
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            gegenbauer(3, 0.5, 1.5)
+            addition_kernel(2, 3, 1.5)
         with pytest.raises(DomainError):
-            gegenbauer(-1, 0.5, 0.0)
+            gegenbauer_at_one(-1, 0.5)
 
     @staticmethod
     def _numpy_scalar_pair(m, nu, t):
@@ -193,22 +199,24 @@ class TestGegenbauer:
         ts = [-1.0, -0.73, -0.3, 0.0, 1e-3, 0.3, 0.5, 0.91, 1.0]
         for nu in (0.5, 1.0, 1.5, 2.5, 6.0):
             for m in (0, 1, 2, 3, 7, 40, 301):
-                array_c, array_prev = _gegenbauer_pair(m, nu, np.array(ts))
+                array_c, array_prev = _gegenbauer_pair_array(m, nu, np.array(ts))
                 for i, t in enumerate(ts):
                     ref = self._numpy_scalar_pair(m, nu, t)
-                    for arg in (t, np.float64(t), np.asarray(t)):
+                    for arg in (t, np.float64(t)):
                         got = _gegenbauer_pair(m, nu, arg)
-                        assert [type(v) for v in got] == [type(v) for v in ref], (m, nu, arg)
-                        assert float(got[0]) == float(ref[0]) == array_c[i], (m, nu, t)
-                        assert float(got[1]) == float(ref[1]) == array_prev[i], (m, nu, t)
+                        assert [type(v) for v in got] == [float, float], (m, nu, arg)
+                        assert got[0] == float(ref[0]) == array_c[i], (m, nu, t)
+                        assert got[1] == float(ref[1]) == array_prev[i], (m, nu, t)
 
     def test_scalar_callers_keep_their_types(self):
-        from speclab.sphere import zonal_eval
-
-        assert zonal_eval(2, 0, 1.0) == zonal_eval(2, 0, 0.0)
+        # Python floats in, Python floats out, at every degree
         for m in (0, 1, 2, 9):
-            assert type(zonal_eval(2, m, 1.0)) is float
+            fam = ZonalFamily.create(2, m)
+            assert type(fam.at(1.0)) is float and type(fam.slope_at(0.3)) is float
+            assert type(addition_kernel(2, m, 0.3)) is float
             assert type(gegenbauer(m, 0.5, 0.3)) is float
+            assert all(type(v) is float for v in gegenbauer_derivatives(m, 0.5, -0.3, 3))
+        assert ZonalFamily.create(2, 0).at(1.0) == ZonalFamily.create(2, 0).at(0.0)
 
 
 class TestGegenbauerZeros:

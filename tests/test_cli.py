@@ -475,6 +475,7 @@ class TestBlasThreads:
     SCRIPT = (
         "import os\n"
         "import speclab.cli\n"
+        "import numpy  # loaded at a run's first array path, after speclab set the variable\n"
         "status = open('/proc/self/status').read().splitlines()\n"
         "print(next(line for line in status if line.startswith('Threads:')).split()[1])\n"
         "print(os.environ['OPENBLAS_NUM_THREADS'])\n"
@@ -554,11 +555,22 @@ _RUNS = (
 )
 
 
-def _run_script(script: str, tmp_path: Path) -> subprocess.CompletedProcess:
-    # the child gets the output root as argv[1] and _RUNS as JSON in argv[2]
+# the runs that reach no array path: scalar recurrences, lgamma and scalar Newton
+_NUMPY_FREE_RUNS = (
+    ["weyl", "--manifold", "sphere"],
+    ["band", "--manifold", "sphere"],
+    ["hoelder", "--manifold", "sphere", "--delta", "0.5"],
+    ["lp", "--family", "hw", "--r", "4", "--s", "0"],
+    ["cksigma", "--sigma", "1"],
+    ["nodal"],
+)
+
+
+def _run_script(script: str, tmp_path: Path, runs=_RUNS, *args: str) -> subprocess.CompletedProcess:
+    # the child gets the output root as argv[1], the runs as JSON in argv[2], then args
     env = dict(os.environ, PYTHONPATH=str(Path(speclab.__file__).parents[1]))
     return subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path), json.dumps(_RUNS)],
+        [sys.executable, "-c", script, str(tmp_path), json.dumps(runs), *args],
         capture_output=True,
         text=True,
         env=env,
@@ -595,6 +607,45 @@ class TestImportCost:
         proc = _run_script(script, tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert "ImportError" not in proc.stderr and "scipy" not in proc.stderr
+
+    def test_import_loads_no_numpy(self, tmp_path):
+        # perfbench/tracer.py reads all six layer modules right after this import
+        script = (
+            "import sys\n"
+            "import speclab.cli\n"
+            "assert 'numpy' not in sys.modules, 'import speclab.cli loaded numpy'\n"
+            "layers = ('cli', 'probes', 'torus', 'sphere', 'analytic', 'output')\n"
+            "missing = [m for m in layers if f'speclab.{m}' not in sys.modules]\n"
+            "assert not missing, missing\n"
+        )
+        proc = _run_script(script, tmp_path)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_scalar_runs_need_no_numpy(self, tmp_path):
+        # the same runs with numpy unimportable and with numpy loaded first write the same bytes
+        script = (
+            "import json, sys\n"
+            "if sys.argv[3] == 'blocked':\n"
+            "    sys.modules['numpy'] = None\n"
+            "else:\n"
+            "    import numpy\n"
+            "import speclab.cli\n"
+            "for i, argv in enumerate(json.loads(sys.argv[2])):\n"
+            "    rc = speclab.cli.run_command(argv + ['--out', f'{sys.argv[1]}/{i}'])\n"
+            "    assert rc == 0, (argv, rc)\n"
+        )
+        for mode in ("blocked", "loaded"):
+            proc = _run_script(script, tmp_path / mode, _NUMPY_FREE_RUNS, mode)
+            assert proc.returncode == 0, proc.stderr
+
+        def tables(out: Path) -> dict[str, bytes]:
+            return {p.suffix if p.name != "summary.json" else p.name: p.read_bytes()
+                    for p in out.iterdir()}
+
+        for i in range(len(_NUMPY_FREE_RUNS)):
+            blocked = tables(tmp_path / "blocked" / str(i))
+            assert sorted(blocked) == [".csv", ".json", ".svg", "summary.json"]
+            assert blocked == tables(tmp_path / "loaded" / str(i)), _NUMPY_FREE_RUNS[i]
 
 
 class TestHighDimensionalZonalRuns:
@@ -695,7 +746,12 @@ class TestTableOutput:
     def test_json_round_trip_bit_exact(self, tmp_path):
         res = probe_band("sphere", 2, [10.0, 20.0, 30.0])
         path = output.write_json(res, tmp_path / "t.json")
-        assert output.read_json(path) == res
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        rows = [probes.ProbeRow(abscissa=a, raw=v, ratio=q) for a, v, q in payload["rows"]]
+        assert rows == res.rows
+        assert payload["extra"] == res.extra
+        assert (payload["predicted_limit"], payload["predicted_exponent"]) == (
+            res.predicted_limit, res.predicted_exponent)
 
     def test_empty_table_rejected(self, tmp_path):
         res = probe_weyl("torus", 2, [50.0, 75.0, 100.0])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from speclab import sphere, torus
+from speclab import probes, sphere, torus
 from speclab.analytic import MultiIndex, gauss_legendre_rule, phi_kernel_zero, weyl_constant
 from speclab.errors import DomainError
 from speclab.probes import (
@@ -23,6 +23,7 @@ from speclab.probes import (
     probe_weyl,
     scaling_fit,
     _hoelder_proxy,
+    _pairwise_sum,
 )
 from speclab.sphere import ZonalFamily, eigenvalue
 from speclab.torus import SmoothingWindow
@@ -56,6 +57,67 @@ class TestFitScaling:
             fit_scaling([(1.0, 1.0), (1.0, 2.0), (3.0, 3.0)])
         with pytest.raises(DomainError):
             fit_scaling([(1.0, 1.0), (2.0, 0.0), (3.0, 3.0)])
+
+
+def _numpy_fit(samples):
+    """The numpy formula fit_scaling replaced: (exponent, log_constant, max_residual)."""
+    x = np.log([a for a, _ in samples])
+    y = np.log([v for _, v in samples])
+    xm = x - x.mean()
+    slope = float(np.sum(xm * y) / np.sum(xm * xm))
+    intercept = float(y.mean() - slope * x.mean())
+    resid = y - (slope * x + intercept)
+    return slope, intercept, float(np.max(np.abs(resid)))
+
+
+# every probe at its default grid, as the CLI runs it
+_DEFAULT_RUNS = {
+    "weyl-torus": lambda: probe_weyl("torus", 2),
+    "weyl-sphere": lambda: probe_weyl("sphere", 2),
+    "offdiag-torus": lambda: probe_offdiag("torus", 2, 1.5),
+    "offdiag-sphere": lambda: probe_offdiag("sphere", 2, 1.5),
+    "difference-torus": lambda: probe_difference("torus", 2, 1.5),
+    "difference-sphere": lambda: probe_difference("sphere", 2, 1.5),
+    "deriv": lambda: probe_derivative(2, MultiIndex.of(1, 0), MultiIndex.of(1, 0)),
+    "band-torus": lambda: probe_band("torus", 2),
+    "band-sphere": lambda: probe_band("sphere", 2),
+    "hoelder-torus": lambda: probe_hoelder("torus", 2, 0.5),
+    "hoelder-sphere": lambda: probe_hoelder("sphere", 2, 0.5),
+    "lp-zonal-r6": lambda: probe_lp("zonal", 6.0, 0.0),
+    "lp-zonal-r3": lambda: probe_lp("zonal", 3.0, 0.5),
+    "lp-zonal-inf": lambda: probe_lp("zonal", math.inf, 0.0),
+    "lp-hw-r4": lambda: probe_lp("hw", 4.0, 0.0),
+    "cksigma-0": lambda: probe_cksigma(0.0),
+    "cksigma-0.5": lambda: probe_cksigma(0.5),
+    "cksigma-1": lambda: probe_cksigma(1.0),
+    "nodal": lambda: probe_nodal(),
+    "smoothed": lambda: probe_smoothed(2),
+}
+
+
+class TestStdlibFit:
+    def test_pairwise_sum_is_np_sum(self):
+        rng = np.random.default_rng(1)
+        for n in [*range(1, 140), 255, 256, 257, 1000, 5000]:
+            values = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+            assert _pairwise_sum(values.tolist()) == float(np.sum(values)), n
+
+    @pytest.mark.parametrize("name", list(_DEFAULT_RUNS))
+    def test_matches_numpy_on_default_fit_points(self, name, monkeypatch):
+        # math.log and np.log (SIMD) can round apart; where they agree the fit is
+        # bit-equal, and where one log moves an ulp the fit moves at most 2 ulps
+        # (1 was seen: lp-zonal-r6, at 1.2275294583577792 on an AVX-512 machine)
+        seen = []
+        monkeypatch.setattr(probes, "fit_scaling", lambda pts: seen.append(pts) or fit_scaling(pts))
+        fit = scaling_fit(_DEFAULT_RUNS[name]())
+        (pts,) = seen
+        got = (fit.exponent, fit.log_constant, fit.max_residual)
+        want = _numpy_fit(pts)
+        if all(math.log(v) == np.log(v) for pair in pts for v in pair):
+            assert got == want
+        else:
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 2 * np.spacing(abs(w)), (g, w)
 
 
 class TestProbeConsistency:
@@ -368,6 +430,38 @@ class TestCkSigmaProbe:
             for h in np.exp(np.linspace(math.log(0.1 / lam), math.log(10.0 / lam), 25)):
                 best = max(best, float(np.max(np.abs(fam.at(np.cos(base + h)) - zb))) / h ** delta)
             assert _hoelder_proxy(n, m, lam, delta) == best
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: probe_weyl("torus", 2, SMALL_LAMBDAS),
+        lambda: probe_weyl("sphere", 2, SMALL_DEGREES),
+        lambda: probe_offdiag("torus", 2, 1.5, SMALL_LAMBDAS),
+        lambda: probe_offdiag("sphere", 2, 1.5, SMALL_DEGREES),
+        lambda: probe_difference("torus", 2, 1.5, SMALL_LAMBDAS),
+        lambda: probe_difference("sphere", 2, 1.5, SMALL_DEGREES),
+        lambda: probe_derivative(2, MultiIndex.of(1, 0), MultiIndex.of(1, 0), SMALL_LAMBDAS),
+        lambda: probe_band("torus", 2, SMALL_LAMBDAS),
+        lambda: probe_band("sphere", 2, SMALL_LAMBDAS),
+        lambda: probe_hoelder("torus", 2, 0.5, None, SMALL_LAMBDAS),
+        lambda: probe_hoelder("sphere", 2, 0.5, None, SMALL_LAMBDAS),
+        lambda: probe_lp("zonal", 6.0, 1.0, SMALL_DEGREES),
+        lambda: probe_lp("hw", 4.0, 1.0, SMALL_DEGREES),
+        lambda: probe_cksigma(0.0, SMALL_DEGREES),
+        lambda: probe_cksigma(0.5, SMALL_DEGREES),
+        lambda: probe_cksigma(1.0, SMALL_DEGREES),
+        lambda: probe_nodal(SMALL_DEGREES),
+        lambda: probe_smoothed(2, None, SMALL_LAMBDAS),
+    ],
+    ids=["weyl-torus", "weyl-sphere", "offdiag-torus", "offdiag-sphere", "difference-torus",
+         "difference-sphere", "deriv", "band-torus", "band-sphere", "hoelder-torus", "hoelder-sphere", "lp-zonal", "lp-hw",
+         "cksigma-0", "cksigma-0.5", "cksigma-1", "nodal", "smoothed"],
+)
+def test_rows_hold_python_floats(run):
+    for row in run().rows:
+        assert type(row.abscissa) is float and type(row.raw) is float
+        assert type(row.ratio) in (float, type(None))
 
 
 class TestNodalProbe:
