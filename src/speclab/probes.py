@@ -60,8 +60,9 @@ _ZERO_LIMIT_REL = 1e-8
 ZONAL_DEGREE_BUDGET = 100_000
 
 # largest summed degree of the Gegenbauer recurrences a sphere kernel grid
-# runs: one step costs 0.27-0.30 us at degree 10^6 (2 cores), so a run at the
-# budget takes about 3 s; the largest default grid, hoelder's, sums to 49,907
+# runs, one per kernel call: one step costs 0.27-0.30 us at degree 10^6
+# (2 cores), so a run at the budget takes about 3 s; the largest default grid,
+# hoelder's, sums to 25,025
 KERNEL_DEGREE_BUDGET = 10_000_000
 
 
@@ -295,12 +296,9 @@ def _kernel(manifold: str, n: int, grid, direction, taus, *, band: bool = False)
     if max(taus) / min(lambdas) > reach:
         raise DomainError(f"tau/lambda exceeds {reach_name}: no such {manifold} displacement")
     if manifold == "sphere":
-        # a call runs one recurrence up to max_degree(lam); a band call, a
-        # second one up to max_degree(lam + 1)
-        steps = sum(
-            sphere.max_degree(n, lam) + (sphere.max_degree(n, lam + 1.0) if band else 0)
-            for lam in lambdas
-        )
+        # a call runs one recurrence, up to max_degree(lam), or for a band
+        # call up to max_degree(lam + 1)
+        steps = sum(sphere.max_degree(n, lam + 1.0 if band else lam) for lam in lambdas)
         _check_degree_budget(len(taus) * steps, KERNEL_DEGREE_BUDGET, "sphere kernel grid")
     return lambdas, band_kernel if band else spectral
 

@@ -86,10 +86,14 @@ def unit_direction(n: int, direction=None) -> np.ndarray:
     d = np.asarray(direction, dtype=float)
     if d.shape != (n,):
         raise DomainError(f"direction must have length {n}")
-    norm = math.sqrt(float(np.sum(d * d)))
-    if norm == 0.0:
-        raise DomainError("direction must be nonzero")
-    return d / norm
+    with np.errstate(over="ignore"):
+        norm_sq = float(np.sum(d * d))
+    if not 0.0 < norm_sq < math.inf:
+        # an all-zero direction, or a squared length that under- or overflows
+        raise DomainError(
+            f"direction must have a positive finite squared length, got {norm_sq!r}"
+        )
+    return d / math.sqrt(norm_sq)
 
 
 def norm_sq_bound(radius: float):

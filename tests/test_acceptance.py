@@ -17,7 +17,7 @@ import speclab
 from speclab.analytic import (
     MultiIndex,
     ball_moment,
-    bessel_j0,
+    bessel_j,
     bessel_j0_zero,
     deriv_weyl_constant,
     phi_kernel,
@@ -166,7 +166,7 @@ def test_criterion_10_nodal_geometry():
         oracle = bessel_j0_zero(1)  # recomputed by bisection, not hard-coded
         assert abs(product / oracle - 1.0) <= 0.005
         assert abs(nadirashvili_ratio(2, 299) - 1.0) <= 1e-10
-        min_j0 = abs(bessel_j0(phi_kernel_zero(2, 1)))
+        min_j0 = abs(bessel_j(0, phi_kernel_zero(2, 1)))
         assert abs(nadirashvili_ratio(2, 300) * min_j0 - 1.0) <= 0.05
 
 

@@ -167,6 +167,47 @@ class TestRunCommand:
         assert run_command(argv + ["--out", str(tmp_path)]) == 2
         assert "must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["offdiag", "--manifold", "torus", "--tau", "1"],
+            ["difference", "--manifold", "torus", "--tau", "1"],
+            ["hoelder", "--manifold", "torus", "--delta", "0.5"],
+        ],
+        ids=["offdiag", "difference", "hoelder"],
+    )
+    @pytest.mark.parametrize(
+        "direction,norm_sq",
+        [("1e308,1e308", "inf"), ("1e200,1", "inf"), ("1e-200,1e-200", "0.0"), ("0,0", "0.0")],
+    )
+    def test_direction_without_a_float_length_refused(self, argv, direction, norm_sq, tmp_path, capsys):
+        # a squared length that overflows used to make the unit vector 0 and
+        # end in ZeroDivisionError; one that underflows was called zero
+        out = tmp_path / "out"
+        argv = argv + [f"--direction={direction}", "--grid", "50,60,70", "--out", str(out)]
+        assert run_command(argv) == 2
+        assert f"direction must have a positive finite squared length, got {norm_sq}" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("direction", ["1e150,1e150", "1e-150,-1e-150", "3,0"])
+    def test_direction_inside_float_range_runs(self, direction, tmp_path):
+        argv = ["offdiag", "--manifold", "torus", "--tau", "1", f"--direction={direction}",
+                "--grid", "50,60,70", "--formats", "csv", "--out", str(tmp_path)]
+        assert run_command(argv) == 0
+
+    def test_hw_norms_at_huge_degrees(self, tmp_path):
+        # lgamma differences lost every digit here: raw 0.632 and a fitted exponent of 0
+        argv = ["lp", "--family", "hw", "--r", "4", "--s", "0", "--grid", "1e16,1e17,1e18",
+                "--formats", "csv", "--out", str(tmp_path)]
+        assert run_command(argv) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        # 60-digit mpmath: ||Q_m||_4 / ||Q_m||_2 at n = 2, m = 10^18
+        assert abs(summary["final_raw"] / 89.26527543366791098803124 - 1.0) <= 1e-14
+        assert abs(summary["fit"]["exponent"] - summary["predicted_exponent"]) <= 1e-9
+        assert summary["predicted_exponent"] == 0.125
+
     def test_eps_past_bound_refused(self, tmp_path, capsys):
         # past eps 1e305, eps s/4 would overflow to inf and the rows would be nan
         out = tmp_path / "out"
@@ -373,10 +414,10 @@ class TestResourceLimits:
             # the diagonal and the off-diagonal call: 2 (2,500,000 + 2,500,001)
             (["difference", "--manifold", "sphere", "--tau", "2", "--grid", "2500000,2500001"],
              10_000_002),
-            # one band call runs to max_degree(lam + 1) = 5,000,001 and max_degree(lam) = 5,000,000
-            (["band", "--manifold", "sphere", "--grid", "5000001"], 10_000_001),
-            # 1 + 12 default taus band calls: 13 (384,616 + 384,615)
-            (["hoelder", "--manifold", "sphere", "--delta", "0.5", "--grid", "384616"],
+            # one band call runs one recurrence, up to max_degree(lam + 1) = 10,000,001
+            (["band", "--manifold", "sphere", "--grid", "10000001"], 10_000_001),
+            # 1 + 12 default taus band calls, each up to max_degree(lam + 1): 13 * 769,231
+            (["hoelder", "--manifold", "sphere", "--delta", "0.5", "--grid", "769231"],
              10_000_003),
         ],
         ids=["weyl", "offdiag", "difference", "band", "hoelder"],

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy import integrate, special
 
 from speclab.analytic import (
-    bessel_j0,
+    bessel_j,
     bessel_j0_zero,
     gauss_legendre_rule,
     phi_kernel,
@@ -213,12 +213,53 @@ class TestBandKernel:
         assert band_kernel_sphere(2, 1.0, 0.5) == 3.0 / FOUR_PI
 
     def test_empty_band_is_zero(self):
-        lam = eigenvalue(2, 20)  # next level sits just beyond lam + 1
-        assert band_kernel_sphere(2, 1.0, lam) == 0.0
+        # the next level sits just beyond lam + 1 (near m = 300 on S^2, by less
+        # than max_degree's snapping tolerance, so m stays lower here)
+        for n in (2, 3, 8):
+            for m in (0, 1, 17, 20, 60):
+                lam = eigenvalue(n, m)
+                assert len(band_degrees(n, lam)) == 0
+                assert band_kernel_sphere(n, 1.0, lam) == 0.0
 
     def test_order_of_growth(self):
         val = band_kernel_sphere(2, 1.0, 10.0)
         assert val / 10.0 == pytest.approx(1.0 / (2.0 * math.pi), rel=0.06)
+
+
+def _two_recurrence_band(n, t, lam):
+    """The band kernel as one recurrence to each end of the band, as it was computed before."""
+
+    def telescope(m):
+        nu = (n + 1) / 2.0
+        c_prev, c = 0.0, 1.0
+        for k in range(1, m + 1):
+            c_prev, c = c, (2.0 * t * (k + nu - 1.0) * c - (k + 2.0 * nu - 2.0) * c_prev) / k
+        return c + c_prev
+
+    degs = band_degrees(n, lam)
+    return (telescope(degs.stop - 1) - telescope(degs.start - 1)) / sphere_area(n)
+
+
+@st.composite
+def band_cases(draw):
+    """n, lambda (free, or a pinned eigenvalue, whose band is mostly empty) and t in [-1, 1]."""
+    n = draw(st.integers(2, 8))
+    lam = draw(
+        st.one_of(
+            st.floats(0.0, 300.0),
+            st.integers(0, 300).map(lambda m: eigenvalue(n, m)),
+        )
+    )
+    t = draw(st.one_of(st.floats(-1.0, 1.0), st.sampled_from([-1.0, -0.0, 0.0, 1.0])))
+    return n, lam, t
+
+
+class TestBandKernelOnePass:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(band_cases())
+    def test_equals_the_two_recurrence_difference(self, case):
+        n, lam, t = case
+        assert band_kernel_sphere(n, t, lam).hex() == _two_recurrence_band(n, t, lam).hex()
 
 
 @st.composite
@@ -396,7 +437,7 @@ class TestZonalGradient:
         lam = eigenvalue(2, m)
         ratio = zonal_gradient_sup(2, m) / (lam * zonal_norm(2, m, math.inf))
         grid = np.linspace(1.0, 3.0, 4001)
-        max_j1 = max(abs(bessel_j1_like(x)) for x in grid)
+        max_j1 = max(abs(bessel_j(1, float(x))) for x in grid)
         assert ratio == pytest.approx(max_j1, rel=5e-3)
 
     def test_scaling_with_lambda(self):
@@ -445,12 +486,6 @@ class TestZonalGradient:
             zonal_gradient_sup(2, 10)
 
 
-def bessel_j1_like(x: float) -> float:
-    from speclab.analytic import bessel_j1
-
-    return bessel_j1(x)
-
-
 class TestHighestWeight:
     def test_normalized_at_two(self):
         assert hw_norm(2, 7, 2.0) == 1.0
@@ -469,6 +504,27 @@ class TestHighestWeight:
     def test_closed_form_vs_quadrature_n3(self, m):
         for r in (2.0, 4.0):
             assert hw_norm(3, m, r) == pytest.approx(hw_norm_quad(3, m, r), rel=1e-8)
+
+    # 60-digit mpmath values of ||Q_m||_r / ||Q_m||_2, from the same Beta form.  At
+    # m = 4999 and r = 4 both lgamma differences are taken directly (a =
+    # (m r + 2)/2 < 1e4); at 5000 the r = 4 one comes from the series; at 9999 both
+    @pytest.mark.parametrize(
+        "n,m,r,expected,rel",
+        [
+            (2, 4999, 4.0, 1.455643942614832712758347, 1e-11),
+            (2, 5000, 4.0, 1.45568032961941084977644, 1e-11),
+            (2, 9999, 4.0, 1.587388494016095326757794, 1e-14),
+            (3, 4999, 4.0, 3.354775207352538628355929, 1e-11),
+            (3, 9999, 6.0, 6.638062994774040122996792, 1e-14),
+            (2, 10**10, 4.0, 8.926527543492320391122427, 1e-14),
+            (2, 10**13, 4.0, 21.16813269920483717316703, 1e-14),
+            (2, 10**16, 4.0, 50.19755328085032646383631, 1e-14),
+            (2, 10**18, 6.0, 408.6218890560350084421562, 1e-14),
+            (3, 10**18, 6.0, 308108.1671763945621385558, 1e-14),
+        ],
+    )
+    def test_against_mpmath_at_large_degree(self, n, m, r, expected, rel):
+        assert abs(hw_norm(n, m, r) / expected - 1.0) <= rel
 
     def test_growth_exponent(self):
         # ||Q_m||_4 / ||Q_m||_2 ~ C m^{1/8}
@@ -536,7 +592,7 @@ class TestNadirashvili:
         assert nadirashvili_ratio(2, 2) == pytest.approx(2.0, abs=1e-9)
 
     def test_even_bessel_limit(self):
-        oracle = 1.0 / abs(bessel_j0(phi_kernel_zero(2, 1)))
+        oracle = 1.0 / abs(bessel_j(0, phi_kernel_zero(2, 1)))
         assert nadirashvili_ratio(2, 300) == pytest.approx(oracle, rel=0.05)
 
 
