@@ -22,7 +22,7 @@ from .analytic import (
 )
 from .errors import DomainError, ResourceLimitError
 from .sphere import ZonalFamily
-from .torus import Displacement, SmoothingWindow
+from .torus import SmoothingWindow
 
 __all__ = [
     "ScalingFit",
@@ -264,13 +264,12 @@ def _kernel(manifold: str, n: int, grid, direction, taus, *, band: bool = False)
     if manifold == "torus":
         lambdas = _lambda_grid(grid)
         d = torus.unit_direction(n, direction)
-        reach = math.pi / float(abs(d).max())
+        reach = math.pi / max(abs(v) for v in d)
         reach_name = f"pi/max|d_i| = {reach:.6g}"
         torus.check_radius(n, max(lambdas) + (1.0 if band else 0.0))
 
         def spectral(lam: float, dist: float) -> float:
-            u = Displacement.from_vector(d * dist)
-            return torus.spectral_function_torus(n, u, lam)
+            return torus.spectral_function_torus(n, [v * dist for v in d], lam)
 
         def band_kernel(lam: float, dist: float) -> float:
             if dist == 0.0:
@@ -502,15 +501,13 @@ def probe_cksigma(sigma: float, m_grid=None, *, n: int = 2) -> ProbeResult:
     ms, lambdas = _degree_grid(n, m_grid)
     _check_degree_budget(sum(ms), ZONAL_DEGREE_BUDGET, "degree grid")
 
-    def one(m: int, lam: float) -> float:
-        if sigma == 0.0:
-            return sphere.zonal_norm(n, m, math.inf)
-        if sigma == 1.0:
-            return sphere.zonal_gradient_sup(n, m)
-        return _hoelder_proxy(n, m, lam, sigma)
-
-    raws = [one(m, lam) for m, lam in zip(ms, lambdas)]
-    sups = [sphere.zonal_norm(n, m, math.inf) for m in ms]
+    sups = sphere.zonal_norms(n, ms, math.inf)
+    if sigma == 0.0:
+        raws = sups
+    elif sigma == 1.0:
+        raws = [sphere.zonal_gradient_sup(n, m) for m in ms]
+    else:
+        raws = [_hoelder_proxy(n, m, lam, sigma) for m, lam in zip(ms, lambdas)]
     rows = [
         ProbeRow(abscissa=float(m), raw=v, ratio=v / (lam ** sigma * sup))
         for m, lam, v, sup in zip(ms, lambdas, raws, sups)

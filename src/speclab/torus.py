@@ -15,6 +15,7 @@ numpy is imported by the functions that use it, at the first sum.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -24,7 +25,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "Displacement",
     "SmoothingWindow",
     "default_direction",
     "unit_direction",
@@ -63,76 +63,49 @@ def check_radius(n: int, radius: float) -> None:
         )
 
 
-def default_direction(n: int) -> np.ndarray:
+def default_direction(n: int) -> tuple[float, ...]:
     """Generic unit direction used for off-diagonal probes.
 
     Axis-aligned directions maximize lattice resonance in the remainder, so
     the defaults are deliberately irrational with respect to the lattice.
     """
-    import numpy as np
     s, c = math.sin(1.0), math.cos(1.0)
     if n == 2:
-        return np.array([c, s])
+        return (c, s)
     if n == 3:
-        return np.array([c * s, s * s, c])
+        return (c * s, s * s, c)
     raise DomainError(f"torus dimension must be 2 or 3, got {n}")
 
 
-def unit_direction(n: int, direction=None) -> np.ndarray:
-    """`direction` scaled to unit length, or default_direction(n) when it is None."""
+def unit_direction(n: int, direction=None) -> tuple[float, ...]:
+    """`direction` scaled to unit length, or default_direction(n) when it is None.
+
+    The squared length is summed left to right, np.sum's order below 8 terms.
+    A subnormal one has lost bits, so d/|d| would not have unit length.
+    """
     if direction is None:
         return default_direction(n)
-    import numpy as np
-    d = np.asarray(direction, dtype=float)
-    if d.shape != (n,):
+    d = [float(v) for v in direction]
+    if len(d) != n:
         raise DomainError(f"direction must have length {n}")
-    with np.errstate(over="ignore"):
-        norm_sq = float(np.sum(d * d))
+    norm_sq = 0.0
+    for v in d:
+        norm_sq += v * v
     if not 0.0 < norm_sq < math.inf:
         # an all-zero direction, or a squared length that under- or overflows
+        raise DomainError(f"direction must have a positive finite squared length, got {norm_sq!r}")
+    if norm_sq < sys.float_info.min:
         raise DomainError(
-            f"direction must have a positive finite squared length, got {norm_sq!r}"
+            f"direction squared length {norm_sq!r} is below the smallest normal float "
+            f"{sys.float_info.min!r}: scale the direction up"
         )
-    return d / math.sqrt(norm_sq)
+    norm = math.sqrt(norm_sq)
+    return tuple(v / norm for v in d)
 
 
-def norm_sq_bound(radius: float):
-    """Comparison bound for |k|^2 <= radius^2, integer-exact when possible."""
-    r2 = radius * radius
-    if r2 <= 2 ** 53 and float(r2).is_integer():
-        return int(r2)
-    return r2
-
-
-@dataclass(frozen=True)
-class Displacement:
-    """A torus displacement x - y with components reduced to (-pi, pi]."""
-
-    u: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.u.setflags(write=False)
-        if (abs(self.u) > math.pi).any():
-            raise DomainError("displacement components must lie in (-pi, pi]")
-
-    @classmethod
-    def from_vector(cls, values) -> "Displacement":
-        import numpy as np
-        u = np.asarray(values, dtype=float).copy()
-        for j, v in enumerate(u):
-            r = math.remainder(v, TWO_PI)
-            if r <= -math.pi:
-                r += TWO_PI
-            u[j] = r
-        return cls(u=u)
-
-    @property
-    def n(self) -> int:
-        return self.u.shape[0]
-
-    @property
-    def norm(self) -> float:
-        return float(math.sqrt((self.u * self.u).sum()))
+def norm_sq_bound(radius: float) -> int:
+    """floor(radius^2): every |k|^2 is an integer, so |k| <= radius iff |k|^2 <= this."""
+    return math.floor(radius * radius)
 
 
 @dataclass(frozen=True)
@@ -194,13 +167,15 @@ def _rows(n: int, radius: float) -> tuple[np.ndarray, np.ndarray]:
     """Rows {(p, c) : |c| <= w} that make up {k in Z^n : |k| <= radius}.
 
     Returns the prefixes p, shape (rows, n - 1), and the half-widths w.  Every
-    |k|^2 is an integer, so |k|^2 <= radius^2 iff |k|^2 <= floor(radius^2),
-    and w = floor(sqrt(floor(radius^2) - |p|^2)) is exact in floating point,
-    since its argument lies far below 2^52.
+    |k|^2 is an integer, so |k|^2 <= radius^2 iff |k|^2 <= floor(radius^2).
+    w = floor(sqrt(floor(radius^2) - |p|^2)) in float64 is exact for every
+    radius below 2^26, since floor(sqrt(m)) = isqrt(m) for all m < 2^52; a
+    float sum of the counts 2w + 1 is exact while N(radius) < 2^53, so for
+    radius < 5.3e7 (n = 2) and < 1.29e5 (n = 3).  The caps lie far below both.
     """
     import numpy as np
     check_radius(n, radius)
-    bound = math.floor(radius * radius)
+    bound = norm_sq_bound(radius)
     top = math.isqrt(bound)
     axis = np.arange(-top, top + 1, dtype=np.int64)
     if n == 2:
@@ -231,7 +206,7 @@ def lattice_shells(n: int, radius: float) -> tuple[np.ndarray, np.ndarray, np.nd
     """
     import numpy as np
     check_radius(n, radius)
-    bound = math.floor(radius * radius)
+    bound = norm_sq_bound(radius)
     top = math.isqrt(bound)
     sq = np.arange(top + 1, dtype=np.int64) ** 2
     diagonal = math.isqrt(bound // 2)
@@ -258,26 +233,28 @@ def lattice_shells(n: int, radius: float) -> tuple[np.ndarray, np.ndarray, np.nd
 # spectral sums
 
 
-def spectral_function_torus(n: int, u: Displacement, lam: float, *, enum=None) -> float:
+def spectral_function_torus(n: int, u, lam: float, *, enum=None) -> float:
     """e(x, y, lambda) on T^n as a cosine lattice sum, with x - y = u.
 
-    Row p contributes cos(p . u') D_w(u_n), where u' is u without its last
-    component and D_w(x) = sum_{|c|<=w} cos(c x) = sin((w + 1/2) x)/sin(x/2)
-    is the Dirichlet kernel; D_w(0) is exactly 2w + 1.  `enum` is unused and
-    stays only until ROADMAP item 0 changes the tracer.
+    u is any length-n sequence of floats, reduced here into (-pi, pi].  Row p
+    contributes cos(p . u') D_w(u_n), where u' is u without its last component
+    and D_w(x) = sum_{|c|<=w} cos(c x) = sin((w + 1/2) x)/sin(x/2) is the
+    Dirichlet kernel; D_w(0) is exactly 2w + 1.  `enum` is unused and stays
+    only until ROADMAP item 0 changes the tracer.
     """
     import numpy as np
-    if u.n != n:
+    if len(u) != n:
         raise DomainError("displacement length must equal the dimension")
+    rem = (math.remainder(v, TWO_PI) for v in u)
+    *head, x = (r + TWO_PI if r <= -math.pi else r for r in rem)  # -pi becomes pi
     p, w = _rows(n, lam)
-    x = float(u.u[-1])
     if x == 0.0:
         kernel = (2 * w + 1).astype(np.float64)
     else:
         kernel = np.sin((w + 0.5) * x) / math.sin(0.5 * x)
     # dgemv fuses multiply-adds: written out elementwise, p . u' rounds differently
     # (up to 4.4e-16 at n = 3) and the tables would change
-    return float(np.sum(np.cos(p @ u.u[:-1]) * kernel)) / TWO_PI ** n
+    return float(np.sum(np.cos(p @ np.array(head)) * kernel)) / TWO_PI ** n
 
 
 def derivative_diagonal_sum(n: int, alpha, beta, lam: float, *, enum=None) -> float:
@@ -349,6 +326,7 @@ def smoothed_diagonal_sum(
     if window is None:
         window = SmoothingWindow()
     radius = lam + window.truncation_radius
+    check_radius(n, radius)  # with or without a table: the bound below needs a finite radius
     values, radii, mult = lattice_shells(n, radius) if shells is None else shells
     top = int(values.searchsorted(norm_sq_bound(radius), side="right"))
     weights = window.value(lam - radii[:top])

@@ -191,6 +191,22 @@ class TestRunCommand:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["offdiag", "--manifold", "torus", "--tau", "1.5"],
+        ["difference", "--manifold", "torus", "--tau", "1.5"],
+        ["hoelder", "--manifold", "torus", "--delta", "0.5"],
+    ], ids=["offdiag", "difference", "hoelder"])
+    @pytest.mark.parametrize("direction", ["3e-161,7e-161", "1.58e-162,1.11e-162"])
+    def test_direction_with_a_subnormal_squared_length_refused(self, argv, direction, tmp_path, capsys):
+        # the quotient by a subnormal length is not unit (1 - 2.9e-5 and 13% off),
+        # so offdiag at --tau 1.5 used to write raw 147.88336 at 50 where 3,7 gives 147.88074
+        out = tmp_path / "out"
+        argv = argv + [f"--direction={direction}", "--grid", "50,100,150", "--out", str(out)]
+        assert run_command(argv) == 2
+        err = capsys.readouterr().err
+        assert "is below the smallest normal float 2.2250738585072014e-308" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("direction", ["1e150,1e150", "1e-150,-1e-150", "3,0"])
     def test_direction_inside_float_range_runs(self, direction, tmp_path):
         argv = ["offdiag", "--manifold", "torus", "--tau", "1", f"--direction={direction}",
@@ -658,6 +674,27 @@ class TestImportCost:
             "layers = ('cli', 'probes', 'torus', 'sphere', 'analytic', 'output')\n"
             "missing = [m for m in layers if f'speclab.{m}' not in sys.modules]\n"
             "assert not missing, missing\n"
+        )
+        proc = _run_script(script, tmp_path)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_torus_directions_need_no_numpy(self, tmp_path):
+        script = (
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "import speclab.torus as torus\n"
+            "from speclab.errors import DomainError\n"
+            "for n in (2, 3):\n"
+            "    d = torus.default_direction(n)\n"
+            "    assert torus.unit_direction(n) == d and all(type(v) is float for v in d)\n"
+            "assert torus.unit_direction(2, (3.0, -4.0)) == (0.6, -0.8)\n"
+            "assert len(torus.unit_direction(3, (1.0, 2.0, 2.0))) == 3\n"
+            "for bad in ((0.0, 0.0), (3e-161, 7e-161), (1e200, 1.0)):\n"
+            "    try:\n"
+            "        torus.unit_direction(2, bad)\n"
+            "    except DomainError:\n"
+            "        continue\n"
+            "    raise AssertionError(bad)\n"
         )
         proc = _run_script(script, tmp_path)
         assert proc.returncode == 0, proc.stderr

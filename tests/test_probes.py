@@ -223,6 +223,24 @@ class TestOffdiagProbe:
         with pytest.raises(DomainError, match="tau/lambda exceeds pi/max"):
             probe_hoelder("torus", 2, 0.5, [1.01 * reach], [1.0, 2.0], direction=(1.0, 1.0))
 
+    def test_torus_raws_pinned(self):
+        # every bit of two torus offdiag tables; p @ u' rounds through dgemv,
+        # so a change in how the displacement reaches it shows here
+        grid3 = [float(v) for v in range(10, 61, 5)]
+        assert [r.raw.hex() for r in probe_offdiag("torus", 2, 1.5).rows] == [
+            "0x1.27c59c04eb4d5p+7", "0x1.4cea0c98a738ep+8", "0x1.2801781005ddap+9",
+            "0x1.ce6d5a9d36e14p+9", "0x1.4cfb0aca2b61ap+10", "0x1.c53ca04db9a8bp+10",
+            "0x1.27f078714d0c0p+11", "0x1.769a7e672ad83p+11", "0x1.ce7274caf5a06p+11",
+            "0x1.17c2bde56fc10p+12", "0x1.4cf516a09620bp+12",
+        ]
+        res = probe_offdiag("torus", 3, 2.0, grid3, direction=(0.3, -1.1, 0.7))
+        assert [r.raw.hex() for r in res.rows] == [
+            "0x1.5fc2561bc3696p+3", "0x1.29ec534674913p+5", "0x1.602061dbb83fcp+6",
+            "0x1.57fce9bbe762bp+7", "0x1.29bff45933355p+8", "0x1.d8d54264a958dp+8",
+            "0x1.60a0bd82a34aep+9", "0x1.f6b160e413ca1p+9", "0x1.58845d7d0e3b6p+10",
+            "0x1.ca8b79c9a1915p+10", "0x1.299e6b6e44c18p+11",
+        ]
+
     def test_direction_override_changes_rows(self):
         a = probe_offdiag("torus", 2, 2.0, SMALL_LAMBDAS)
         b = probe_offdiag("torus", 2, 2.0, SMALL_LAMBDAS, direction=(1.0, 0.0))
@@ -289,12 +307,12 @@ def _band_reference(manifold, n, direction):
     """The band kernel at dist(x, y) = dist, from the public torus and sphere sums."""
     if manifold == "sphere":
         return lambda lam, dist: sphere.band_kernel_sphere(n, math.cos(dist), lam)
-    d = torus.default_direction(n) if direction is None else _unit(direction)
+    d = np.array(torus.default_direction(n)) if direction is None else _unit(direction)
 
     def band(lam, dist):
         if dist == 0.0:
             return torus.band_diagonal_sum(n, lam)
-        u = torus.Displacement.from_vector(d * dist)
+        u = d * dist
         return torus.spectral_function_torus(n, u, lam + 1.0) - torus.spectral_function_torus(
             n, u, lam
         )
@@ -406,6 +424,21 @@ class TestCkSigmaProbe:
     def test_sigma_zero_ratio_is_one(self):
         res = probe_cksigma(0.0, SMALL_DEGREES)
         assert all(r.ratio == pytest.approx(1.0, abs=1e-12) for r in res.rows)
+
+    def test_sigma_zero_takes_each_sup_norm_once(self, monkeypatch):
+        built = []
+        real = ZonalFamily.create.__func__
+
+        def counting(cls, n, m):
+            built.append(m)
+            return real(cls, n, m)
+
+        monkeypatch.setattr(ZonalFamily, "create", classmethod(counting))
+        res = probe_cksigma(0.0, SMALL_DEGREES)
+        monkeypatch.undo()
+        assert built == SMALL_DEGREES
+        assert [r.raw for r in res.rows] == [sphere.zonal_norm(2, m, math.inf) for m in SMALL_DEGREES]
+        assert all(r.ratio == 1.0 for r in res.rows)
 
     def test_gradient_proxy_exponent(self):
         res = probe_cksigma(1.0, default_degree_grid())

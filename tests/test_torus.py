@@ -1,5 +1,6 @@
 import functools
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -11,7 +12,6 @@ from speclab import torus
 from speclab.analytic import MultiIndex, phi_kernel, weyl_constant
 from speclab.errors import DomainError, ResourceLimitError
 from speclab.torus import (
-    Displacement,
     SmoothingWindow,
     band_diagonal_sum,
     default_direction,
@@ -20,6 +20,7 @@ from speclab.torus import (
     norm_sq_bound,
     smoothed_diagonal_sum,
     spectral_function_torus,
+    unit_direction,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -197,69 +198,127 @@ class TestShells:
             assert not table.flags.writeable
 
 
+def numpy_unit_direction(direction):
+    """The unit direction as it was formed before it left numpy: np.sum, then one sqrt."""
+    d = np.asarray(direction, dtype=float)
+    with np.errstate(over="ignore", under="ignore"):
+        norm_sq = float(np.sum(d * d))
+    return norm_sq, d / math.sqrt(norm_sq) if 0.0 < norm_sq < math.inf else None
+
+
+# finite floats with zero, subnormal and huge magnitudes among the draws
+direction_components = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.just(0.0),
+    st.floats(-1e-160, 1e-160, allow_nan=False),
+    st.floats(1e150, 1e200).flatmap(lambda x: st.sampled_from([x, -x])),
+)
+
+
+class TestDirections:
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(st.integers(2, 3).flatmap(lambda n: st.lists(direction_components, min_size=n, max_size=n)))
+    def test_unit_direction_matches_the_numpy_route(self, direction):
+        n = len(direction)
+        norm_sq, reference = numpy_unit_direction(direction)
+        if reference is None or norm_sq < sys.float_info.min:
+            with pytest.raises(DomainError):
+                unit_direction(n, direction)
+            return
+        got = unit_direction(n, direction)
+        assert all(type(v) is float for v in got)
+        assert [v.hex() for v in got] == [float(v).hex() for v in reference]
+
+    @pytest.mark.parametrize("direction", [(3e-161, 7e-161), (1.58e-162, 1.11e-162)])
+    def test_subnormal_squared_length_refused(self, direction):
+        # the quotient by a subnormal length is not unit: 1 - 2.9e-5 and 13% off
+        norm_sq, reference = numpy_unit_direction(direction)
+        assert 0.0 < norm_sq < sys.float_info.min
+        assert abs(float(np.sum(reference * reference)) - 1.0) > 1e-5
+        with pytest.raises(DomainError, match="smallest normal float"):
+            unit_direction(2, direction)
+
+    def test_wrong_length_refused(self):
+        with pytest.raises(DomainError):
+            unit_direction(3, (1.0, 2.0))
+
+
 class TestDisplacement:
+    """x - y: any sequence, reduced into (-pi, pi] by spectral_function_torus, or dist times d."""
+
     def test_reduction(self):
-        u = Displacement.from_vector([TWO_PI + 0.25, -3.5 * math.pi])
-        assert u.u[0] == pytest.approx(0.25, abs=1e-15)
-        assert u.u[1] == pytest.approx(0.5 * math.pi, abs=1e-15)
-        assert np.all(np.abs(u.u) <= math.pi)
+        # a shift by +-2 pi in any one component is the same displacement
+        for n, u, lam in ((2, (0.9, -1.1), 25.0), (3, (0.3, -2.9, 1e-9), 9.0)):
+            e0 = spectral_function_torus(n, (0.0,) * n, lam)
+            base = spectral_function_torus(n, u, lam)
+            for j in range(n):
+                for shift in (TWO_PI, -TWO_PI):
+                    moved = list(u)
+                    moved[j] += shift
+                    assert abs(spectral_function_torus(n, moved, lam) - base) <= 1e-12 * e0
 
     def test_boundary_lands_in_half_open_interval(self):
-        u = Displacement.from_vector([-math.pi, math.pi])
-        assert u.u[0] == math.pi and u.u[1] == math.pi
+        # -pi goes to pi, so the two give the same bits
+        for u, v in (((-math.pi, 0.4), (math.pi, 0.4)), ((0.4, -math.pi), (0.4, math.pi)),
+                     ((-math.pi, -math.pi, 0.1), (math.pi, math.pi, 0.1))):
+            n = len(u)
+            assert spectral_function_torus(n, u, 17.0).hex() == spectral_function_torus(
+                n, v, 17.0
+            ).hex()
 
-    def test_norm(self):
-        assert Displacement.from_vector([0.3, 0.4]).norm == pytest.approx(0.5, rel=1e-15)
+    def test_sequences_and_arrays_agree(self):
+        u = (0.3, -1.1, 0.7)
+        got = {spectral_function_torus(3, v, 12.0).hex() for v in (u, list(u), np.array(u))}
+        assert len(got) == 1
 
     def test_default_directions_are_unit(self):
         for n in (2, 3):
             d = default_direction(n)
-            assert float(np.sum(d * d)) == pytest.approx(1.0, abs=1e-15)
+            assert isinstance(d, tuple) and len(d) == n
+            assert all(type(v) is float for v in d)
+            assert math.fsum(v * v for v in d) == pytest.approx(1.0, abs=1e-15)
+            assert unit_direction(n) == d
 
 
 class TestSpectralFunction:
     def test_diagonal_equals_count(self):
-        u0 = Displacement.from_vector([0.0, 0.0])
-        assert spectral_function_torus(2, u0, 5.0) == pytest.approx(81 / TWO_PI**2, abs=1e-13)
+        assert spectral_function_torus(2, (0.0, 0.0), 5.0) == pytest.approx(81 / TWO_PI**2, abs=1e-13)
 
     def test_lambda_zero(self):
-        u = Displacement.from_vector([0.9, -1.1])
-        assert spectral_function_torus(2, u, 0.0) == pytest.approx(1 / TWO_PI**2, abs=1e-16)
+        assert spectral_function_torus(2, (0.9, -1.1), 0.0) == pytest.approx(1 / TWO_PI**2, abs=1e-16)
 
     def test_even_in_u(self):
-        u = Displacement.from_vector([0.37, -0.22])
-        minus = Displacement.from_vector([-0.37, 0.22])
-        assert spectral_function_torus(2, u, 20.0) == spectral_function_torus(2, minus, 20.0)
+        assert spectral_function_torus(2, (0.37, -0.22), 20.0) == spectral_function_torus(
+            2, (-0.37, 0.22), 20.0
+        )
 
     def test_dominated_by_diagonal(self):
-        u0 = Displacement.from_vector([0.0, 0.0])
-        e0 = spectral_function_torus(2, u0, 30.0)
+        e0 = spectral_function_torus(2, (0.0, 0.0), 30.0)
         rng = np.random.default_rng(7)
         for _ in range(25):
-            u = Displacement.from_vector(rng.uniform(-math.pi, math.pi, size=2))
+            u = rng.uniform(-math.pi, math.pi, size=2)
             assert abs(spectral_function_torus(2, u, 30.0)) <= e0
 
     def test_diagonal_monotone_in_lambda(self):
-        u0 = Displacement.from_vector([0.0, 0.0])
-        vals = [spectral_function_torus(2, u0, lam) for lam in (1.0, 5.0, 10.0, 25.0)]
+        vals = [spectral_function_torus(2, (0.0, 0.0), lam) for lam in (1.0, 5.0, 10.0, 25.0)]
         assert all(a <= b for a, b in zip(vals, vals[1:]))
 
     def test_difference_sum_nonnegative(self):
-        u0 = Displacement.from_vector([0.0, 0.0])
-        e0 = spectral_function_torus(2, u0, 40.0)
+        e0 = spectral_function_torus(2, (0.0, 0.0), 40.0)
         for tau in (0.5, 2.0, 3.83, 7.0):
-            u = Displacement.from_vector(default_direction(2) * (tau / 40.0))
+            u = [v * (tau / 40.0) for v in default_direction(2)]
             assert 2.0 * (e0 - spectral_function_torus(2, u, 40.0)) >= 0.0
 
     def test_matches_phi_at_moderate_lambda(self):
         lam, tau = 300.0, 2.0
-        u = Displacement.from_vector(default_direction(2) * (tau / lam))
+        u = [v * (tau / lam) for v in default_direction(2)]
         ratio = spectral_function_torus(2, u, lam) / lam**2
         assert abs(ratio - phi_kernel(2, tau)) <= 0.02 * weyl_constant(2)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DomainError):
-            spectral_function_torus(3, Displacement.from_vector([0.1, 0.2]), 2.0)
+        for n, u in ((3, (0.1, 0.2)), (2, (0.1, 0.2, 0.3)), (2, ())):
+            with pytest.raises(DomainError):
+                spectral_function_torus(n, u, 2.0)
 
 
 class TestDerivativeSum:
@@ -487,13 +546,57 @@ class TestSmoothedSum:
             assert 0.0 < tail < 1e-7
 
 
+@functools.lru_cache(maxsize=1)
+def shells_1300():
+    return torus.lattice_shells(2, 1300.0)
+
+
+def int_or_float_bound(radius):
+    """The bound smoothed_diagonal_sum used before norm_sq_bound took the floor."""
+    r2 = radius * radius
+    if r2 <= 2 ** 53 and float(r2).is_integer():
+        return int(r2)
+    return r2
+
+
 class TestNormSqBound:
     def test_integer_radius(self):
         assert norm_sq_bound(5.0) == 25
         assert isinstance(norm_sq_bound(5.0), int)
 
     def test_non_integer_radius(self):
-        assert norm_sq_bound(2.5) == 6.25
+        assert norm_sq_bound(2.5) == 6
+        assert isinstance(norm_sq_bound(2.5), int)
+
+    @settings(derandomize=True, deadline=None)
+    @given(st.one_of(st.floats(0.0, 1300.0), st.integers(0, 1300 ** 2).map(math.sqrt)))
+    def test_same_shell_index_as_the_int_or_float_bound(self, radius):
+        values, _, _ = shells_1300()
+        assert values.searchsorted(norm_sq_bound(radius), side="right") == values.searchsorted(
+            int_or_float_bound(radius), side="right"
+        )
+
+    def test_infinite_radius_refused_before_the_bound(self):
+        # math.floor(inf) raises OverflowError; the radius check comes first, table or not
+        for shells in (None, shells_1300()):
+            with pytest.raises(ResourceLimitError):
+                smoothed_diagonal_sum(2, math.inf, shells=shells)
+            with pytest.raises(ResourceLimitError):
+                smoothed_diagonal_sum(2, 600.0, shells=shells)
+
+
+class TestRowWidthExactness:
+    @settings(derandomize=True, deadline=None)
+    @given(st.integers(1, 2 ** 26 - 1))
+    def test_float_sqrt_floor_is_isqrt_below_2_52(self, k):
+        # the half-widths in _rows: floor(sqrt(m)) in float64 from an int64 m
+        m = np.array([k * k - 1, k * k, k * k + 1], dtype=np.int64)
+        w = np.floor(np.sqrt(m)).astype(np.int64)
+        assert w.tolist() == [math.isqrt(int(v)) for v in m]
+
+    def test_first_failure_is_just_past_2_52(self):
+        k = 2 ** 26 + 1
+        assert int(np.floor(np.sqrt(np.float64(k * k - 1)))) == k != math.isqrt(k * k - 1)
 
 
 # --------------------------------------------------------------------------
@@ -524,7 +627,7 @@ def displacements(draw, n):
             st.floats(5e-10, 2e-9).flatmap(lambda x: st.sampled_from([x, -x])),
         )
     )
-    return Displacement.from_vector(head + [last])
+    return head + [last]
 
 
 @st.composite
@@ -560,7 +663,7 @@ class TestRowSumsAgainstCubeScan:
         assert band_diagonal_sum(n, lam) == band / TWO_PI**n
 
         # |cos| <= 1, so the sum's rounding scale is the count
-        cosines = float(np.sum(np.cos(inside @ u.u)))
+        cosines = float(np.sum(np.cos(inside @ np.array(u))))
         assert abs(spectral_function_torus(n, u, lam) * TWO_PI**n - cosines) <= 1e-12 * count
 
         # each weight k^gamma is at most lambda^|gamma|, which sets the scale here
