@@ -17,6 +17,7 @@ from .analytic import (
     bessel_j0_zero,
     deriv_weyl_constant,
     epsilon_exponent,
+    pairwise_sum,
     phi_kernel,
     weyl_constant,
 )
@@ -76,28 +77,6 @@ class ScalingFit:
     n_points: int
 
 
-def _pairwise_sum(values: list[float]) -> float:
-    """The sum in np.sum's order: 8 running partial sums from 8 terms up, halves past 128.
-
-    The order keeps fits bit-equal to the numpy formula this replaced; the
-    builtin sum compensates its rounding from Python 3.12 on.
-    """
-    n = len(values)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
-    total, body = 0.0, 0
-    if n >= 8:
-        body = n - n % 8
-        acc = values[:8]
-        for i in range(8, body, 8):
-            acc = [a + v for a, v in zip(acc, values[i : i + 8])]
-        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-    for v in values[body:]:
-        total += v
-    return total
-
-
 def fit_scaling(samples) -> ScalingFit:
     """Ordinary least squares of log(value) against log(abscissa).
 
@@ -115,10 +94,10 @@ def fit_scaling(samples) -> ScalingFit:
         raise DomainError("scaling fit needs positive abscissae and values")
     x = [math.log(a) for a, _ in pts]
     y = [math.log(v) for _, v in pts]
-    x_mean = _pairwise_sum(x) / len(x)
+    x_mean = pairwise_sum(x) / len(x)
     xm = [a - x_mean for a in x]
-    slope = _pairwise_sum([d * b for d, b in zip(xm, y)]) / _pairwise_sum([d * d for d in xm])
-    intercept = _pairwise_sum(y) / len(y) - slope * x_mean
+    slope = pairwise_sum([d * b for d, b in zip(xm, y)]) / pairwise_sum([d * d for d in xm])
+    intercept = pairwise_sum(y) / len(y) - slope * x_mean
     return ScalingFit(
         exponent=slope,
         log_constant=intercept,
@@ -274,7 +253,7 @@ def _kernel(manifold: str, n: int, grid, direction, taus, *, band: bool = False)
         def band_kernel(lam: float, dist: float) -> float:
             if dist == 0.0:
                 return torus.band_diagonal_sum(n, lam)
-            return spectral(lam + 1.0, dist) - spectral(lam, dist)
+            return torus.band_kernel_torus(n, [v * dist for v in d], lam)
 
     elif manifold == "sphere":
         if direction is not None:

@@ -7,18 +7,28 @@ vectors.  No sum stores those vectors.  The ball |k| <= R is a set of rows
 the last, and each row's sum over c has a closed form: the Dirichlet kernel
 for the spectral function, a power sum for the derivative sums and 2w + 1 for
 counts.  A sum that depends on k only through |k|^2 runs over the lattice
-shells |k|^2 = j, weighted by their multiplicities r_n(j).  The sums are
-evaluated with numpy in a fixed order, so repeated runs are bit-identical;
-numpy is imported by the functions that use it, at the first sum.
+shells |k|^2 = j, weighted by their multiplicities r_n(j).
+
+Counts, band sums, derivative sums and the diagonal spectral function are
+sums of Python ints over the rows with p >= 0 in every entry, each weighted
+by 2 per nonzero entry of p, so they are exact.  The n = 2 cosine sum runs in
+Python floats, in np.sum's pairwise order over the rows p = -R..R.  numpy
+serves only where arrays pay: the n = 3 cosine sum, whose p . u' must round
+through dgemv's fused multiply-add, and the shell tables of the smoothed
+sums.  It is imported by the functions that use it, at their first call.
+Every sum runs in a fixed order, so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from .analytic import pairwise_sum
 from .errors import DomainError, ResourceLimitError
 
 if TYPE_CHECKING:
@@ -31,8 +41,10 @@ __all__ = [
     "check_radius",
     "eigenvalue_count",
     "spectral_function_torus",
+    "band_kernel_torus",
     "derivative_diagonal_sum",
     "band_diagonal_sum",
+    "LatticeShells",
     "lattice_shells",
     "smoothed_diagonal_sum",
 ]
@@ -163,46 +175,86 @@ class SmoothingWindow:
 # the ball as rows along the last axis
 
 
-def _rows(n: int, radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """Rows {(p, c) : |c| <= w} that make up {k in Z^n : |k| <= radius}.
+@functools.lru_cache(maxsize=2)
+def _half_widths(bound: int) -> tuple[int, ...]:
+    """isqrt(bound - p^2) for p = 0..isqrt(bound): the rows p >= 0 of the disc |k|^2 <= bound.
 
-    Returns the prefixes p, shape (rows, n - 1), and the half-widths w.  Every
-    |k|^2 is an integer, so |k|^2 <= radius^2 iff |k|^2 <= floor(radius^2).
+    The cache holds the two radii of a band, lambda and lambda + 1, which a
+    probe sums at every distance of its grid.
+    """
+    return tuple([math.isqrt(bound - p * p) for p in range(math.isqrt(bound) + 1)])
+
+
+def _folded(terms: list[int]) -> int:
+    """t_0 + 2 (t_1 + ... + t_top): the sum over p = -top..top of an even t_p, from p >= 0."""
+    return 2 * sum(terms) - terms[0]
+
+
+def _disc_count(bound: int) -> int:
+    """The number of k in Z^2 with |k|^2 <= bound: row p holds 2 w_p + 1 points."""
+    return _folded([2 * w + 1 for w in _half_widths(bound)])
+
+
+def _rows3(radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Rows {(p, c) : |c| <= w} that make up {k in Z^3 : |k| <= radius}, for numpy sums.
+
+    Returns the prefixes p, shape (rows, 2), and the half-widths w.
     w = floor(sqrt(floor(radius^2) - |p|^2)) in float64 is exact for every
-    radius below 2^26, since floor(sqrt(m)) = isqrt(m) for all m < 2^52; a
-    float sum of the counts 2w + 1 is exact while N(radius) < 2^53, so for
-    radius < 5.3e7 (n = 2) and < 1.29e5 (n = 3).  The caps lie far below both.
+    radius below 2^26, since floor(sqrt(m)) = isqrt(m) for all m < 2^52; the
+    n = 3 cap lies far below that.
     """
     import numpy as np
-    check_radius(n, radius)
     bound = norm_sq_bound(radius)
     top = math.isqrt(bound)
     axis = np.arange(-top, top + 1, dtype=np.int64)
-    if n == 2:
-        p = axis[:, None]
-    else:
-        a, b = np.meshgrid(axis, axis, indexing="ij")
-        inside = a * a + b * b <= bound
-        p = np.stack([a[inside], b[inside]], axis=1)
+    a, b = np.meshgrid(axis, axis, indexing="ij")
+    inside = a * a + b * b <= bound
+    p = np.stack([a[inside], b[inside]], axis=1)
     w = np.floor(np.sqrt(bound - np.sum(p * p, axis=1))).astype(np.int64)
     return p, w
 
 
 def eigenvalue_count(n: int, lam: float) -> int:
-    """N(lambda): number of eigenvalues (with multiplicity) at most lambda^2."""
-    _, w = _rows(n, lam)
-    return int((2 * w + 1).sum())
+    """N(lambda): number of eigenvalues (with multiplicity) at most lambda^2.
+
+    In n = 3 the plane at height a holds the disc |(b, c)|^2 <= bound - a^2.
+    """
+    check_radius(n, lam)
+    bound = norm_sq_bound(lam)
+    if n == 2:
+        return _disc_count(bound)
+    return _folded([_disc_count(bound - a * a) for a in range(math.isqrt(bound) + 1)])
 
 
-def lattice_shells(n: int, radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+@dataclass(frozen=True)
+class LatticeShells:
+    """The lattice shells |k|^2 = j <= bound of T^n, as lattice_shells builds them.
+
+    values holds the ascending j with r_n(j) > 0 (int64), radii the sqrt(j)
+    and mult the multiplicities r_n(j), both float64; all three are
+    read-only, so one table can serve every sum of a probe.  bound is the
+    norm_sq_bound of the radius the table was built for: a sum that needs
+    shells past it refuses the table.  The table unpacks as
+    (values, radii, mult).
+    """
+
+    n: int
+    bound: int
+    values: np.ndarray
+    radii: np.ndarray
+    mult: np.ndarray
+
+    def __iter__(self):
+        return iter((self.values, self.radii, self.mult))
+
+
+def lattice_shells(n: int, radius: float) -> LatticeShells:
     """The lattice shells |k|^2 = j <= floor(radius^2) of T^n, n = 2 or 3.
 
-    Returns the ascending j with r_n(j) > 0 (int64), the radii sqrt(j) and the
-    multiplicities r_n(j), both float64; all three are read-only, so one table
-    can serve every sum of a probe.  r_2 counts a^2 + b^2 over the octant
-    0 <= b <= a, a >= 1, one column b at a time; each point stands for 8
-    points of Z^2 minus the origin, or for 4 on an axis (b = 0, j = a^2) or a
-    diagonal (b = a, j = 2 a^2).  r_3(j) = sum_c r_2(j - c^2).
+    r_2 counts a^2 + b^2 over the octant 0 <= b <= a, a >= 1, one column b at
+    a time; each point stands for 8 points of Z^2 minus the origin, or for 4
+    on an axis (b = 0, j = a^2) or a diagonal (b = a, j = 2 a^2).
+    r_3(j) = sum_c r_2(j - c^2).
     """
     import numpy as np
     check_radius(n, radius)
@@ -226,11 +278,43 @@ def lattice_shells(n: int, radius: float) -> tuple[np.ndarray, np.ndarray, np.nd
     mult = counts[values].astype(np.float64)
     for table in (values, radii, mult):
         table.setflags(write=False)
-    return values, radii, mult
+    return LatticeShells(n, bound, values, radii, mult)
 
 
 # --------------------------------------------------------------------------
 # spectral sums
+
+
+def _reduced(n: int, u) -> tuple[list[float], float]:
+    """u reduced into (-pi, pi]^n, split into its head u' and last component."""
+    if len(u) != n:
+        raise DomainError("displacement length must equal the dimension")
+    rem = (math.remainder(v, TWO_PI) for v in u)
+    *head, x = (r + TWO_PI if r <= -math.pi else r for r in rem)  # -pi becomes pi
+    return head, x
+
+
+def _row_factors(u0: float, x: float, top: int) -> tuple[list[float], list[float]]:
+    """cos(p u0) for p = 0..top and the Dirichlet kernel D_w(x) for w = 0..top.
+
+    sin(x/2) is 0.0 at x = 0 and also at x = +-5e-324, where x/2 rounds to
+    0; D_w(x) is then 2w + 1 to the last bit, not 0/0.
+    """
+    cosines = [math.cos(p * u0) for p in range(top + 1)]
+    s = math.sin(0.5 * x)
+    if s == 0.0:
+        return cosines, [float(2 * w + 1) for w in range(top + 1)]
+    return cosines, [math.sin((w + 0.5) * x) / s for w in range(top + 1)]
+
+
+def _row_cosine_sum(cosines: list[float], kernel: list[float], widths: tuple[int, ...]) -> float:
+    """sum over the rows p = -top..top of cos(p u0) D_{w_p}(x), in np.sum's order.
+
+    Rows p and -p give the same term, so the list of terms is the half at
+    p >= 0 mirrored in front of itself.
+    """
+    half = [c * kernel[w] for c, w in zip(cosines, widths)]
+    return pairwise_sum(half[:0:-1] + half)
 
 
 def spectral_function_torus(n: int, u, lam: float, *, enum=None) -> float:
@@ -239,22 +323,48 @@ def spectral_function_torus(n: int, u, lam: float, *, enum=None) -> float:
     u is any length-n sequence of floats, reduced here into (-pi, pi].  Row p
     contributes cos(p . u') D_w(u_n), where u' is u without its last component
     and D_w(x) = sum_{|c|<=w} cos(c x) = sin((w + 1/2) x)/sin(x/2) is the
-    Dirichlet kernel; D_w(0) is exactly 2w + 1.  `enum` is unused and stays
-    only until ROADMAP item 0 changes the tracer.
+    Dirichlet kernel; D_w(0) is exactly 2w + 1.  With every component zero the
+    sum is the count N(lambda).  `enum` is unused and stays only until
+    ROADMAP item 0 changes the tracer.
     """
+    head, x = _reduced(n, u)
+    check_radius(n, lam)
+    if x == 0.0 and not any(head):
+        return eigenvalue_count(n, lam) / TWO_PI ** n
+    if n == 2:
+        widths = _half_widths(norm_sq_bound(lam))
+        cosines, kernel = _row_factors(head[0], x, len(widths) - 1)
+        return _row_cosine_sum(cosines, kernel, widths) / TWO_PI ** 2
     import numpy as np
-    if len(u) != n:
-        raise DomainError("displacement length must equal the dimension")
-    rem = (math.remainder(v, TWO_PI) for v in u)
-    *head, x = (r + TWO_PI if r <= -math.pi else r for r in rem)  # -pi becomes pi
-    p, w = _rows(n, lam)
-    if x == 0.0:
+    p, w = _rows3(lam)
+    s = math.sin(0.5 * x)
+    if s == 0.0:  # x = 0 or +-5e-324, as in _row_factors
         kernel = (2 * w + 1).astype(np.float64)
     else:
-        kernel = np.sin((w + 0.5) * x) / math.sin(0.5 * x)
+        kernel = np.sin((w + 0.5) * x) / s
     # dgemv fuses multiply-adds: written out elementwise, p . u' rounds differently
-    # (up to 4.4e-16 at n = 3) and the tables would change
+    # (up to 4.4e-16) and the tables would change
     return float(np.sum(np.cos(p @ np.array(head)) * kernel)) / TWO_PI ** n
+
+
+def band_kernel_torus(n: int, u, lam: float) -> float:
+    """The band kernel e(x, y, lambda + 1) - e(x, y, lambda) of (lambda, lambda + 1], x - y = u.
+
+    Bit-equal to the difference of the two spectral_function_torus calls.
+    The n = 2 cosine sums share their cosines and Dirichlet kernels.
+    """
+    head, x = _reduced(n, u)
+    if n != 2 or (x == 0.0 and not any(head)):
+        return spectral_function_torus(n, u, lam + 1.0) - spectral_function_torus(n, u, lam)
+    check_radius(n, lam + 1.0)
+    check_radius(n, lam)
+    outer = _half_widths(norm_sq_bound(lam + 1.0))
+    inner = _half_widths(norm_sq_bound(lam))
+    cosines, kernel = _row_factors(head[0], x, len(outer) - 1)
+    return (
+        _row_cosine_sum(cosines, kernel, outer) / TWO_PI ** 2
+        - _row_cosine_sum(cosines, kernel, inner) / TWO_PI ** 2
+    )
 
 
 def derivative_diagonal_sum(n: int, alpha, beta, lam: float, *, enum=None) -> float:
@@ -264,27 +374,34 @@ def derivative_diagonal_sum(n: int, alpha, beta, lam: float, *, enum=None) -> fl
     under k -> -k, so they return an exact 0.0 without floating summation.
     Matched parity makes every entry of gamma = alpha + beta even, so row p
     contributes p^gamma' S_g(w), where S_g(w) = sum_{|c|<=w} c^g with g the
-    last entry of gamma.  The sum is formed in exact integers.  `enum` is
-    unused and stays only until ROADMAP item 0 changes the tracer.
+    last entry of gamma, and every term is even in each entry of p.  The sum
+    is formed in exact integers.  `enum` is unused and stays only until
+    ROADMAP item 0 changes the tracer.
     """
-    import numpy as np
     if len(alpha) != n or len(beta) != n:
         raise DomainError("multi-index lengths must equal the dimension")
     if alpha.order + beta.order > 6:
         raise DomainError("total derivative order is capped at 6")
-    p, w = _rows(n, lam)  # checks n and lam even where parity makes the sum 0
+    check_radius(n, lam)  # even where parity makes the sum 0
     if not alpha.same_parity(beta):
         return 0.0
     *head, g = (alpha + beta).entries
-    # power_sums[m] = sum_{c=0}^{m} c^g, so S_g(w) = 2 power_sums[w] - 0^g
-    power_sums = np.cumsum(np.arange(int(w.max()) + 1, dtype=object) ** g)
-    moment = 2 * power_sums[w] - (1 if g == 0 else 0)
-    for j, e in enumerate(head):
-        if e:
-            moment = moment * p[:, j].astype(object) ** e
+    bound = norm_sq_bound(lam)
+    # S_g(w) = 2 sum_{c=0}^{w} c^g - 0^g, for w = 0..isqrt(bound)
+    power_sums = itertools.accumulate(c ** g for c in range(math.isqrt(bound) + 1))
+    row_sum = [2 * s - 0 ** g for s in power_sums]
+
+    def moment(limit: int, exponents: list[int]) -> int:
+        # the sum of p^exponents S_g(w_p) over the prefixes p with |p|^2 <= limit
+        e, *rest = exponents
+        if rest:
+            rows = range(math.isqrt(limit) + 1)
+            return _folded([a ** e * moment(limit - a * a, rest) for a in rows])
+        return _folded([p ** e * row_sum[w] for p, w in enumerate(_half_widths(limit))])
+
     half_gap = abs(alpha.order - beta.order) // 2
     sign = -1.0 if half_gap % 2 else 1.0
-    return sign * float(np.sum(moment)) / TWO_PI ** n
+    return sign * float(moment(bound, head)) / TWO_PI ** n
 
 
 def band_diagonal_sum(n: int, lam: float, *, enum=None) -> float:
@@ -302,7 +419,7 @@ def smoothed_diagonal_sum(
     lam: float,
     window: SmoothingWindow | None = None,
     *,
-    shells=None,
+    shells: LatticeShells | None = None,
     enum=None,
 ) -> float:
     """Window-weighted diagonal sum sum_k rho(lambda - |k|) / (2 pi)^n.
@@ -311,10 +428,11 @@ def smoothed_diagonal_sum(
     lattice shells with |k| <= lambda + T (T = window.truncation_radius),
     each weighted by its multiplicity.  `shells` is a `lattice_shells(n, R)`
     table with R >= lambda + T, which a probe builds once for its whole grid;
-    without it the call builds one for lambda + T.  There is one window pass
-    over the shells inside the cut, an in-place product with their
-    multiplicities and one pairwise np.sum in a fixed order, so the result
-    does not depend on a BLAS, its threads or the size of the table.
+    a table for another n or a smaller R is refused.  Without it the call
+    builds one for lambda + T.  There is one window pass over the shells
+    inside the cut, an in-place product with their multiplicities and one
+    pairwise np.sum in a fixed order, so the result does not depend on a
+    BLAS, its threads or the size of the table.
 
     The cut drops weights below 1e-12, but the omitted tail is larger (see
     SmoothingWindow.truncation_radius): at eps 4 in n = 2, the shells in
@@ -327,8 +445,15 @@ def smoothed_diagonal_sum(
         window = SmoothingWindow()
     radius = lam + window.truncation_radius
     check_radius(n, radius)  # with or without a table: the bound below needs a finite radius
-    values, radii, mult = lattice_shells(n, radius) if shells is None else shells
-    top = int(values.searchsorted(norm_sq_bound(radius), side="right"))
-    weights = window.value(lam - radii[:top])
-    weights *= mult[:top]
+    bound = norm_sq_bound(radius)
+    if shells is None:
+        shells = lattice_shells(n, radius)
+    elif shells.n != n or shells.bound < bound:
+        raise DomainError(
+            f"shell table covers |k|^2 <= {shells.bound} in n={shells.n}; the n={n} sum at "
+            f"lambda + T = {radius:g} needs |k|^2 <= {bound}"
+        )
+    top = int(shells.values.searchsorted(bound, side="right"))
+    weights = window.value(lam - shells.radii[:top])
+    weights *= shells.mult[:top]
     return float(weights.sum()) / TWO_PI ** n

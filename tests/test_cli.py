@@ -8,6 +8,8 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import speclab
 from speclab import output, probes, sphere, torus
@@ -613,6 +615,7 @@ _RUNS = (
 
 
 # the runs that reach no array path: scalar recurrences, lgamma and scalar Newton
+# on the sphere; exact integer row sums and the n = 2 cosine sum on the torus
 _NUMPY_FREE_RUNS = (
     ["weyl", "--manifold", "sphere"],
     ["band", "--manifold", "sphere"],
@@ -620,6 +623,13 @@ _NUMPY_FREE_RUNS = (
     ["lp", "--family", "hw", "--r", "4", "--s", "0"],
     ["cksigma", "--sigma", "1"],
     ["nodal"],
+    ["weyl", "--manifold", "torus"],
+    ["band", "--manifold", "torus"],
+    ["deriv", "--alpha", "1,0", "--beta", "1,0"],
+    ["hoelder", "--manifold", "torus", "--delta", "0.5"],
+    ["weyl", "--manifold", "torus", "--n", "3", "--grid", "10:60:10"],
+    ["band", "--manifold", "torus", "--n", "3", "--grid", "10:60:10"],
+    ["deriv", "--n", "3", "--alpha", "1,0,1", "--beta", "1,2,1", "--grid", "10:60:10"],
 )
 
 
@@ -888,3 +898,99 @@ class TestSummary:
         res = probe_difference("torus", 2, 0.0, [50.0, 75.0, 100.0])
         payload = output.summary_payload(res, None)
         assert payload["relative_deviation"] is None
+
+
+# --------------------------------------------------------------------------
+# the exit-code contract of the torus subcommands, over drawn flag values
+
+_ODD_NUMBERS = st.sampled_from(
+    ["0", "-0", "-1", "1e-320", "5e-324", "1e308", "-1e308", "1e400", "nan", "inf", "-inf",
+     "2.5", "abc", ""]
+)
+
+
+def _mostly(valid: st.SearchStrategy, odd: st.SearchStrategy = _ODD_NUMBERS) -> st.SearchStrategy:
+    """A flag value: one in six is odd (huge, tiny, negative, non-finite or not a number)."""
+    return st.integers(0, 5).flatmap(lambda k: odd if k == 0 else valid)
+
+
+_grids = _mostly(
+    st.one_of(
+        st.lists(st.one_of(st.integers(1, 40), st.floats(1.0, 40.0)), min_size=1, max_size=4)
+        .map(lambda v: ",".join(map(repr, sorted(set(v))))),
+        st.tuples(st.integers(1, 20), st.integers(1, 40), st.sampled_from([1, 5, 0.5, 10]))
+        .map(lambda t: ":".join(map(str, t))),
+    ),
+    st.one_of(
+        _ODD_NUMBERS,
+        st.sampled_from(["1500", "1501", "200", "201", "1e6", "0.5,2", "3,2", "1:40:0",
+                         "1:40:-1", "1:1e9:1e-300", "1:5:nan", "-5:5:1"]),
+    ),
+)
+_odd_directions = st.lists(
+    st.one_of(
+        st.floats(-5.0, 5.0),
+        st.sampled_from([0.0, -0.0, 5e-324, 1e-160, 1e154, 1e200, -1e300]),
+    ),
+    min_size=1, max_size=4,
+)
+_odd_multi_indices = st.one_of(
+    st.lists(st.integers(0, 4), min_size=1, max_size=4).map(lambda v: ",".join(map(str, v))),
+    st.sampled_from(["-1,0", "1.5,0", "", "a,b", "99999999999999999999,0", "1,,0", "7,0"]),
+)
+
+
+def _torus_flags(probe: str, dim: int) -> tuple[dict, dict]:
+    """(required, optional) flag strategies of a torus subcommand, besides --n and --grid."""
+    direction = _mostly(st.lists(st.floats(-5.0, 5.0), min_size=dim, max_size=dim), _odd_directions)
+    direction = direction.map(lambda v: ",".join(map(repr, v)))
+    multi_index = _mostly(
+        st.lists(st.integers(0, 1), min_size=dim, max_size=dim)
+        .map(lambda v: ",".join(map(str, v))),
+        _odd_multi_indices,
+    )
+    tau = _mostly(
+        st.floats(0.0, 4.0).map(repr), st.one_of(_ODD_NUMBERS, st.floats(-4.0, 0.0).map(repr))
+    )
+    delta = _mostly(st.floats(0.01, 0.99).map(repr))
+    return {
+        "weyl": ({}, {}),
+        "band": ({}, {}),
+        "offdiag": ({"tau": tau}, {"direction": direction}),
+        "difference": ({"tau": tau}, {"direction": direction}),
+        "hoelder": ({"delta": delta}, {"direction": direction}),
+        "deriv": ({"alpha": multi_index, "beta": multi_index}, {}),
+    }[probe]
+
+
+@st.composite
+def torus_argvs(draw):
+    probe = draw(st.sampled_from(["band", "deriv", "difference", "hoelder", "offdiag", "weyl"]))
+    odd_n = st.sampled_from(["1", "4", "0", "-2", "2.5", "1e9"])
+    n = draw(st.none() | _mostly(st.sampled_from(["2", "3"]), odd_n))
+    required, optional = _torus_flags(probe, int(n) if n in ("2", "3") else 2)
+    argv = [probe] if probe == "deriv" else [probe, "--manifold", "torus"]
+    if n is not None:
+        argv.append(f"--n={n}")
+    for key, values in required.items():
+        argv.append(f"--{key}={draw(values)}")  # '=' keeps a leading '-' a value
+    for key, values in {"grid": _grids, **optional}.items():
+        value = draw(st.none() | values)
+        if value is not None:
+            argv.append(f"--{key}={value}")
+    return argv
+
+
+class TestTorusExitContract:
+    @settings(derandomize=True, deadline=None, max_examples=200,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(torus_argvs())
+    def test_every_run_exits_0_2_or_3(self, tmp_path_factory, argv):
+        # exit 0 writes finite raw values: a nan or inf row would be silently wrong
+        out = tmp_path_factory.mktemp("contract")
+        rc = run_command(argv + ["--formats", "csv", "--out", str(out)])
+        assert rc in (0, 2, 3), (argv, rc)
+        if rc == 0:
+            (csv_path,) = _files(out, ".csv")
+            raws = [line.split(",")[1] for line in csv_path.read_text().splitlines()[1:]]
+            assert all(math.isfinite(float(v)) for v in raws), (argv, raws)

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from speclab import probes, sphere, torus
-from speclab.analytic import MultiIndex, gauss_legendre_rule, phi_kernel_zero, weyl_constant
+from speclab.analytic import (
+    MultiIndex,
+    gauss_legendre_rule,
+    pairwise_sum,
+    phi_kernel_zero,
+    weyl_constant,
+)
 from speclab.errors import DomainError
 from speclab.probes import (
     ProbeResult,
@@ -23,7 +29,6 @@ from speclab.probes import (
     probe_weyl,
     scaling_fit,
     _hoelder_proxy,
-    _pairwise_sum,
 )
 from speclab.sphere import ZonalFamily, eigenvalue
 from speclab.torus import SmoothingWindow
@@ -100,7 +105,10 @@ class TestStdlibFit:
         rng = np.random.default_rng(1)
         for n in [*range(1, 140), 255, 256, 257, 1000, 5000]:
             values = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
-            assert _pairwise_sum(values.tolist()) == float(np.sum(values)), n
+            assert pairwise_sum(values.tolist()).hex() == float(np.sum(values)).hex(), n
+        for n in (0, 3, 16, 200):
+            # np.sum adds to 0.0, so a sum of negative zeros is +0.0 at every length
+            assert pairwise_sum([-0.0] * n).hex() == float(np.sum(np.full(n, -0.0))).hex()
 
     @pytest.mark.parametrize("name", list(_DEFAULT_RUNS))
     def test_matches_numpy_on_default_fit_points(self, name, monkeypatch):

@@ -471,6 +471,21 @@ class TestSmoothedSum:
         with pytest.raises(ResourceLimitError):
             smoothed_diagonal_sum(2, 600.0, SmoothingWindow(eps=4.0))
 
+    def test_table_short_of_the_cut_refused(self):
+        # a table for R = 500 ends below lambda + T = 1050: the sum would stop at
+        # its last shell, 7.7e-9 relative below the sum with a table of its own
+        with pytest.raises(DomainError, match="shell table"):
+            smoothed_diagonal_sum(2, 50.0, shells=torus.lattice_shells(2, 500.0))
+        w = SmoothingWindow(eps=80.0)
+        with pytest.raises(DomainError, match="shell table"):
+            smoothed_diagonal_sum(2, 10.0, w, shells=torus.lattice_shells(2, 59.9))
+        with pytest.raises(DomainError, match="shell table"):
+            smoothed_diagonal_sum(2, 10.0, w, shells=torus.lattice_shells(3, 60.0))
+        # a table that reaches the cut exactly serves, bit for bit
+        table = torus.lattice_shells(2, 10.0 + w.truncation_radius)
+        assert table.bound == norm_sq_bound(60.0)
+        assert smoothed_diagonal_sum(2, 10.0, w, shells=table) == smoothed_diagonal_sum(2, 10.0, w)
+
     @pytest.mark.parametrize(
         "n, eps, lams", [(2, 4.0, (0.0, 57.3, 100.0)), (3, 80.0, (0.0, 10.0, 30.0))]
     )
@@ -589,7 +604,7 @@ class TestRowWidthExactness:
     @settings(derandomize=True, deadline=None)
     @given(st.integers(1, 2 ** 26 - 1))
     def test_float_sqrt_floor_is_isqrt_below_2_52(self, k):
-        # the half-widths in _rows: floor(sqrt(m)) in float64 from an int64 m
+        # the n = 3 half-widths in _rows3: floor(sqrt(m)) in float64 from an int64 m
         m = np.array([k * k - 1, k * k, k * k + 1], dtype=np.int64)
         w = np.floor(np.sqrt(m)).astype(np.int64)
         assert w.tolist() == [math.isqrt(int(v)) for v in m]
@@ -672,3 +687,97 @@ class TestRowSumsAgainstCubeScan:
         sign = -1 if (abs(alpha.order - beta.order) // 2) % 2 else 1
         got = derivative_diagonal_sum(n, alpha, beta, lam) * TWO_PI**n
         assert abs(got - sign * moment) <= 1e-12 * count * max(1.0, lam) ** gam.order
+
+
+# --------------------------------------------------------------------------
+# the Python-float n = 2 cosine sum against the numpy formula it replaced
+
+
+def numpy_cosine_sum(u, lam, *, tiny_x_is_zero=False):
+    """e(x, y, lambda) on T^2 as numpy formed it, over the unfolded rows p = -R..R (oracle).
+
+    With x = +-5e-324 the formula divides by sin(x/2) = 0.0 and returns nan;
+    tiny_x_is_zero takes D_w(x) = 2w + 1 there instead.
+    """
+    bound = norm_sq_bound(lam)
+    top = math.isqrt(bound)
+    p = np.arange(-top, top + 1, dtype=np.int64)[:, None]
+    w = np.floor(np.sqrt(bound - np.sum(p * p, axis=1))).astype(np.int64)
+    rem = (math.remainder(v, TWO_PI) for v in u)
+    u0, x = (r + TWO_PI if r <= -math.pi else r for r in rem)
+    if x == 0.0 or (tiny_x_is_zero and abs(x) == 5e-324):
+        kernel = (2 * w + 1).astype(np.float64)
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            kernel = np.sin((w + 0.5) * x) / math.sin(0.5 * x)
+    return float(np.sum(np.cos(p @ np.array([u0])) * kernel)) / TWO_PI**2
+
+
+# components in and past [-pi, pi], the two ends, signed zeros and tiny values
+u_components = st.one_of(
+    st.floats(-math.pi, math.pi),
+    st.floats(-50.0, 50.0),
+    st.sampled_from([math.pi, -math.pi, 0.0, -0.0, 3 * math.pi, -2 * math.pi]),
+    st.floats(-1e-300, 1e-300),
+    st.floats(5e-10, 2e-9).flatmap(lambda x: st.sampled_from([x, -x])),
+)
+cap_radii = st.one_of(
+    st.floats(0.0, 1500.0),
+    st.integers(0, 1500).map(float),
+    st.integers(0, 1500 * 1500).map(math.sqrt),
+)
+
+
+class TestCosineSumDualRoute:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.lists(u_components, min_size=2, max_size=2), cap_radii)
+    def test_bits_match_the_numpy_formula(self, u, lam):
+        tiny = abs(math.remainder(u[1], TWO_PI)) == 5e-324
+        got = spectral_function_torus(2, u, lam).hex()
+        assert got == numpy_cosine_sum(u, lam, tiny_x_is_zero=tiny).hex()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_smallest_subnormal_last_component(self, n):
+        # sin(x/2) rounds to 0.0 at x = 5e-324: the numpy formula gave nan, and
+        # `offdiag --tau 5e-324 --direction=0,1 --grid 1` wrote a nan row with exit 0
+        for x in (5e-324, -5e-324):
+            u = (0.0,) * (n - 1) + (x,)
+            got = spectral_function_torus(n, u, 12.0)
+            assert got.hex() == (eigenvalue_count(n, 12.0) / TWO_PI**n).hex()
+            if n == 2:
+                assert math.isnan(numpy_cosine_sum(u, 12.0))
+            moved = (0.3,) * (n - 1) + (x,)
+            assert math.isfinite(spectral_function_torus(n, moved, 12.0))
+
+    def test_diagonal_is_the_count(self):
+        for lam in (0.0, 7.5, 300.0, 1500.0):
+            for u in ((0.0, 0.0), (-0.0, 0.0), (TWO_PI, -TWO_PI)):
+                got = spectral_function_torus(2, u, lam)
+                assert got.hex() == (eigenvalue_count(2, lam) / TWO_PI**2).hex()
+                assert got.hex() == numpy_cosine_sum(u, lam).hex()
+
+
+class TestBandKernel:
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(
+        st.sampled_from([2, 3]).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(u_components, min_size=n, max_size=n),
+                st.floats(0.0, 1499.0) if n == 2 else st.floats(0.0, 40.0),
+            )
+        )
+    )
+    def test_bits_match_two_spectral_sums(self, case):
+        n, u, lam = case
+        expected = spectral_function_torus(n, u, lam + 1.0) - spectral_function_torus(n, u, lam)
+        assert torus.band_kernel_torus(n, u, lam).hex() == expected.hex()
+
+    def test_radius_checked(self):
+        with pytest.raises(ResourceLimitError):
+            torus.band_kernel_torus(2, (0.1, 0.2), 1499.5)
+        for lam in (-0.5, math.nan):
+            with pytest.raises(DomainError):
+                torus.band_kernel_torus(2, (0.1, 0.2), lam)
+        with pytest.raises(DomainError):
+            torus.band_kernel_torus(2, (0.1, 0.2, 0.3), 5.0)
