@@ -9,13 +9,13 @@ for the spectral function, a power sum for the derivative sums and 2w + 1 for
 counts.  A sum that depends on k only through |k|^2 runs over the lattice
 shells |k|^2 = j, weighted by their multiplicities r_n(j).
 
-Counts, band sums, derivative sums and the diagonal spectral function are
-sums of Python ints over the rows with p >= 0 in every entry, each weighted
-by 2 per nonzero entry of p, so they are exact.  The n = 2 cosine sum runs in
-Python floats, in np.sum's pairwise order over the rows p = -R..R.  numpy
-serves only where arrays pay: the n = 3 cosine sum, whose p . u' must round
-through dgemv's fused multiply-add, and the shell tables of the smoothed
-sums.  It is imported by the functions that use it, at their first call.
+One walker, _row_sum, serves every row sum.  Each term is even in each entry
+of p, so it takes the rows with p >= 0 in every entry and restores the rest:
+counts, band sums, derivative sums and the diagonal spectral function are
+exact sums of Python ints, and the off-diagonal cosine sums run in Python
+floats, in np.sum's pairwise order along each entry of p.  numpy serves
+only where arrays pay: the shell tables of the smoothed sums and their
+window.  It is imported by the functions that use it, at their first call.
 Every sum runs in a fixed order, so repeated runs are bit-identical.
 """
 
@@ -179,8 +179,8 @@ class SmoothingWindow:
 def _half_widths(bound: int) -> tuple[int, ...]:
     """isqrt(bound - p^2) for p = 0..isqrt(bound): the rows p >= 0 of the disc |k|^2 <= bound.
 
-    The cache holds the two radii of a band, lambda and lambda + 1, which a
-    probe sums at every distance of its grid.
+    In n = 2 the cache holds the two radii of a band, lambda and lambda + 1,
+    which a probe sums at every distance of its grid.
     """
     return tuple([math.isqrt(bound - p * p) for p in range(math.isqrt(bound) + 1)])
 
@@ -190,40 +190,42 @@ def _folded(terms: list[int]) -> int:
     return 2 * sum(terms) - terms[0]
 
 
-def _disc_count(bound: int) -> int:
-    """The number of k in Z^2 with |k|^2 <= bound: row p holds 2 w_p + 1 points."""
-    return _folded([2 * w + 1 for w in _half_widths(bound)])
+def _mirrored(terms: list[float]) -> float:
+    """The same sum in floats, in np.sum's pairwise order over p = -top..top.
 
-
-def _rows3(radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """Rows {(p, c) : |c| <= w} that make up {k in Z^3 : |k| <= radius}, for numpy sums.
-
-    Returns the prefixes p, shape (rows, 2), and the half-widths w.
-    w = floor(sqrt(floor(radius^2) - |p|^2)) in float64 is exact for every
-    radius below 2^26, since floor(sqrt(m)) = isqrt(m) for all m < 2^52; the
-    n = 3 cap lies far below that.
+    Rows p and -p give the same term, so the list of terms is the half at
+    p >= 0 mirrored in front of itself.
     """
-    import numpy as np
-    bound = norm_sq_bound(radius)
-    top = math.isqrt(bound)
-    axis = np.arange(-top, top + 1, dtype=np.int64)
-    a, b = np.meshgrid(axis, axis, indexing="ij")
-    inside = a * a + b * b <= bound
-    p = np.stack([a[inside], b[inside]], axis=1)
-    w = np.floor(np.sqrt(bound - np.sum(p * p, axis=1))).astype(np.int64)
-    return p, w
+    return pairwise_sum(terms[:0:-1] + terms)
+
+
+def _row_sum(bound: int, weights: list[list], leaf: list, total) -> int | float:
+    """sum over |k|^2 <= bound of weights[0][|k_1|] ... weights[-1][|k_{n-1}|] leaf[w].
+
+    k = (p, c) with p every coordinate but the last and w = isqrt(bound - |p|^2)
+    the half-width of row p; leaf[w] is the row's closed-form sum over c.
+    Every term is even in each entry of p, so each level takes the entries
+    a >= 0 and recurses on bound - a^2, and total (_folded for exact ints,
+    _mirrored for floats) restores the entries a < 0.  weights[i] and leaf
+    run over 0..isqrt(bound).
+    """
+    first, *rest = weights
+    if rest:
+        rows = range(math.isqrt(bound) + 1)
+        return total([first[a] * _row_sum(bound - a * a, rest, leaf, total) for a in rows])
+    return total([t * leaf[w] for t, w in zip(first, _half_widths(bound))])
 
 
 def eigenvalue_count(n: int, lam: float) -> int:
     """N(lambda): number of eigenvalues (with multiplicity) at most lambda^2.
 
-    In n = 3 the plane at height a holds the disc |(b, c)|^2 <= bound - a^2.
+    Row p holds the 2 w + 1 points |c| <= w.
     """
     check_radius(n, lam)
     bound = norm_sq_bound(lam)
-    if n == 2:
-        return _disc_count(bound)
-    return _folded([_disc_count(bound - a * a) for a in range(math.isqrt(bound) + 1)])
+    top = math.isqrt(bound)
+    ones = [1] * (top + 1)
+    return _row_sum(bound, [ones] * (n - 1), [2 * w + 1 for w in range(top + 1)], _folded)
 
 
 @dataclass(frozen=True)
@@ -234,8 +236,7 @@ class LatticeShells:
     and mult the multiplicities r_n(j), both float64; all three are
     read-only, so one table can serve every sum of a probe.  bound is the
     norm_sq_bound of the radius the table was built for: a sum that needs
-    shells past it refuses the table.  The table unpacks as
-    (values, radii, mult).
+    shells past it refuses the table.
     """
 
     n: int
@@ -243,9 +244,6 @@ class LatticeShells:
     values: np.ndarray
     radii: np.ndarray
     mult: np.ndarray
-
-    def __iter__(self):
-        return iter((self.values, self.radii, self.mult))
 
 
 def lattice_shells(n: int, radius: float) -> LatticeShells:
@@ -289,81 +287,63 @@ def _reduced(n: int, u) -> tuple[list[float], float]:
     """u reduced into (-pi, pi]^n, split into its head u' and last component."""
     if len(u) != n:
         raise DomainError("displacement length must equal the dimension")
+    if not all(math.isfinite(v) for v in u):
+        raise DomainError(f"displacement components must be finite, got {[float(v) for v in u]}")
     rem = (math.remainder(v, TWO_PI) for v in u)
     *head, x = (r + TWO_PI if r <= -math.pi else r for r in rem)  # -pi becomes pi
     return head, x
 
 
-def _row_factors(u0: float, x: float, top: int) -> tuple[list[float], list[float]]:
-    """cos(p u0) for p = 0..top and the Dirichlet kernel D_w(x) for w = 0..top.
+def _row_factors(head: list[float], x: float, top: int) -> tuple[list[list[float]], list[float]]:
+    """cos(a v) for each v in head and a = 0..top, and the Dirichlet kernel D_w(x) for w = 0..top.
 
     sin(x/2) is 0.0 at x = 0 and also at x = +-5e-324, where x/2 rounds to
     0; D_w(x) is then 2w + 1 to the last bit, not 0/0.
     """
-    cosines = [math.cos(p * u0) for p in range(top + 1)]
+    cosines = [[math.cos(a * v) for a in range(top + 1)] for v in head]
     s = math.sin(0.5 * x)
     if s == 0.0:
         return cosines, [float(2 * w + 1) for w in range(top + 1)]
     return cosines, [math.sin((w + 0.5) * x) / s for w in range(top + 1)]
 
 
-def _row_cosine_sum(cosines: list[float], kernel: list[float], widths: tuple[int, ...]) -> float:
-    """sum over the rows p = -top..top of cos(p u0) D_{w_p}(x), in np.sum's order.
-
-    Rows p and -p give the same term, so the list of terms is the half at
-    p >= 0 mirrored in front of itself.
-    """
-    half = [c * kernel[w] for c, w in zip(cosines, widths)]
-    return pairwise_sum(half[:0:-1] + half)
-
-
 def spectral_function_torus(n: int, u, lam: float, *, enum=None) -> float:
     """e(x, y, lambda) on T^n as a cosine lattice sum, with x - y = u.
 
-    u is any length-n sequence of floats, reduced here into (-pi, pi].  Row p
-    contributes cos(p . u') D_w(u_n), where u' is u without its last component
-    and D_w(x) = sum_{|c|<=w} cos(c x) = sin((w + 1/2) x)/sin(x/2) is the
-    Dirichlet kernel; D_w(0) is exactly 2w + 1.  With every component zero the
-    sum is the count N(lambda).  `enum` is unused and stays only until
-    ROADMAP item 0 changes the tracer.
+    u is any length-n sequence of finite floats, reduced here into (-pi, pi].
+    The sum over the rows p of cos(p . u') D_w(u_n), where u' is u without its
+    last component and D_w(x) = sum_{|c|<=w} cos(c x) = sin((w + 1/2) x)/sin(x/2)
+    is the Dirichlet kernel, runs as sum_a cos(a u_1) sum_b cos(b u_2) ... D_w(u_n):
+    the sin . sin terms of cos(p . u') are odd in an entry of p and cancel.
+    D_w(0) is exactly 2w + 1, and with every component zero the sum is the
+    count N(lambda).  `enum` is unused and stays only until ROADMAP item 0
+    changes the tracer.
     """
     head, x = _reduced(n, u)
     check_radius(n, lam)
     if x == 0.0 and not any(head):
         return eigenvalue_count(n, lam) / TWO_PI ** n
-    if n == 2:
-        widths = _half_widths(norm_sq_bound(lam))
-        cosines, kernel = _row_factors(head[0], x, len(widths) - 1)
-        return _row_cosine_sum(cosines, kernel, widths) / TWO_PI ** 2
-    import numpy as np
-    p, w = _rows3(lam)
-    s = math.sin(0.5 * x)
-    if s == 0.0:  # x = 0 or +-5e-324, as in _row_factors
-        kernel = (2 * w + 1).astype(np.float64)
-    else:
-        kernel = np.sin((w + 0.5) * x) / s
-    # dgemv fuses multiply-adds: written out elementwise, p . u' rounds differently
-    # (up to 4.4e-16) and the tables would change
-    return float(np.sum(np.cos(p @ np.array(head)) * kernel)) / TWO_PI ** n
+    bound = norm_sq_bound(lam)
+    cosines, kernel = _row_factors(head, x, math.isqrt(bound))
+    return _row_sum(bound, cosines, kernel, _mirrored) / TWO_PI ** n
 
 
 def band_kernel_torus(n: int, u, lam: float) -> float:
     """The band kernel e(x, y, lambda + 1) - e(x, y, lambda) of (lambda, lambda + 1], x - y = u.
 
-    Bit-equal to the difference of the two spectral_function_torus calls.
-    The n = 2 cosine sums share their cosines and Dirichlet kernels.
+    Bit-equal to the difference of the two spectral_function_torus calls,
+    whose cosine sums share their cosines and Dirichlet kernels here.
     """
     head, x = _reduced(n, u)
-    if n != 2 or (x == 0.0 and not any(head)):
+    if x == 0.0 and not any(head):
         return spectral_function_torus(n, u, lam + 1.0) - spectral_function_torus(n, u, lam)
     check_radius(n, lam + 1.0)
     check_radius(n, lam)
-    outer = _half_widths(norm_sq_bound(lam + 1.0))
-    inner = _half_widths(norm_sq_bound(lam))
-    cosines, kernel = _row_factors(head[0], x, len(outer) - 1)
+    outer, inner = norm_sq_bound(lam + 1.0), norm_sq_bound(lam)
+    cosines, kernel = _row_factors(head, x, math.isqrt(outer))
     return (
-        _row_cosine_sum(cosines, kernel, outer) / TWO_PI ** 2
-        - _row_cosine_sum(cosines, kernel, inner) / TWO_PI ** 2
+        _row_sum(outer, cosines, kernel, _mirrored) / TWO_PI ** n
+        - _row_sum(inner, cosines, kernel, _mirrored) / TWO_PI ** n
     )
 
 
@@ -387,21 +367,14 @@ def derivative_diagonal_sum(n: int, alpha, beta, lam: float, *, enum=None) -> fl
         return 0.0
     *head, g = (alpha + beta).entries
     bound = norm_sq_bound(lam)
-    # S_g(w) = 2 sum_{c=0}^{w} c^g - 0^g, for w = 0..isqrt(bound)
-    power_sums = itertools.accumulate(c ** g for c in range(math.isqrt(bound) + 1))
-    row_sum = [2 * s - 0 ** g for s in power_sums]
-
-    def moment(limit: int, exponents: list[int]) -> int:
-        # the sum of p^exponents S_g(w_p) over the prefixes p with |p|^2 <= limit
-        e, *rest = exponents
-        if rest:
-            rows = range(math.isqrt(limit) + 1)
-            return _folded([a ** e * moment(limit - a * a, rest) for a in rows])
-        return _folded([p ** e * row_sum[w] for p, w in enumerate(_half_widths(limit))])
-
+    top = math.isqrt(bound)
+    # S_g(w) = 2 sum_{c=0}^{w} c^g - 0^g, for w = 0..top
+    power_sums = itertools.accumulate(c ** g for c in range(top + 1))
+    row_sums = [2 * s - 0 ** g for s in power_sums]
+    moments = [[a ** e for a in range(top + 1)] for e in head]
     half_gap = abs(alpha.order - beta.order) // 2
     sign = -1.0 if half_gap % 2 else 1.0
-    return sign * float(moment(bound, head)) / TWO_PI ** n
+    return sign * float(_row_sum(bound, moments, row_sums, _folded)) / TWO_PI ** n
 
 
 def band_diagonal_sum(n: int, lam: float, *, enum=None) -> float:

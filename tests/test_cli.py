@@ -559,8 +559,8 @@ class TestBlasThreads:
         ids=["offdiag-torus-n3", "selftest"],
     )
     def test_tables_identical_across_blas_threads(self, argv, tmp_path):
-        # the two BLAS calls (dgemv in torus.spectral_function_torus and in
-        # selftest) must not depend on how OpenBLAS splits the rows
+        # the tables must not depend on how OpenBLAS splits its work: selftest
+        # multiplies a matrix by a vector, and offdiag-torus-n3 runs numpy's Phi_3 rule
         tables = {}
         for threads in ("1", "2"):
             out = tmp_path / f"blas{threads}"
@@ -595,6 +595,31 @@ def test_smoothed_peak_rss(tmp_path):
     assert int(proc.stdout.split()[-1]) < 64 << 10  # kB
 
 
+@pytest.mark.skipif(not _PROC_STATUS.exists(), reason="needs /proc/self/status")
+def test_torus_n3_hoelder_peak_rss(tmp_path):
+    # the n = 3 band kernels walk the rows in Python floats and hold no
+    # (2R+1)^2 meshgrid; the run peaked at about 17 MB (Python 3.11.7), against
+    # 35 MB with the meshgrid and numpy loaded
+    script = (
+        "import sys\n"
+        "from speclab.cli import run_command\n"
+        "argv = ['hoelder', '--manifold', 'torus', '--n', '3', '--delta', '0.5',\n"
+        "        '--grid', '50:199:50', '--out', sys.argv[1]]\n"
+        "assert run_command(argv) == 0\n"
+        "status = open('/proc/self/status').read().splitlines()\n"
+        "print(next(line for line in status if line.startswith('VmHWM:')).split()[1])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout.split()[-1]) < 24 << 10  # kB
+
+
 # The first five used to import scipy for Gegenbauer zeros; the rest add one
 # small run of every other subcommand and route.
 _RUNS = (
@@ -615,7 +640,7 @@ _RUNS = (
 
 
 # the runs that reach no array path: scalar recurrences, lgamma and scalar Newton
-# on the sphere; exact integer row sums and the n = 2 cosine sum on the torus
+# on the sphere; exact integer row sums and the float cosine sums on the torus
 _NUMPY_FREE_RUNS = (
     ["weyl", "--manifold", "sphere"],
     ["band", "--manifold", "sphere"],
@@ -630,6 +655,7 @@ _NUMPY_FREE_RUNS = (
     ["weyl", "--manifold", "torus", "--n", "3", "--grid", "10:60:10"],
     ["band", "--manifold", "torus", "--n", "3", "--grid", "10:60:10"],
     ["deriv", "--n", "3", "--alpha", "1,0,1", "--beta", "1,2,1", "--grid", "10:60:10"],
+    ["hoelder", "--manifold", "torus", "--n", "3", "--delta", "0.5", "--grid", "10:60:10"],
 )
 
 

@@ -232,8 +232,10 @@ class TestOffdiagProbe:
             probe_hoelder("torus", 2, 0.5, [1.01 * reach], [1.0, 2.0], direction=(1.0, 1.0))
 
     def test_torus_raws_pinned(self):
-        # every bit of two torus offdiag tables; p @ u' rounds through dgemv,
-        # so a change in how the displacement reaches it shows here
+        # every bit of two torus offdiag tables, so a change in how the
+        # displacement reaches the cosine sums shows here; the n = 3 rows are
+        # the sum over a of cos(a u_1) times the sum over b of cos(b u_2) D_w
+        # (tests/test_torus.py bounds their gap to the old p . u' formula)
         grid3 = [float(v) for v in range(10, 61, 5)]
         assert [r.raw.hex() for r in probe_offdiag("torus", 2, 1.5).rows] == [
             "0x1.27c59c04eb4d5p+7", "0x1.4cea0c98a738ep+8", "0x1.2801781005ddap+9",
@@ -243,10 +245,10 @@ class TestOffdiagProbe:
         ]
         res = probe_offdiag("torus", 3, 2.0, grid3, direction=(0.3, -1.1, 0.7))
         assert [r.raw.hex() for r in res.rows] == [
-            "0x1.5fc2561bc3696p+3", "0x1.29ec534674913p+5", "0x1.602061dbb83fcp+6",
-            "0x1.57fce9bbe762bp+7", "0x1.29bff45933355p+8", "0x1.d8d54264a958dp+8",
-            "0x1.60a0bd82a34aep+9", "0x1.f6b160e413ca1p+9", "0x1.58845d7d0e3b6p+10",
-            "0x1.ca8b79c9a1915p+10", "0x1.299e6b6e44c18p+11",
+            "0x1.5fc2561bc3695p+3", "0x1.29ec534674913p+5", "0x1.602061dbb83fdp+6",
+            "0x1.57fce9bbe762bp+7", "0x1.29bff45933356p+8", "0x1.d8d54264a958ep+8",
+            "0x1.60a0bd82a34afp+9", "0x1.f6b160e413ca2p+9", "0x1.58845d7d0e3b6p+10",
+            "0x1.ca8b79c9a1916p+10", "0x1.299e6b6e44c18p+11",
         ]
 
     def test_direction_override_changes_rows(self):

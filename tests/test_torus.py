@@ -149,23 +149,23 @@ def square_scan_1300():
 class TestShells:
     @pytest.mark.parametrize("n, radius", [(2, 20), (3, 12)])
     def test_multiplicities_match_cube_scan(self, n, radius):
-        values, radii, mult = torus.lattice_shells(n, radius)
+        table = torus.lattice_shells(n, radius)
         expected = {q: cnt for q, cnt in enumerate(brute_force_shells(n, radius)) if cnt}
-        assert values.tolist() == sorted(expected)
-        assert dict(zip(values.tolist(), mult.tolist())) == expected
-        assert int(mult.sum()) == eigenvalue_count(n, float(radius))
-        assert radii.tolist() == [math.sqrt(v) for v in values.tolist()]
+        assert table.values.tolist() == sorted(expected)
+        assert dict(zip(table.values.tolist(), table.mult.tolist())) == expected
+        assert int(table.mult.sum()) == eigenvalue_count(n, float(radius))
+        assert table.radii.tolist() == [math.sqrt(v) for v in table.values.tolist()]
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("radius", [0.0, 1.0, 2.5, 7.3, 5.0, math.sqrt(8.0)])
     def test_small_radii_match_cube_scan(self, n, radius):
         # non-integer radii, and exact shell radii whose shell the table must end on
-        values, radii, mult = torus.lattice_shells(n, radius)
+        table = torus.lattice_shells(n, radius)
         scan = brute_force_shells(n, 8)[: math.floor(radius * radius) + 1]
         expected = {q: cnt for q, cnt in enumerate(scan) if cnt}
-        assert values.tolist() == sorted(expected)
-        assert dict(zip(values.tolist(), mult.tolist())) == expected
-        assert radii.tolist() == [math.sqrt(v) for v in values.tolist()]
+        assert table.values.tolist() == sorted(expected)
+        assert dict(zip(table.values.tolist(), table.mult.tolist())) == expected
+        assert table.radii.tolist() == [math.sqrt(v) for v in table.values.tolist()]
 
     @settings(derandomize=True, deadline=None, max_examples=25)
     @given(
@@ -176,11 +176,11 @@ class TestShells:
         )
     )
     def test_n2_prefix_of_square_scan(self, radius):
-        values, _, mult = torus.lattice_shells(2, radius)
+        table = torus.lattice_shells(2, radius)
         counts = square_scan_1300()[: math.floor(radius * radius) + 1]
         expected = np.flatnonzero(counts)
-        np.testing.assert_array_equal(values, expected)
-        np.testing.assert_array_equal(mult, counts[expected].astype(np.float64))
+        np.testing.assert_array_equal(table.values, expected)
+        np.testing.assert_array_equal(table.mult, counts[expected].astype(np.float64))
 
     def test_radius_checked_first(self):
         with pytest.raises(ResourceLimitError, match="1500"):
@@ -194,7 +194,8 @@ class TestShells:
             torus.lattice_shells(4, 1.0)
 
     def test_tables_are_read_only(self):
-        for table in torus.lattice_shells(2, 50.0):
+        shells = torus.lattice_shells(2, 50.0)
+        for table in (shells.values, shells.radii, shells.mult):
             assert not table.flags.writeable
 
 
@@ -265,6 +266,19 @@ class TestDisplacement:
             assert spectral_function_torus(n, u, 17.0).hex() == spectral_function_torus(
                 n, v, 17.0
             ).hex()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_component_refused(self, n, bad):
+        # a nan used to give a nan sum with no error, and an inf a bare
+        # ValueError from math.remainder
+        for j in (0, n - 1):
+            u = [0.3] * n
+            u[j] = bad
+            with pytest.raises(DomainError, match="finite"):
+                spectral_function_torus(n, u, 10.0)
+            with pytest.raises(DomainError, match="finite"):
+                torus.band_kernel_torus(n, u, 10.0)
 
     def test_sequences_and_arrays_agree(self):
         u = (0.3, -1.1, 0.7)
@@ -406,12 +420,13 @@ class TestSmoothingWindow:
     def test_eps_upper_bound(self):
         # up to 1e305, y = eps s/4 stays finite out to the n=2 radius cap, so
         # the sum at lambda is the one shell at s = 0: r_2(lambda^2)/(2 pi)^2
-        values, _, mult = torus.lattice_shells(2, 1499.0)
+        table = torus.lattice_shells(2, 1499.0)
         w = SmoothingWindow(eps=1e305)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for lam in (50.0, 1499.0):
-                expected = float(mult[np.searchsorted(values, int(lam) ** 2)]) / TWO_PI**2
+                shell = np.searchsorted(table.values, int(lam) ** 2)
+                expected = float(table.mult[shell]) / TWO_PI**2
                 assert smoothed_diagonal_sum(2, lam, w) == expected
         with pytest.raises(DomainError, match="1e\\+305"):
             SmoothingWindow(eps=math.nextafter(1e305, math.inf))
@@ -429,11 +444,11 @@ class TestSmoothingWindow:
 
     def test_exact_shell_radii(self):
         # at integer lambda, lambda - sqrt(lambda^2) is exactly 0 on that shell
-        values, radii, _ = torus.lattice_shells(2, 1300.0)
+        table = torus.lattice_shells(2, 1300.0)
         w = SmoothingWindow()
-        s = 50.0 - radii[:200_000]
+        s = 50.0 - table.radii[:200_000]
         got = w.value(s)
-        assert got[np.searchsorted(values, 2500)] == 1.0
+        assert got[np.searchsorted(table.values, 2500)] == 1.0
         np.testing.assert_allclose(got, sinc4_reference(s, 4.0), rtol=1e-15, atol=0.0)
 
     def test_scalar_and_0d_input(self):
@@ -501,14 +516,14 @@ class TestSmoothedSum:
     def test_default_probe_rows_match_sinc_route(self):
         from speclab.probes import default_lambda_grid, probe_smoothed
 
-        values, _, mult = torus.lattice_shells(2, 1300.0)
+        table = torus.lattice_shells(2, 1300.0)
         t = SmoothingWindow().truncation_radius
         res = probe_smoothed(2, None, default_lambda_grid())
         assert len(res.rows) == 11
         for row in res.rows:
-            keep = values <= norm_sq_bound(row.abscissa + t)
-            s = row.abscissa - np.sqrt(values[keep].astype(np.float64))
-            reference = float(np.sum(mult[keep] * sinc4_reference(s, 4.0))) / TWO_PI**2
+            keep = table.values <= norm_sq_bound(row.abscissa + t)
+            s = row.abscissa - np.sqrt(table.values[keep].astype(np.float64))
+            reference = float(np.sum(table.mult[keep] * sinc4_reference(s, 4.0))) / TWO_PI**2
             assert row.raw == pytest.approx(reference, rel=1e-15, abs=0.0)
 
     def test_probe_rows_equal_standalone_sums(self, monkeypatch):
@@ -528,9 +543,9 @@ class TestSmoothedSum:
             monkeypatch.setattr(torus, "lattice_shells", recording)
             res = probe_smoothed(n, window, grid)
             monkeypatch.undo()
-            [(values, _, _)] = built
+            [table] = built
             bound = math.floor((max(grid) + window.truncation_radius) ** 2)
-            assert values[-1] == bound
+            assert table.values[-1] == bound
             assert [row.raw for row in res.rows] == [
                 smoothed_diagonal_sum(n, lam, window) for lam in grid
             ]
@@ -586,7 +601,7 @@ class TestNormSqBound:
     @settings(derandomize=True, deadline=None)
     @given(st.one_of(st.floats(0.0, 1300.0), st.integers(0, 1300 ** 2).map(math.sqrt)))
     def test_same_shell_index_as_the_int_or_float_bound(self, radius):
-        values, _, _ = shells_1300()
+        values = shells_1300().values
         assert values.searchsorted(norm_sq_bound(radius), side="right") == values.searchsorted(
             int_or_float_bound(radius), side="right"
         )
@@ -598,20 +613,6 @@ class TestNormSqBound:
                 smoothed_diagonal_sum(2, math.inf, shells=shells)
             with pytest.raises(ResourceLimitError):
                 smoothed_diagonal_sum(2, 600.0, shells=shells)
-
-
-class TestRowWidthExactness:
-    @settings(derandomize=True, deadline=None)
-    @given(st.integers(1, 2 ** 26 - 1))
-    def test_float_sqrt_floor_is_isqrt_below_2_52(self, k):
-        # the n = 3 half-widths in _rows3: floor(sqrt(m)) in float64 from an int64 m
-        m = np.array([k * k - 1, k * k, k * k + 1], dtype=np.int64)
-        w = np.floor(np.sqrt(m)).astype(np.int64)
-        assert w.tolist() == [math.isqrt(int(v)) for v in m]
-
-    def test_first_failure_is_just_past_2_52(self):
-        k = 2 ** 26 + 1
-        assert int(np.floor(np.sqrt(np.float64(k * k - 1)))) == k != math.isqrt(k * k - 1)
 
 
 # --------------------------------------------------------------------------
@@ -755,6 +756,75 @@ class TestCosineSumDualRoute:
                 got = spectral_function_torus(2, u, lam)
                 assert got.hex() == (eigenvalue_count(2, lam) / TWO_PI**2).hex()
                 assert got.hex() == numpy_cosine_sum(u, lam).hex()
+
+
+# --------------------------------------------------------------------------
+# the n = 3 cosine sum against the numpy formula it replaced
+
+
+def rows3_reference(radius):
+    """The rows {(p, c) : |c| <= w} of {k in Z^3 : |k| <= radius}, from a (2R+1)^2 meshgrid.
+
+    Returns the prefixes p, shape (rows, 2), and the float half-widths w.
+    """
+    bound = norm_sq_bound(radius)
+    top = math.isqrt(bound)
+    axis = np.arange(-top, top + 1, dtype=np.int64)
+    a, b = np.meshgrid(axis, axis, indexing="ij")
+    inside = a * a + b * b <= bound
+    p = np.stack([a[inside], b[inside]], axis=1)
+    w = np.floor(np.sqrt(bound - np.sum(p * p, axis=1))).astype(np.int64)
+    return p, w
+
+
+def numpy_cosine_sum3(u, lam):
+    """e(x, y, lambda) on T^3 as numpy formed it: cos(p . u') D_w(x) over every row (reference).
+
+    p . u' is one BLAS matrix-vector product, which may fuse its multiply-adds.
+    """
+    rem = (math.remainder(v, TWO_PI) for v in u)
+    *head, x = (r + TWO_PI if r <= -math.pi else r for r in rem)
+    p, w = rows3_reference(lam)
+    s = math.sin(0.5 * x)
+    if s == 0.0:
+        kernel = (2 * w + 1).astype(np.float64)
+    else:
+        kernel = np.sin((w + 0.5) * x) / s
+    return float(np.sum(np.cos(p @ np.array(head)) * kernel)) / TWO_PI**3
+
+
+# the ends, signed zeros, the smallest subnormal, 1e-9 and whole turns among the components
+u3_components = st.one_of(
+    st.floats(-math.pi, math.pi),
+    st.floats(-50.0, 50.0),
+    st.sampled_from([math.pi, -math.pi, 0.0, -0.0, 5e-324, -5e-324, 1e-9, -1e-9]),
+    st.integers(-8, 8).map(lambda k: k * TWO_PI),
+)
+
+
+class TestCosineSum3AgainstReference:
+    # Each term's argument p . u' carries a rounding of up to about
+    # 2 (R + 1) pi 2^-52 (2.8e-13 at the n = 3 cap R = 200), and |D_w| <= 2w + 1,
+    # so the two routes may differ by that fraction of the diagonal e(x, x, lambda).
+    TOL = 1e-13
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(
+        st.lists(u3_components, min_size=3, max_size=3),
+        st.one_of(
+            st.floats(0.0, 60.0),
+            st.integers(0, 60).map(float),
+            st.integers(0, 3600).map(math.sqrt),
+        ),
+    )
+    def test_within_tolerance_of_the_meshgrid_formula(self, u, lam):
+        diagonal = spectral_function_torus(3, (0.0, 0.0, 0.0), lam)
+        got = spectral_function_torus(3, u, lam)
+        assert abs(got - numpy_cosine_sum3(u, lam)) <= self.TOL * diagonal
+
+        band = numpy_cosine_sum3(u, lam + 1.0) - numpy_cosine_sum3(u, lam)
+        scale = spectral_function_torus(3, (0.0, 0.0, 0.0), lam + 1.0)
+        assert abs(torus.band_kernel_torus(3, u, lam) - band) <= self.TOL * scale
 
 
 class TestBandKernel:
