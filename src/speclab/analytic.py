@@ -1,10 +1,9 @@
-"""Special functions, universal constants, quadrature and summation order.
+"""Special functions, universal constants and quadrature.
 
 Everything in this module is independent of a particular manifold: the
 leading Weyl constants, the radial kernel Phi_n that governs near-diagonal
 projector asymptotics, Gegenbauer/Legendre evaluation and zero finding,
-Gauss-Legendre rules, the sharp L_p growth exponent, and np.sum's pairwise
-order for sums of Python floats.
+Gauss-Legendre rules and the sharp L_p growth exponent.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from operator import add
 from typing import TYPE_CHECKING
 
 from .errors import DomainError, NumericError
@@ -43,7 +41,6 @@ __all__ = [
     "phi_kernel_bessel",
     "phi_kernel_zero",
     "epsilon_exponent",
-    "pairwise_sum",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -120,39 +117,6 @@ class QuadratureRule:
         """Affinely mapped nodes and weights for integration over [a, b]."""
         half = 0.5 * (b - a)
         return a + half * (self.nodes + 1.0), half * self.weights
-
-
-# --------------------------------------------------------------------------
-# summation order
-
-
-def pairwise_sum(values) -> float:
-    """The sum of a list of floats in np.sum's order, so bit-equal to np.sum.
-
-    np.sum adds a pairwise sum to 0.0.  Past 128 terms the list splits at a
-    multiple of 8 near its middle; a block of 8 to 128 terms keeps 8 running
-    sums over its stride-8 columns, adds them as ((s0 + s1) + (s2 + s3)) +
-    ((s4 + s5) + (s6 + s7)) and then its last n % 8 terms one by one; fewer
-    than 8 terms are added one by one.  The builtin sum compensates its
-    rounding from Python 3.12 on, so it cannot stand in for a column.
-    """
-
-    def block(lo: int, n: int) -> float:
-        if n > 128:
-            half = n // 2 - n // 2 % 8
-            return block(lo, half) + block(lo + half, n - half)
-        total, body = 0.0, lo
-        if n >= 8:
-            body = lo + n - n % 8
-            s0, s1, s2, s3, s4, s5, s6, s7 = [
-                functools.reduce(add, values[j:body:8]) for j in range(lo, lo + 8)
-            ]
-            total = ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7))
-        for v in values[body:lo + n]:
-            total += v
-        return total
-
-    return 0.0 + block(0, len(values))  # 0.0 + -0.0 is 0.0, as in np.sum
 
 
 # --------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from .analytic import (
     bessel_j0_zero,
     deriv_weyl_constant,
     epsilon_exponent,
-    pairwise_sum,
     phi_kernel,
     weyl_constant,
 )
@@ -80,10 +79,8 @@ class ScalingFit:
 def fit_scaling(samples) -> ScalingFit:
     """Ordinary least squares of log(value) against log(abscissa).
 
-    The sums follow np.sum's order, so the fit matches the numpy formula it
-    replaced bit for bit wherever math.log and np.log agree.  They can round
-    an ulp apart: on an AVX-512 machine they do at 1.2275294583577792, a fit
-    point of `lp --family zonal --r 6 --s 0`, whose fit moves by one ulp.
+    Every sum is math.fsum's exactly rounded one, so the fit does not depend
+    on the order of the samples.
     """
     pts = [(float(a), float(v)) for a, v in samples]
     if len(pts) < 3:
@@ -94,10 +91,10 @@ def fit_scaling(samples) -> ScalingFit:
         raise DomainError("scaling fit needs positive abscissae and values")
     x = [math.log(a) for a, _ in pts]
     y = [math.log(v) for _, v in pts]
-    x_mean = pairwise_sum(x) / len(x)
+    x_mean = math.fsum(x) / len(x)
     xm = [a - x_mean for a in x]
-    slope = pairwise_sum([d * b for d, b in zip(xm, y)]) / pairwise_sum([d * d for d in xm])
-    intercept = pairwise_sum(y) / len(y) - slope * x_mean
+    slope = math.fsum(d * b for d, b in zip(xm, y)) / math.fsum(d * d for d in xm)
+    intercept = math.fsum(y) / len(y) - slope * x_mean
     return ScalingFit(
         exponent=slope,
         log_constant=intercept,
@@ -174,6 +171,9 @@ def _check_grid(grid, name: str = "grid") -> list[float]:
     vals = [float(g) for g in grid]
     if not vals:
         raise DomainError(f"{name} must be non-empty")
+    bad = [v for v in vals if not math.isfinite(v)]
+    if bad:
+        raise DomainError(f"{name} entries must be finite, got {bad[0]!r}")
     if any(b <= a for a, b in zip(vals, vals[1:])):
         raise DomainError(f"{name} must be strictly increasing")
     if vals[0] < 1.0:

@@ -83,8 +83,8 @@ def max_degree(n: int, lam: float) -> int:
     exact level values include their own level despite sqrt rounding.
     """
     _check_dim(n)
-    if lam < 0.0:
-        raise DomainError(f"lambda must be >= 0, got {lam}")
+    if not 0.0 <= lam < math.inf:
+        raise DomainError(f"lambda must be finite and >= 0, got {lam}")
     lam_sq = lam * lam
     nearest = round(lam_sq)
     if abs(lam_sq - nearest) <= 1e-8 * max(1.0, nearest):

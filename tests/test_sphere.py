@@ -91,6 +91,12 @@ class TestMaxDegree:
         assert max_degree(2, 1.41) == 0
         assert max_degree(2, math.sqrt(2.0)) == 1  # snapped to the exact level
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_non_finite_lambda_refused(self, lam):
+        # round(lam * lam) raised a bare ValueError at nan and an OverflowError at inf
+        with pytest.raises(DomainError, match="finite"):
+            max_degree(2, lam)
+
     def test_pinned_grid_includes_its_level(self):
         for m in (20, 137, 400):
             lam = eigenvalue(2, m)

@@ -695,7 +695,10 @@ class TestRowSumsAgainstCubeScan:
 
 
 def numpy_cosine_sum(u, lam, *, tiny_x_is_zero=False):
-    """e(x, y, lambda) on T^2 as numpy formed it, over the unfolded rows p = -R..R (oracle).
+    """e(x, y, lambda) on T^2: the numpy formula's terms over the rows p = -R..R, summed by math.fsum.
+
+    math.fsum rounds the exact sum of the terms once, so this is the exactly
+    rounded sum of the numpy formula (oracle).
 
     With x = +-5e-324 the formula divides by sin(x/2) = 0.0 and returns nan;
     tiny_x_is_zero takes D_w(x) = 2w + 1 there instead.
@@ -711,7 +714,7 @@ def numpy_cosine_sum(u, lam, *, tiny_x_is_zero=False):
     else:
         with np.errstate(divide="ignore", invalid="ignore"):
             kernel = np.sin((w + 0.5) * x) / math.sin(0.5 * x)
-    return float(np.sum(np.cos(p @ np.array([u0])) * kernel)) / TWO_PI**2
+    return math.fsum(np.cos(p @ np.array([u0])) * kernel) / TWO_PI**2
 
 
 # components in and past [-pi, pi], the two ends, signed zeros and tiny values
