@@ -7,9 +7,10 @@ resource or numerical limit; file names carry a timestamp but file contents
 never do.
 
 Two tables describe the probes: `_PARAMS` maps each parameter to its parser,
-`_PROBES` maps each probe to the parameters it reads and to its call.  The
-subcommand flags, the config keys, the required checks and dispatch all come
-from them, and a flag or config key that a probe does not read is refused.
+`_PROBES` maps each probe to the parameters it reads.  The subcommand flags,
+the config keys and the required checks come from them, and a flag or config
+key that a probe does not read is refused.  Subcommand `name` calls
+`probes.probe_<name>` with those parameters as keyword arguments.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from typing import Callable, NamedTuple
 from . import output, probes
 from .analytic import MultiIndex
 from .errors import ConfigError, DomainError, NumericError, ResourceLimitError, SpecLabError
-from .torus import SmoothingWindow
 
 __all__ = ["run_command", "main"]
 
@@ -160,63 +160,22 @@ _COMMON = ("out", "formats", "threads")
 class _Probe(NamedTuple):
     required: tuple[str, ...]
     optional: tuple[str, ...]
-    call: Callable[[dict], probes.ProbeResult]
 
     def params(self) -> tuple[str, ...]:
         return (*self.required, *self.optional, *_COMMON)
 
 
-# the calls look up `probes.probe_*` at run time, so wrappers installed on the
-# probes module see every call
 _PROBES = {
-    "weyl": _Probe(
-        ("manifold",), ("n", "grid"),
-        lambda a: probes.probe_weyl(a["manifold"], a["n"], a["grid"]),
-    ),
-    "offdiag": _Probe(
-        ("manifold", "tau"), ("n", "grid", "direction"),
-        lambda a: probes.probe_offdiag(
-            a["manifold"], a["n"], a["tau"], a["grid"], direction=a["direction"]
-        ),
-    ),
-    "difference": _Probe(
-        ("manifold", "tau"), ("n", "grid", "direction"),
-        lambda a: probes.probe_difference(
-            a["manifold"], a["n"], a["tau"], a["grid"], direction=a["direction"]
-        ),
-    ),
-    "deriv": _Probe(
-        ("alpha", "beta"), ("n", "grid"),
-        lambda a: probes.probe_derivative(a["n"], a["alpha"], a["beta"], a["grid"]),
-    ),
-    "band": _Probe(
-        ("manifold",), ("n", "grid"),
-        lambda a: probes.probe_band(a["manifold"], a["n"], a["grid"]),
-    ),
-    "hoelder": _Probe(
-        ("manifold", "delta"), ("n", "grid", "direction"),
-        lambda a: probes.probe_hoelder(
-            a["manifold"], a["n"], a["delta"], None, a["grid"], direction=a["direction"]
-        ),
-    ),
-    "lp": _Probe(
-        ("family", "r", "s"), ("n", "grid"),
-        lambda a: probes.probe_lp(a["family"], a["r"], a["s"], a["grid"], n=a["n"]),
-    ),
-    "cksigma": _Probe(
-        ("sigma",), ("n", "grid"),
-        lambda a: probes.probe_cksigma(a["sigma"], a["grid"], n=a["n"]),
-    ),
-    "nodal": _Probe(
-        (), ("n", "grid"),
-        lambda a: probes.probe_nodal(a["grid"], n=a["n"]),
-    ),
-    "smoothed": _Probe(
-        (), ("n", "grid", "eps"),
-        lambda a: probes.probe_smoothed(
-            a["n"], None if a["eps"] is None else SmoothingWindow(eps=a["eps"]), a["grid"]
-        ),
-    ),
+    "weyl": _Probe(("manifold",), ("n", "grid")),
+    "offdiag": _Probe(("manifold", "tau"), ("n", "grid", "direction")),
+    "difference": _Probe(("manifold", "tau"), ("n", "grid", "direction")),
+    "deriv": _Probe(("alpha", "beta"), ("n", "grid")),
+    "band": _Probe(("manifold",), ("n", "grid")),
+    "hoelder": _Probe(("manifold", "delta"), ("n", "grid", "direction")),
+    "lp": _Probe(("family", "r", "s"), ("n", "grid")),
+    "cksigma": _Probe(("sigma",), ("n", "grid")),
+    "nodal": _Probe((), ("n", "grid")),
+    "smoothed": _Probe((), ("n", "grid", "eps")),
 }
 
 
@@ -303,7 +262,10 @@ def _timestamp() -> str:
 
 
 def run_probe(name: str, values: dict) -> list[Path]:
-    result = _PROBES[name].call(values)
+    probe = _PROBES[name]
+    # looked up at call time, so wrappers installed on the probes module see every call
+    call = getattr(probes, f"probe_{name}")
+    result = call(**{key: values[key] for key in (*probe.required, *probe.optional)})
     fit = probes.scaling_fit(result)
     out, formats = values["out"], values["formats"]
     stem = f"{name}_{_timestamp()}"

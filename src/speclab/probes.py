@@ -36,7 +36,7 @@ __all__ = [
     "probe_weyl",
     "probe_offdiag",
     "probe_difference",
-    "probe_derivative",
+    "probe_deriv",
     "probe_band",
     "probe_hoelder",
     "probe_lp",
@@ -281,9 +281,9 @@ def _kernel(manifold: str, n: int, grid, direction, taus, *, band: bool = False)
     return lambdas, band_kernel if band else spectral
 
 
-def probe_weyl(manifold: str, n: int, lambda_grid=None) -> ProbeResult:
+def probe_weyl(manifold: str, n: int, grid=None) -> ProbeResult:
     """Diagonal spectral function against the volume-counting prediction."""
-    lambdas, kernel = _kernel(manifold, n, lambda_grid, None, (0.0,))
+    lambdas, kernel = _kernel(manifold, n, grid, None, (0.0,))
     raws = [kernel(lam, 0.0) for lam in lambdas]
     limit = weyl_constant(n)
     return ProbeResult(
@@ -299,13 +299,13 @@ def probe_offdiag(
     manifold: str,
     n: int,
     tau: float,
-    lambda_grid=None,
+    grid=None,
     *,
     direction=None,
 ) -> ProbeResult:
     """Off-diagonal spectral function at rescaled distance tau = lambda dist."""
     limit = _snap_phi_limit(n, tau)
-    lambdas, kernel = _kernel(manifold, n, lambda_grid, direction, (tau,))
+    lambdas, kernel = _kernel(manifold, n, grid, direction, (tau,))
     raws = [kernel(lam, tau / lam) for lam in lambdas]
     return ProbeResult(
         probe="offdiag",
@@ -320,13 +320,13 @@ def probe_difference(
     manifold: str,
     n: int,
     tau: float,
-    lambda_grid=None,
+    grid=None,
     *,
     direction=None,
 ) -> ProbeResult:
     """Square-sum of eigenfunction differences via 2(e_diag - e_offdiag)."""
     limit = 2.0 * (weyl_constant(n) - _snap_phi_limit(n, tau))
-    lambdas, kernel = _kernel(manifold, n, lambda_grid, direction, (0.0, tau))
+    lambdas, kernel = _kernel(manifold, n, grid, direction, (0.0, tau))
     offs = [kernel(lam, tau / lam) for lam in lambdas]
     diags = [kernel(lam, 0.0) for lam in lambdas]
     raws = [2.0 * (d - o) for d, o in zip(diags, offs)]
@@ -341,9 +341,9 @@ def probe_difference(
     )
 
 
-def probe_derivative(n: int, alpha: MultiIndex, beta: MultiIndex, lambda_grid=None) -> ProbeResult:
+def probe_deriv(n: int, alpha: MultiIndex, beta: MultiIndex, grid=None) -> ProbeResult:
     """Derivative diagonal sums on the torus against their leading constants."""
-    lambdas = _lambda_grid(lambda_grid)
+    lambdas = _lambda_grid(grid)
     torus.check_radius(n, max(lambdas))
     raws = [torus.derivative_diagonal_sum(n, alpha, beta, lam) for lam in lambdas]
     limit = deriv_weyl_constant(n, alpha, beta)
@@ -362,14 +362,14 @@ def probe_derivative(n: int, alpha: MultiIndex, beta: MultiIndex, lambda_grid=No
     )
 
 
-def probe_band(manifold: str, n: int, lambda_grid=None) -> ProbeResult:
+def probe_band(manifold: str, n: int, grid=None) -> ProbeResult:
     """Unit-band diagonal sums, plus the projector-norm witness sqrt(band)/lambda^((n-1)/2).
 
     Sphere grids here are plain lambda values (consecutive pinned eigenvalues
     sit slightly more than 1 apart, which would leave every band empty);
     empty-band rows report zero and are excluded from fits.
     """
-    lambdas, band = _kernel(manifold, n, lambda_grid, None, (0.0,), band=True)
+    lambdas, band = _kernel(manifold, n, grid, None, (0.0,), band=True)
     raws = [band(lam, 0.0) for lam in lambdas]
     witness = [math.sqrt(v) / lam ** ((n - 1) / 2.0) for v, lam in zip(raws, lambdas)]
     return ProbeResult(
@@ -387,7 +387,7 @@ def probe_hoelder(
     n: int,
     delta: float,
     tau_grid=None,
-    lambda_grid=None,
+    grid=None,
     *,
     direction=None,
 ) -> ProbeResult:
@@ -397,7 +397,7 @@ def probe_hoelder(
     taus = [float(t) for t in (tau_grid if tau_grid is not None else default_tau_grid())]
     if not taus or any(t <= 0.0 or t > 10.0 for t in taus):
         raise DomainError("tau grid must lie in (0, 10]")
-    lambdas, band = _kernel(manifold, n, lambda_grid, direction, (0.0, *taus), band=True)
+    lambdas, band = _kernel(manifold, n, grid, direction, (0.0, *taus), band=True)
 
     def one(lam: float) -> float:
         best = 0.0
@@ -423,7 +423,7 @@ def probe_hoelder(
 # extremizing-family probes (sphere, n = 2 by default)
 
 
-def probe_lp(family: str, r: float, s: float, m_grid=None, *, n: int = 2) -> ProbeResult:
+def probe_lp(family: str, r: float, s: float, grid=None, *, n: int = 2) -> ProbeResult:
     """Sobolev-scaled L_r norm growth of an extremizing family.
 
     The zonal family realizes the large-r regime, the highest-weight family
@@ -433,7 +433,7 @@ def probe_lp(family: str, r: float, s: float, m_grid=None, *, n: int = 2) -> Pro
         raise DomainError(f"family must be 'zonal' or 'hw', got {family!r}")
     if s < 0.0:
         raise DomainError(f"Sobolev order must be >= 0, got {s}")
-    ms, lambdas = _degree_grid(n, m_grid)
+    ms, lambdas = _degree_grid(n, grid)
 
     if family == "zonal":
         # one quadrature rule and one recurrence serve the whole grid
@@ -441,6 +441,8 @@ def probe_lp(family: str, r: float, s: float, m_grid=None, *, n: int = 2) -> Pro
     else:
         norms = [sphere.hw_norm(n, m, r) for m in ms]
     raws = [sphere.sobolev_scale(lam, s) * norm for lam, norm in zip(lambdas, norms)]
+    if not all(math.isfinite(v) for v in raws):
+        raise ResourceLimitError(f"the Sobolev-scaled norm at s = {s:g} overflows a float")
     exponent = s + epsilon_exponent(n, r)
     rows = [
         ProbeRow(abscissa=float(m), raw=v, ratio=v / lam ** exponent)
@@ -469,7 +471,7 @@ def _hoelder_proxy(n: int, m: int, lam: float, delta: float) -> float:
     return max(float(d) / float(h) ** delta for d, h in zip(diffs, seps))
 
 
-def probe_cksigma(sigma: float, m_grid=None, *, n: int = 2) -> ProbeResult:
+def probe_cksigma(sigma: float, grid=None, *, n: int = 2) -> ProbeResult:
     """Smoothness-norm growth of zonal harmonics against lambda^sigma ||Z||_inf.
 
     sigma = 0 uses the sup norm itself, sigma in (0, 1) a sampled Hoelder
@@ -477,7 +479,7 @@ def probe_cksigma(sigma: float, m_grid=None, *, n: int = 2) -> ProbeResult:
     """
     if not 0.0 <= sigma <= 1.0:
         raise DomainError(f"sigma must lie in [0, 1], got {sigma}")
-    ms, lambdas = _degree_grid(n, m_grid)
+    ms, lambdas = _degree_grid(n, grid)
     _check_degree_budget(sum(ms), ZONAL_DEGREE_BUDGET, "degree grid")
 
     sups = sphere.zonal_norms(n, ms, math.inf)
@@ -510,7 +512,7 @@ def _nodal_limit(n: int) -> float | None:
     return None
 
 
-def probe_nodal(m_grid=None, *, n: int = 2) -> ProbeResult:
+def probe_nodal(grid=None, *, n: int = 2) -> ProbeResult:
     """Nodal gap of the zonal family: lambda times the first zero colatitude.
 
     The raw value converges to j_{(n-2)/2, 1}, the first zero of J_{(n-2)/2}.
@@ -518,7 +520,7 @@ def probe_nodal(m_grid=None, *, n: int = 2) -> ProbeResult:
     than quoted) and n = 3 (pi), and left out for n >= 4.  The extras carry
     the cap inner radius and the Nadirashvili ratio per row.
     """
-    ms, lambdas = _degree_grid(n, m_grid)
+    ms, lambdas = _degree_grid(n, grid)
     _check_degree_budget(sum(ms), ZONAL_DEGREE_BUDGET, "degree grid")
 
     thetas = [sphere.nodal_gap_zonal(n, m) for m in ms]
@@ -542,10 +544,10 @@ def probe_nodal(m_grid=None, *, n: int = 2) -> ProbeResult:
     )
 
 
-def probe_smoothed(n: int, window: SmoothingWindow | None = None, lambda_grid=None) -> ProbeResult:
+def probe_smoothed(n: int, eps: float | None = None, grid=None) -> ProbeResult:
     """Window-smoothed diagonal sums on the torus against the band growth order."""
-    win = window if window is not None else SmoothingWindow()
-    lambdas = _lambda_grid(lambda_grid)
+    win = SmoothingWindow() if eps is None else SmoothingWindow(eps=eps)
+    lambdas = _lambda_grid(grid)
     shells = torus.lattice_shells(n, max(lambdas) + win.truncation_radius)
     raws = [torus.smoothed_diagonal_sum(n, lam, win, shells=shells) for lam in lambdas]
     return ProbeResult(

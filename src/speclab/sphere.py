@@ -10,6 +10,7 @@ pole) and highest-weight harmonics (concentration along a great circle).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -76,25 +77,33 @@ def eigenvalue(n: int, m: int) -> float:
 
 
 def max_degree(n: int, lam: float) -> int:
-    """Largest degree m with sqrt(m(m+n-1)) <= lam.
+    """Largest degree m whose float eigenvalue(n, m) is <= lam, exact at every lam.
 
-    Eigenvalue squares are integers, so lam^2 is snapped to a nearby integer
-    (1e-8 relative) before the cutoff comparison; this makes grids pinned to
-    exact level values include their own level despite sqrt rounding.
+    eigenvalue rounds the integer m(m+n-1) to a float y, then sqrt(y), both
+    monotonically; sqrt(y) rounds to at most lam iff y < h^2, h the midpoint
+    of lam and the next float up (never a float's square root).
     """
     _check_dim(n)
     if not 0.0 <= lam < math.inf:
         raise DomainError(f"lambda must be finite and >= 0, got {lam}")
-    lam_sq = lam * lam
-    nearest = round(lam_sq)
-    if abs(lam_sq - nearest) <= 1e-8 * max(1.0, nearest):
-        lam_sq = nearest
-    m = int((-(n - 1) + math.sqrt((n - 1) ** 2 + 4.0 * lam_sq)) / 2.0)
-    while (m + 1) * (m + n) <= lam_sq:
-        m += 1
-    while m > 0 and m * (m + n - 1) > lam_sq:
-        m -= 1
-    return m
+    a, b = lam.as_integer_ratio()
+    c, d = math.ulp(lam).as_integer_ratio()
+    num, den = (2 * a * d + c * b) ** 2, (2 * b * d) ** 2  # h^2 = num/den
+    # y: the largest float below h^2
+    y = num / den if num < den * int(sys.float_info.max) else sys.float_info.max
+    p, q = y.as_integer_ratio()
+    if p * den >= num * q:
+        y = math.nextafter(y, 0.0)
+    # bound: the largest integer that rounds to y or below
+    if y < 2.0**53:
+        bound = math.floor(y)
+    else:
+        # the integers up to the midpoint to the next float round to y, the
+        # midpoint itself only when y's last bit is even
+        ulp = int(math.ulp(y))
+        bound = int(y) + ulp // 2 - (int(y) // ulp) % 2
+    # m(m+n-1) <= bound  iff  (2m+n-1)^2 <= (n-1)^2 + 4 bound
+    return (math.isqrt((n - 1) ** 2 + 4 * bound) - (n - 1)) // 2
 
 
 def band_degrees(n: int, lam: float) -> range:
@@ -311,12 +320,15 @@ def _hw_log_norm(n: int, m: int, r: float) -> float:
     if a < _HW_SERIES_FROM:
         lbeta = math.lgamma(a) + math.lgamma(h) - math.lgamma((m * r + n + 1.0) / 2.0)
     else:
-        # lgamma(a + h) - lgamma(a) to O(a^-4), from the Bernoulli polynomials B_2..B_4 at h
+        # lgamma(a + h) - lgamma(a) to O(a^-4), from the Bernoulli polynomials B_2..B_4 at h;
+        # a = r (m/2 + 1/r), and neither m r nor a^3 is formed, so every finite r stays finite
+        base = m / 2.0 + 1.0 / r
+        inv_a = 1.0 / r / base
         rise = (
-            h * math.log(a)
-            + (h * h - h) / (2.0 * a)
-            - (h**3 - 1.5 * h * h + 0.5 * h) / (6.0 * a * a)
-            + (h**4 - 2.0 * h**3 + h * h) / (12.0 * a**3)
+            h * (math.log(r) + math.log(base))
+            + (h * h - h) / 2.0 * inv_a
+            - (h**3 - 1.5 * h * h + 0.5 * h) / 6.0 * inv_a * inv_a
+            + (h**4 - 2.0 * h**3 + h * h) / 12.0 * inv_a**3
         )
         lbeta = math.lgamma(h) - rise
     const = math.log(2.0 * math.pi * sphere_area(n - 2) * 0.5)

@@ -30,7 +30,7 @@ from speclab.probes import (
     fit_scaling,
     probe_band,
     probe_cksigma,
-    probe_derivative,
+    probe_deriv,
     probe_difference,
     probe_hoelder,
     probe_lp,
@@ -96,9 +96,9 @@ def test_criterion_02_weyl_count():
 def test_criterion_03_derivative_weyl_law():
     with _Budget("criterion 3: derivative Weyl law", 10.0):
         a = MultiIndex.of(1, 0)
-        res = probe_derivative(2, a, a, LAMBDA_GRID)
+        res = probe_deriv(2, a, a, LAMBDA_GRID)
         assert abs(res.rows[-1].ratio / (1.0 / (16.0 * math.pi)) - 1.0) <= 0.01
-        mismatched = probe_derivative(2, a, MultiIndex.of(0, 0), LAMBDA_GRID)
+        mismatched = probe_deriv(2, a, MultiIndex.of(0, 0), LAMBDA_GRID)
         assert all(r.raw == 0.0 for r in mismatched.rows)
 
 

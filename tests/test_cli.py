@@ -1,18 +1,22 @@
+import inspect
+import itertools
 import json
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import speclab
-from speclab import output, probes, sphere, torus
+from speclab import cli, output, probes, sphere, torus
 from speclab.analytic import weyl_constant
 from speclab.cli import _parse_grid, load_config_file, run_command
 from speclab.errors import ConfigError, DomainError, NumericError
@@ -305,7 +309,7 @@ class TestStrictInputs:
         assert not out.exists()
 
     def test_numeric_error_exit_code(self, monkeypatch, tmp_path, capsys):
-        def diverge(m_grid=None, *, n=2):
+        def diverge(grid=None, *, n=2):
             raise NumericError("Newton iteration did not converge")
 
         monkeypatch.setattr(probes, "probe_nodal", diverge)
@@ -315,7 +319,7 @@ class TestStrictInputs:
         assert not out.exists()
 
     def test_memory_error_exit_code(self, monkeypatch, tmp_path, capsys):
-        def exhaust(manifold, n, lambda_grid=None):
+        def exhaust(manifold, n, grid=None):
             raise MemoryError()
 
         monkeypatch.setattr(probes, "probe_weyl", exhaust)
@@ -323,6 +327,31 @@ class TestStrictInputs:
         assert run_command(["weyl", "--manifold", "torus", "--out", str(out)]) == 3
         assert "MemoryError" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestProbeTable:
+    """cli._PROBES is the one place that names a probe's inputs."""
+
+    @pytest.mark.parametrize("name", sorted(cli._PROBES))
+    def test_table_names_every_probe_parameter(self, name):
+        # run_probe passes the table's names as keyword arguments
+        entry = cli._PROBES[name]
+        names = (*entry.required, *entry.optional)
+        signature = inspect.signature(getattr(probes, f"probe_{name}"))
+        signature.bind(**dict.fromkeys(names))
+        # hoelder's tau grid is set by callers of the library, never by a flag
+        unset = {"tau_grid"} if name == "hoelder" else set()
+        assert set(signature.parameters) - set(names) == unset
+
+    def test_readme_table_lists_the_table_flags(self):
+        lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+        start = next(i for i, line in enumerate(lines) if re.match(r"\| probe +\| required +\| optional", line))
+        rows = {}
+        for line in itertools.takewhile(lambda line: line.startswith("|"), lines[start + 2:]):
+            probe, required, optional = (cell.strip() for cell in line.strip("|").split("|"))
+            rows[probe.strip("`")] = (tuple(re.findall(r"`--(\w+)`", required)),
+                                      tuple(re.findall(r"`--(\w+)`", optional)))
+        assert rows == {name: (p.required, p.optional) for name, p in cli._PROBES.items()}
 
 
 def _child_env(blas_threads: str | None = None) -> dict:
@@ -455,6 +484,17 @@ class TestResourceLimits:
             in capsys.readouterr().err
         )
         assert total - probes.KERNEL_DEGREE_BUDGET <= 3
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid", ["1e150", "1e200"])
+    def test_huge_sphere_band_refused_at_once(self, grid, tmp_path, capsys):
+        # max_degree sizes the budget; it used to step one degree at a time from
+        # a float estimate, and at 1e150 ran for minutes before any refusal
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        assert run_command(["band", "--manifold", "sphere", "--grid", grid, "--out", str(out)]) == 3
+        assert time.perf_counter() - start < 1.0
+        assert f"past the budget of {probes.KERNEL_DEGREE_BUDGET} summed degrees" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -1020,3 +1060,86 @@ class TestTorusExitContract:
             (csv_path,) = _files(out, ".csv")
             raws = [line.split(",")[1] for line in csv_path.read_text().splitlines()[1:]]
             assert all(math.isfinite(float(v)) for v in raws), (argv, raws)
+
+
+# --------------------------------------------------------------------------
+# the same contract for the extremizing-family subcommands, lp, cksigma and nodal
+
+_degree_grids = _mostly(
+    st.one_of(
+        st.lists(st.integers(1, 40), min_size=1, max_size=4)
+        .map(lambda v: ",".join(map(str, sorted(set(v))))),
+        st.tuples(st.integers(1, 20), st.integers(1, 40), st.sampled_from([1, 5, 10]))
+        .map(lambda t: ":".join(map(str, t))),
+    ),
+    st.one_of(
+        _ODD_NUMBERS,
+        st.sampled_from(["10", "400", "1e6", "100001", "1e300", "2.5,3", "0,1", "3,2", "1:40:0.5"]),
+    ),
+)
+
+
+def _family_flags(probe: str) -> dict:
+    """The required flag strategies of an extremizing-family subcommand."""
+    if probe == "lp":
+        r = st.one_of(st.floats(2.0, 12.0).map(repr), st.sampled_from(["inf", "2", "4", "6"]))
+        odd_r = st.sampled_from(["1e307", "1.7976931348623157e308", "1e200", "1e102", "1e6", "1.5"])
+        odd_s = st.sampled_from(["301.36", "118.34", "1e300", "1e-300"])
+        return {
+            "family": _mostly(st.sampled_from(["zonal", "hw"]), st.sampled_from(["", "Zonal"])),
+            "r": _mostly(r, st.one_of(_ODD_NUMBERS, odd_r)),
+            "s": _mostly(st.floats(0.0, 3.0).map(repr), st.one_of(_ODD_NUMBERS, odd_s)),
+        }
+    if probe == "cksigma":
+        sigma = st.one_of(st.floats(0.0, 1.0).map(repr), st.sampled_from(["0", "0.5", "1"]))
+        odd_sigma = st.sampled_from(["1.0000001", "1e-300", "0.999999999999"])
+        return {"sigma": _mostly(sigma, st.one_of(_ODD_NUMBERS, odd_sigma))}
+    return {}
+
+
+@st.composite
+def family_argvs(draw):
+    probe = draw(st.sampled_from(["lp", "cksigma", "nodal"]))
+    odd_n = st.sampled_from(["1", "0", "-2", "2.5", "1e9", "150", "1000", "10000000000"])
+    n = draw(st.none() | _mostly(st.sampled_from(["2", "3", "4"]), odd_n))
+    argv = [probe] if n is None else [probe, f"--n={n}"]
+    for key, values in _family_flags(probe).items():
+        argv.append(f"--{key}={draw(values)}")
+    # always a grid: the default degree grids cost more than the contract needs
+    return argv + [f"--grid={draw(_degree_grids)}"]
+
+
+class TestFamilyExitContract:
+    @settings(derandomize=True, deadline=None, max_examples=200,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(family_argvs())
+    # m r overflowed to inf and every hw raw was written as 0 with exit 0
+    @example(["lp", "--family=hw", "--r=1e307", "--s=0", "--grid=20:400:20"])
+    # a^3 overflowed in the hw log norm: OverflowError
+    @example(["lp", "--family=hw", "--r=1e200", "--s=0", "--grid=20,400"])
+    # the Sobolev factor times the norm overflowed to inf with exit 0
+    @example(["lp", "--family=zonal", "--r=inf", "--s=301.36", "--grid=10"])
+    def test_every_run_exits_0_2_or_3(self, tmp_path_factory, argv):
+        # exit 0 writes positive finite raws: norms, gradient sups and nodal
+        # products are all positive
+        out = tmp_path_factory.mktemp("contract")
+        rc = run_command(argv + ["--formats", "csv", "--out", str(out)])
+        assert rc in (0, 2, 3), (argv, rc)
+        if rc == 0:
+            (csv_path,) = _files(out, ".csv")
+            raws = [float(line.split(",")[1]) for line in csv_path.read_text().splitlines()[1:]]
+            assert all(math.isfinite(v) and v > 0.0 for v in raws), (argv, raws)
+
+    def test_hw_norm_at_huge_r_tends_to_its_limit(self, tmp_path):
+        # the log norm divided by r falls toward 0, so the rows settle; at
+        # r = 1e100 the series branch still formed m r and a^3 without overflow
+        rows = {}
+        for r in ("1e100", "1e307", "1.7976931348623157e308"):
+            out = tmp_path / r
+            assert run_command(["lp", "--family", "hw", "--r", r, "--s", "0",
+                                "--grid", "20,400", "--formats", "csv", "--out", str(out)]) == 0
+            (csv_path,) = _files(out, ".csv")
+            rows[r] = [float(line.split(",")[1]) for line in csv_path.read_text().splitlines()[1:]]
+        assert rows["1e100"] == pytest.approx([0.63957, 1.34073], rel=1e-5)
+        assert rows["1e307"] == pytest.approx(rows["1e100"], rel=1e-12)
+        assert rows["1.7976931348623157e308"] == pytest.approx(rows["1e100"], rel=1e-12)

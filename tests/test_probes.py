@@ -18,7 +18,7 @@ from speclab.probes import (
     fit_scaling,
     probe_band,
     probe_cksigma,
-    probe_derivative,
+    probe_deriv,
     probe_difference,
     probe_hoelder,
     probe_lp,
@@ -83,7 +83,7 @@ _DEFAULT_RUNS = {
     "offdiag-sphere": lambda: probe_offdiag("sphere", 2, 1.5),
     "difference-torus": lambda: probe_difference("torus", 2, 1.5),
     "difference-sphere": lambda: probe_difference("sphere", 2, 1.5),
-    "deriv": lambda: probe_derivative(2, MultiIndex.of(1, 0), MultiIndex.of(1, 0)),
+    "deriv": lambda: probe_deriv(2, MultiIndex.of(1, 0), MultiIndex.of(1, 0)),
     "band-torus": lambda: probe_band("torus", 2),
     "band-sphere": lambda: probe_band("sphere", 2),
     "hoelder-torus": lambda: probe_hoelder("torus", 2, 0.5),
@@ -146,7 +146,7 @@ class TestProbeConsistency:
 
     def test_derivative_zero_order_equals_weyl(self):
         z = MultiIndex.of(0, 0)
-        dv = probe_derivative(2, z, z, SMALL_LAMBDAS)
+        dv = probe_deriv(2, z, z, SMALL_LAMBDAS)
         w = probe_weyl("torus", 2, SMALL_LAMBDAS)
         assert [r.raw for r in dv.rows] == [r.raw for r in w.rows]
 
@@ -279,14 +279,14 @@ class TestOffdiagProbe:
 
 class TestDerivativeProbe:
     def test_parity_mismatch_rows_exactly_zero(self):
-        res = probe_derivative(2, MultiIndex.of(1, 0), MultiIndex.of(0, 0), SMALL_LAMBDAS)
+        res = probe_deriv(2, MultiIndex.of(1, 0), MultiIndex.of(0, 0), SMALL_LAMBDAS)
         assert all(r.raw == 0.0 for r in res.rows)
         assert res.predicted_limit == 0.0
         assert all(r.ratio is None for r in res.rows)
 
     def test_matched_constant(self):
         a = MultiIndex.of(1, 0)
-        res = probe_derivative(2, a, a, [100.0, 200.0, 300.0])
+        res = probe_deriv(2, a, a, [100.0, 200.0, 300.0])
         assert res.predicted_exponent == 4.0
         assert res.rows[-1].ratio == pytest.approx(1.0 / (16.0 * math.pi), rel=0.02)
 
@@ -490,7 +490,7 @@ class TestCkSigmaProbe:
         lambda: probe_offdiag("sphere", 2, 1.5, SMALL_DEGREES),
         lambda: probe_difference("torus", 2, 1.5, SMALL_LAMBDAS),
         lambda: probe_difference("sphere", 2, 1.5, SMALL_DEGREES),
-        lambda: probe_derivative(2, MultiIndex.of(1, 0), MultiIndex.of(1, 0), SMALL_LAMBDAS),
+        lambda: probe_deriv(2, MultiIndex.of(1, 0), MultiIndex.of(1, 0), SMALL_LAMBDAS),
         lambda: probe_band("torus", 2, SMALL_LAMBDAS),
         lambda: probe_band("sphere", 2, SMALL_LAMBDAS),
         lambda: probe_hoelder("torus", 2, 0.5, None, SMALL_LAMBDAS),
@@ -560,7 +560,7 @@ class TestSmoothedProbe:
 
         window = SmoothingWindow()
         grid = [50.0, 100.0]
-        res = probe_smoothed(2, window, grid)
+        res = probe_smoothed(2, window.eps, grid)
         floor = float(np.min(window.value(np.linspace(-1.0, 0.0, 2001))))
         for row in res.rows:
             assert row.raw >= floor * torus.band_diagonal_sum(2, row.abscissa)

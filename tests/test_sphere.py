@@ -1,5 +1,5 @@
 import math
-from fractions import Fraction
+import sys
 
 import numpy as np
 import pytest
@@ -89,7 +89,7 @@ class TestMaxDegree:
         assert max_degree(2, 20.0) == 19  # 19*20 = 380 <= 400 < 420
         assert max_degree(2, 0.0) == 0
         assert max_degree(2, 1.41) == 0
-        assert max_degree(2, math.sqrt(2.0)) == 1  # snapped to the exact level
+        assert max_degree(2, math.sqrt(2.0)) == 1  # the level's own float eigenvalue
 
     @pytest.mark.parametrize("lam", [math.nan, math.inf])
     def test_non_finite_lambda_refused(self, lam):
@@ -121,25 +121,46 @@ def max_degree_cases(draw):
             st.just(math.nextafter(pinned, -math.inf)).filter(lambda x: x >= 0.0),
             st.floats(-1e-8, 1e-8).map(lambda d: pinned * (1.0 + d)),
             st.floats(0.0, 1.1e6),
+            st.floats(1e15, 1e154),
         )
     )
     return n, lam
 
 
+def _eigenvalue_or_inf(n, m):
+    """eigenvalue(n, m), or inf where m(m+n-1) has no float."""
+    try:
+        return eigenvalue(n, m)
+    except OverflowError:
+        return math.inf
+
+
 class TestMaxDegreeProperty:
     @settings(derandomize=True, deadline=None)
     @given(max_degree_cases())
-    def test_largest_level_below_snapped_lambda_sq(self, case):
+    def test_largest_level_whose_float_eigenvalue_is_at_most_lambda(self, case):
+        # eigenvalue is monotone in m, so this pins m; the rule has no tolerance
         n, lam = case
-        lam_sq = Fraction(lam) ** 2
-        nearest = round(lam_sq)
-        if abs(lam_sq - nearest) <= Fraction(1e-8) * max(1, nearest):
-            lam_sq = Fraction(nearest)
-        # M(M+n-1) <= X  iff  (2M+n-1)^2 <= (n-1)^2 + 4 floor(X), in integers
-        bound = math.floor(lam_sq)
-        expected = (math.isqrt((n - 1) ** 2 + 4 * bound) - (n - 1)) // 2
-        assert expected * (expected + n - 1) <= lam_sq < (expected + 1) * (expected + n)
-        assert max_degree(n, lam) == expected
+        m = max_degree(n, lam)
+        assert eigenvalue(n, m) <= lam < _eigenvalue_or_inf(n, m + 1)
+
+    @pytest.mark.parametrize("level", [31622 * 31623, 10**6 * (10**6 + 1)])
+    def test_level_just_above_lambda_not_counted(self, level):
+        # the old 1e-8 relative snap of lambda^2 reached 0.5 near lambda = 7071,
+        # so sqrt(K - 0.4) counted the level K = m(m+1) above it
+        lam = math.sqrt(level - 0.4)
+        m = max_degree(2, lam)
+        assert m * (m + 1) < level
+        assert eigenvalue(2, m) <= lam < eigenvalue(2, m + 1)
+
+    @pytest.mark.parametrize("n", [2, 3, 9])
+    @pytest.mark.parametrize("lam", [1e150, 1e200, 1e300, sys.float_info.max])
+    def test_huge_lambda_in_closed_form(self, n, lam):
+        # the old search stepped one degree at a time from a float estimate and
+        # ran for minutes at lambda = 1e150; past sqrt(max float) the largest
+        # degree with a float eigenvalue answers
+        m = max_degree(n, lam)
+        assert eigenvalue(n, m) <= lam < _eigenvalue_or_inf(n, m + 1)
 
 
 class TestAdditionKernel:
@@ -219,10 +240,10 @@ class TestBandKernel:
         assert band_kernel_sphere(2, 1.0, 0.5) == 3.0 / FOUR_PI
 
     def test_empty_band_is_zero(self):
-        # the next level sits just beyond lam + 1 (near m = 300 on S^2, by less
-        # than max_degree's snapping tolerance, so m stays lower here)
+        # the next level sits just beyond lam + 1, by about 1/(8 m^2) on S^2; the
+        # old 1e-8 relative snap of lambda^2 counted it from m = 300 on
         for n in (2, 3, 8):
-            for m in (0, 1, 17, 20, 60):
+            for m in (0, 1, 17, 20, 60, 300, 1000, 10**4):
                 lam = eigenvalue(n, m)
                 assert len(band_degrees(n, lam)) == 0
                 assert band_kernel_sphere(n, 1.0, lam) == 0.0

@@ -541,7 +541,7 @@ class TestSmoothedSum:
                                 (3, SmoothingWindow(eps=80.0), [10.0, 25.5, 60.0])):
             built.clear()
             monkeypatch.setattr(torus, "lattice_shells", recording)
-            res = probe_smoothed(n, window, grid)
+            res = probe_smoothed(n, window.eps, grid)
             monkeypatch.undo()
             [table] = built
             bound = math.floor((max(grid) + window.truncation_radius) ** 2)
