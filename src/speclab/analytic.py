@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -441,24 +442,86 @@ def bessel_j0_zero(i: int) -> float:
 # the radial kernel Phi_n
 
 
-def _phi_rule_order(tau: float) -> int:
-    # cos(tau cos psi) needs roughly tau/2 nodes; generous margin, quantized
-    # so repeated taus share cached rules.
-    return 96 + 16 * int(math.ceil(tau / 8.0))
+# Phi_n's rule: [0, pi] in max(1, ceil(tau / PHI_TAU_PER_PIECE)) equal pieces,
+# each carrying the PHI_PIECE_ORDER-node Gauss-Legendre rule; cos(tau cos psi)
+# needs roughly tau/2 nodes over [0, pi], so every piece keeps a wide margin
+PHI_PIECE_ORDER = 112
+PHI_TAU_PER_PIECE = 8.0
+
+# largest tau phi_kernel serves, a cost cap: 306 pieces, 34,272 node
+# evaluations in Python floats, 11-13 ms a call (2 cores, Python 3.11.7)
+PHI_TAU_MAX = 2448.0
 
 
-# largest tau whose Phi rule stays within QUAD_ORDER_MAX (2448)
-PHI_TAU_MAX = 8.0 * ((QUAD_ORDER_MAX - 96) // 16)
+@functools.cache
+def _phi_piece_rule() -> tuple[list[float], list[float]]:
+    """gauss_legendre_rule(PHI_PIECE_ORDER)'s nodes and weights as Python floats, bit for bit.
+
+    The same arithmetic as gegenbauer_zeros and gauss_legendre_rule, node by
+    node: the cosine seeds, Newton in lockstep until every step is at most
+    NEWTON_TOL, the t -> -t symmetrization and the weight formula.
+    """
+    m, nu = PHI_PIECE_ORDER, 0.5
+    x = [math.cos(math.pi * (k + 0.5 * nu - 0.5) / (m + nu)) for k in range(m, 0, -1)]
+    for _ in range(NEWTON_MAX_STEPS):
+        steps = [val / der for val, der in (gegenbauer_value_and_deriv(m, nu, t) for t in x)]
+        x = [t - step for t, step in zip(x, steps)]
+        if max(map(abs, steps)) <= NEWTON_TOL:
+            break
+    else:
+        raise NumericError(f"Newton refinement for the zeros of C_{m}^{nu:g} did not settle")
+    nodes = [0.5 * (t - u) for t, u in zip(x, reversed(x))]
+    ders = [gegenbauer_value_and_deriv(m, nu, t)[1] for t in nodes]
+    w = [2.0 / ((1.0 - t) * (1.0 + t) * d * d) for t, d in zip(nodes, ders)]
+    return nodes, [0.5 * (u + v) for u, v in zip(w, reversed(w))]
+
+
+def _pairwise_sum(values: list[float]) -> float:
+    """The sum of a list of floats in np.sum's order, so bit-equal to np.sum.
+
+    np.sum adds a pairwise sum to 0.0.  Past 128 terms the list splits at a
+    multiple of 8 near its middle; a block of 8 to 128 terms keeps 8 running
+    sums over its stride-8 columns, adds them as ((s0 + s1) + (s2 + s3)) +
+    ((s4 + s5) + (s6 + s7)) and then its last n % 8 terms one by one; fewer
+    than 8 terms are added one by one.  The builtin sum compensates its
+    rounding from Python 3.12 on, so it cannot stand in for a column.
+    """
+
+    def block(lo: int, n: int) -> float:
+        if n > 128:
+            half = n // 2 - n // 2 % 8
+            return block(lo, half) + block(lo + half, n - half)
+        total, body = 0.0, lo
+        if n >= 8:
+            body = lo + n - n % 8
+            s0, s1, s2, s3, s4, s5, s6, s7 = [
+                functools.reduce(operator.add, values[j:body:8]) for j in range(lo, lo + 8)
+            ]
+            total = ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7))
+        for v in values[body:lo + n]:
+            total += v
+        return total
+
+    return 0.0 + block(0, len(values))  # 0.0 + -0.0 is 0.0, as in np.sum
 
 
 def _phi_quadrature(n: int, tau: float) -> float:
     # Phi_n(tau) = (2 pi)^{-n} vol(B_{n-1}) Int_{-1}^{1} cos(tau t)(1-t^2)^{(n-1)/2} dt,
     # evaluated after t = cos(psi), which makes the integrand entire for every n.
-    import numpy as np
-    rule = gauss_legendre_rule(_phi_rule_order(tau))
-    psi, w = rule.mapped(0.0, math.pi)
-    integrand = np.cos(tau * np.cos(psi)) * np.sin(psi) ** n
-    return ball_volume(n - 1) / TWO_PI ** n * float(np.sum(w * integrand))
+    # Up to tau = 8 this is one piece, the order-112 rule over [0, pi].
+    nodes, weights = _phi_piece_rule()
+    pieces = max(1, math.ceil(tau / PHI_TAU_PER_PIECE))
+    terms = []
+    for k in range(pieces):
+        a, b = math.pi * k / pieces, math.pi * (k + 1) / pieces
+        half = 0.5 * (b - a)
+        for x, w in zip(nodes, weights):
+            psi = a + half * (x + 1.0)
+            s = math.sin(psi)
+            # s * s is np.square's product; pow may round the square apart from it
+            power = s * s if n == 2 else s ** n
+            terms.append(half * w * (math.cos(tau * math.cos(psi)) * power))
+    return ball_volume(n - 1) / TWO_PI ** n * _pairwise_sum(terms)
 
 
 def phi_kernel_bessel(n: int, tau: float) -> float:
@@ -479,7 +542,7 @@ def phi_kernel(n: int, tau: float) -> float:
     """
     if n < 2:
         raise DomainError(f"dimension must be >= 2, got {n}")
-    if tau < 0.0:
+    if not tau >= 0.0:
         raise DomainError(f"tau must be >= 0, got {tau}")
     if tau > PHI_TAU_MAX:
         raise DomainError(f"tau = {tau:g} exceeds the largest supported tau, {PHI_TAU_MAX:g}")

@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from datetime import datetime, timezone
+import time
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -258,7 +258,9 @@ def parse_run_config(args: argparse.Namespace) -> dict:
 
 
 def _timestamp() -> str:
-    return datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%S%fZ")
+    """UTC now as %Y%m%dT%H%M%S%fZ, from time alone: importing datetime costs about 2 ms."""
+    seconds, nanos = divmod(time.time_ns(), 1_000_000_000)
+    return f"{time.strftime('%Y%m%dT%H%M%S', time.gmtime(seconds))}{nanos // 1000:06d}Z"
 
 
 def run_probe(name: str, values: dict) -> list[Path]:

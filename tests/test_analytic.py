@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from speclab.analytic import (
     PHI_TAU_MAX,
     MultiIndex,
     ball_moment,
+    ball_volume,
     bessel_j,
     bessel_j0_zero,
     deriv_weyl_constant,
@@ -26,6 +28,7 @@ from speclab.analytic import (
     weyl_constant,
     _bessel_series,
     _gegenbauer_pairs,
+    _phi_piece_rule,
     _phi_quadrature,
 )
 from speclab.errors import DomainError, NumericError
@@ -39,6 +42,88 @@ J0_ZERO_1 = 2.4048255576957724
 TAN_ROOT_1 = 4.493409457909064
 TAN_ROOT_2 = 7.725251836937708
 P3_ZERO = 0.7745966692414834  # sqrt(3/5)
+
+# Phi_n(tau) = J_{n/2}(tau) / (2 pi tau)^(n/2) at the double nearest each tau, from
+# 40-digit mpmath (besselj), pinned; the rule's error grows with tau, from the
+# rounding of tau cos(psi)
+PHI_PIN_TAUS = (
+    0.5, 2.25, 3.1, 5.75, 8.0, 9.5, 13.5, 37.25, 77.7, 101.5, 250.75, 512.0, 999.5, 1500.25,
+    2047.75, 2448.0,
+)
+PHI_PIN_VALUES = {
+    2: (
+        "7.711644518841161436773781407182363377757e-2",
+        "3.878983384221067953378216572353451284185e-2",
+        "1.544938252059596177565482377641225279915e-2",
+        "-8.800424801871504328357746694450313157392e-3",
+        "4.667941803853124655999156701630343175513e-3",
+        "2.701687505259111501146192396245184332407e-3",
+        "4.485728086395896350638115345898384087055e-4",
+        "-5.25463644012354835517080993894644145712e-4",
+        "1.851858847374819189021324678068878021216e-4",
+        "2.312791009912331143170492786958507984093e-5",
+        "-3.128243884669743045199073480468040090483e-5",
+        "8.33726396247742229242251366090556939741e-6",
+        "-1.231629438101130357581287554950815811208e-6",
+        "-1.74544605708902407916281066379599613736e-6",
+        "-1.338202688861685782417397884373454552168e-6",
+        "8.9973286793452988276310609846736907277e-8",
+    ),
+    3: (
+        "1.646844432975718125958235852158049102703e-2",
+        "9.746686902175219326162452193132203774369e-3",
+        "5.337803794298108768846346439888182529309e-3",
+        "-1.455023954746773681624185604573421208015e-3",
+        "2.130672204668945824449000936689527855766e-4",
+        "5.553082954088081965390821501194291760522e-4",
+        "-1.488215208121510200844166328028884654336e-4",
+        "-3.331540621929612483933588026552546161782e-5",
+        "5.682420230575250490351587824287358884503e-6",
+        "-2.743796227921033542564632895718173422847e-6",
+        "-6.768556094746118844315115826074428703471e-7",
+        "1.92672872931013430588908208819800029873e-7",
+        "-4.510794514467640760859813347299444029914e-8",
+        "-3.144769580165623515616742970091495698527e-9",
+        "-1.018485003895324508084917452034104448238e-8",
+        "6.467218715706409532803510437144865012334e-9",
+    ),
+    4: (
+        "3.100835881051597064498231678537054010626e-3",
+        "2.024910493965776285636066685795291131147e-3",
+        "1.281557496635246881891417191722495115065e-3",
+        "-1.429335307053529445215294636252651691062e-4",
+        "-4.472052677793521835695418196135552377357e-5",
+        "6.395840893955317299538893101320661021047e-5",
+        "-2.909714145216497181636476987393214033698e-5",
+        "-9.004578901349931100968028994254503755893e-7",
+        "-1.150255792619442959206183412558976929505e-8",
+        "-1.907759404609846811112991996406243752684e-7",
+        "-4.340027344302317964775781326289383366344e-9",
+        "2.219574321799913208251088411508652343277e-9",
+        "-6.094172848905553269737016944560627215172e-10",
+        "1.393097900442275508294292291414114853122e-10",
+        "-2.30255650060255616745969374013751658625e-11",
+        "6.791561036875069375530244238662612798737e-11",
+    ),
+    5: (
+        "5.279933084772792387582347240916741463261e-4",
+        "3.684882804669521346406717317787716632539e-4",
+        "2.539505907231883263516413158522343810258e-4",
+        "5.446293670453664202292560662128621867986e-7",
+        "-1.399067100992226802493886239657847068735e-5",
+        "3.644573788264073664900617649043077231213e-6",
+        "-3.023965999010687047152251661248535415083e-6",
+        "5.626386286483806771814346659235515334621e-8",
+        "-1.234747771238515639819921371160605364662e-8",
+        "-6.483377923959669583290331944408124546092e-9",
+        "2.740160535267983739126935593892632034943e-10",
+        "-4.425996299822035408410575027801604424527e-12",
+        "-3.704046573058382303033950444454957366419e-12",
+        "2.363942680965021268755123362607055120924e-12",
+        "5.042903182847867785991877964737600387172e-13",
+        "3.543002664285316324713732213569791141966e-13",
+    ),
+}
 
 
 def gegenbauer(m, nu, t):
@@ -451,11 +536,38 @@ class TestPhiKernel:
     def test_domain(self):
         with pytest.raises(DomainError):
             phi_kernel(2, -0.1)
+        with pytest.raises(DomainError, match="tau must be >= 0, got nan"):
+            phi_kernel(2, math.nan)
         with pytest.raises(DomainError):
             phi_kernel(1, 0.0)
 
+    def test_piece_rule_is_the_order_112_rule_bit_for_bit(self):
+        nodes, weights = _phi_piece_rule()
+        rule = gauss_legendre_rule(112)
+        assert [v.hex() for v in nodes] == [float(v).hex() for v in rule.nodes]
+        assert [v.hex() for v in weights] == [float(v).hex() for v in rule.weights]
+
+    def test_phi2_keeps_the_numpy_rule_bits_up_to_tau_8(self):
+        # up to tau = 8 the composite rule is one piece, the order-112 rule that
+        # this numpy formula ran over [0, pi] with np.sum's pairwise order
+        def numpy_phi(n, tau):
+            psi, w = gauss_legendre_rule(112).mapped(0.0, math.pi)
+            integrand = np.cos(tau * np.cos(psi)) * np.sin(psi) ** n
+            return ball_volume(n - 1) / TWO_PI ** n * float(np.sum(w * integrand))
+
+        taus = [float(t) for t in np.linspace(0.0, 8.0, 561)[1:]] + [1e-300, 5e-324]
+        assert [_phi_quadrature(2, t).hex() for t in taus] == [numpy_phi(2, t).hex() for t in taus]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_within_bound_of_mpmath_up_to_tau_max(self, n):
+        # measured at most 1.8e-15 c_n at these taus, worst at the largest; the
+        # numpy rule of 96 + 16 ceil(tau/8) nodes was up to 5.4e-15 to 5.9e-15 c_n off here
+        bound = Fraction(3e-15) * Fraction(weyl_constant(n))
+        for tau, pinned in zip(PHI_PIN_TAUS, PHI_PIN_VALUES[n]):
+            assert abs(Fraction(phi_kernel(n, tau)) - Fraction(pinned)) <= bound, tau
+
     def test_tau_beyond_rule_cap_names_the_limit(self):
-        # 96 + 16 ceil(tau/8) nodes stay within the 5000-node cap up to tau = 2448
+        # the composite rule's cost grows with tau: 306 pieces of 112 nodes at tau = 2448
         assert PHI_TAU_MAX == 2448.0
         with pytest.raises(DomainError, match=r"tau = 2448\.5 .* 2448"):
             phi_kernel(2, 2448.5)

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 import xml.etree.ElementTree as ET
+from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
@@ -84,6 +85,12 @@ class TestRunCommand:
         assert run_command(argv + ["--out", str(out)]) == 0
         assert sorted(p.suffix for p in out.iterdir()) == [".csv", ".json", ".json", ".svg"]
         assert (out / "summary.json").is_file()
+        # every table is named <subcommand>_<UTC time as %Y%m%dT%H%M%S%fZ>
+        (stem,) = {p.stem for p in out.iterdir() if p.name != "summary.json"}
+        assert re.fullmatch(rf"{argv[0]}_\d{{8}}T\d{{12}}Z", stem), stem
+        written = datetime.strptime(stem.split("_")[1], "%Y%m%dT%H%M%S%fZ")
+        now = datetime.now(timezone.utc).replace(tzinfo=None)
+        assert abs((now - written).total_seconds()) < 60
 
     def test_invalid_value_exit_code(self, tmp_path):
         code = run_command(
@@ -592,15 +599,10 @@ class TestBlasThreads:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == expected
 
-    @pytest.mark.parametrize(
-        "argv",
-        [["offdiag", "--manifold", "torus", "--n", "3", "--tau", "1.5", "--grid", "50:200:50"],
-         ["selftest"]],
-        ids=["offdiag-torus-n3", "selftest"],
-    )
+    @pytest.mark.parametrize("argv", [["selftest"]], ids=["selftest"])
     def test_tables_identical_across_blas_threads(self, argv, tmp_path):
         # the tables must not depend on how OpenBLAS splits its work: selftest
-        # multiplies a matrix by a vector, and offdiag-torus-n3 runs numpy's Phi_3 rule
+        # multiplies a matrix by a vector, the one BLAS product left in any run
         tables = {}
         for threads in ("1", "2"):
             out = tmp_path / f"blas{threads}"
@@ -680,9 +682,12 @@ _RUNS = (
 
 
 # the runs that reach no array path: scalar recurrences, lgamma and scalar Newton
-# on the sphere; exact integer row sums and the float cosine sums on the torus
+# on the sphere; exact integer row sums and the float cosine sums on the torus;
+# Phi_n's composite rule in Python floats for offdiag and difference at tau > 0
 _NUMPY_FREE_RUNS = (
     ["weyl", "--manifold", "sphere"],
+    ["offdiag", "--manifold", "sphere", "--tau", "1.5"],
+    ["difference", "--manifold", "sphere", "--tau", "1.5"],
     ["band", "--manifold", "sphere"],
     ["hoelder", "--manifold", "sphere", "--delta", "0.5"],
     ["lp", "--family", "hw", "--r", "4", "--s", "0"],
@@ -692,7 +697,11 @@ _NUMPY_FREE_RUNS = (
     ["band", "--manifold", "torus"],
     ["deriv", "--alpha", "1,0", "--beta", "1,0"],
     ["hoelder", "--manifold", "torus", "--delta", "0.5"],
+    ["offdiag", "--manifold", "torus", "--tau", "1.5"],
+    ["difference", "--manifold", "torus", "--tau", "1.5"],
     ["weyl", "--manifold", "torus", "--n", "3", "--grid", "10:60:10"],
+    ["offdiag", "--manifold", "torus", "--n", "3", "--tau", "1.5", "--grid", "10:60:10"],
+    ["difference", "--manifold", "torus", "--n", "3", "--tau", "1.5", "--grid", "10:60:10"],
     ["band", "--manifold", "torus", "--n", "3", "--grid", "10:60:10"],
     ["deriv", "--n", "3", "--alpha", "1,0,1", "--beta", "1,2,1", "--grid", "10:60:10"],
     ["hoelder", "--manifold", "torus", "--n", "3", "--delta", "0.5", "--grid", "10:60:10"],
