@@ -11,8 +11,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DomainError, NumericError
 
@@ -64,17 +63,17 @@ NEWTON_MAX_STEPS = 100
 # domain types
 
 
-@dataclass(frozen=True)
-class MultiIndex:
+class MultiIndex(NamedTuple("MultiIndex", [("entries", tuple[int, ...])])):
     """A multi-index: a fixed-length tuple of non-negative integers."""
 
-    entries: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.entries) < 1:
+    def __new__(cls, entries: tuple[int, ...]) -> "MultiIndex":
+        if len(entries) < 1:
             raise DomainError("multi-index must have length >= 1")
-        if any((not isinstance(e, int)) or e < 0 for e in self.entries):
-            raise DomainError(f"multi-index entries must be integers >= 0, got {self.entries}")
+        if any((not isinstance(e, int)) or e < 0 for e in entries):
+            raise DomainError(f"multi-index entries must be integers >= 0, got {entries}")
+        return super().__new__(cls, entries)
 
     @classmethod
     def of(cls, *entries: int) -> "MultiIndex":
@@ -99,17 +98,17 @@ class MultiIndex:
         return all((a - b) % 2 == 0 for a, b in zip(self.entries, other.entries))
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Gauss-Legendre nodes/weights on (-1, 1), exact through degree 2N-1."""
+class QuadratureRule(
+    NamedTuple("QuadratureRule", [("nodes", "np.ndarray"), ("weights", "np.ndarray"), ("order", int)])
+):
+    """Gauss-Legendre nodes/weights on (-1, 1), exact through degree 2N-1; both arrays read-only."""
 
-    nodes: np.ndarray
-    weights: np.ndarray
-    order: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        self.nodes.setflags(write=False)
-        self.weights.setflags(write=False)
+    def __new__(cls, nodes: np.ndarray, weights: np.ndarray, order: int) -> "QuadratureRule":
+        nodes.setflags(write=False)
+        weights.setflags(write=False)
+        return super().__new__(cls, nodes, weights, order)
 
     def integrate(self, values: np.ndarray) -> float:
         return float((self.weights * values).sum())
@@ -462,16 +461,28 @@ def _phi_piece_rule() -> tuple[list[float], list[float]]:
     NEWTON_TOL, the t -> -t symmetrization and the weight formula.
     """
     m, nu = PHI_PIECE_ORDER, 0.5
+    # _gegenbauer_pairs' coefficients, formed once for every node and Newton step
+    coefs = [(k, k + nu - 1.0, k + 2.0 * nu - 2.0) for k in range(1, m + 1)]
+    der_coef = m + 2.0 * nu - 1.0
+
+    def value_and_deriv(t: float) -> tuple[float, float]:
+        # gegenbauer_value_and_deriv(m, nu, t) operation for operation
+        two_t = 2.0 * t
+        c_prev, c = 0.0, 1.0
+        for k, a, b in coefs:
+            c_prev, c = c, (two_t * a * c - b * c_prev) / k
+        return c, (der_coef * c_prev - m * t * c) / ((1.0 - t) * (1.0 + t))
+
     x = [math.cos(math.pi * (k + 0.5 * nu - 0.5) / (m + nu)) for k in range(m, 0, -1)]
     for _ in range(NEWTON_MAX_STEPS):
-        steps = [val / der for val, der in (gegenbauer_value_and_deriv(m, nu, t) for t in x)]
+        steps = [val / der for val, der in map(value_and_deriv, x)]
         x = [t - step for t, step in zip(x, steps)]
         if max(map(abs, steps)) <= NEWTON_TOL:
             break
     else:
         raise NumericError(f"Newton refinement for the zeros of C_{m}^{nu:g} did not settle")
     nodes = [0.5 * (t - u) for t, u in zip(x, reversed(x))]
-    ders = [gegenbauer_value_and_deriv(m, nu, t)[1] for t in nodes]
+    ders = [value_and_deriv(t)[1] for t in nodes]
     w = [2.0 / ((1.0 - t) * (1.0 + t) * d * d) for t, d in zip(nodes, ders)]
     return nodes, [0.5 * (u + v) for u, v in zip(w, reversed(w))]
 
@@ -562,6 +573,11 @@ def phi_kernel_zero(n: int, i: int) -> float:
         raise DomainError(f"zeros are tabulated only for n in {{2, 3}}, got n={n}")
     if i < 1:
         raise DomainError("zero index must be >= 1")
+    # the zeros are those of J_1 (n = 2) and J_{3/2} (n = 3): the first lies past
+    # 3.8 and consecutive ones lie more than pi apart (Watson 15.83, nu > 1/2),
+    # so zero i lies past 3.8 + (i - 1) pi and i >= 64 is refused without a walk
+    if 3.8 + (i - 1) * math.pi > PHI_ZERO_TAU_MAX:
+        raise DomainError(f"zero {i} of Phi_{n} lies beyond tau = {PHI_ZERO_TAU_MAX}")
     return _grid_zeros(lambda t: _phi_quadrature(n, t), i, PHI_ZERO_TAU_MAX, f"Phi_{n}")[-1]
 
 

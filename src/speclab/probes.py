@@ -9,7 +9,8 @@ serially, in grid order, so the same inputs give byte-identical tables.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from . import sphere, torus
 from .analytic import (
@@ -66,8 +67,7 @@ ZONAL_DEGREE_BUDGET = 100_000
 KERNEL_DEGREE_BUDGET = 10_000_000
 
 
-@dataclass(frozen=True)
-class ScalingFit:
+class ScalingFit(NamedTuple):
     """Least-squares power law through (abscissa, value) pairs in log space."""
 
     exponent: float
@@ -103,29 +103,33 @@ def fit_scaling(samples) -> ScalingFit:
     )
 
 
-@dataclass(frozen=True)
-class ProbeRow:
+class ProbeRow(NamedTuple):
     abscissa: float
     raw: float
     ratio: float | None
 
 
-@dataclass
-class ProbeResult:
+class ProbeResult(SimpleNamespace):
     """One experiment's table plus its predictions.
 
     rows hold (abscissa, raw, raw normalized by abscissa^predicted_exponent);
     the ratio is omitted when the predicted limit is exactly zero.  extra
     carries per-row side channels (e.g. the fit abscissae for degree-indexed
-    probes, whose growth laws are stated against the eigenvalue).
+    probes, whose growth laws are stated against the eigenvalue).  Fields are
+    settable and compare by value.
     """
 
-    probe: str
-    params: dict
-    rows: list[ProbeRow]
-    predicted_limit: float | None
-    predicted_exponent: float | None
-    extra: dict[str, list[float]] | None = field(default=None)
+    def __init__(
+        self,
+        probe: str,
+        params: dict,
+        rows: list[ProbeRow],
+        predicted_limit: float | None,
+        predicted_exponent: float | None,
+        extra: dict[str, list[float]] | None = None,
+    ) -> None:
+        super().__init__(probe=probe, params=params, rows=rows, predicted_limit=predicted_limit,
+                         predicted_exponent=predicted_exponent, extra=extra)
 
     def abscissae(self) -> list[float]:
         return [r.abscissa for r in self.rows]

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .analytic import (
     QUAD_ORDER_MAX,
@@ -161,8 +160,7 @@ def band_kernel_sphere(n: int, cos_theta: float, lam: float) -> float:
 # zonal family
 
 
-@dataclass(frozen=True)
-class ZonalFamily:
+class ZonalFamily(NamedTuple):
     """L_2-normalized zonal harmonic of degree m about the north pole."""
 
     n: int

@@ -26,8 +26,7 @@ import functools
 import itertools
 import math
 import sys
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DomainError, ResourceLimitError
 
@@ -120,8 +119,7 @@ def norm_sq_bound(radius: float) -> int:
     return math.floor(radius * radius)
 
 
-@dataclass(frozen=True)
-class SmoothingWindow:
+class SmoothingWindow(NamedTuple("SmoothingWindow", [("eps", float)])):
     """Non-negative weight with compactly supported Fourier transform.
 
     The sinc^4 shape rho(s) = (sin(eps s/4)/(eps s/4))^4 has Fourier support
@@ -130,11 +128,12 @@ class SmoothingWindow:
     at most 1e305, which keeps eps s/4 finite over every shell a sum reads.
     """
 
-    eps: float = 4.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.eps <= _EPS_MAX:
-            raise DomainError(f"window eps must lie in (0, {_EPS_MAX:g}], got {self.eps}")
+    def __new__(cls, eps: float = 4.0) -> "SmoothingWindow":
+        if not 0.0 < eps <= _EPS_MAX:
+            raise DomainError(f"window eps must lie in (0, {_EPS_MAX:g}], got {eps}")
+        return super().__new__(cls, eps)
 
     def value(self, s):
         """rho(s) elementwise: a fresh array, or a numpy scalar for scalar input.
@@ -232,8 +231,7 @@ def eigenvalue_count(n: int, lam: float) -> int:
     return _row_sum(bound, [ones] * (n - 1), [2 * w + 1 for w in range(top + 1)], _folded)
 
 
-@dataclass(frozen=True)
-class LatticeShells:
+class LatticeShells(NamedTuple):
     """The lattice shells |k|^2 = j <= bound of T^n, as lattice_shells builds them.
 
     values holds the ascending j with r_n(j) > 0 (int64), radii the sqrt(j)

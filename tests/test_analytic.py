@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy import special
+from scipy import optimize, special
 
 from speclab.analytic import (
     PHI_TAU_MAX,
+    PHI_ZERO_TAU_MAX,
     MultiIndex,
     ball_moment,
     ball_volume,
@@ -233,7 +234,11 @@ class TestMultiIndex:
             MultiIndex(())
         with pytest.raises(DomainError):
             MultiIndex((1, -1))
+        with pytest.raises(DomainError):
+            MultiIndex((1.0, 0))
         assert MultiIndex.of(1, 2, 3).order == 6
+        assert MultiIndex((1, 2)) == MultiIndex.of(1, 2)
+        assert hash(MultiIndex((1, 2))) == hash(MultiIndex.of(1, 2))
 
     def test_parity(self):
         assert MultiIndex.of(3, 1).same_parity(MultiIndex.of(1, 3))
@@ -588,6 +593,28 @@ class TestPhiKernelZero:
     def test_range_error(self):
         with pytest.raises(DomainError, match=r"zero 100 of Phi_2 lies beyond tau = 200"):
             phi_kernel_zero(2, 100)
+
+    @staticmethod
+    def _reference_zeros(n: int, count: int) -> list[float]:
+        """The first zeros of J_1 (n = 2) or of tan x = x (n = 3), from scipy."""
+        if n == 2:
+            return [float(z) for z in special.jn_zeros(1, count)]
+        # x cos x - sin x changes sign once on (k pi, (k + 1/2) pi) for k >= 1
+        f = lambda x: x * math.cos(x) - math.sin(x)  # noqa: E731
+        return [optimize.brentq(f, k * math.pi, (k + 0.5) * math.pi, xtol=1e-14)
+                for k in range(1, count + 1)]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_every_zero_below_the_cap_is_found(self, n):
+        # the walk brackets zeros in order, so matching the 63rd means none was
+        # skipped; the 64th lies past the cap, and the up-front refusal bound
+        # 3.8 + (i - 1) pi lies below every one of the 64
+        ref = self._reference_zeros(n, 64)
+        assert ref[62] <= PHI_ZERO_TAU_MAX < ref[63]
+        assert all(3.8 + i * math.pi < z for i, z in enumerate(ref))
+        assert phi_kernel_zero(n, 63) == pytest.approx(ref[62], abs=1e-9)
+        with pytest.raises(DomainError, match=rf"zero 64 of Phi_{n} lies beyond tau = 200"):
+            phi_kernel_zero(n, 64)
 
     def test_domain(self):
         with pytest.raises(DomainError):

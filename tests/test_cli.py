@@ -361,6 +361,109 @@ class TestProbeTable:
         assert rows == {name: (p.required, p.optional) for name, p in cli._PROBES.items()}
 
 
+_TOP_USAGE = "usage: speclab [-h] PROBE ...\n"
+_CHOICES = ("(choose from 'weyl', 'offdiag', 'difference', 'deriv', 'band', 'hoelder', "
+            "'lp', 'cksigma', 'nodal', 'smoothed', 'selftest')")
+
+# (argv, exit code, stdout, stderr) as the CLI printed them when it built every
+# subparser for every run (CPython 3.11 argparse, COLUMNS=80); unknown.cfg
+# names the probe 'nosuch'
+_CLI_TEXT = {
+    "no-args": ([], 2, "", _TOP_USAGE),
+    "help": (["-h"], 0, """\
+usage: speclab [-h] PROBE ...
+
+spectral-asymptotics probes on the flat torus and the round sphere
+
+positional arguments:
+  PROBE
+    weyl      run the weyl probe
+    offdiag   run the offdiag probe
+    difference
+              run the difference probe
+    deriv     run the deriv probe
+    band      run the band probe
+    hoelder   run the hoelder probe
+    lp        run the lp probe
+    cksigma   run the cksigma probe
+    nodal     run the nodal probe
+    smoothed  run the smoothed probe
+    selftest  run the invariant battery
+
+options:
+  -h, --help  show this help message and exit
+""", ""),
+    "unknown": (["bogus"], 2, "",
+                _TOP_USAGE + f"speclab: error: argument PROBE: invalid choice: 'bogus' {_CHOICES}\n"),
+    "weyl-help": (["weyl", "-h"], 0, """\
+usage: speclab weyl [-h] [--config CONFIG] [--manifold MANIFOLD] [--n N]
+                    [--grid GRID] [--out OUT] [--formats FORMATS]
+                    [--threads THREADS]
+
+options:
+  -h, --help           show this help message and exit
+  --config CONFIG      flat key=value config file
+  --manifold MANIFOLD  torus or sphere
+  --n N                dimension (default 2)
+  --grid GRID          start:stop:step or v1,v2,...
+  --out OUT            output directory
+  --formats FORMATS    subset of csv,json,svg
+  --threads THREADS    accepted for compatibility (>= 1); has no effect,
+                       probes run serially
+""", ""),
+    "weyl-bad-flag": (["weyl", "--bogus", "1"], 2, "",
+                      _TOP_USAGE + "speclab: error: unrecognized arguments: --bogus 1\n"),
+    "cksigma-abbrev": (["cksigma", "--s", "1"], 2, "",
+                       _TOP_USAGE + "speclab: error: unrecognized arguments: --s 1\n"),
+    "selftest-help": (["selftest", "-h"], 0, """\
+usage: speclab selftest [-h] [--out OUT] [--threads THREADS]
+
+options:
+  -h, --help         show this help message and exit
+  --out OUT
+  --threads THREADS  accepted for compatibility (>= 1); has no effect, probes
+                     run serially
+""", ""),
+    "config-unknown-probe": (["--config", "unknown.cfg"], 2, "",
+                             _TOP_USAGE + f"speclab: error: argument PROBE: invalid choice: 'nosuch' {_CHOICES}\n"),
+}
+
+
+class TestParserText:
+    """run_command builds one subparser for a probe run; what it prints stays the same."""
+
+    @staticmethod
+    def _printed(argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "unknown.cfg").write_text("probe = nosuch\nn = 2\n")
+        capsys.readouterr()
+        rc = run_command(argv)
+        out, err = capsys.readouterr()
+        return rc, out, err
+
+    @pytest.mark.parametrize("case", sorted(_CLI_TEXT))
+    def test_text_is_pinned(self, case, tmp_path, monkeypatch, capsys):
+        argv, *expected = _CLI_TEXT[case]
+        assert self._printed(argv, tmp_path, monkeypatch, capsys) == tuple(expected)
+
+    @pytest.mark.parametrize("case", sorted(_CLI_TEXT))
+    def test_text_equals_the_full_parser(self, case, tmp_path, monkeypatch, capsys):
+        argv = _CLI_TEXT[case][0]
+        printed = self._printed(argv, tmp_path, monkeypatch, capsys)
+        full = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda argv: full())
+        assert printed == self._printed(argv, tmp_path, monkeypatch, capsys)
+
+    @pytest.mark.parametrize("argv, built", [
+        ([], None), (["-h"], None), (["bogus"], None), (["selftest"], None),
+        (["weyl"], ["weyl"]), (["smoothed", "-h"], ["smoothed"]),
+    ])
+    def test_a_probe_run_builds_only_its_subparser(self, argv, built):
+        (subparsers,) = cli._build_parser(argv)._subparsers._group_actions
+        assert list(subparsers.choices) == (built or [*cli._PROBES, "selftest"])
+
+
 def _child_env(blas_threads: str | None = None) -> dict:
     """os.environ with speclab importable and OPENBLAS_NUM_THREADS set to blas_threads.
 
@@ -761,6 +864,24 @@ class TestImportCost:
             "assert not missing, missing\n"
         )
         proc = _run_script(script, tmp_path)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_no_run_loads_dataclasses_or_inspect(self, tmp_path):
+        # the records are NamedTuples: `dataclasses` would bring in inspect, ast,
+        # dis and tokenize, about 11 ms a process.  numpy imports inspect
+        # itself, so only the numpy-free runs can keep it out
+        script = (
+            "import json, sys\n"
+            "def loaded():\n"
+            "    return [m for m in ('dataclasses', 'inspect') if m in sys.modules]\n"
+            "import speclab.cli\n"
+            "assert not loaded(), loaded()\n"
+            "for i, argv in enumerate(json.loads(sys.argv[2])):\n"
+            "    rc = speclab.cli.run_command(argv + ['--out', f'{sys.argv[1]}/{i}'])\n"
+            "    assert rc == 0, (argv, rc)\n"
+            "    assert not loaded(), (argv, loaded())\n"
+        )
+        proc = _run_script(script, tmp_path, _NUMPY_FREE_RUNS)
         assert proc.returncode == 0, proc.stderr
 
     def test_torus_directions_need_no_numpy(self, tmp_path):

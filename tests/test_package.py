@@ -1,13 +1,23 @@
-"""The package's export lists: every name a module or the package advertises exists."""
+"""The package's export lists and record classes.
+
+Every name a module or the package advertises exists.  The records are
+NamedTuples, apart from the settable ProbeResult: they refuse assignment and
+keep their arrays read-only.
+"""
 
 import ast
 import importlib
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import speclab
+from speclab.analytic import MultiIndex, QuadratureRule, gauss_legendre_rule
+from speclab.probes import ProbeResult, ProbeRow, fit_scaling, probe_weyl
+from speclab.sphere import ZonalFamily
+from speclab.torus import LatticeShells, SmoothingWindow, lattice_shells
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(speclab.__path__))
 
@@ -39,3 +49,49 @@ def test_package_imports_exist():
     ]
     assert imported
     assert [n for n in imported if not hasattr(speclab, n)] == []
+
+
+RECORDS = {
+    "MultiIndex": lambda: MultiIndex.of(1, 0),
+    "QuadratureRule": lambda: gauss_legendre_rule(4),
+    "ScalingFit": lambda: fit_scaling([(1.0, 1.0), (2.0, 4.0), (3.0, 9.0)]),
+    "ProbeRow": lambda: ProbeRow(abscissa=1.0, raw=2.0, ratio=None),
+    "ZonalFamily": lambda: ZonalFamily.create(2, 3),
+    "SmoothingWindow": lambda: SmoothingWindow(),
+    "LatticeShells": lambda: lattice_shells(2, 5.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_records_refuse_assignment(name):
+    record = RECORDS[name]()
+    assert type(record).__name__ == name
+    field = record._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+    with pytest.raises(AttributeError):
+        record.note = "extra"
+
+
+def test_record_arrays_stay_read_only():
+    rule = gauss_legendre_rule(4)
+    fresh = QuadratureRule(nodes=np.zeros(2), weights=np.ones(2), order=2)
+    shells = lattice_shells(2, 5.0)
+    assert isinstance(shells, LatticeShells)
+    for table in (rule.nodes, rule.weights, fresh.nodes, fresh.weights,
+                  shells.values, shells.radii, shells.mult):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 1.0
+
+
+def test_probe_result_is_settable_and_compares_by_value():
+    res, again = (probe_weyl("torus", 2, [50.0, 75.0, 100.0]) for _ in range(2))
+    assert res == again and res.extra is None
+    res.rows = res.rows[:1]
+    assert res != again
+    res.rows = list(again.rows)
+    res.predicted_limit = None
+    assert res != again
+    assert ProbeResult("p", {}, [], 1.0, 2.0) == ProbeResult(
+        probe="p", params={}, rows=[], predicted_limit=1.0, predicted_exponent=2.0, extra=None)

@@ -390,6 +390,7 @@ class TestBandSum:
 class TestSmoothingWindow:
     def test_basic_properties(self):
         w = SmoothingWindow()
+        assert w.eps == 4.0 and w == SmoothingWindow(eps=4.0)
         assert w.value(0.0) == 1.0
         s = np.linspace(-40.0, 40.0, 4001)
         assert np.all(w.value(s) >= 0.0)
