@@ -2,7 +2,8 @@
 
 Everything in this module is independent of a particular manifold: the
 leading Weyl constants, the radial kernel Phi_n that governs near-diagonal
-projector asymptotics, Gegenbauer/Legendre evaluation and zero finding,
+projector asymptotics and the Bessel profile J_nu(x)/x^nu it comes from,
+with its zeros, Gegenbauer/Legendre evaluation and zero finding,
 Gauss-Legendre rules and the sharp L_p growth exponent.
 """
 
@@ -35,8 +36,8 @@ __all__ = [
     "gegenbauer_zeros",
     "largest_zero",
     "gauss_legendre_rule",
-    "bessel_j",
-    "bessel_j0_zero",
+    "bessel_profile",
+    "bessel_zero",
     "phi_kernel",
     "phi_kernel_bessel",
     "phi_kernel_zero",
@@ -45,11 +46,15 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
-# Zero finding: absolute tolerance and bracketing grid step, used for both
-# the Phi zeros and the Bessel oracle zeros.
+# Zeros of J_nu / x^nu by Newton on Phi_n's rule (_profile_zero).  The rule's
+# absolute error does not fall with x as the profile does, so over the zeros
+# below PHI_ZERO_TAU_MAX the error against scipy grows with 2 nu: 2.8e-14 at 0,
+# 6.1e-11 at ZERO_POWER_MAX = 4, 3.4e-10 at 5.  First zeros were within 1.4e-12
+# up to 2 nu = PROFILE_POWER_MAX; from 34 on McMahon's seed misses its bracket.
 ZERO_TOL = 1e-10
-ZERO_GRID_STEP = 0.1
 PHI_ZERO_TAU_MAX = 200.0
+ZERO_POWER_MAX = 4
+PROFILE_POWER_MAX = 30
 
 # largest Gauss-Legendre order gauss_legendre_rule builds
 QUAD_ORDER_MAX = 5000
@@ -263,22 +268,22 @@ def gegenbauer_derivatives(m: int, nu: float, t, order: int) -> list:
     return out
 
 
-def _newton(fn, x, what: str, *, from_pole: bool = False):
-    """Newton's method for fn(x) -> (value, derivative), elementwise over an array x.
+def _newton(fn, x, what: str, *, tol: float = NEWTON_TOL, from_pole: bool = False):
+    """Newton's method for fn(x) -> (value, derivative), at a float or elementwise over an array x.
 
     Returns the iterate after the first step whose every entry is at most
-    NEWTON_TOL.  from_pole marks a float x instead, to the right of every
-    zero of a polynomial whose zeros are all real; from there the iterates
-    fall monotonically to its largest zero, and a step that raises them
-    instead is refused.
+    tol.  from_pole marks a float x to the right of every zero of a
+    polynomial whose zeros are all real; from there the iterates fall
+    monotonically to its largest zero, and a step that raises them instead
+    is refused.
     """
     for _ in range(NEWTON_MAX_STEPS):
         val, der = fn(x)
         step = val / der
-        if from_pole and step < -NEWTON_TOL:
+        if from_pole and step < -tol:
             raise NumericError(f"Newton iterates for {what} rose on the way down from t = 1")
         x = x - step
-        if (abs(step) if from_pole else abs(step).max()) <= NEWTON_TOL:
+        if (abs(step) if isinstance(step, float) else abs(step).max()) <= tol:
             return x
     raise NumericError(f"Newton refinement for {what} did not settle in {NEWTON_MAX_STEPS} steps")
 
@@ -339,106 +344,7 @@ def gauss_legendre_rule(order: int) -> QuadratureRule:
 
 
 # --------------------------------------------------------------------------
-# Bessel functions J_nu (power series below 12, Hankel expansion beyond)
-
-_BESSEL_SERIES_CUT = 12.0
-
-# largest order bessel_j serves: it is measured against scipy (within 1e-12 on
-# [0, 60], worst at the series cut) only for nu in {0, 1/2, 1, 3/2}
-BESSEL_NU_MAX = 1.5
-
-
-def _bessel_series(nu: float, x: float) -> float:
-    """J_nu(x) / x^nu by its power series, regular at the origin."""
-    q = 0.25 * x * x
-    term = out = 1.0 / (2.0 ** nu * math.gamma(nu + 1.0))
-    for k in range(1, 60):
-        term *= -q / (k * (k + nu))
-        out += term
-        if abs(term) < 1e-18 * abs(out) + 1e-300:
-            break
-    return out
-
-
-def _hankel(nu: float, x: float) -> float:
-    # Asymptotic expansion J_nu(x) ~ sqrt(2/(pi x)) (P cos w - Q sin w),
-    # truncated at the smallest term; adequate beyond x ~ 12.  At half-integer
-    # nu the sum terminates and is exact.
-    mu = 4.0 * nu * nu
-    p = 1.0
-    q = 0.0
-    a = 1.0
-    last = math.inf
-    for k in range(1, 30):
-        a *= (mu - (2.0 * k - 1.0) ** 2) / (8.0 * k * x)
-        if abs(a) >= last:
-            break
-        last = abs(a)
-        r = k % 4
-        if r == 0:
-            p += a
-        elif r == 1:
-            q += a
-        elif r == 2:
-            p -= a
-        else:
-            q -= a
-    w = x - (0.5 * nu + 0.25) * math.pi
-    return math.sqrt(2.0 / (math.pi * x)) * (p * math.cos(w) - q * math.sin(w))
-
-
-def bessel_j(nu: float, x: float) -> float:
-    """Bessel function J_nu for 0 <= nu <= BESSEL_NU_MAX and x >= 0."""
-    if not 0.0 <= nu <= BESSEL_NU_MAX:
-        raise DomainError(f"order must lie in [0, {BESSEL_NU_MAX}], got {nu}")
-    if x < 0.0:
-        raise DomainError("argument must be >= 0")
-    return x ** nu * _bessel_series(nu, x) if x < _BESSEL_SERIES_CUT else _hankel(nu, x)
-
-
-def _bisect(f, lo: float, hi: float, tol: float = ZERO_TOL) -> float:
-    flo = f(lo)
-    if flo == 0.0:
-        return lo
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if (flo < 0.0) == (fmid < 0.0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _grid_zeros(f, count: int, tau_max: float, what: str) -> list[float]:
-    zeros: list[float] = []
-    lo = ZERO_GRID_STEP / 2.0
-    flo = f(lo)
-    t = lo
-    while len(zeros) < count:
-        t_next = t + ZERO_GRID_STEP
-        if t_next > tau_max:
-            raise DomainError(f"zero {count} of {what} lies beyond tau = {tau_max}")
-        fnext = f(t_next)
-        if flo == 0.0:
-            zeros.append(t)
-        elif (flo < 0.0) != (fnext < 0.0):
-            zeros.append(_bisect(f, t, t_next))
-        t, flo = t_next, fnext
-    return zeros
-
-
-def bessel_j0_zero(i: int) -> float:
-    """i-th positive zero of J_0, bracketed on a grid and bisected."""
-    if i < 1:
-        raise DomainError("zero index must be >= 1")
-    return _grid_zeros(lambda x: bessel_j(0, x), i, PHI_ZERO_TAU_MAX, "J_0")[-1]
-
-
-# --------------------------------------------------------------------------
-# the radial kernel Phi_n
+# the radial kernel Phi_n and the Bessel profile Lambda_nu, on one rule
 
 
 # Phi_n's rule: [0, pi] in max(1, ceil(tau / PHI_TAU_PER_PIECE)) equal pieces,
@@ -516,23 +422,122 @@ def _pairwise_sum(values: list[float]) -> float:
     return 0.0 + block(0, len(values))  # 0.0 + -0.0 is 0.0, as in np.sum
 
 
-def _phi_quadrature(n: int, tau: float) -> float:
-    # Phi_n(tau) = (2 pi)^{-n} vol(B_{n-1}) Int_{-1}^{1} cos(tau t)(1-t^2)^{(n-1)/2} dt,
-    # evaluated after t = cos(psi), which makes the integrand entire for every n.
-    # Up to tau = 8 this is one piece, the order-112 rule over [0, pi].
+def _poisson_integral(power: int, x: float) -> float:
+    """I_power(x) = Int_0^pi cos(x cos psi) sin^power psi dpsi, on Phi_n's composite rule.
+
+    Poisson's integral (DLMF 10.9.4): I_{2 nu}(x) = 2^nu Gamma(nu + 1/2) sqrt(pi) J_nu(x) / x^nu.
+    """
     nodes, weights = _phi_piece_rule()
-    pieces = max(1, math.ceil(tau / PHI_TAU_PER_PIECE))
+    pieces = max(1, math.ceil(x / PHI_TAU_PER_PIECE))
     terms = []
     for k in range(pieces):
         a, b = math.pi * k / pieces, math.pi * (k + 1) / pieces
         half = 0.5 * (b - a)
-        for x, w in zip(nodes, weights):
-            psi = a + half * (x + 1.0)
+        for t, w in zip(nodes, weights):
+            psi = a + half * (t + 1.0)
             s = math.sin(psi)
             # s * s is np.square's product; pow may round the square apart from it
-            power = s * s if n == 2 else s ** n
-            terms.append(half * w * (math.cos(tau * math.cos(psi)) * power))
-    return ball_volume(n - 1) / TWO_PI ** n * _pairwise_sum(terms)
+            sine_power = s * s if power == 2 else s ** power
+            terms.append(half * w * (math.cos(x * math.cos(psi)) * sine_power))
+    return _pairwise_sum(terms)
+
+
+def _phi_quadrature(n: int, tau: float) -> float:
+    # Phi_n(tau) = (2 pi)^{-n} vol(B_{n-1}) Int_{-1}^{1} cos(tau t)(1-t^2)^{(n-1)/2} dt,
+    # which is I_n(tau) after t = cos(psi); up to tau = 8 the rule is one piece
+    return ball_volume(n - 1) / TWO_PI ** n * _poisson_integral(n, tau)
+
+
+def _profile_power(nu: float) -> int:
+    power = 2.0 * nu
+    if not (0.0 <= power <= PROFILE_POWER_MAX and power == int(power)):
+        raise DomainError(f"order {nu} is not a half-integer in [0, {PROFILE_POWER_MAX // 2}]")
+    return int(power)
+
+
+def bessel_profile(nu: float, x: float) -> float:
+    """Lambda_nu(x) = J_nu(x) / x^nu, for half-integer 0 <= nu <= 15 and 0 <= x <= PHI_TAU_MAX.
+
+    I_{2 nu}(x) / (2^nu Gamma(nu + 1/2) sqrt(pi)), so Phi_n = Lambda_{n/2} / (2 pi)^{n/2}.
+    Against scipy's jv(nu, x) / x^nu on (0, 60] it was within 1e-14 Lambda_nu(0).
+    """
+    power = _profile_power(nu)
+    if not 0.0 <= x <= PHI_TAU_MAX:
+        raise DomainError(f"x must lie in [0, {PHI_TAU_MAX:g}], got {x}")
+    return _poisson_integral(power, x) / (2.0 ** nu * math.gamma(nu + 0.5) * math.sqrt(math.pi))
+
+
+def _profile_zero(power: int, i: int, what: str) -> float:
+    """The i-th positive zero of I_power, up to PHI_ZERO_TAU_MAX, by Newton from McMahon's seed.
+
+    The seed (DLMF 10.21.19, through (8 beta)^-5) lies within 0.42 of its zero
+    on the served domain; a sign change across seed +- 1/2, narrower than half
+    the gap of consecutive zeros (at least j_{0,2} - j_{0,1} = 3.12), confirms
+    it.  Newton converges quadratically, so the iterate after its first step
+    of at most ZERO_TOL sits at the rule's noise floor.
+    """
+    if i < 1:
+        raise DomainError("zero index must be >= 1")
+    mu = float(power * power)  # 4 nu^2
+    beta = (i + 0.25 * power - 0.25) * math.pi
+    r = 1.0 / (8.0 * beta)
+    seed = (beta - (mu - 1.0) * r - 4.0 / 3.0 * (mu - 1.0) * (7.0 * mu - 31.0) * r ** 3
+            - 32.0 / 15.0 * (mu - 1.0) * (83.0 * mu * mu - 982.0 * mu + 3779.0) * r ** 5)
+    lo, hi = seed - 0.5, seed + 0.5
+    if lo > PHI_ZERO_TAU_MAX:
+        raise DomainError(f"zero {i} of {what} lies beyond tau = {PHI_ZERO_TAU_MAX}")
+    if (_poisson_integral(power, lo) < 0.0) == (_poisson_integral(power, hi) < 0.0):
+        raise NumericError(f"no sign change of {what} across [{lo:g}, {hi:g}], around zero {i}")
+
+    def value_and_deriv(x: float) -> tuple[float, float]:  # I_p' = -x I_{p+2} / (p + 1), by parts
+        return _poisson_integral(power, x), -x * _poisson_integral(power + 2, x) / (power + 1)
+
+    zero = _newton(value_and_deriv, seed, f"zero {i} of {what}", tol=ZERO_TOL)
+    if not lo <= zero <= hi:
+        raise NumericError(f"Newton left the bracket [{lo:g}, {hi:g}] of zero {i} of {what}")
+    if zero > PHI_ZERO_TAU_MAX:
+        raise DomainError(f"zero {i} of {what} lies beyond tau = {PHI_ZERO_TAU_MAX}")
+    return zero
+
+
+def bessel_zero(nu: float, i: int) -> float:
+    """j_{nu,i}: each zero up to PHI_ZERO_TAU_MAX for nu <= 2, the first for nu <= 15."""
+    power = _profile_power(nu)
+    if i > 1 and power > ZERO_POWER_MAX:
+        raise DomainError(f"zero {i} of J_{nu:g}: past the first, zeros are served for nu <= 2")
+    return _profile_zero(power, i, f"J_{nu:g}")
+
+
+# --------------------------------------------------------------------------
+# J_nu by its power series below 12, Hankel's expansion beyond: Phi_n's second route
+
+
+def _bessel_series(nu: float, x: float) -> float:
+    """J_nu(x) / x^nu by its power series, regular at the origin."""
+    q = 0.25 * x * x
+    term = out = 1.0 / (2.0 ** nu * math.gamma(nu + 1.0))
+    for k in range(1, 60):
+        term *= -q / (k * (k + nu))
+        out += term
+        if abs(term) < 1e-18 * abs(out) + 1e-300:
+            break
+    return out
+
+
+def _hankel(nu: float, x: float) -> float:
+    # Asymptotic expansion J_nu(x) ~ sqrt(2/(pi x)) (P cos w - Q sin w),
+    # truncated at the smallest term; adequate beyond x ~ 12.  At half-integer
+    # nu the sum terminates and is exact.
+    mu = 4.0 * nu * nu
+    pq, a, last = [1.0, 0.0], 1.0, math.inf
+    for k in range(1, 30):
+        a *= (mu - (2.0 * k - 1.0) ** 2) / (8.0 * k * x)
+        if abs(a) >= last:
+            break
+        last = abs(a)
+        pq[k % 2] += -a if k % 4 >= 2 else a  # the terms enter P, Q, P, Q as +, +, -, -
+    w = x - (0.5 * nu + 0.25) * math.pi
+    return math.sqrt(2.0 / (math.pi * x)) * (pq[0] * math.cos(w) - pq[1] * math.sin(w))
 
 
 def phi_kernel_bessel(n: int, tau: float) -> float:
@@ -540,7 +545,7 @@ def phi_kernel_bessel(n: int, tau: float) -> float:
     if n not in (2, 3):
         raise DomainError(f"closed Bessel form only available for n in {{2, 3}}, got n={n}")
     nu = n / 2.0
-    if tau < _BESSEL_SERIES_CUT:
+    if tau < 12.0:
         return _bessel_series(nu, tau) / TWO_PI ** nu
     return _hankel(nu, tau) / (TWO_PI * tau) ** nu
 
@@ -568,17 +573,10 @@ def phi_kernel(n: int, tau: float) -> float:
 
 
 def phi_kernel_zero(n: int, i: int) -> float:
-    """i-th positive zero of Phi_n (n in {2, 3}), bracketed then bisected to 1e-10."""
-    if n not in (2, 3):
-        raise DomainError(f"zeros are tabulated only for n in {{2, 3}}, got n={n}")
-    if i < 1:
-        raise DomainError("zero index must be >= 1")
-    # the zeros are those of J_1 (n = 2) and J_{3/2} (n = 3): the first lies past
-    # 3.8 and consecutive ones lie more than pi apart (Watson 15.83, nu > 1/2),
-    # so zero i lies past 3.8 + (i - 1) pi and i >= 64 is refused without a walk
-    if 3.8 + (i - 1) * math.pi > PHI_ZERO_TAU_MAX:
-        raise DomainError(f"zero {i} of Phi_{n} lies beyond tau = {PHI_ZERO_TAU_MAX}")
-    return _grid_zeros(lambda t: _phi_quadrature(n, t), i, PHI_ZERO_TAU_MAX, f"Phi_{n}")[-1]
+    """i-th positive zero of Phi_n, j_{n/2,i}: within ZERO_TOL up to PHI_ZERO_TAU_MAX, n <= 4."""
+    if not 2 <= n <= ZERO_POWER_MAX:
+        raise DomainError(f"zeros are served for 2 <= n <= 4 (rule noise grows with n), got n={n}")
+    return _profile_zero(n, i, f"Phi_{n}")
 
 
 # --------------------------------------------------------------------------

@@ -14,8 +14,9 @@ from typing import NamedTuple
 
 from . import sphere, torus
 from .analytic import (
+    PROFILE_POWER_MAX,
     MultiIndex,
-    bessel_j0_zero,
+    bessel_zero,
     deriv_weyl_constant,
     epsilon_exponent,
     phi_kernel,
@@ -508,21 +509,19 @@ def probe_cksigma(sigma: float, grid=None, *, n: int = 2) -> ProbeResult:
 
 
 def _nodal_limit(n: int) -> float | None:
-    """lim lambda theta_1 = j_{(n-2)/2, 1}: j_{0,1} (recomputed) for n = 2, pi for n = 3."""
-    if n == 2:
-        return bessel_j0_zero(1)
+    """lim lambda theta_1 = j_{(n-2)/2, 1}, served up to n = PROFILE_POWER_MAX + 2 = 32."""
     if n == 3:
-        return math.pi
-    return None
+        return math.pi  # the zeros of J_{1/2} are k pi
+    return bessel_zero((n - 2) / 2.0, 1) if n - 2 <= PROFILE_POWER_MAX else None
 
 
 def probe_nodal(grid=None, *, n: int = 2) -> ProbeResult:
     """Nodal gap of the zonal family: lambda times the first zero colatitude.
 
     The raw value converges to j_{(n-2)/2, 1}, the first zero of J_{(n-2)/2}.
-    The predicted limit is reported for n = 2 (j_{0,1}, recomputed rather
-    than quoted) and n = 3 (pi), and left out for n >= 4.  The extras carry
-    the cap inner radius and the Nadirashvili ratio per row.
+    The predicted limit is that zero up to n = 32, from analytic.bessel_zero
+    (pi exactly for n = 3), and left out beyond.  The extras carry the cap
+    inner radius and the Nadirashvili ratio per row.
     """
     ms, lambdas = _degree_grid(n, grid)
     _check_degree_budget(sum(ms), ZONAL_DEGREE_BUDGET, "degree grid")

@@ -12,13 +12,12 @@ import time
 from pathlib import Path
 
 import numpy as np
+from scipy import special
 
 import speclab
 from speclab.analytic import (
     MultiIndex,
     ball_moment,
-    bessel_j,
-    bessel_j0_zero,
     deriv_weyl_constant,
     phi_kernel,
     phi_kernel_bessel,
@@ -163,10 +162,10 @@ def test_criterion_10_nodal_geometry():
     with _Budget("criterion 10: nodal geometry", 30.0):
         product = eigenvalue(2, 300) * nodal_gap_zonal(2, 300)
         assert 2.393 <= product <= 2.417
-        oracle = bessel_j0_zero(1)  # recomputed by bisection, not hard-coded
+        oracle = float(special.jn_zeros(0, 1)[0])  # from scipy, not hard-coded
         assert abs(product / oracle - 1.0) <= 0.005
         assert abs(nadirashvili_ratio(2, 299) - 1.0) <= 1e-10
-        min_j0 = abs(bessel_j(0, phi_kernel_zero(2, 1)))
+        min_j0 = abs(float(special.j0(phi_kernel_zero(2, 1))))
         assert abs(nadirashvili_ratio(2, 300) * min_j0 - 1.0) <= 0.05
 
 

@@ -5,14 +5,18 @@ import numpy as np
 import pytest
 from scipy import optimize, special
 
+from speclab import analytic, probes
 from speclab.analytic import (
     PHI_TAU_MAX,
     PHI_ZERO_TAU_MAX,
+    PROFILE_POWER_MAX,
+    ZERO_POWER_MAX,
+    ZERO_TOL,
     MultiIndex,
     ball_moment,
     ball_volume,
-    bessel_j,
-    bessel_j0_zero,
+    bessel_profile,
+    bessel_zero,
     deriv_weyl_constant,
     double_factorial,
     epsilon_exponent,
@@ -29,6 +33,7 @@ from speclab.analytic import (
     weyl_constant,
     _bessel_series,
     _gegenbauer_pairs,
+    _hankel,
     _phi_piece_rule,
     _phi_quadrature,
 )
@@ -489,39 +494,149 @@ def _j1_over_x_series(x):
 
 
 class TestBessel:
+    """The series and Hankel routes behind phi_kernel_bessel, at its orders nu in {1, 3/2}."""
+
+    @staticmethod
+    def _bessel_j(nu, x):
+        return x ** nu * _bessel_series(nu, x) if x < 12.0 else _hankel(nu, x)
+
     def test_series_matches_the_j0_and_j1_series(self):
         rng = np.random.default_rng(17)
         for x in (*rng.uniform(0.0, 12.0, 20000).tolist(), 0.0, 1e-300, 11.999999999999998):
             assert _bessel_series(0, x).hex() == _j0_series(x).hex(), x
             assert _bessel_series(1, x).hex() == _j1_over_x_series(x).hex(), x
-            assert bessel_j(0, x).hex() == _j0_series(x).hex(), x
-            assert bessel_j(1, x).hex() == (x * _j1_over_x_series(x)).hex(), x
 
     def test_against_scipy(self):
         # the largest gap seen on a 600,001-point grid was 9.4e-13, at the series cut
         xs = np.linspace(0.0, 60.0, 2401)
-        for nu in (0, 0.5, 1, 1.5):
-            got = [bessel_j(nu, float(x)) for x in xs]
+        for nu in (1, 1.5):
+            got = [self._bessel_j(nu, float(x)) for x in xs]
             np.testing.assert_allclose(got, special.jv(nu, xs), rtol=0.0, atol=1e-12)
 
     def test_half_integer_orders_in_closed_form(self):
         for x in np.linspace(0.05, 60.0, 1200):
             x = float(x)
-            j_half = math.sqrt(2.0 / (math.pi * x)) * math.sin(x)
             j_three_halves = math.sqrt(2.0 / (math.pi * x)) * (math.sin(x) / x - math.cos(x))
-            assert bessel_j(0.5, x) == pytest.approx(j_half, abs=1e-12)
-            assert bessel_j(1.5, x) == pytest.approx(j_three_halves, abs=1e-12)
+            assert self._bessel_j(1.5, x) == pytest.approx(j_three_halves, abs=1e-12)
+
+    def test_first_zero_by_newton(self):
+        # Newton from McMahon's seed on the rule, not a grid walk and bisection
+        assert bessel_zero(0, 1) == pytest.approx(J0_ZERO_1, abs=1e-15)
+
+
+def _zeros_of_j(nu: float, count: int) -> list[float]:
+    """The first zeros of J_nu from scipy, for 2 nu in {0, ..., 4} or count = 1."""
+    if nu == int(nu):
+        return [float(z) for z in special.jn_zeros(int(nu), count)]
+    if nu == 0.5:
+        return [k * math.pi for k in range(1, count + 1)]
+    if nu == 1.5:
+        # x cos x - sin x changes sign once on (k pi, (k + 1/2) pi) for k >= 1
+        f = lambda x: x * math.cos(x) - math.sin(x)  # noqa: E731
+        return [optimize.brentq(f, k * math.pi, (k + 0.5) * math.pi, xtol=1e-14)
+                for k in range(1, count + 1)]
+    assert count == 1
+    # j_{nu,1} increases with nu, and J_nu has no other zero between its neighbours'
+    lo, hi = (float(special.jn_zeros(int(nu + d), 1)[0]) for d in (-0.5, 0.5))
+    return [optimize.brentq(lambda x: special.jv(nu, x), lo, hi, xtol=1e-15, rtol=1e-15)]
+
+
+class TestBesselProfile:
+    @pytest.mark.parametrize("power", [*range(9), 10, 20, PROFILE_POWER_MAX])
+    def test_against_scipy(self, power):
+        # measured at most 8.7e-15 Lambda_nu(0) on a 2400-point grid, 2.7e-15 for 2 nu <= 8
+        nu = power / 2.0
+        xs = np.linspace(0.0, 60.0, 601)[1:]
+        ref = special.jv(nu, xs) / xs ** nu
+        got = [bessel_profile(nu, float(x)) for x in xs]
+        at_zero = 1.0 / (2.0 ** nu * math.gamma(nu + 1.0))
+        np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-14 * at_zero)
+        assert bessel_profile(nu, 0.0) == pytest.approx(at_zero, rel=1e-14)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_phi_is_the_profile_at_half_the_dimension(self, n):
+        for tau in (0.0, 1.5, 3.8, 9.5, 100.0):
+            expected = bessel_profile(n / 2.0, tau) / TWO_PI ** (n / 2.0)
+            assert phi_kernel(n, tau) == pytest.approx(expected, rel=0.0, abs=1e-15 * weyl_constant(n))
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            bessel_j(0, -0.1)
-        with pytest.raises(DomainError):
-            bessel_j(2, 1.0)
-        with pytest.raises(DomainError):
-            bessel_j(-0.5, 1.0)
+        for nu in (-0.5, 0.25, 15.5, math.nan, math.inf):
+            with pytest.raises(DomainError, match="not a half-integer"):
+                bessel_profile(nu, 1.0)
+            with pytest.raises(DomainError, match="not a half-integer"):
+                bessel_zero(nu, 1)
+        for x in (-0.1, math.nan, PHI_TAU_MAX + 0.5):
+            with pytest.raises(DomainError, match="x must lie in"):
+                bessel_profile(1.0, x)
 
-    def test_first_zero_by_bisection(self):
-        assert bessel_j0_zero(1) == pytest.approx(J0_ZERO_1, abs=1e-10)
+    @pytest.mark.parametrize("power", range(ZERO_POWER_MAX + 1))
+    def test_every_zero_below_the_cap(self, power):
+        nu = power / 2.0
+        ref = [z for z in _zeros_of_j(nu, 64) if z <= PHI_ZERO_TAU_MAX]
+        got = [bessel_zero(nu, i) for i in range(1, len(ref) + 1)]
+        np.testing.assert_allclose(got, ref, rtol=0.0, atol=ZERO_TOL)
+        with pytest.raises(DomainError, match=rf"zero {len(ref) + 1} of J_{nu:g} lies beyond tau = 200"):
+            bessel_zero(nu, len(ref) + 1)
+
+    @pytest.mark.parametrize("power", range(PROFILE_POWER_MAX + 1))
+    def test_first_zero_and_nodal_limit(self, power):
+        # measured at most 7.0e-14 relative, at 2 nu = 30; it is nodal's limit on S^(2 nu + 2)
+        nu = power / 2.0
+        ref = _zeros_of_j(nu, 1)[0]
+        assert bessel_zero(nu, 1) == pytest.approx(ref, rel=1e-12)
+        assert probes._nodal_limit(power + 2) == pytest.approx(ref, rel=1e-12)
+
+    def test_seed_outside_its_bracket_is_refused(self):
+        # from 2 nu = 34 on McMahon's seed lies more than 1/2 from j_{nu,1}
+        with pytest.raises(NumericError, match="no sign change of J_17 across"):
+            analytic._profile_zero(34, 1, "J_17")
+
+    def test_only_the_first_zero_past_nu_2(self):
+        assert bessel_zero(2.5, 1) == pytest.approx(5.763459196894550, rel=1e-13)
+        with pytest.raises(DomainError, match="past the first"):
+            bessel_zero(2.5, 2)
+        with pytest.raises(DomainError, match="zero index"):
+            bessel_zero(0, 0)
+
+
+def _count_rule_sums(monkeypatch) -> list[int]:
+    calls = [0]
+    rule_sum = analytic._poisson_integral
+
+    def counted(power, x):
+        calls[0] += 1
+        return rule_sum(power, x)
+
+    monkeypatch.setattr(analytic, "_poisson_integral", counted)
+    return calls
+
+
+class TestZeroCost:
+    """Newton from McMahon's seed: a handful of rule sums per zero, at any index."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("i", [1, 30, 63])
+    def test_rule_sums_per_phi_zero(self, monkeypatch, n, i):
+        calls = _count_rule_sums(monkeypatch)
+        if n == 4 and i == 63:  # j_{2,63} = 200.27 lies past the cap
+            with pytest.raises(DomainError, match="zero 63 of Phi_4 lies beyond"):
+                phi_kernel_zero(n, i)
+        else:
+            phi_kernel_zero(n, i)
+        assert 2 <= calls[0] <= 16
+
+    @pytest.mark.parametrize("n", range(2, PROFILE_POWER_MAX + 3))
+    def test_rule_sums_per_nodal_limit(self, monkeypatch, n):
+        calls = _count_rule_sums(monkeypatch)
+        probes._nodal_limit(n)
+        assert calls[0] <= 16
+        assert calls[0] >= 2 or n == 3
+
+    def test_no_sum_past_the_cap(self, monkeypatch):
+        calls = _count_rule_sums(monkeypatch)
+        with pytest.raises(DomainError):
+            phi_kernel_zero(2, 64)
+        assert calls[0] == 0
 
 
 class TestPhiKernel:
@@ -594,31 +709,23 @@ class TestPhiKernelZero:
         with pytest.raises(DomainError, match=r"zero 100 of Phi_2 lies beyond tau = 200"):
             phi_kernel_zero(2, 100)
 
-    @staticmethod
-    def _reference_zeros(n: int, count: int) -> list[float]:
-        """The first zeros of J_1 (n = 2) or of tan x = x (n = 3), from scipy."""
-        if n == 2:
-            return [float(z) for z in special.jn_zeros(1, count)]
-        # x cos x - sin x changes sign once on (k pi, (k + 1/2) pi) for k >= 1
-        f = lambda x: x * math.cos(x) - math.sin(x)  # noqa: E731
-        return [optimize.brentq(f, k * math.pi, (k + 0.5) * math.pi, xtol=1e-14)
-                for k in range(1, count + 1)]
-
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4])
     def test_every_zero_below_the_cap_is_found(self, n):
-        # the walk brackets zeros in order, so matching the 63rd means none was
-        # skipped; the 64th lies past the cap, and the up-front refusal bound
-        # 3.8 + (i - 1) pi lies below every one of the 64
-        ref = self._reference_zeros(n, 64)
-        assert ref[62] <= PHI_ZERO_TAU_MAX < ref[63]
-        assert all(3.8 + i * math.pi < z for i, z in enumerate(ref))
-        assert phi_kernel_zero(n, 63) == pytest.approx(ref[62], abs=1e-9)
-        with pytest.raises(DomainError, match=rf"zero 64 of Phi_{n} lies beyond tau = 200"):
-            phi_kernel_zero(n, 64)
+        # the zeros of Phi_n are those of J_{n/2}; each is found on its own, so
+        # every one is checked, and the first past the cap is refused
+        ref = _zeros_of_j(n / 2.0, 64)
+        count = sum(z <= PHI_ZERO_TAU_MAX for z in ref)
+        assert count == (62 if n == 4 else 63)
+        got = [phi_kernel_zero(n, i) for i in range(1, count + 1)]
+        np.testing.assert_allclose(got, ref[:count], rtol=0.0, atol=ZERO_TOL)
+        with pytest.raises(DomainError, match=rf"zero {count + 1} of Phi_{n} lies beyond tau = 200"):
+            phi_kernel_zero(n, count + 1)
 
     def test_domain(self):
+        with pytest.raises(DomainError, match=r"2 <= n <= 4 \(rule noise grows with n\), got n=5"):
+            phi_kernel_zero(5, 1)
         with pytest.raises(DomainError):
-            phi_kernel_zero(4, 1)
+            phi_kernel_zero(1, 1)
         with pytest.raises(DomainError):
             phi_kernel_zero(2, 0)
 

@@ -781,6 +781,7 @@ _RUNS = (
     ["hoelder", "--manifold", "torus", "--delta", "0.5", "--grid", "50:100:25"],
     ["lp", "--family", "zonal", "--r", "3", "--s", "0", "--n", "3", "--grid", "20:60:20"],
     ["smoothed", "--grid", "50:100:25"],
+    ["nodal", "--n", "4", "--grid", "20,40,60"],
 )
 
 
@@ -796,6 +797,7 @@ _NUMPY_FREE_RUNS = (
     ["lp", "--family", "hw", "--r", "4", "--s", "0"],
     ["cksigma", "--sigma", "1"],
     ["nodal"],
+    ["nodal", "--n", "4", "--grid", "20,40,60"],
     ["weyl", "--manifold", "torus"],
     ["band", "--manifold", "torus"],
     ["deriv", "--alpha", "1,0", "--beta", "1,0"],
@@ -1231,7 +1233,10 @@ def _family_flags(probe: str) -> dict:
 def family_argvs(draw):
     probe = draw(st.sampled_from(["lp", "cksigma", "nodal"]))
     odd_n = st.sampled_from(["1", "0", "-2", "2.5", "1e9", "150", "1000", "10000000000"])
-    n = draw(st.none() | _mostly(st.sampled_from(["2", "3", "4"]), odd_n))
+    dims = ["2", "3", "4"]
+    if probe == "nodal":  # around the edge of the predicted limit, n = 32
+        dims += ["5", "10", "32", "33", "40"]
+    n = draw(st.none() | _mostly(st.sampled_from(dims), odd_n))
     argv = [probe] if n is None else [probe, f"--n={n}"]
     for key, values in _family_flags(probe).items():
         argv.append(f"--{key}={draw(values)}")
@@ -1273,3 +1278,55 @@ class TestFamilyExitContract:
         assert rows["1e100"] == pytest.approx([0.63957, 1.34073], rel=1e-5)
         assert rows["1e307"] == pytest.approx(rows["1e100"], rel=1e-12)
         assert rows["1.7976931348623157e308"] == pytest.approx(rows["1e100"], rel=1e-12)
+
+
+# --------------------------------------------------------------------------
+# the same contract for the sphere spectral subcommands and smoothed
+
+# eps >= 20 keeps the window's reach 4000/eps within both radius caps
+_eps = _mostly(
+    st.floats(20.0, 1000.0).map(repr),
+    st.one_of(_ODD_NUMBERS, st.sampled_from(["4", "1e305", "1e306", "1e-300"])),
+)
+
+
+@st.composite
+def sphere_argvs(draw):
+    probe = draw(st.sampled_from(["band", "difference", "hoelder", "offdiag", "smoothed", "weyl"]))
+    odd_n = st.sampled_from(["1", "0", "-2", "2.5", "1e9", "150", "400"])
+    n = draw(st.none() | _mostly(st.sampled_from(["2", "3", "4"]), odd_n))
+    if probe == "smoothed":
+        argv, required, grids = [probe], {"eps": _eps}, _grids
+    else:
+        # weyl, offdiag and difference pin their grids to degrees on the sphere
+        argv, required = [probe, "--manifold", "sphere"], _torus_flags(probe, 2)[0]
+        grids = _degree_grids if probe in ("weyl", "offdiag", "difference") else _grids
+    if n is not None:
+        argv.append(f"--n={n}")
+    for key, values in required.items():
+        argv.append(f"--{key}={draw(values)}")
+    grid = draw(st.none() | grids)
+    return argv if grid is None else argv + [f"--grid={grid}"]
+
+
+class TestSphereExitContract:
+    @settings(derandomize=True, deadline=None, max_examples=200,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(sphere_argvs())
+    # the degree budget refuses the grid before max_degree runs
+    @example(["band", "--manifold", "sphere", "--grid", "1e300"])
+    # lam ** n overflows in the normalization: OverflowError, exit 3
+    @example(["weyl", "--manifold", "sphere", "--n", "150", "--grid", "20:400:20"])
+    # the window's reach is infinite, past the radius cap
+    @example(["smoothed", "--eps", "5e-324", "--grid", "10"])
+    @example(["offdiag", "--manifold", "sphere", "--tau", "5e-324", "--grid", "1"])
+    @example(["smoothed", "--n", "3", "--eps", "100", "--grid", "10,20,30"])
+    def test_every_run_exits_0_2_or_3(self, tmp_path_factory, argv):
+        # exit 0 writes finite raw values: a nan or inf row would be silently wrong
+        out = tmp_path_factory.mktemp("contract")
+        rc = run_command(argv + ["--formats", "csv", "--out", str(out)])
+        assert rc in (0, 2, 3), (argv, rc)
+        if rc == 0:
+            (csv_path,) = _files(out, ".csv")
+            raws = [line.split(",")[1] for line in csv_path.read_text().splitlines()[1:]]
+            assert all(math.isfinite(float(v)) for v in raws), (argv, raws)

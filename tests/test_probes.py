@@ -541,11 +541,20 @@ class TestNodalProbe:
         assert res.rows[0].raw == pytest.approx(2.371936897036044, abs=1e-9)
 
     def test_limit_per_dimension(self):
-        # lambda theta_1 -> j_{(n-2)/2, 1}: pi on S^3, and no predicted limit from n = 4 on
+        # lambda theta_1 -> j_{(n-2)/2, 1}: pi on S^3, j_{1,1} on S^4, and no
+        # predicted limit past n = 32
         res = probe_nodal([100, 200, 300, 400], n=3)
         assert res.predicted_limit == math.pi
         assert abs(res.rows[-1].raw / math.pi - 1.0) <= 1e-5
-        assert probe_nodal([20, 40, 60], n=4).predicted_limit is None
+        res = probe_nodal([100, 200, 300, 400], n=4)
+        assert res.predicted_limit == pytest.approx(3.8317059702075125, rel=1e-15)
+        assert abs(res.rows[-1].raw / res.predicted_limit - 1.0) <= 1e-4
+        assert probe_nodal([20, 40, 60], n=33).predicted_limit is None
+
+    def test_limit_edges(self):
+        assert probes._nodal_limit(2) == pytest.approx(2.4048255576957724, abs=1e-15)
+        assert probes._nodal_limit(3) == math.pi
+        assert [probes._nodal_limit(n) for n in (33, 40, 150)] == [None, None, None]
 
 
 class TestSmoothedProbe:

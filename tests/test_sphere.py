@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from scipy import integrate, special
 
 from speclab.analytic import (
-    bessel_j,
-    bessel_j0_zero,
     gauss_legendre_rule,
     phi_kernel,
     phi_kernel_zero,
@@ -464,7 +462,7 @@ class TestZonalGradient:
         lam = eigenvalue(2, m)
         ratio = zonal_gradient_sup(2, m) / (lam * zonal_norm(2, m, math.inf))
         grid = np.linspace(1.0, 3.0, 4001)
-        max_j1 = max(abs(bessel_j(1, float(x))) for x in grid)
+        max_j1 = float(np.max(np.abs(special.j1(grid))))
         assert ratio == pytest.approx(max_j1, rel=5e-3)
 
     def test_scaling_with_lambda(self):
@@ -576,11 +574,11 @@ class TestNodalGap:
 
     def test_bessel_limit(self):
         product = eigenvalue(2, 300) * nodal_gap_zonal(2, 300)
-        assert abs(product / bessel_j0_zero(1) - 1.0) <= 0.005
+        assert abs(product / special.jn_zeros(0, 1)[0] - 1.0) <= 0.005
 
     def test_products_decrease_to_limit(self):
         prods = [eigenvalue(2, m) * nodal_gap_zonal(2, m) for m in (10, 30, 100, 300)]
-        target = bessel_j0_zero(1)
+        target = float(special.jn_zeros(0, 1)[0])
         errs = [abs(p - target) for p in prods]
         assert all(a >= b for a, b in zip(errs, errs[1:]))
 
@@ -619,7 +617,7 @@ class TestNadirashvili:
         assert nadirashvili_ratio(2, 2) == pytest.approx(2.0, abs=1e-9)
 
     def test_even_bessel_limit(self):
-        oracle = 1.0 / abs(bessel_j(0, phi_kernel_zero(2, 1)))
+        oracle = 1.0 / abs(special.j0(phi_kernel_zero(2, 1)))
         assert nadirashvili_ratio(2, 300) == pytest.approx(oracle, rel=0.05)
 
 
