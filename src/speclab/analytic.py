@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DomainError, NumericError
@@ -49,7 +48,7 @@ TWO_PI = 2.0 * math.pi
 # Zeros of J_nu / x^nu by Newton on Phi_n's rule (_profile_zero).  The rule's
 # absolute error does not fall with x as the profile does, so over the zeros
 # below PHI_ZERO_TAU_MAX the error against scipy grows with 2 nu: 2.8e-14 at 0,
-# 6.1e-11 at ZERO_POWER_MAX = 4, 3.4e-10 at 5.  First zeros were within 1.4e-12
+# 5.7e-11 at ZERO_POWER_MAX = 4, 3.0e-10 at 5.  First zeros were within 7.0e-13
 # up to 2 nu = PROFILE_POWER_MAX; from 34 on McMahon's seed misses its bracket.
 ZERO_TOL = 1e-10
 PHI_ZERO_TAU_MAX = 200.0
@@ -237,8 +236,8 @@ def _gegenbauer_pairs(nu: float, t, degrees):
         yield c, c_prev
 
 
-def gegenbauer_value_and_deriv(m: int, nu: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """C_m^nu and d/dt C_m^nu elementwise over an array t strictly inside (-1, 1)."""
+def gegenbauer_value_and_deriv(m: int, nu: float, t):
+    """C_m^nu and d/dt C_m^nu at a float t strictly inside (-1, 1), or elementwise over an array of them."""
     ((val, prev),) = _gegenbauer_pairs(nu, t, (m,))
     der = ((m + 2.0 * nu - 1.0) * prev - m * t * val) / ((1.0 - t) * (1.0 + t))
     return val, der
@@ -354,72 +353,29 @@ PHI_PIECE_ORDER = 112
 PHI_TAU_PER_PIECE = 8.0
 
 # largest tau phi_kernel serves, a cost cap: 306 pieces, 34,272 node
-# evaluations in Python floats, 11-13 ms a call (2 cores, Python 3.11.7)
+# evaluations in Python floats, 15-25 ms a call by the machine's load
+# (2 cores, Python 3.11.7)
 PHI_TAU_MAX = 2448.0
 
 
 @functools.cache
 def _phi_piece_rule() -> tuple[list[float], list[float]]:
-    """gauss_legendre_rule(PHI_PIECE_ORDER)'s nodes and weights as Python floats, bit for bit.
+    """The PHI_PIECE_ORDER-node Gauss-Legendre rule on (-1, 1) as Python floats.
 
-    The same arithmetic as gegenbauer_zeros and gauss_legendre_rule, node by
-    node: the cosine seeds, Newton in lockstep until every step is at most
-    NEWTON_TOL, the t -> -t symmetrization and the weight formula.
+    Newton on P_m takes each positive node from gegenbauer_zeros' cosine seed
+    cos(pi (k - 1/4) / (m + 1/2)); the nodes are mirrored, and the weights are
+    gauss_legendre_rule's 2 / ((1 - t^2) P_m'(t)^2), so both are exactly
+    symmetric under t -> -t.
     """
-    m, nu = PHI_PIECE_ORDER, 0.5
-    # _gegenbauer_pairs' coefficients, formed once for every node and Newton step
-    coefs = [(k, k + nu - 1.0, k + 2.0 * nu - 2.0) for k in range(1, m + 1)]
-    der_coef = m + 2.0 * nu - 1.0
-
-    def value_and_deriv(t: float) -> tuple[float, float]:
-        # gegenbauer_value_and_deriv(m, nu, t) operation for operation
-        two_t = 2.0 * t
-        c_prev, c = 0.0, 1.0
-        for k, a, b in coefs:
-            c_prev, c = c, (two_t * a * c - b * c_prev) / k
-        return c, (der_coef * c_prev - m * t * c) / ((1.0 - t) * (1.0 + t))
-
-    x = [math.cos(math.pi * (k + 0.5 * nu - 0.5) / (m + nu)) for k in range(m, 0, -1)]
-    for _ in range(NEWTON_MAX_STEPS):
-        steps = [val / der for val, der in map(value_and_deriv, x)]
-        x = [t - step for t, step in zip(x, steps)]
-        if max(map(abs, steps)) <= NEWTON_TOL:
-            break
-    else:
-        raise NumericError(f"Newton refinement for the zeros of C_{m}^{nu:g} did not settle")
-    nodes = [0.5 * (t - u) for t, u in zip(x, reversed(x))]
-    ders = [value_and_deriv(t)[1] for t in nodes]
-    w = [2.0 / ((1.0 - t) * (1.0 + t) * d * d) for t, d in zip(nodes, ders)]
-    return nodes, [0.5 * (u + v) for u, v in zip(w, reversed(w))]
-
-
-def _pairwise_sum(values: list[float]) -> float:
-    """The sum of a list of floats in np.sum's order, so bit-equal to np.sum.
-
-    np.sum adds a pairwise sum to 0.0.  Past 128 terms the list splits at a
-    multiple of 8 near its middle; a block of 8 to 128 terms keeps 8 running
-    sums over its stride-8 columns, adds them as ((s0 + s1) + (s2 + s3)) +
-    ((s4 + s5) + (s6 + s7)) and then its last n % 8 terms one by one; fewer
-    than 8 terms are added one by one.  The builtin sum compensates its
-    rounding from Python 3.12 on, so it cannot stand in for a column.
-    """
-
-    def block(lo: int, n: int) -> float:
-        if n > 128:
-            half = n // 2 - n // 2 % 8
-            return block(lo, half) + block(lo + half, n - half)
-        total, body = 0.0, lo
-        if n >= 8:
-            body = lo + n - n % 8
-            s0, s1, s2, s3, s4, s5, s6, s7 = [
-                functools.reduce(operator.add, values[j:body:8]) for j in range(lo, lo + 8)
-            ]
-            total = ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7))
-        for v in values[body:lo + n]:
-            total += v
-        return total
-
-    return 0.0 + block(0, len(values))  # 0.0 + -0.0 is 0.0, as in np.sum
+    m = PHI_PIECE_ORDER
+    what = f"the zeros of C_{m}^0.5"
+    legendre = functools.partial(gegenbauer_value_and_deriv, m, 0.5)
+    half = [_newton(legendre, math.cos(math.pi * (k - 0.25) / (m + 0.5)), what) for k in range(1, m // 2 + 1)]
+    half_weights = [2.0 / ((1.0 - t) * (1.0 + t) * d * d) for t, (_, d) in zip(half, map(legendre, half))]
+    nodes = [-t for t in half] + half[::-1]
+    if not (-1.0 < nodes[0] and nodes[-1] < 1.0 and all(a < b for a, b in zip(nodes, nodes[1:]))):
+        raise NumericError(f"Newton from the cosine seeds lost one of {what}")
+    return nodes, half_weights + half_weights[::-1]
 
 
 def _poisson_integral(power: int, x: float) -> float:
@@ -435,11 +391,8 @@ def _poisson_integral(power: int, x: float) -> float:
         half = 0.5 * (b - a)
         for t, w in zip(nodes, weights):
             psi = a + half * (t + 1.0)
-            s = math.sin(psi)
-            # s * s is np.square's product; pow may round the square apart from it
-            sine_power = s * s if power == 2 else s ** power
-            terms.append(half * w * (math.cos(x * math.cos(psi)) * sine_power))
-    return _pairwise_sum(terms)
+            terms.append(half * w * (math.cos(x * math.cos(psi)) * math.sin(psi) ** power))
+    return math.fsum(terms)
 
 
 def _phi_quadrature(n: int, tau: float) -> float:
@@ -474,18 +427,20 @@ def _profile_zero(power: int, i: int, what: str) -> float:
     on the served domain; a sign change across seed +- 1/2, narrower than half
     the gap of consecutive zeros (at least j_{0,2} - j_{0,1} = 3.12), confirms
     it.  Newton converges quadratically, so the iterate after its first step
-    of at most ZERO_TOL sits at the rule's noise floor.
+    of at most ZERO_TOL sits at the rule's noise floor.  Zeros grow with nu and
+    j_{0,i} > (i - 1/4) pi, so an i past PHI_ZERO_TAU_MAX / pi + 1/4 is refused
+    at once; an int compares exactly with a float, however large it is.
     """
-    if i < 1:
-        raise DomainError("zero index must be >= 1")
+    if not isinstance(i, int) or i < 1:
+        raise DomainError(f"zero index must be an integer >= 1, got {i!r}")
+    if i > PHI_ZERO_TAU_MAX / math.pi + 0.25:
+        raise DomainError(f"zero {i} of {what} lies beyond tau = {PHI_ZERO_TAU_MAX}")
     mu = float(power * power)  # 4 nu^2
     beta = (i + 0.25 * power - 0.25) * math.pi
     r = 1.0 / (8.0 * beta)
     seed = (beta - (mu - 1.0) * r - 4.0 / 3.0 * (mu - 1.0) * (7.0 * mu - 31.0) * r ** 3
             - 32.0 / 15.0 * (mu - 1.0) * (83.0 * mu * mu - 982.0 * mu + 3779.0) * r ** 5)
     lo, hi = seed - 0.5, seed + 0.5
-    if lo > PHI_ZERO_TAU_MAX:
-        raise DomainError(f"zero {i} of {what} lies beyond tau = {PHI_ZERO_TAU_MAX}")
     if (_poisson_integral(power, lo) < 0.0) == (_poisson_integral(power, hi) < 0.0):
         raise NumericError(f"no sign change of {what} across [{lo:g}, {hi:g}], around zero {i}")
 

@@ -91,7 +91,7 @@ def default_direction(n: int) -> tuple[float, ...]:
 def unit_direction(n: int, direction=None) -> tuple[float, ...]:
     """`direction` scaled to unit length, or default_direction(n) when it is None.
 
-    The squared length is summed left to right, np.sum's order below 8 terms.
+    The squared length is summed left to right.
     A subnormal one has lost bits, so d/|d| would not have unit length.
     """
     if direction is None:
