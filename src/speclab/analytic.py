@@ -420,6 +420,14 @@ def bessel_profile(nu: float, x: float) -> float:
     return _poisson_integral(power, x) / (2.0 ** nu * math.gamma(nu + 0.5) * math.sqrt(math.pi))
 
 
+def _index_text(i) -> str:
+    """repr(i), or the size of an int with more digits than Python converts to a string."""
+    try:
+        return repr(i)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        return f"{'-' if i < 0 else ''}<{i.bit_length()}-bit integer>"
+
+
 def _profile_zero(power: int, i: int, what: str) -> float:
     """The i-th positive zero of I_power, up to PHI_ZERO_TAU_MAX, by Newton from McMahon's seed.
 
@@ -432,9 +440,9 @@ def _profile_zero(power: int, i: int, what: str) -> float:
     at once; an int compares exactly with a float, however large it is.
     """
     if not isinstance(i, int) or i < 1:
-        raise DomainError(f"zero index must be an integer >= 1, got {i!r}")
+        raise DomainError(f"zero index must be an integer >= 1, got {_index_text(i)}")
     if i > PHI_ZERO_TAU_MAX / math.pi + 0.25:
-        raise DomainError(f"zero {i} of {what} lies beyond tau = {PHI_ZERO_TAU_MAX}")
+        raise DomainError(f"zero {_index_text(i)} of {what} lies beyond tau = {PHI_ZERO_TAU_MAX}")
     mu = float(power * power)  # 4 nu^2
     beta = (i + 0.25 * power - 0.25) * math.pi
     r = 1.0 / (8.0 * beta)
@@ -459,7 +467,9 @@ def bessel_zero(nu: float, i: int) -> float:
     """j_{nu,i}: each zero up to PHI_ZERO_TAU_MAX for nu <= 2, the first for nu <= 15."""
     power = _profile_power(nu)
     if i > 1 and power > ZERO_POWER_MAX:
-        raise DomainError(f"zero {i} of J_{nu:g}: past the first, zeros are served for nu <= 2")
+        raise DomainError(
+            f"zero {_index_text(i)} of J_{nu:g}: past the first, zeros are served for nu <= 2"
+        )
     return _profile_zero(power, i, f"J_{nu:g}")
 
 

@@ -641,6 +641,15 @@ class TestZeroCost:
             phi_kernel_zero(2, 10 ** 400)
         with pytest.raises(DomainError, match="lies beyond tau = 200"):
             bessel_zero(0, 10 ** 400)
+        # past the 4300 digits Python converts to a string, the message names the index by its size
+        with pytest.raises(DomainError, match="zero <16610-bit integer> of Phi_2 lies beyond tau = 200"):
+            phi_kernel_zero(2, 10 ** 5000)
+        with pytest.raises(DomainError, match="zero <16610-bit integer> of J_0 lies beyond tau = 200"):
+            bessel_zero(0, 10 ** 5000)
+        with pytest.raises(DomainError, match="zero <16610-bit integer> of J_3: past the first"):
+            bessel_zero(3.0, 10 ** 5000)
+        with pytest.raises(DomainError, match="integer >= 1, got -<16610-bit integer>"):
+            phi_kernel_zero(2, -10 ** 5000)
         with pytest.raises(DomainError, match="zero index must be an integer >= 1, got 1.5"):
             phi_kernel_zero(2, 1.5)
         with pytest.raises(DomainError, match="zero index must be an integer >= 1, got 2.5"):

@@ -443,6 +443,18 @@ class TestSmoothingWindow:
         for s in (dense, near_t, np.array([0.0, -0.0, 5e-324, 1e-300])):
             np.testing.assert_allclose(w.value(s), sinc4_reference(s, eps), rtol=1e-15, atol=0.0)
 
+    @pytest.mark.parametrize("eps", [0.5, 4.0, 6.0, 80.0, 1e305])
+    def test_bit_equal_to_sinc_route(self, eps):
+        w = SmoothingWindow(eps=eps)
+        radii = torus.lattice_shells(2, 1300.0).radii
+        for lam in (0.0, 1.0, 50.0, 175.0, 300.0):
+            s = lam - radii
+            want = np.square(np.square(np.sinc(s * (eps / (4.0 * math.pi)))))
+            assert w.value(s).tobytes() == want.tobytes()
+        for s in (0.0, -0.0, 5e-324, 1e-300, 2.5, -7.0, 1000.0):
+            want = np.square(np.square(np.sinc(s * (eps / (4.0 * math.pi)))))
+            assert float(w.value(s)).hex() == float(want).hex()
+
     def test_exact_shell_radii(self):
         # at integer lambda, lambda - sqrt(lambda^2) is exactly 0 on that shell
         table = torus.lattice_shells(2, 1300.0)
@@ -755,11 +767,21 @@ class TestCosineSumDualRoute:
             assert math.isfinite(spectral_function_torus(n, moved, 12.0))
 
     def test_diagonal_is_the_count(self):
+        # at u = 0 each term of the float walker is an integer-valued float,
+        # so math.fsum gives the count exactly
         for lam in (0.0, 7.5, 300.0, 1500.0):
             for u in ((0.0, 0.0), (-0.0, 0.0), (TWO_PI, -TWO_PI)):
                 got = spectral_function_torus(2, u, lam)
                 assert got.hex() == (eigenvalue_count(2, lam) / TWO_PI**2).hex()
                 assert got.hex() == numpy_cosine_sum(u, lam).hex()
+        for lam in (0.0, 7.5, 120.0, 199.0):
+            for u in ((0.0, 0.0, 0.0), (-0.0, 0.0, -0.0), (TWO_PI, -TWO_PI, 2 * TWO_PI)):
+                got = spectral_function_torus(3, u, lam)
+                assert got.hex() == (eigenvalue_count(3, lam) / TWO_PI**3).hex()
+        for n, lams in ((2, (0.0, 7.5, 300.0, 1499.0)), (3, (0.0, 7.5, 120.0, 199.0))):
+            for lam in lams:
+                count = eigenvalue_count(n, lam + 1.0) / TWO_PI**n - eigenvalue_count(n, lam) / TWO_PI**n
+                assert torus.band_kernel_torus(n, (0.0,) * n, lam).hex() == count.hex()
 
 
 # --------------------------------------------------------------------------
