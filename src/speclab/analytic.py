@@ -437,10 +437,15 @@ def _profile_zero(power: int, i: int, what: str) -> float:
     it.  Newton converges quadratically, so the iterate after its first step
     of at most ZERO_TOL sits at the rule's noise floor.  Zeros grow with nu and
     j_{0,i} > (i - 1/4) pi, so an i past PHI_ZERO_TAU_MAX / pi + 1/4 is refused
-    at once; an int compares exactly with a float, however large it is.
+    at once; an int compares exactly with a float, however large it is.  Past
+    power ZERO_POWER_MAX only the first zero is served.
     """
     if not isinstance(i, int) or i < 1:
         raise DomainError(f"zero index must be an integer >= 1, got {_index_text(i)}")
+    if i > 1 and power > ZERO_POWER_MAX:
+        raise DomainError(
+            f"zero {_index_text(i)} of {what}: past the first, zeros are served for nu <= 2"
+        )
     if i > PHI_ZERO_TAU_MAX / math.pi + 0.25:
         raise DomainError(f"zero {_index_text(i)} of {what} lies beyond tau = {PHI_ZERO_TAU_MAX}")
     mu = float(power * power)  # 4 nu^2
@@ -465,12 +470,7 @@ def _profile_zero(power: int, i: int, what: str) -> float:
 
 def bessel_zero(nu: float, i: int) -> float:
     """j_{nu,i}: each zero up to PHI_ZERO_TAU_MAX for nu <= 2, the first for nu <= 15."""
-    power = _profile_power(nu)
-    if i > 1 and power > ZERO_POWER_MAX:
-        raise DomainError(
-            f"zero {_index_text(i)} of J_{nu:g}: past the first, zeros are served for nu <= 2"
-        )
-    return _profile_zero(power, i, f"J_{nu:g}")
+    return _profile_zero(_profile_power(nu), i, f"J_{nu:g}")
 
 
 # --------------------------------------------------------------------------
@@ -556,8 +556,8 @@ def epsilon_exponent(n: int, p: float) -> float:
     """
     if n < 2:
         raise DomainError(f"dimension must be >= 2, got {n}")
+    if not p >= 2.0:
+        raise DomainError(f"exponent requires p >= 2, got {p}")
     if math.isinf(p):
         return (n - 1.0) / 2.0
-    if p < 2.0:
-        raise DomainError(f"exponent requires p >= 2, got {p}")
     return max((n - 1.0) / 2.0 - n / p, (0.25 - 0.5 / p) * (n - 1.0))

@@ -9,7 +9,6 @@ serially, in grid order, so the same inputs give byte-identical tables.
 from __future__ import annotations
 
 import math
-from types import SimpleNamespace
 from typing import NamedTuple
 
 from . import sphere, torus
@@ -110,27 +109,21 @@ class ProbeRow(NamedTuple):
     ratio: float | None
 
 
-class ProbeResult(SimpleNamespace):
+class ProbeResult(NamedTuple):
     """One experiment's table plus its predictions.
 
-    rows hold (abscissa, raw, raw normalized by abscissa^predicted_exponent);
-    the ratio is omitted when the predicted limit is exactly zero.  extra
-    carries per-row side channels (e.g. the fit abscissae for degree-indexed
-    probes, whose growth laws are stated against the eigenvalue).  Fields are
-    settable and compare by value.
+    rows hold (abscissa, raw, raw over the predicted growth at that row); the
+    ratio is omitted when the predicted limit is exactly zero.  extra carries
+    per-row side channels (e.g. the fit abscissae for degree-indexed probes,
+    whose growth laws are stated against the eigenvalue).
     """
 
-    def __init__(
-        self,
-        probe: str,
-        params: dict,
-        rows: list[ProbeRow],
-        predicted_limit: float | None,
-        predicted_exponent: float | None,
-        extra: dict[str, list[float]] | None = None,
-    ) -> None:
-        super().__init__(probe=probe, params=params, rows=rows, predicted_limit=predicted_limit,
-                         predicted_exponent=predicted_exponent, extra=extra)
+    probe: str
+    params: dict
+    rows: list[ProbeRow]
+    predicted_limit: float | None
+    predicted_exponent: float | None
+    extra: dict[str, list[float]] | None = None
 
     def abscissae(self) -> list[float]:
         return [r.abscissa for r in self.rows]
@@ -209,24 +202,23 @@ def _check_degree_budget(total: int, budget: int, what: str) -> None:
         raise ResourceLimitError(f"{what} sums to {total}, past the budget of {budget} summed degrees")
 
 
-def _rows(abscissae, raws, limit, exponent) -> list[ProbeRow]:
-    zero_limit = limit is not None and limit == 0.0
-    rows = []
-    for a, v in zip(abscissae, raws):
-        ratio = None if zero_limit else v / a ** exponent
-        rows.append(ProbeRow(abscissa=a, raw=v, ratio=ratio))
-    return rows
+def _rows(abscissae, raws, scales, limit) -> list[ProbeRow]:
+    """One row per abscissa, its ratio raw / scale, or no ratio when the limit is exactly 0."""
+    return [
+        ProbeRow(abscissa=float(a), raw=v, ratio=None if limit == 0.0 else v / scale)
+        for a, v, scale in zip(abscissae, raws, scales)
+    ]
+
+
+def _snap_zero(n: int, limit: float) -> float:
+    """limit, or an exact 0.0 when it is below _ZERO_LIMIT_REL c_n in size."""
+    return 0.0 if abs(limit) < _ZERO_LIMIT_REL * weyl_constant(n) else limit
 
 
 def _snap_phi_limit(n: int, tau: float) -> float:
     """Phi_n(tau), collapsed to an exact 0.0 when tau sits on a kernel zero."""
-    if tau == 0.0:
-        # Phi_n(0) is the diagonal constant; avoid quadrature noise on it
-        return weyl_constant(n)
-    value = phi_kernel(n, tau)
-    if abs(value) < _ZERO_LIMIT_REL * weyl_constant(n):
-        return 0.0
-    return value
+    # Phi_n(0) is the diagonal constant; avoid quadrature noise on it
+    return weyl_constant(n) if tau == 0.0 else _snap_zero(n, phi_kernel(n, tau))
 
 
 # --------------------------------------------------------------------------
@@ -294,7 +286,7 @@ def probe_weyl(manifold: str, n: int, grid=None) -> ProbeResult:
     return ProbeResult(
         probe="weyl",
         params={"manifold": manifold, "n": n},
-        rows=_rows(lambdas, raws, limit, float(n)),
+        rows=_rows(lambdas, raws, [lam ** float(n) for lam in lambdas], limit),
         predicted_limit=limit,
         predicted_exponent=float(n),
     )
@@ -315,7 +307,7 @@ def probe_offdiag(
     return ProbeResult(
         probe="offdiag",
         params={"manifold": manifold, "n": n, "tau": tau},
-        rows=_rows(lambdas, raws, limit, float(n)),
+        rows=_rows(lambdas, raws, [lam ** float(n) for lam in lambdas], limit),
         predicted_limit=limit,
         predicted_exponent=float(n),
     )
@@ -330,17 +322,15 @@ def probe_difference(
     direction=None,
 ) -> ProbeResult:
     """Square-sum of eigenfunction differences via 2(e_diag - e_offdiag)."""
-    limit = 2.0 * (weyl_constant(n) - _snap_phi_limit(n, tau))
+    limit = _snap_zero(n, 2.0 * (weyl_constant(n) - _snap_phi_limit(n, tau)))
     lambdas, kernel = _kernel(manifold, n, grid, direction, (0.0, tau))
     offs = [kernel(lam, tau / lam) for lam in lambdas]
     diags = [kernel(lam, 0.0) for lam in lambdas]
     raws = [2.0 * (d - o) for d, o in zip(diags, offs)]
-    if abs(limit) < _ZERO_LIMIT_REL * weyl_constant(n):
-        limit = 0.0
     return ProbeResult(
         probe="difference",
         params={"manifold": manifold, "n": n, "tau": tau},
-        rows=_rows(lambdas, raws, limit, float(n)),
+        rows=_rows(lambdas, raws, [lam ** float(n) for lam in lambdas], limit),
         predicted_limit=limit,
         predicted_exponent=float(n),
     )
@@ -361,7 +351,7 @@ def probe_deriv(n: int, alpha: MultiIndex, beta: MultiIndex, grid=None) -> Probe
             "alpha": list(alpha.entries),
             "beta": list(beta.entries),
         },
-        rows=_rows(lambdas, raws, limit, exponent),
+        rows=_rows(lambdas, raws, [lam ** exponent for lam in lambdas], limit),
         predicted_limit=limit,
         predicted_exponent=exponent,
     )
@@ -377,11 +367,12 @@ def probe_band(manifold: str, n: int, grid=None) -> ProbeResult:
     lambdas, band = _kernel(manifold, n, grid, None, (0.0,), band=True)
     raws = [band(lam, 0.0) for lam in lambdas]
     witness = [math.sqrt(v) / lam ** ((n - 1) / 2.0) for v, lam in zip(raws, lambdas)]
+    limit = float(n) * weyl_constant(n)
     return ProbeResult(
         probe="band",
         params={"manifold": manifold, "n": n},
-        rows=_rows(lambdas, raws, float(n) * weyl_constant(n), float(n - 1)),
-        predicted_limit=float(n) * weyl_constant(n),
+        rows=_rows(lambdas, raws, [lam ** float(n - 1) for lam in lambdas], limit),
+        predicted_limit=limit,
         predicted_exponent=float(n - 1),
         extra={"sqrt_band_norm_witness": witness},
     )
@@ -400,7 +391,7 @@ def probe_hoelder(
     if not 0.0 < delta < 1.0:
         raise DomainError(f"delta must lie in (0, 1), got {delta}")
     taus = [float(t) for t in (tau_grid if tau_grid is not None else default_tau_grid())]
-    if not taus or any(t <= 0.0 or t > 10.0 for t in taus):
+    if not taus or any(not 0.0 < t <= 10.0 for t in taus):
         raise DomainError("tau grid must lie in (0, 10]")
     lambdas, band = _kernel(manifold, n, grid, direction, (0.0, *taus), band=True)
 
@@ -418,7 +409,7 @@ def probe_hoelder(
     return ProbeResult(
         probe="hoelder",
         params={"manifold": manifold, "n": n, "delta": delta, "tau_grid": taus},
-        rows=_rows(lambdas, raws, None, exponent),
+        rows=_rows(lambdas, raws, [lam ** exponent for lam in lambdas], None),
         predicted_limit=None,
         predicted_exponent=exponent,
     )
@@ -436,7 +427,7 @@ def probe_lp(family: str, r: float, s: float, grid=None, *, n: int = 2) -> Probe
     """
     if family not in ("zonal", "hw"):
         raise DomainError(f"family must be 'zonal' or 'hw', got {family!r}")
-    if s < 0.0:
+    if not s >= 0.0:
         raise DomainError(f"Sobolev order must be >= 0, got {s}")
     ms, lambdas = _degree_grid(n, grid)
 
@@ -449,15 +440,11 @@ def probe_lp(family: str, r: float, s: float, grid=None, *, n: int = 2) -> Probe
     if not all(math.isfinite(v) for v in raws):
         raise ResourceLimitError(f"the Sobolev-scaled norm at s = {s:g} overflows a float")
     exponent = s + epsilon_exponent(n, r)
-    rows = [
-        ProbeRow(abscissa=float(m), raw=v, ratio=v / lam ** exponent)
-        for m, lam, v in zip(ms, lambdas, raws)
-    ]
     return ProbeResult(
         probe="lp",
         params={"manifold": "sphere", "n": n, "family": family,
                 "r": "inf" if math.isinf(r) else r, "s": s},
-        rows=rows,
+        rows=_rows(ms, raws, [lam ** exponent for lam in lambdas], None),
         predicted_limit=None,
         predicted_exponent=exponent,
         extra={"fit_abscissa": lambdas},
@@ -494,14 +481,11 @@ def probe_cksigma(sigma: float, grid=None, *, n: int = 2) -> ProbeResult:
         raws = [sphere.zonal_gradient_sup(n, m) for m in ms]
     else:
         raws = [_hoelder_proxy(n, m, lam, sigma) for m, lam in zip(ms, lambdas)]
-    rows = [
-        ProbeRow(abscissa=float(m), raw=v, ratio=v / (lam ** sigma * sup))
-        for m, lam, v, sup in zip(ms, lambdas, raws, sups)
-    ]
+    scales = [lam ** sigma * sup for lam, sup in zip(lambdas, sups)]
     return ProbeResult(
         probe="cksigma",
         params={"manifold": "sphere", "n": n, "sigma": sigma},
-        rows=rows,
+        rows=_rows(ms, raws, scales, None),
         predicted_limit=None,
         predicted_exponent=sigma + (n - 1.0) / 2.0,
         extra={"fit_abscissa": lambdas},
@@ -528,15 +512,13 @@ def probe_nodal(grid=None, *, n: int = 2) -> ProbeResult:
 
     thetas = [sphere.nodal_gap_zonal(n, m) for m in ms]
     ratios = [sphere.nadirashvili_ratio(n, m) for m in ms]
-    rows = [
-        ProbeRow(abscissa=float(m), raw=lam * theta, ratio=lam * theta)
-        for m, lam, theta in zip(ms, lambdas, thetas)
-    ]
+    raws = [lam * theta for lam, theta in zip(lambdas, thetas)]
+    limit = _nodal_limit(n)
     return ProbeResult(
         probe="nodal",
         params={"manifold": "sphere", "n": n},
-        rows=rows,
-        predicted_limit=_nodal_limit(n),
+        rows=_rows(ms, raws, [1.0] * len(ms), limit),
+        predicted_limit=limit,
         predicted_exponent=0.0,
         extra={
             "fit_abscissa": lambdas,
@@ -556,7 +538,7 @@ def probe_smoothed(n: int, eps: float | None = None, grid=None) -> ProbeResult:
     return ProbeResult(
         probe="smoothed",
         params={"manifold": "torus", "n": n, "window": "sinc4", "eps": win.eps},
-        rows=_rows(lambdas, raws, None, float(n - 1)),
+        rows=_rows(lambdas, raws, [lam ** float(n - 1) for lam in lambdas], None),
         predicted_limit=None,
         predicted_exponent=float(n - 1),
     )

@@ -181,12 +181,16 @@ def check_torus_spectral_bounds() -> None:
 
 
 def check_torus_parity_zero() -> None:
-    a, b = MultiIndex.of(1, 0), MultiIndex.of(0, 0)
+    a, b, c = MultiIndex.of(1, 0), MultiIndex.of(0, 0), MultiIndex.of(2, 0)
+    axis = range(-30, 31)
     for lam in (5.0, 17.0, 30.0):
         assert torus.derivative_diagonal_sum(2, a, b, lam) == 0.0
-        ab = torus.derivative_diagonal_sum(2, a, a, lam)
-        ba = torus.derivative_diagonal_sum(2, a, a, lam)
-        assert ab == ba
+        # a same-parity pair in both orders, against -sum_{|k| <= lam} k_1^2 / (2 pi)^2
+        moment = sum(k1 * k1 for k1 in axis for k2 in axis if k1 * k1 + k2 * k2 <= lam * lam)
+        want = -moment / TWO_PI ** 2
+        cb = torus.derivative_diagonal_sum(2, c, b, lam)
+        bc = torus.derivative_diagonal_sum(2, b, c, lam)
+        assert cb == bc == want, f"lam={lam}: {cb}, {bc} vs {want}"
 
 
 def check_sphere_multiplicities() -> None:

@@ -247,10 +247,10 @@ def zonal_norms(n: int, degrees, r: float) -> list[float]:
     degree integrates in theta over the pieces between consecutive zeros.
     """
     fams = [ZonalFamily.create(n, m) for m in degrees]
+    if not r >= 2.0:
+        raise DomainError(f"norm exponent must satisfy r >= 2, got {r}")
     if math.isinf(r):
         return [fam.scale for fam in fams]
-    if r < 2.0:
-        raise DomainError(f"norm exponent must satisfy r >= 2, got {r}")
     if n not in (2, 3):
         raise DomainError("zonal norms are implemented for n in {2, 3}")
     if not fams:
@@ -337,7 +337,7 @@ def _check_hw_args(n: int, m: int, r: float) -> None:
     _check_dim(n)
     if m < 1:
         raise DomainError(f"degree must be >= 1, got {m}")
-    if math.isinf(r) or r < 2.0:
+    if not 2.0 <= r < math.inf:
         raise DomainError(f"highest-weight norms require finite r >= 2, got {r}")
 
 
@@ -401,6 +401,6 @@ def nadirashvili_ratio(n: int, m: int) -> float:
 
 def sobolev_scale(lambda_j: float, s: float) -> float:
     """(1 + lambda^2)^{s/2}: the exact fractional-Sobolev multiplier on an eigenline."""
-    if s < 0.0:
+    if not s >= 0.0:
         raise DomainError(f"Sobolev order must be >= 0, got {s}")
     return (1.0 + lambda_j * lambda_j) ** (s / 2.0)

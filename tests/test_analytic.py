@@ -654,6 +654,10 @@ class TestZeroCost:
             phi_kernel_zero(2, 1.5)
         with pytest.raises(DomainError, match="zero index must be an integer >= 1, got 2.5"):
             bessel_zero(0.0, 2.5)
+        # the index is checked before bessel_zero's past-the-first rule compares it
+        for nu, i in ((0.0, "a"), (3.0, None), (3.0, 1.5)):
+            with pytest.raises(DomainError, match=f"zero index must be an integer >= 1, got {i!r}"):
+                bessel_zero(nu, i)
         assert calls[0] == 0
 
 
@@ -798,3 +802,6 @@ class TestEpsilonExponent:
     def test_domain(self):
         with pytest.raises(DomainError):
             epsilon_exponent(2, 1.5)
+        for p in (math.nan, -math.inf):
+            with pytest.raises(DomainError, match="p >= 2"):
+                epsilon_exponent(2, p)

@@ -1040,8 +1040,7 @@ class TestTableOutput:
             res.predicted_limit, res.predicted_exponent)
 
     def test_empty_table_rejected(self, tmp_path):
-        res = probe_weyl("torus", 2, [50.0, 75.0, 100.0])
-        res.rows = []
+        res = probe_weyl("torus", 2, [50.0, 75.0, 100.0])._replace(rows=[])
         with pytest.raises(DomainError):
             output.write_csv(res, tmp_path / "t.csv")
 
@@ -1063,8 +1062,7 @@ class TestSvg:
 
     def test_no_reference_line_without_prediction(self, tmp_path):
         res = probe_band("torus", 2, [50.0, 75.0, 100.0])
-        res = probe_weyl("torus", 2, [50.0, 75.0, 100.0])
-        res.predicted_limit = None
+        res = probe_weyl("torus", 2, [50.0, 75.0, 100.0])._replace(predicted_limit=None)
         text = self._render(tmp_path, res)
         assert "reference:" not in text
         ET.fromstring(text)
@@ -1073,7 +1071,7 @@ class TestSvg:
         # _scale widens the zero span of a single value, so one row plots one
         # point per panel
         res = probe_weyl("torus", 2, [50.0, 75.0, 100.0])
-        res.rows = res.rows[:1]
+        res = res._replace(rows=res.rows[:1])
         text = self._render(tmp_path, res)
         ET.fromstring(text)
         assert text.count("<circle") == 2

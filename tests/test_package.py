@@ -1,8 +1,7 @@
 """The package's export lists and record classes.
 
 Every name a module or the package advertises exists.  The records are
-NamedTuples, apart from the settable ProbeResult: they refuse assignment and
-keep their arrays read-only.
+NamedTuples: they refuse assignment and keep their arrays read-only.
 """
 
 import ast
@@ -56,6 +55,7 @@ RECORDS = {
     "QuadratureRule": lambda: gauss_legendre_rule(4),
     "ScalingFit": lambda: fit_scaling([(1.0, 1.0), (2.0, 4.0), (3.0, 9.0)]),
     "ProbeRow": lambda: ProbeRow(abscissa=1.0, raw=2.0, ratio=None),
+    "ProbeResult": lambda: ProbeResult("p", {}, [], 1.0, 2.0),
     "ZonalFamily": lambda: ZonalFamily.create(2, 3),
     "SmoothingWindow": lambda: SmoothingWindow(),
     "LatticeShells": lambda: lattice_shells(2, 5.0),
@@ -85,13 +85,11 @@ def test_record_arrays_stay_read_only():
             table[0] = 1.0
 
 
-def test_probe_result_is_settable_and_compares_by_value():
+def test_probe_result_compares_by_value():
     res, again = (probe_weyl("torus", 2, [50.0, 75.0, 100.0]) for _ in range(2))
     assert res == again and res.extra is None
-    res.rows = res.rows[:1]
-    assert res != again
-    res.rows = list(again.rows)
-    res.predicted_limit = None
-    assert res != again
+    assert res._replace(rows=res.rows[:1]) != again
+    assert res._replace(rows=list(again.rows)) == again
+    assert res._replace(predicted_limit=None) != again
     assert ProbeResult("p", {}, [], 1.0, 2.0) == ProbeResult(
         probe="p", params={}, rows=[], predicted_limit=1.0, predicted_exponent=2.0, extra=None)

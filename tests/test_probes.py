@@ -391,10 +391,15 @@ class TestHoelderProbe:
         assert small <= 0.05 * base
 
     def test_delta_domain(self):
-        with pytest.raises(DomainError):
-            probe_hoelder("torus", 2, 1.0, None, SMALL_LAMBDAS)
-        with pytest.raises(DomainError):
-            probe_hoelder("torus", 2, 0.5, [11.0], SMALL_LAMBDAS)
+        for manifold in ("torus", "sphere"):
+            with pytest.raises(DomainError):
+                probe_hoelder(manifold, 2, 1.0, None, SMALL_LAMBDAS)
+            with pytest.raises(DomainError):
+                probe_hoelder(manifold, 2, 0.5, [11.0], SMALL_LAMBDAS)
+            # a NaN tau fails the range check, alone or beside a valid one
+            for taus in ([math.nan], [1.0, math.nan]):
+                with pytest.raises(DomainError, match=r"tau grid must lie in \(0, 10\]"):
+                    probe_hoelder(manifold, 2, 0.5, taus, SMALL_LAMBDAS)
 
 
 class TestLpProbe:
@@ -419,6 +424,12 @@ class TestLpProbe:
     def test_family_validation(self):
         with pytest.raises(DomainError):
             probe_lp("radial", 4.0, 0.0, SMALL_DEGREES)
+
+    def test_nan_inputs_refused(self):
+        # each NaN fails its range check, not a float conversion or the overflow guard
+        for family, r, s in (("zonal", math.nan, 0.0), ("zonal", 6.0, math.nan), ("hw", math.nan, 0.0)):
+            with pytest.raises(DomainError, match="r >= 2|Sobolev order"):
+                probe_lp(family, r, s, SMALL_DEGREES)
 
     def test_zonal_builds_one_exact_rule_per_run(self):
         # the largest default degree, 400, needs 400 * 6/2 + 1 = 1201 nodes for r = 6
@@ -579,6 +590,28 @@ class TestProbeResultShape:
     def test_params_recorded(self):
         res = probe_offdiag("torus", 2, 1.5, SMALL_LAMBDAS)
         assert res.params == {"manifold": "torus", "n": 2, "tau": 1.5}
+
+    @pytest.mark.parametrize("name", list(_DEFAULT_RUNS))
+    def test_ratio_rule_bit_for_bit(self, name):
+        # raw over the predicted growth: abscissa^e for lambda-indexed probes,
+        # lambda_m^e for lp, lambda_m^sigma ||Z_m||_inf for cksigma, 1 for nodal;
+        # no ratio where the predicted limit is 0
+        res = _DEFAULT_RUNS[name]()
+        n, e = res.params["n"], res.predicted_exponent
+        for row in res.rows:
+            m = int(row.abscissa)
+            if res.predicted_limit == 0.0:
+                want = None
+            elif res.probe == "nodal":
+                want = row.raw
+            elif res.probe == "cksigma":
+                sigma = res.params["sigma"]
+                want = row.raw / (eigenvalue(n, m) ** sigma * sphere.zonal_norm(n, m, math.inf))
+            elif res.probe == "lp":
+                want = row.raw / eigenvalue(n, m) ** e
+            else:
+                want = row.raw / row.abscissa ** e
+            assert row.ratio == want, (row, want)
 
     def test_probe_result_equality_semantics(self):
         a = probe_weyl("torus", 2, SMALL_LAMBDAS)

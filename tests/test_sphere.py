@@ -368,6 +368,9 @@ class TestZonal:
     def test_domain(self):
         with pytest.raises(DomainError):
             zonal_norm(2, 5, 1.5)
+        for r in (math.nan, -math.inf):
+            with pytest.raises(DomainError, match="r >= 2"):
+                zonal_norm(2, 5, r)
         with pytest.raises(DomainError):
             ZonalFamily.create(2, -1)
 
@@ -561,6 +564,8 @@ class TestHighestWeight:
             hw_norm(2, 0, 4.0)
         with pytest.raises(DomainError):
             hw_norm(2, 5, math.inf)
+        with pytest.raises(DomainError, match="finite r >= 2"):
+            hw_norm(2, 20, math.nan)
 
 
 class TestNodalGap:
@@ -630,3 +635,5 @@ class TestSobolevScale:
     def test_domain(self):
         with pytest.raises(DomainError):
             sobolev_scale(1.0, -0.5)
+        with pytest.raises(DomainError, match="Sobolev order"):
+            sobolev_scale(10.0, math.nan)
