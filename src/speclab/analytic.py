@@ -244,12 +244,14 @@ def gegenbauer_value_and_deriv(m: int, nu: float, t):
 
 
 def gegenbauer_at_one(m: int, nu: float) -> float:
-    """C_m^nu(1) = (2 nu)_m / m!, the maximum of |C_m^nu| on [-1, 1]."""
+    """C_m^nu(1) = (2 nu)_m / m! = (m + 2 nu - 1 choose m), the maximum of |C_m^nu| on [-1, 1].
+
+    Served for half-integer nu: the binomial is exact, then rounded once.
+    """
     _check_gegenbauer_args(m, nu)
-    out = 1.0
-    for j in range(m):
-        out *= (2.0 * nu + j) / (1.0 + j)
-    return out
+    if not (2.0 * nu).is_integer():
+        raise DomainError(f"C_m^nu(1) is served for half-integer nu, got {nu}")
+    return float(math.comb(m + int(2.0 * nu) - 1, m))
 
 
 def gegenbauer_derivatives(m: int, nu: float, t, order: int) -> list:

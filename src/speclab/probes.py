@@ -229,13 +229,13 @@ def _kernel(manifold: str, n: int, grid, direction, taus, *, band: bool = False)
     """The grid's lambdas and kernel(lam, dist): e or the band kernel at dist(x, y) = dist.
 
     kernel(lam, dist) is e(x, y, lam) or, with band=True, the kernel of the
-    band (lam, lam + 1] at dist(x, y) = dist; on the torus x - y is dist
-    times the unit direction.  Sphere spectral grids are degrees pinned to
-    their eigenvalues; band grids and torus grids are thresholds.  taus are
-    the rescaled distances the caller evaluates at each lambda, one kernel
-    call each.  Every tau/lambda must stay within the minimizing distance
-    along the direction: pi on S^n, and pi/max|d_i| on T^n, past which some
-    |u_i| > pi and the displacement wraps to a shorter one.
+    band (lam, lam + 1], one public kernel call at every dist >= 0; on the
+    torus x - y is dist times the unit direction.  Sphere spectral grids are
+    degrees pinned to their eigenvalues; band grids and torus grids are
+    thresholds.  taus are the rescaled distances the caller evaluates at each
+    lambda, one kernel call each.  Every tau/lambda must stay within the
+    minimizing distance along the direction: pi on S^n, and pi/max|d_i| on
+    T^n, past which some |u_i| > pi and the displacement wraps to a shorter one.
     """
     if manifold == "torus":
         lambdas = _lambda_grid(grid)
@@ -243,14 +243,10 @@ def _kernel(manifold: str, n: int, grid, direction, taus, *, band: bool = False)
         reach = math.pi / max(abs(v) for v in d)
         reach_name = f"pi/max|d_i| = {reach:.6g}"
         torus.check_radius(n, max(lambdas) + (1.0 if band else 0.0))
+        fn = torus.band_kernel_torus if band else torus.spectral_function_torus
 
-        def spectral(lam: float, dist: float) -> float:
-            return torus.spectral_function_torus(n, [v * dist for v in d], lam)
-
-        def band_kernel(lam: float, dist: float) -> float:
-            if dist == 0.0:
-                return torus.band_diagonal_sum(n, lam)
-            return torus.band_kernel_torus(n, [v * dist for v in d], lam)
+        def kernel(lam: float, dist: float) -> float:
+            return fn(n, [v * dist for v in d], lam)
 
     elif manifold == "sphere":
         if direction is not None:
@@ -259,12 +255,10 @@ def _kernel(manifold: str, n: int, grid, direction, taus, *, band: bool = False)
             )
         lambdas = _lambda_grid(grid) if band else _degree_grid(n, grid)[1]
         reach, reach_name = math.pi, "pi"
+        fn = sphere.band_kernel_sphere if band else sphere.spectral_function_sphere
 
-        def spectral(lam: float, dist: float) -> float:
-            return sphere.spectral_function_sphere(n, math.cos(dist), lam)
-
-        def band_kernel(lam: float, dist: float) -> float:
-            return sphere.band_kernel_sphere(n, math.cos(dist), lam)
+        def kernel(lam: float, dist: float) -> float:
+            return fn(n, math.cos(dist), lam)
 
     else:
         raise DomainError(f"manifold must be 'torus' or 'sphere', got {manifold!r}")
@@ -275,7 +269,7 @@ def _kernel(manifold: str, n: int, grid, direction, taus, *, band: bool = False)
         # call up to max_degree(lam + 1)
         steps = sum(sphere.max_degree(n, lam + 1.0 if band else lam) for lam in lambdas)
         _check_degree_budget(len(taus) * steps, KERNEL_DEGREE_BUDGET, "sphere kernel grid")
-    return lambdas, band_kernel if band else spectral
+    return lambdas, kernel
 
 
 def probe_weyl(manifold: str, n: int, grid=None) -> ProbeResult:

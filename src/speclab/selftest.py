@@ -144,23 +144,34 @@ def check_torus_count_bruteforce() -> None:
             assert torus.eigenvalue_count(n, float(lam)) == int(running[lam * lam])
 
 
+def _cube(n: int, top: int):
+    """Every integer vector of [-top, top]^n, one per row, and its squared norm."""
+    axis = np.arange(-top, top + 1)
+    pts = np.stack([g.ravel() for g in np.meshgrid(*[axis] * n, indexing="ij")], axis=1)
+    return pts, np.sum(pts * pts, axis=1)
+
+
+def _torus_shifts(n: int):
+    """Displacements that probe the torus kernels' special cases.
+
+    The origin, a generic shift, a last component of exactly 0 or 1e-9
+    (where the Dirichlet kernel is special or nearly so), and (pi, ..., pi).
+    """
+    return (
+        np.zeros(n),
+        np.linspace(0.3, -1.1, n),
+        np.append(np.full(n - 1, 2.9), 0.0),
+        np.append(np.full(n - 1, -0.4), 1e-9),
+        np.full(n, math.pi),
+    )
+
+
 def check_torus_kernel_bruteforce() -> None:
     for n, lam_max in ((2, 20), (3, 8)):
-        axis = np.arange(-lam_max, lam_max + 1)
-        pts = np.stack([g.ravel() for g in np.meshgrid(*[axis] * n, indexing="ij")], axis=1)
-        norms_sq = np.sum(pts * pts, axis=1)
-        # the origin, a generic shift, a last component of exactly 0 or 1e-9
-        # (where the Dirichlet kernel is special or nearly so), and (pi, ..., pi)
-        shifts = (
-            np.zeros(n),
-            np.linspace(0.3, -1.1, n),
-            np.append(np.full(n - 1, 2.9), 0.0),
-            np.append(np.full(n - 1, -0.4), 1e-9),
-            np.full(n, math.pi),
-        )
+        pts, norms_sq = _cube(n, lam_max)
         for lam in np.linspace(0.0, lam_max, 4 * lam_max + 1):
             inside = pts[norms_sq <= lam * lam]
-            for shift in shifts:
+            for shift in _torus_shifts(n):
                 ref = float(np.sum(np.cos(inside @ shift)))
                 got = torus.spectral_function_torus(n, shift, float(lam)) * TWO_PI ** n
                 assert abs(got - ref) <= 1e-12 * len(inside), f"n={n} lam={lam}: {got} vs {ref}"
@@ -220,6 +231,24 @@ def check_sphere_band_additivity() -> None:
                 - sphere.band_kernel_sphere(2, c, lam)
             )
             assert abs(gap) <= 1e-13 * max(1.0, sphere.spectral_function_sphere(2, 1.0, lam + 1.0))
+
+
+def check_torus_band_kernel() -> None:
+    # the band kernel against a direct sum over its annulus lambda < |k| <= lambda + 1
+    for n, lam_max in ((2, 20), (3, 8)):
+        pts, norms_sq = _cube(n, lam_max + 1)
+        for lam in np.linspace(0.0, lam_max, 4 * lam_max + 1):
+            lam = float(lam)
+            outer = norms_sq <= (lam + 1.0) ** 2
+            band = pts[outer & (norms_sq > lam * lam)]
+            zero = torus.band_kernel_torus(n, (0.0,) * n, lam)
+            assert zero == len(band) / TWO_PI ** n, f"n={n} lam={lam}: {zero}"
+            # each of the kernel's two cosine sums rounds on the scale of the outer count
+            scale = int(np.count_nonzero(outer))
+            for shift in _torus_shifts(n):
+                ref = float(np.sum(np.cos(band @ shift)))
+                got = torus.band_kernel_torus(n, shift, lam) * TWO_PI ** n
+                assert abs(got - ref) <= 1e-12 * scale, f"n={n} lam={lam}: {got} vs {ref}"
 
 
 def check_zonal_l2_normalization() -> None:
@@ -325,6 +354,7 @@ def run_selftest(out_dir: Path) -> int:
         ("sphere_multiplicities", check_sphere_multiplicities),
         ("sphere_kernel_bounds", check_sphere_kernel_bounds),
         ("sphere_band_additivity", check_sphere_band_additivity),
+        ("torus_band_kernel", check_torus_band_kernel),
         ("zonal_l2_normalization", check_zonal_l2_normalization),
         ("hw_norm_routes", check_hw_norm_routes),
         ("odd_nadirashvili", check_odd_nadirashvili),

@@ -120,7 +120,7 @@ def addition_kernel(n: int, m: int, cos_theta: float) -> float:
     Normalized so the diagonal value (cos_theta = 1) is multiplicity/area;
     for n = 2 this is (2m+1)/(4 pi) P_m(cos_theta).
     """
-    if abs(cos_theta) > 1.0:
+    if not abs(cos_theta) <= 1.0:  # NaN fails this too
         raise DomainError("cos_theta must lie in [-1, 1]")
     nu = (n - 1) / 2.0
     d = multiplicity(n, m)
@@ -135,7 +135,7 @@ def _kernel_telescopes(n: int, cos_theta: float, degrees) -> list[float]:
     (DLMF 18.9), so the sum telescopes to C_m^{nu+1}(t) + C_{m-1}^{nu+1}(t).  One
     recurrence serves every m.  At t = 1 on S^2 it runs in exact integers.
     """
-    if abs(cos_theta) > 1.0:
+    if not abs(cos_theta) <= 1.0:  # NaN fails this too
         raise DomainError("cos_theta must lie in [-1, 1]")
     return [c + c_prev for c, c_prev in _gegenbauer_pairs((n + 1) / 2.0, cos_theta, degrees)]
 

@@ -242,7 +242,8 @@ def lattice_shells(n: int, radius: float) -> LatticeShells:
     r_2 counts a^2 + b^2 over the octant 0 <= b <= a, a >= 1, one column b at
     a time; each point stands for 8 points of Z^2 minus the origin, or for 4
     on an axis (b = 0, j = a^2) or a diagonal (b = a, j = 2 a^2).
-    r_3(j) = sum_c r_2(j - c^2).
+    r_3(j) = sum_c r_2(j - c^2) = r_2(j) + 2 sum_{c >= 1} r_2(j - c^2), the
+    slices c >= 1 added into one array that is doubled once.
     """
     import numpy as np
     check_radius(n, radius)
@@ -259,8 +260,10 @@ def lattice_shells(n: int, radius: float) -> LatticeShells:
     counts[0] = 1
     if n == 3:
         r2, counts = counts, np.zeros_like(counts)
-        for c in range(-top, top + 1):
+        for c in range(1, top + 1):
             counts[c * c:] += r2[: bound + 1 - c * c]
+        counts *= 2
+        counts += r2
     values = np.flatnonzero(counts != 0)
     radii = np.sqrt(values.astype(np.float64))
     mult = counts[values].astype(np.float64)
@@ -298,7 +301,7 @@ def _row_factors(head: list[float], x: float, top: int) -> tuple[list[list[float
 
 
 def _cosine_sums(n: int, u, radii) -> list[float]:
-    """The cosine sum of spectral_function_torus over (2 pi)^n at each radius, in order.
+    """sum over |k| <= radius of cos(k . u) at each radius in order, not yet over (2 pi)^n.
 
     Each radius is checked in turn; the cosines and Dirichlet kernels are
     built once, for the largest, and every smaller sum reads their prefix.
@@ -308,7 +311,7 @@ def _cosine_sums(n: int, u, radii) -> list[float]:
         check_radius(n, radius)
     bounds = [norm_sq_bound(radius) for radius in radii]
     cosines, kernel = _row_factors(head, x, math.isqrt(max(bounds)))
-    return [_row_sum(bound, cosines, kernel, _mirrored) / TWO_PI ** n for bound in bounds]
+    return [_row_sum(bound, cosines, kernel, _mirrored) for bound in bounds]
 
 
 def spectral_function_torus(n: int, u, lam: float, *, enum=None) -> float:
@@ -323,17 +326,18 @@ def spectral_function_torus(n: int, u, lam: float, *, enum=None) -> float:
     integer-valued float, so the sum is exactly the count N(lambda).  `enum`
     is unused and stays only until ROADMAP item 0 changes the tracer.
     """
-    return _cosine_sums(n, u, (lam,))[0]
+    return _cosine_sums(n, u, (lam,))[0] / TWO_PI ** n
 
 
 def band_kernel_torus(n: int, u, lam: float) -> float:
     """The band kernel e(x, y, lambda + 1) - e(x, y, lambda) of (lambda, lambda + 1], x - y = u.
 
-    Bit-equal to the difference of the two spectral_function_torus calls,
-    whose cosine sums share their cosines and Dirichlet kernels here.
+    The two cosine sums share their cosines and Dirichlet kernels and are
+    subtracted before the one division by (2 pi)^n, so at u = 0 the kernel
+    is the exact count difference, bit-equal to band_diagonal_sum.
     """
     outer, inner = _cosine_sums(n, u, (lam + 1.0, lam))
-    return outer - inner
+    return (outer - inner) / TWO_PI ** n
 
 
 def derivative_diagonal_sum(n: int, alpha, beta, lam: float, *, enum=None) -> float:

@@ -275,11 +275,22 @@ class TestGegenbauer:
         for m, nu in ((7, 0.5), (20, 1.0), (13, 1.5)):
             assert np.max(np.abs(gegenbauer(m, nu, ts))) <= gegenbauer_at_one(m, nu) * (1 + 1e-12)
 
+    @pytest.mark.parametrize("nu", [0.5, 1.0, 1.5, 2.0, 2.5])
+    def test_at_one_is_the_rounded_binomial(self, nu):
+        # C_m^nu(1) = (m + 2 nu - 1 choose m); a product of m float ratios
+        # lands up to 102 ulps off at nu = 3/2 and m <= 2000
+        for m in range(2001):
+            assert gegenbauer_at_one(m, nu) == float(math.comb(m + int(2 * nu) - 1, m))
+
     def test_domain(self):
         with pytest.raises(DomainError):
             addition_kernel(2, 3, 1.5)
         with pytest.raises(DomainError):
+            addition_kernel(2, 3, math.nan)
+        with pytest.raises(DomainError):
             gegenbauer_at_one(-1, 0.5)
+        with pytest.raises(DomainError):
+            gegenbauer_at_one(5, 0.3)
 
     @staticmethod
     def _numpy_scalar_pair(m, nu, t):

@@ -324,16 +324,7 @@ def _band_reference(manifold, n, direction):
     if manifold == "sphere":
         return lambda lam, dist: sphere.band_kernel_sphere(n, math.cos(dist), lam)
     d = np.array(torus.default_direction(n)) if direction is None else _unit(direction)
-
-    def band(lam, dist):
-        if dist == 0.0:
-            return torus.band_diagonal_sum(n, lam)
-        u = d * dist
-        return torus.spectral_function_torus(n, u, lam + 1.0) - torus.spectral_function_torus(
-            n, u, lam
-        )
-
-    return band
+    return lambda lam, dist: torus.band_kernel_torus(n, d * dist, lam)
 
 
 BAND_CASES = [

@@ -199,6 +199,13 @@ class TestAdditionKernel:
     def test_domain(self):
         with pytest.raises(DomainError):
             addition_kernel(2, 3, 1.2)
+        # NaN compares false with everything, so a check written as |t| > 1 let it through
+        with pytest.raises(DomainError):
+            addition_kernel(2, 3, math.nan)
+        for kernel in (spectral_function_sphere, band_kernel_sphere):
+            for t in (1.2, math.nan):
+                with pytest.raises(DomainError):
+                    kernel(2, t, 10.0)
 
 
 class TestSpectralFunction:
@@ -586,6 +593,16 @@ class TestNodalGap:
         target = float(special.jn_zeros(0, 1)[0])
         errs = [abs(p - target) for p in prods]
         assert all(a >= b for a, b in zip(errs, errs[1:]))
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 16")
+@pytest.mark.parametrize("m", [5000, 20_000, 99_000])
+def test_nodal_gap_on_s3_against_its_exact_value(m):
+    # C_m^1(cos theta) = sin((m + 1) theta)/sin theta, so theta_1 = pi/(m + 1)
+    # exactly; the zero found in t = cos(theta) is off by 7.3e-12, 7.9e-10 and
+    # 1.4e-9 relative at these degrees
+    exact = math.pi / (m + 1)
+    assert abs(nodal_gap_zonal(3, m) - exact) <= 1e-13 * exact
 
 
 @pytest.mark.parametrize("n", [2, 3, 10, 150])
