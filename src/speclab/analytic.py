@@ -45,14 +45,13 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
-# Zeros of J_nu / x^nu by Newton on Phi_n's rule (_profile_zero).  The rule's
-# absolute error does not fall with x as the profile does, so over the zeros
-# below PHI_ZERO_TAU_MAX the error against scipy grows with 2 nu: 2.8e-14 at 0,
-# 5.7e-11 at ZERO_POWER_MAX = 4, 3.0e-10 at 5.  First zeros were within 7.0e-13
-# up to 2 nu = PROFILE_POWER_MAX; from 34 on McMahon's seed misses its bracket.
+# Zeros of Lambda_nu = J_nu / x^nu by Newton on Miller's recurrence
+# (_profile_zero).  Its error falls with x as the profile does, so every zero
+# below PHI_ZERO_TAU_MAX for every 2 nu <= PROFILE_POWER_MAX was within 1.8e-14
+# of 30-digit mpmath and 7.1e-14 of scipy's brentq, whose own error is most of
+# that; from 2 nu = 34 on McMahon's seed misses its bracket.
 ZERO_TOL = 1e-10
 PHI_ZERO_TAU_MAX = 200.0
-ZERO_POWER_MAX = 4
 PROFILE_POWER_MAX = 30
 
 # largest Gauss-Legendre order gauss_legendre_rule builds
@@ -345,62 +344,61 @@ def gauss_legendre_rule(order: int) -> QuadratureRule:
 
 
 # --------------------------------------------------------------------------
-# the radial kernel Phi_n and the Bessel profile Lambda_nu, on one rule
+# Miller's algorithm for the Bessel profile Lambda_nu = J_nu(x) / x^nu, and Phi_n from it
 
 
-# Phi_n's rule: [0, pi] in max(1, ceil(tau / PHI_TAU_PER_PIECE)) equal pieces,
-# each carrying the PHI_PIECE_ORDER-node Gauss-Legendre rule; cos(tau cos psi)
-# needs roughly tau/2 nodes over [0, pi], so every piece keeps a wide margin
-PHI_PIECE_ORDER = 112
-PHI_TAU_PER_PIECE = 8.0
-
-# largest tau phi_kernel serves, a cost cap: 306 pieces, 34,272 node
-# evaluations in Python floats, 15-25 ms a call by the machine's load
-# (2 cores, Python 3.11.7)
+# largest tau (or x) that phi_kernel and bessel_profile serve; offdiag and
+# difference name it when they refuse a larger --tau (ROADMAP item 21)
 PHI_TAU_MAX = 2448.0
 
 
-@functools.cache
-def _phi_piece_rule() -> tuple[list[float], list[float]]:
-    """The PHI_PIECE_ORDER-node Gauss-Legendre rule on (-1, 1) as Python floats.
+def _miller_top(power: int, x: float) -> int:
+    """2N for the start order N = max(x, nu) + 30 + 12 x^(1/3) of _profile_pair, nu = power / 2.
 
-    Newton on P_m takes each positive node from gegenbauer_zeros' cosine seed
-    cos(pi (k - 1/4) / (m + 1/2)); the nodes are mirrored, and the weights are
-    gauss_legendre_rule's 2 / ((1 - t^2) P_m'(t)^2), so both are exactly
-    symmetric under t -> -t.
+    N is rounded up to nu plus an integer.  Starting at N puts a relative
+    error of about J_{N+1}(x) Y_nu(x) / (Y_{N+1}(x) J_nu(x)) on the order nu
+    (Gautschi, SIAM Review 9, 1967); for nu <= x, Debye's expansion (DLMF
+    10.19.6) puts it near exp(-(4 sqrt(2)/3) d^(3/2) / sqrt(x)) at N = x + d,
+    below e^-78 from the 12 x^(1/3) alone (40-digit mpmath: 3e-45 at
+    x = 2448).  The 30 keeps it small where x is small or nu > x.
     """
-    m = PHI_PIECE_ORDER
-    what = f"the zeros of C_{m}^0.5"
-    legendre = functools.partial(gegenbauer_value_and_deriv, m, 0.5)
-    half = [_newton(legendre, math.cos(math.pi * (k - 0.25) / (m + 0.5)), what) for k in range(1, m // 2 + 1)]
-    half_weights = [2.0 / ((1.0 - t) * (1.0 + t) * d * d) for t, (_, d) in zip(half, map(legendre, half))]
-    nodes = [-t for t in half] + half[::-1]
-    if not (-1.0 < nodes[0] and nodes[-1] < 1.0 and all(a < b for a, b in zip(nodes, nodes[1:]))):
-        raise NumericError(f"Newton from the cosine seeds lost one of {what}")
-    return nodes, half_weights + half_weights[::-1]
+    return power + 2 * math.ceil(max(x - 0.5 * power, 0.0) + 30.0 + 12.0 * x ** (1.0 / 3.0))
 
 
-def _poisson_integral(power: int, x: float) -> float:
-    """I_power(x) = Int_0^pi cos(x cos psi) sin^power psi dpsi, on Phi_n's composite rule.
+def _profile_pair(power: int, x: float) -> tuple[float, float]:
+    """(Lambda_nu(x), Lambda_{nu+1}(x)) for nu = power / 2 >= 0 and x >= 0, by Miller's algorithm.
 
-    Poisson's integral (DLMF 10.9.4): I_{2 nu}(x) = 2^nu Gamma(nu + 1/2) sqrt(pi) J_nu(x) / x^nu.
+    J_{k-1} = (2k/x) J_k - J_{k+1}, times x^(1-k), is Lambda_{k-1} =
+    2k Lambda_k - x^2 Lambda_{k+1}; it runs down from the order _miller_top
+    gives, and is normalized by J_0 + 2 sum_k J_{2k} = 1 for integer nu, or by
+    the larger in size of Lambda_{1/2} = sqrt(2/pi) sin(x)/x and
+    Lambda_{-1/2} = sqrt(2/pi) cos(x).  No power of x or gamma function is
+    formed, so x = 0 needs no branch.  Rounding: each value lies within 5e-14
+    of the envelope min(Lambda_nu(0), sqrt(2/(pi x)) / x^nu) for 2 nu <= 30 and
+    x <= PHI_TAU_MAX; measured, 1.8e-14 from 40-digit mpmath, and a start 50
+    orders higher moved it by at most 1.4e-14.
     """
-    nodes, weights = _phi_piece_rule()
-    pieces = max(1, math.ceil(x / PHI_TAU_PER_PIECE))
-    terms = []
-    for k in range(pieces):
-        a, b = math.pi * k / pieces, math.pi * (k + 1) / pieces
-        half = 0.5 * (b - a)
-        for t, w in zip(nodes, weights):
-            psi = a + half * (t + 1.0)
-            terms.append(half * w * (math.cos(x * math.cos(psi)) * math.sin(psi) ** power))
-    return math.fsum(terms)
-
-
-def _phi_quadrature(n: int, tau: float) -> float:
-    # Phi_n(tau) = (2 pi)^{-n} vol(B_{n-1}) Int_{-1}^{1} cos(tau t)(1-t^2)^{(n-1)/2} dt,
-    # which is I_n(tau) after t = cos(psi); up to tau = 8 the rule is one piece
-    return ball_volume(n - 1) / TWO_PI ** n * _poisson_integral(n, tau)
+    above, f = 0.0, 1.0
+    even_sum = value = upper = 0.0  # even_sum = sum_{k >= 1} x^{2k} Lambda_{2k}, by Horner
+    # x * (x * v): a rounded x^2 would shift every step alike, as if the recurrence
+    # ran at sqrt(fl(x^2)), and cost up to x/2 ulps of the envelope
+    for j in range(_miller_top(power, x), 0, -2):  # j = 2k, and f becomes Lambda_{k-1}
+        above, f = f, j * f - x * (x * above)
+        if j == power + 4:
+            upper = f
+        elif j == power + 2:
+            value = f
+        if j % 4 == 2 and j > 4:
+            even_sum = x * (x * (f + even_sum))
+        if abs(f) > 2.0 ** 830:  # a power of two: rescaling rounds nothing above the subnormals
+            above, f, even_sum, value, upper = (v * 2.0 ** -830 for v in (above, f, even_sum, value, upper))
+    if power % 2 == 0:
+        scale = 1.0 / (f + 2.0 * even_sum)
+    elif abs(math.sin(x)) >= abs(math.cos(x)):
+        scale = math.sqrt(2.0 / math.pi) * math.sin(x) / x / above
+    else:
+        scale = math.sqrt(2.0 / math.pi) * math.cos(x) / f
+    return value * scale, upper * scale
 
 
 def _profile_power(nu: float) -> int:
@@ -413,13 +411,13 @@ def _profile_power(nu: float) -> int:
 def bessel_profile(nu: float, x: float) -> float:
     """Lambda_nu(x) = J_nu(x) / x^nu, for half-integer 0 <= nu <= 15 and 0 <= x <= PHI_TAU_MAX.
 
-    I_{2 nu}(x) / (2^nu Gamma(nu + 1/2) sqrt(pi)), so Phi_n = Lambda_{n/2} / (2 pi)^{n/2}.
-    Against scipy's jv(nu, x) / x^nu on (0, 60] it was within 1e-14 Lambda_nu(0).
+    Phi_n = Lambda_{n/2} / (2 pi)^{n/2}.  Against scipy's jv(nu, x) / x^nu on
+    (0, 60] it was within 1e-14 Lambda_nu(0).
     """
     power = _profile_power(nu)
     if not 0.0 <= x <= PHI_TAU_MAX:
         raise DomainError(f"x must lie in [0, {PHI_TAU_MAX:g}], got {x}")
-    return _poisson_integral(power, x) / (2.0 ** nu * math.gamma(nu + 0.5) * math.sqrt(math.pi))
+    return _profile_pair(power, x)[0]
 
 
 def _index_text(i) -> str:
@@ -431,23 +429,19 @@ def _index_text(i) -> str:
 
 
 def _profile_zero(power: int, i: int, what: str) -> float:
-    """The i-th positive zero of I_power, up to PHI_ZERO_TAU_MAX, by Newton from McMahon's seed.
+    """The i-th positive zero of Lambda_{power/2}, up to PHI_ZERO_TAU_MAX, by Newton from McMahon's seed.
 
     The seed (DLMF 10.21.19, through (8 beta)^-5) lies within 0.42 of its zero
     on the served domain; a sign change across seed +- 1/2, narrower than half
     the gap of consecutive zeros (at least j_{0,2} - j_{0,1} = 3.12), confirms
     it.  Newton converges quadratically, so the iterate after its first step
-    of at most ZERO_TOL sits at the rule's noise floor.  Zeros grow with nu and
-    j_{0,i} > (i - 1/4) pi, so an i past PHI_ZERO_TAU_MAX / pi + 1/4 is refused
-    at once; an int compares exactly with a float, however large it is.  Past
-    power ZERO_POWER_MAX only the first zero is served.
+    of at most ZERO_TOL sits at the profile's rounding floor; one _profile_pair
+    gives each step Lambda_nu and Lambda_nu' = -x Lambda_{nu+1}.  Zeros grow
+    with nu and j_{0,i} > (i - 1/4) pi, so an i past PHI_ZERO_TAU_MAX / pi + 1/4
+    is refused at once; an int compares exactly with a float, however large.
     """
     if not isinstance(i, int) or i < 1:
         raise DomainError(f"zero index must be an integer >= 1, got {_index_text(i)}")
-    if i > 1 and power > ZERO_POWER_MAX:
-        raise DomainError(
-            f"zero {_index_text(i)} of {what}: past the first, zeros are served for nu <= 2"
-        )
     if i > PHI_ZERO_TAU_MAX / math.pi + 0.25:
         raise DomainError(f"zero {_index_text(i)} of {what} lies beyond tau = {PHI_ZERO_TAU_MAX}")
     mu = float(power * power)  # 4 nu^2
@@ -456,11 +450,12 @@ def _profile_zero(power: int, i: int, what: str) -> float:
     seed = (beta - (mu - 1.0) * r - 4.0 / 3.0 * (mu - 1.0) * (7.0 * mu - 31.0) * r ** 3
             - 32.0 / 15.0 * (mu - 1.0) * (83.0 * mu * mu - 982.0 * mu + 3779.0) * r ** 5)
     lo, hi = seed - 0.5, seed + 0.5
-    if (_poisson_integral(power, lo) < 0.0) == (_poisson_integral(power, hi) < 0.0):
+    if (_profile_pair(power, lo)[0] < 0.0) == (_profile_pair(power, hi)[0] < 0.0):
         raise NumericError(f"no sign change of {what} across [{lo:g}, {hi:g}], around zero {i}")
 
-    def value_and_deriv(x: float) -> tuple[float, float]:  # I_p' = -x I_{p+2} / (p + 1), by parts
-        return _poisson_integral(power, x), -x * _poisson_integral(power + 2, x) / (power + 1)
+    def value_and_deriv(x: float) -> tuple[float, float]:
+        value, upper = _profile_pair(power, x)
+        return value, -x * upper
 
     zero = _newton(value_and_deriv, seed, f"zero {i} of {what}", tol=ZERO_TOL)
     if not lo <= zero <= hi:
@@ -471,7 +466,7 @@ def _profile_zero(power: int, i: int, what: str) -> float:
 
 
 def bessel_zero(nu: float, i: int) -> float:
-    """j_{nu,i}: each zero up to PHI_ZERO_TAU_MAX for nu <= 2, the first for nu <= 15."""
+    """j_{nu,i} for half-integer 0 <= nu <= 15: each zero up to PHI_ZERO_TAU_MAX."""
     return _profile_zero(_profile_power(nu), i, f"J_{nu:g}")
 
 
@@ -518,10 +513,12 @@ def phi_kernel_bessel(n: int, tau: float) -> float:
 
 
 def phi_kernel(n: int, tau: float) -> float:
-    """Phi_n(tau) by quadrature, cross-checked against the Bessel form for n in {2, 3}.
+    """Phi_n(tau) = Lambda_{n/2}(tau) / (2 pi)^{n/2}, checked against the Bessel form for n in {2, 3}.
 
     Phi_n(0) equals the diagonal Weyl constant; the zeros of Phi_n mark the
     rescaled distances where the off-diagonal leading term degenerates.
+    n runs to 342, the last n whose vol(B_{n-1}) = pi^((n-1)/2) / Gamma((n+1)/2)
+    is a float; past it OverflowError is raised.
     """
     if n < 2:
         raise DomainError(f"dimension must be >= 2, got {n}")
@@ -529,20 +526,22 @@ def phi_kernel(n: int, tau: float) -> float:
         raise DomainError(f"tau must be >= 0, got {tau}")
     if tau > PHI_TAU_MAX:
         raise DomainError(f"tau = {tau:g} exceeds the largest supported tau, {PHI_TAU_MAX:g}")
-    value = _phi_quadrature(n, tau)
+    if n > 342:
+        raise OverflowError(f"Phi_{n}: Gamma((n + 1)/2) overflows a float past n = 342")
+    value = _profile_pair(n, tau)[0] / TWO_PI ** (0.5 * n)
     if n in (2, 3):
         other = phi_kernel_bessel(n, tau)
         if abs(value - other) > 1e-9:
             raise NumericError(
-                f"Phi_{n}({tau}): quadrature {value!r} and Bessel {other!r} routes disagree"
+                f"Phi_{n}({tau}): recurrence {value!r} and Bessel {other!r} routes disagree"
             )
     return value
 
 
 def phi_kernel_zero(n: int, i: int) -> float:
-    """i-th positive zero of Phi_n, j_{n/2,i}: within ZERO_TOL up to PHI_ZERO_TAU_MAX, n <= 4."""
-    if not 2 <= n <= ZERO_POWER_MAX:
-        raise DomainError(f"zeros are served for 2 <= n <= 4 (rule noise grows with n), got n={n}")
+    """i-th positive zero of Phi_n, j_{n/2,i}, up to PHI_ZERO_TAU_MAX for 2 <= n <= PROFILE_POWER_MAX."""
+    if not 2 <= n <= PROFILE_POWER_MAX:
+        raise DomainError(f"zeros are served for 2 <= n <= {PROFILE_POWER_MAX}, got n={n}")
     return _profile_zero(n, i, f"Phi_{n}")
 
 

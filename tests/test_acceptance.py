@@ -18,12 +18,12 @@ import speclab
 from speclab.analytic import (
     MultiIndex,
     ball_moment,
+    bessel_profile,
     deriv_weyl_constant,
     phi_kernel,
     phi_kernel_bessel,
     phi_kernel_zero,
     weyl_constant,
-    _phi_quadrature,
 )
 from speclab.probes import (
     fit_scaling,
@@ -181,9 +181,8 @@ def test_criterion_12_analytic_cross_checks():
             assert abs(phi_kernel(n, 0.0) - weyl_constant(n)) <= 1e-12
         taus = np.arange(0.0, 30.0001, 0.1)
         for n in (2, 3):
-            sup = max(
-                abs(_phi_quadrature(n, float(t)) - phi_kernel_bessel(n, float(t))) for t in taus
-            )
+            route = [bessel_profile(n / 2.0, float(t)) / TWO_PI ** (n / 2.0) for t in taus]
+            sup = max(abs(v - phi_kernel_bessel(n, float(t))) for v, t in zip(route, taus))
             assert sup <= 1e-9
         for i in (1, 2, 3):
             z = phi_kernel_zero(3, i)
