@@ -23,7 +23,6 @@ __all__ = [
     "QuadratureRule",
     "gamma",
     "double_factorial",
-    "ball_volume",
     "sphere_area",
     "weyl_constant",
     "deriv_weyl_constant",
@@ -143,15 +142,6 @@ def double_factorial(k: int) -> int:
     return out
 
 
-def ball_volume(n: int) -> float:
-    """Volume of the unit ball in R^n (n >= 0)."""
-    if n < 0:
-        raise DomainError("ball dimension must be >= 0")
-    if n == 1:
-        return 2.0  # math.gamma(1.5) rounds the quotient one ulp low
-    return math.pi ** (n / 2.0) / math.gamma(1.0 + n / 2.0)
-
-
 def sphere_area(dim: int) -> float:
     """Surface area of the unit sphere S^dim embedded in R^{dim+1}."""
     if dim < 0:
@@ -213,26 +203,41 @@ def ball_moment(n: int, gam: MultiIndex) -> float:
 # Gegenbauer / Legendre machinery
 
 
-def _check_gegenbauer_args(m: int, nu: float) -> None:
-    if m < 0:
-        raise DomainError(f"degree must be >= 0, got {m}")
+def _check_gegenbauer_args(m: int, nu: float, least: int = 0) -> None:
+    if m < least:
+        raise DomainError(f"degree must be >= {least}, got {m}")
     if not nu > 0.0:
         raise DomainError(f"Gegenbauer parameter must be positive, got {nu}")
 
 
-def _gegenbauer_pairs(nu: float, t, degrees):
-    """(C_m^nu(t), C_{m-1}^nu(t)) at each of the ascending `degrees`, from one three-term recurrence.
+def _pairs_in_s(nu: float, s, degrees):
+    """(C_m^nu(1 - s), C_{m-1}^nu(1 - s)) at each of the ascending `degrees`, by Reinsch's recurrence.
 
-    t is a float or an array, and the arithmetic is the same for both: floats
-    in give floats out, arrays give arrays, at every degree (C_{-1} = 0).
+    D_k = C_k - C_{k-1} obeys k D_k = (k + 2 nu - 2) D_{k-1} - 2 (k + nu - 1) s C_{k-1}
+    (DLMF 18.9.1 at t = 1 - s; Stoer and Bulirsch, 2.3), which carries s itself
+    near the pole, where a rounded t = cos(theta) costs digits as 1/s.  A float
+    s gives floats and an array arrays, by the same arithmetic (C_{-1} = 0).
     """
-    c_prev = t - t  # +0.0 for every finite t, or an array of them
-    c = c_prev + 1.0
+    c_prev = s - s  # +0.0 for every finite s, or an array of them
+    c = d = c_prev + 1.0
+    two_nu, two_s = 2.0 * nu, 2.0 * s
     k = 0
     for m in degrees:
         for k in range(k + 1, m + 1):
-            c_prev, c = c, (2.0 * t * (k + nu - 1.0) * c - (k + 2.0 * nu - 2.0) * c_prev) / k
+            d = ((k + two_nu - 2.0) * d - (k + nu - 1.0) * two_s * c) / k
+            c_prev, c = c, c + d
         yield c, c_prev
+
+
+def _gegenbauer_pairs(nu: float, t, degrees):
+    """(C_m^nu(t), C_{m-1}^nu(t)) at each of the ascending `degrees`, float or array t in [-1, 1].
+
+    _pairs_in_s at s = 1 - |t|, exact for |t| >= 1/2 (Sterbenz), then C_k(t) =
+    sign(t)^k C_k(|t|), -0.0 positive; s = 1 - t would lose digits near t = -1.
+    """
+    sign = 1.0 - 2.0 * (t < 0.0)
+    for m, (c, c_prev) in zip(degrees, _pairs_in_s(nu, 1.0 - abs(t), degrees)):
+        yield (sign * c, c_prev) if m % 2 else (c, sign * c_prev)
 
 
 def gegenbauer_value_and_deriv(m: int, nu: float, t):
@@ -268,40 +273,49 @@ def gegenbauer_derivatives(m: int, nu: float, t, order: int) -> list:
     return out
 
 
-def _newton(fn, x, what: str, *, tol: float = NEWTON_TOL, from_pole: bool = False):
+def _newton(fn, x, what: str, *, tol: float = NEWTON_TOL, relative: bool = False, toward: int = 0):
     """Newton's method for fn(x) -> (value, derivative), at a float or elementwise over an array x.
 
-    Returns the iterate after the first step whose every entry is at most
-    tol.  from_pole marks a float x to the right of every zero of a
-    polynomial whose zeros are all real; from there the iterates fall
-    monotonically to its largest zero, and a step that raises them instead
-    is refused.
+    Returns the iterate after the first step of at most tol in every entry, or
+    tol times the float iterate if relative.  toward = -1 (+1) marks a float x
+    above (below) every zero of a polynomial whose zeros are all real: the
+    iterates fall (rise) monotonically to the nearest, and a step back is refused.
     """
     for _ in range(NEWTON_MAX_STEPS):
         val, der = fn(x)
         step = val / der
-        if from_pole and step < -tol:
-            raise NumericError(f"Newton iterates for {what} rose on the way down from t = 1")
+        bound = tol * abs(x) if relative else tol
+        if toward and toward * step > bound:
+            raise NumericError(f"Newton iterates for {what} {'rose' if toward < 0 else 'fell'} from the pole")
         x = x - step
-        if (abs(step) if isinstance(step, float) else abs(step).max()) <= tol:
+        if (abs(step) if isinstance(step, float) else abs(step).max()) <= bound:
             return x
     raise NumericError(f"Newton refinement for {what} did not settle in {NEWTON_MAX_STEPS} steps")
 
 
 def largest_zero(fn, what: str) -> float:
-    """Largest zero of a polynomial with only real zeros, all below 1, by Newton from t = 1.
+    """Largest zero of a polynomial with only real zeros, all below 1, by Newton from t = 1; fn(t) -> (p, p')."""
+    return _newton(fn, 1.0, what, toward=-1)
 
-    fn(t) returns the polynomial and its derivative at a float t.
+
+def _first_zero_in_s(m: int, nu: float) -> float:
+    """s_1 = 1 - t_1, t_1 the largest zero of C_m^nu, by Newton in s from s = 0.
+
+    s_1 falls as m^-2, so the search stops on a step relative to s.
     """
-    return _newton(fn, 1.0, what, from_pole=True)
+    _check_gegenbauer_args(m, nu, 1)
+
+    def value_and_deriv(s: float) -> tuple[float, float]:  # d/dt C_m^nu = 2 nu C_{m-1}^{nu+1}
+        ((val, _),) = _pairs_in_s(nu, s, (m,))
+        ((der, _),) = _pairs_in_s(nu + 1.0, s, (m - 1,))
+        return val, -2.0 * nu * der
+
+    return _newton(value_and_deriv, 0.0, f"C_{m}^{nu:g}", relative=True, toward=1)
 
 
 def gegenbauer_largest_zero(m: int, nu: float) -> float:
-    """Largest zero of C_m^nu (m >= 1, any nu > 0), by Newton from t = 1."""
-    _check_gegenbauer_args(m, nu)
-    if m < 1:
-        raise DomainError("zero finding requires degree >= 1")
-    return largest_zero(lambda t: gegenbauer_derivatives(m, nu, t, 1), f"C_{m}^{nu:g}")
+    """Largest zero of C_m^nu (m >= 1, any nu > 0), as 1 - s_1 from _first_zero_in_s."""
+    return 1.0 - _first_zero_in_s(m, nu)
 
 
 def gegenbauer_zeros(m: int, nu: float) -> np.ndarray:
@@ -315,9 +329,7 @@ def gegenbauer_zeros(m: int, nu: float) -> np.ndarray:
     (-1, 1) or not strictly increasing, NumericError is raised.
     """
     import numpy as np
-    _check_gegenbauer_args(m, nu)
-    if m < 1:
-        raise DomainError("zero finding requires degree >= 1")
+    _check_gegenbauer_args(m, nu, 1)
     k = np.arange(m, 0, -1, dtype=float)
     x = np.cos(math.pi * (k + 0.5 * nu - 0.5) / (m + nu))
     x = _newton(lambda t: gegenbauer_value_and_deriv(m, nu, t), x, f"the zeros of C_{m}^{nu:g}")

@@ -217,7 +217,9 @@ def _snap_zero(n: int, limit: float) -> float:
 
 def _snap_phi_limit(n: int, tau: float) -> float:
     """Phi_n(tau), collapsed to an exact 0.0 when tau sits on a kernel zero."""
-    # Phi_n(0) is the diagonal constant; avoid quadrature noise on it
+    # Lambda_{n/2}(0)/(2 pi)^{n/2} rounds differently from weyl_constant(n), by up
+    # to 8.9e-16 relative (n = 31; 4.4e-16 at n = 3), so tau = 0 takes c_n itself:
+    # offdiag then predicts weyl's limit bit for bit, and difference exactly 0
     return weyl_constant(n) if tau == 0.0 else _snap_zero(n, phi_kernel(n, tau))
 
 

@@ -21,6 +21,7 @@ from .analytic import (
     gegenbauer_largest_zero,
     gegenbauer_zeros,
     largest_zero,
+    _first_zero_in_s,
     _gegenbauer_pairs,
     sphere_area,
 )
@@ -375,11 +376,10 @@ def nodal_gap_zonal(n: int, m: int) -> float:
     """theta_1, the colatitude of the first zero of Z_m: the polar nodal domain is the cap it bounds.
 
     The pole is the concentration point, so theta_1 is simultaneously the
-    nodal distance from the concentrating set and the cap's inner radius.
+    nodal distance from the concentrating set and the cap's inner radius,
+    found in s = 1 - cos(theta) = 2 sin^2(theta/2) with no cosine rounded.
     """
-    if m < 1:
-        raise DomainError("nodal gap requires degree >= 1")
-    return math.acos(gegenbauer_largest_zero(m, (n - 1) / 2.0))
+    return 2.0 * math.asin(math.sqrt(0.5 * _first_zero_in_s(m, (n - 1) / 2.0)))
 
 
 def nadirashvili_ratio(n: int, m: int) -> float:

@@ -267,6 +267,21 @@ class TestGegenbauer:
             ref = special.eval_gegenbauer(m, nu, ts) if nu != 0.5 else special.eval_legendre(m, ts)
             np.testing.assert_allclose(mine, ref, rtol=1e-11, atol=1e-12)
 
+    @pytest.mark.parametrize("nu", [0.5, 1.0, 1.5, 2.0, 5.0])
+    def test_pairs_against_mpmath_near_the_poles(self, nu):
+        # 40-digit three-term recurrence at the same float t; run in floats, that
+        # cos(theta) form is up to 3.3e-12 C_m(1) off at these points
+        for m in (20, 400, 2000):
+            for t in (-1.0, -1.0 + 1e-9, -0.9999, -0.6, 0.0, 0.3, 0.999, 1.0 - 1e-7, 1.0 - 3e-12, 1.0):
+                ((c, c_prev),) = _gegenbauer_pairs(nu, t, (m,))
+                with mpmath.workdps(40):
+                    x, a = mpmath.mpf(t), mpmath.mpf(nu)
+                    ref_prev, ref = mpmath.mpf(0), mpmath.mpf(1)
+                    for k in range(1, m + 1):
+                        ref_prev, ref = ref, (2 * x * (k + a - 1) * ref - (k + 2 * a - 2) * ref_prev) / k
+                    err = max(abs(c - ref), abs(c_prev - ref_prev))
+                assert err <= 1e-14 * gegenbauer_at_one(m, nu), (m, t)
+
     def test_bounded_by_diagonal(self):
         ts = np.linspace(-1.0, 1.0, 501)
         for m, nu in ((7, 0.5), (20, 1.0), (13, 1.5)):
@@ -291,11 +306,15 @@ class TestGegenbauer:
 
     @staticmethod
     def _numpy_scalar_pair(m, nu, t):
-        # the recurrence as it runs on a 0-d array: numpy scalar arithmetic
-        c_prev, c = np.zeros_like(t), np.ones_like(t)
+        # Reinsch's recurrence at s = 1 - |t| as it runs on a 0-d array (numpy
+        # scalar arithmetic), then C_k(t) = sign(t)^k C_k(|t|), -0.0 positive
+        s = 1.0 - abs(t)
+        c_prev, c, d = np.zeros_like(t), np.ones_like(t), np.ones_like(t)
         for k in range(1, m + 1):
-            c_prev, c = c, (2.0 * t * (k + nu - 1.0) * c - (k + 2.0 * nu - 2.0) * c_prev) / k
-        return c, c_prev
+            d = ((k + 2.0 * nu - 2.0) * d - 2.0 * (k + nu - 1.0) * s * c) / k
+            c_prev, c = c, c + d
+        sign = -1.0 if t < 0.0 else 1.0
+        return (sign * c, c_prev) if m % 2 else (c, sign * c_prev)
 
     def test_scalar_route_matches_array_route(self):
         # bit for bit (float.hex tells -0.0 from 0.0): one pass over ascending

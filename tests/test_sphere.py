@@ -1,6 +1,7 @@
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -259,14 +260,20 @@ class TestBandKernel:
 
 
 def _two_recurrence_band(n, t, lam):
-    """The band kernel as one recurrence to each end of the band, as it was computed before."""
+    """The band kernel as one recurrence to each end of the band, as it was computed before.
+
+    Each recurrence is Reinsch's, at s = 1 - |t|, with C_k(t) = sign(t)^k C_k(|t|).
+    """
 
     def telescope(m):
         nu = (n + 1) / 2.0
-        c_prev, c = 0.0, 1.0
+        s = 1.0 - abs(t)
+        c_prev, c, d = 0.0, 1.0, 1.0
         for k in range(1, m + 1):
-            c_prev, c = c, (2.0 * t * (k + nu - 1.0) * c - (k + 2.0 * nu - 2.0) * c_prev) / k
-        return c + c_prev
+            d = ((k + 2.0 * nu - 2.0) * d - 2.0 * (k + nu - 1.0) * s * c) / k
+            c_prev, c = c, c + d
+        sign = -1.0 if t < 0.0 else 1.0
+        return sign * c + c_prev if m % 2 else c + sign * c_prev
 
     degs = band_degrees(n, lam)
     return (telescope(degs.stop - 1) - telescope(degs.start - 1)) / sphere_area(n)
@@ -595,14 +602,38 @@ class TestNodalGap:
         assert all(a >= b for a, b in zip(errs, errs[1:]))
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 16")
 @pytest.mark.parametrize("m", [5000, 20_000, 99_000])
 def test_nodal_gap_on_s3_against_its_exact_value(m):
     # C_m^1(cos theta) = sin((m + 1) theta)/sin theta, so theta_1 = pi/(m + 1)
-    # exactly; the zero found in t = cos(theta) is off by 7.3e-12, 7.9e-10 and
-    # 1.4e-9 relative at these degrees
+    # exactly; a zero found in t = cos(theta) and passed through acos misses it
+    # by 7.3e-12, 7.9e-10 and 1.4e-9 relative at these degrees
     exact = math.pi / (m + 1)
     assert abs(nodal_gap_zonal(3, m) - exact) <= 1e-13 * exact
+
+
+def _first_zero_in_theta(n, m):
+    """theta_1 of C_m^nu(cos theta) to 40 digits: scipy's root brackets it, mpmath refines it in theta."""
+    with mpmath.workdps(40):
+        nu = mpmath.mpf(n - 1) / 2
+
+        def gegenbauer(t):
+            c_prev, c = mpmath.mpf(0), mpmath.mpf(1)
+            for k in range(1, m + 1):
+                c_prev, c = c, (2 * t * (k + nu - 1) * c - (k + 2 * nu - 2) * c_prev) / k
+            return c
+
+        at_one = gegenbauer(mpmath.mpf(1))
+        seed = mpmath.acos(float(np.max(special.roots_gegenbauer(m, float(nu))[0])))
+        bracket = (seed * (1 - mpmath.mpf(1e-6)), seed * (1 + mpmath.mpf(1e-6)))
+        return float(mpmath.findroot(lambda th: gegenbauer(mpmath.cos(th)) / at_one, bracket, solver="anderson"))
+
+
+@pytest.mark.parametrize("m", [40, 400, 5000])
+@pytest.mark.parametrize("n", [2, 3, 10])
+def test_nodal_gap_against_mpmath_in_theta(n, m):
+    # the reference never rounds cos(theta); at n = 2 a zero found in t and
+    # passed through acos is off by 1.4e-14, 1.3e-12 and 1.8e-10 relative
+    assert nodal_gap_zonal(n, m) == pytest.approx(_first_zero_in_theta(n, m), rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("n", [2, 3, 10, 150])
