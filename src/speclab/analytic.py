@@ -29,10 +29,7 @@ __all__ = [
     "ball_moment",
     "gegenbauer_value_and_deriv",
     "gegenbauer_at_one",
-    "gegenbauer_derivatives",
-    "gegenbauer_largest_zero",
     "gegenbauer_zeros",
-    "largest_zero",
     "gauss_legendre_rule",
     "bessel_profile",
     "bessel_zero",
@@ -56,7 +53,7 @@ PROFILE_POWER_MAX = 30
 # largest Gauss-Legendre order gauss_legendre_rule builds
 QUAD_ORDER_MAX = 5000
 
-# Newton's method settles once every step is at most NEWTON_TOL in t
+# Newton's method settles once every step is at most NEWTON_TOL in t, or relative to s
 NEWTON_TOL = 1e-13
 NEWTON_MAX_STEPS = 100
 
@@ -229,15 +226,38 @@ def _pairs_in_s(nu: float, s, degrees):
         yield c, c_prev
 
 
+def _with_parity(sign, degrees, pairs):
+    """Pairs at |x| into pairs at x = sign |x|, sign +-1 or an array of them: C_k(-x) = (-1)^k C_k(x)."""
+    for m, (c, c_prev) in zip(degrees, pairs):
+        yield (sign * c, c_prev) if m % 2 else (c, sign * c_prev)
+
+
 def _gegenbauer_pairs(nu: float, t, degrees):
     """(C_m^nu(t), C_{m-1}^nu(t)) at each of the ascending `degrees`, float or array t in [-1, 1].
 
-    _pairs_in_s at s = 1 - |t|, exact for |t| >= 1/2 (Sterbenz), then C_k(t) =
-    sign(t)^k C_k(|t|), -0.0 positive; s = 1 - t would lose digits near t = -1.
+    _pairs_in_s at s = 1 - |t|, exact for |t| >= 1/2 (Sterbenz), then the
+    parity, -0.0 positive; s = 1 - t would lose digits near t = -1.
     """
-    sign = 1.0 - 2.0 * (t < 0.0)
-    for m, (c, c_prev) in zip(degrees, _pairs_in_s(nu, 1.0 - abs(t), degrees)):
-        yield (sign * c, c_prev) if m % 2 else (c, sign * c_prev)
+    return _with_parity(1.0 - 2.0 * (t < 0.0), degrees, _pairs_in_s(nu, 1.0 - abs(t), degrees))
+
+
+def _pairs_at_angle(nu: float, theta, degrees):
+    """C_m^nu and C_{m-1}^nu at cos(theta) for each ascending degree; theta a float in [0, pi], or an array.
+
+    s = 2 sin^2(theta/2) up to pi/2, and past it the parity at s = 2 cos^2(theta/2),
+    so no cosine of theta is rounded; a float theta never imports numpy.  Array
+    entries may be any angle (2 sin^2(x/2) = 1 - cos x and 2 cos^2(x/2) = 1 + cos x
+    for every x): _hoelder_proxy's shifted points pass pi at low degree.
+    """
+    far = theta > 0.5 * math.pi
+    if isinstance(theta, (int, float)):
+        if not 0.0 <= theta <= math.pi:  # NaN fails this too
+            raise DomainError(f"theta must lie in [0, pi], got {theta}")
+        half = (math.cos if far else math.sin)(0.5 * theta)
+    else:
+        import numpy as np
+        half = np.where(far, np.cos(0.5 * theta), np.sin(0.5 * theta))
+    return _with_parity(1.0 - 2.0 * far, degrees, _pairs_in_s(nu, 2.0 * half * half, degrees))
 
 
 def gegenbauer_value_and_deriv(m: int, nu: float, t):
@@ -258,51 +278,34 @@ def gegenbauer_at_one(m: int, nu: float) -> float:
     return float(math.comb(m + int(2.0 * nu) - 1, m))
 
 
-def gegenbauer_derivatives(m: int, nu: float, t, order: int) -> list:
-    """C_m^nu(t) and its first `order` t-derivatives: floats at a number t, arrays for an array.
-
-    d/dt C_k^nu = 2 nu C_{k-1}^{nu+1}, so the j-th derivative is
-    2^j (nu)_j C_{m-j}^{nu+j}, one recurrence each.  Nothing is divided by
-    1 - t^2, so t = +-1 are valid arguments.
-    """
-    out = []
-    factor = 1.0
-    for j in range(order + 1):
-        out.append(factor * next(_gegenbauer_pairs(nu + j, t, (m - j,)))[0] if j <= m else 0.0 * t)
-        factor *= 2.0 * (nu + j)
-    return out
-
-
-def _newton(fn, x, what: str, *, tol: float = NEWTON_TOL, relative: bool = False, toward: int = 0):
+def _newton(fn, x, what: str, *, tol: float = NEWTON_TOL, rising: bool = False):
     """Newton's method for fn(x) -> (value, derivative), at a float or elementwise over an array x.
 
-    Returns the iterate after the first step of at most tol in every entry, or
-    tol times the float iterate if relative.  toward = -1 (+1) marks a float x
-    above (below) every zero of a polynomial whose zeros are all real: the
-    iterates fall (rise) monotonically to the nearest, and a step back is refused.
+    Returns the iterate after the first step of at most tol in every entry.
+    rising marks a float x below every zero of a polynomial whose zeros are all
+    real: the iterates rise monotonically to the nearest, a step back is
+    refused, and the stop is tol times the iterate, since such zeros near the
+    pole s = 0 fall as m^-2 at degree m.
     """
     for _ in range(NEWTON_MAX_STEPS):
         val, der = fn(x)
         step = val / der
-        bound = tol * abs(x) if relative else tol
-        if toward and toward * step > bound:
-            raise NumericError(f"Newton iterates for {what} {'rose' if toward < 0 else 'fell'} from the pole")
+        bound = tol * abs(x) if rising else tol
+        if rising and step > bound:
+            raise NumericError(f"Newton iterates for {what} fell from the pole")
         x = x - step
         if (abs(step) if isinstance(step, float) else abs(step).max()) <= bound:
             return x
     raise NumericError(f"Newton refinement for {what} did not settle in {NEWTON_MAX_STEPS} steps")
 
 
-def largest_zero(fn, what: str) -> float:
-    """Largest zero of a polynomial with only real zeros, all below 1, by Newton from t = 1; fn(t) -> (p, p')."""
-    return _newton(fn, 1.0, what, toward=-1)
+def _zero_from_pole(fn, what: str, tol: float = NEWTON_TOL) -> float:
+    """Smallest zero in s = 1 - t of a polynomial with real zeros, all below t = 1; fn(s) -> (p, dp/ds)."""
+    return _newton(fn, 0.0, what, tol=tol, rising=True)
 
 
 def _first_zero_in_s(m: int, nu: float) -> float:
-    """s_1 = 1 - t_1, t_1 the largest zero of C_m^nu, by Newton in s from s = 0.
-
-    s_1 falls as m^-2, so the search stops on a step relative to s.
-    """
+    """s_1 = 1 - t_1, t_1 the largest zero of C_m^nu, by _zero_from_pole."""
     _check_gegenbauer_args(m, nu, 1)
 
     def value_and_deriv(s: float) -> tuple[float, float]:  # d/dt C_m^nu = 2 nu C_{m-1}^{nu+1}
@@ -310,12 +313,7 @@ def _first_zero_in_s(m: int, nu: float) -> float:
         ((der, _),) = _pairs_in_s(nu + 1.0, s, (m - 1,))
         return val, -2.0 * nu * der
 
-    return _newton(value_and_deriv, 0.0, f"C_{m}^{nu:g}", relative=True, toward=1)
-
-
-def gegenbauer_largest_zero(m: int, nu: float) -> float:
-    """Largest zero of C_m^nu (m >= 1, any nu > 0), as 1 - s_1 from _first_zero_in_s."""
-    return 1.0 - _first_zero_in_s(m, nu)
+    return _zero_from_pole(value_and_deriv, f"C_{m}^{nu:g}")
 
 
 def gegenbauer_zeros(m: int, nu: float) -> np.ndarray:

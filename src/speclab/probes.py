@@ -260,7 +260,7 @@ def _kernel(manifold: str, n: int, grid, direction, taus, *, band: bool = False)
         fn = sphere.band_kernel_sphere if band else sphere.spectral_function_sphere
 
         def kernel(lam: float, dist: float) -> float:
-            return fn(n, math.cos(dist), lam)
+            return fn(n, dist, lam)
 
     else:
         raise DomainError(f"manifold must be 'torus' or 'sphere', got {manifold!r}")
@@ -454,7 +454,7 @@ def _hoelder_proxy(n: int, m: int, lam: float, delta: float) -> float:
     base = np.linspace(0.0, 10.0 / lam, 201)
     seps = np.exp(np.linspace(math.log(0.1 / lam), math.log(10.0 / lam), 25))
     # row 0 is the base points, row i the base points shifted by seps[i-1]
-    z = fam.at(np.cos(np.concatenate(([0.0], seps))[:, None] + base))
+    z = fam.at(np.concatenate(([0.0], seps))[:, None] + base)
     diffs = np.max(np.abs(z[1:] - z[0]), axis=1)
     return max(float(d) / float(h) ** delta for d, h in zip(diffs, seps))
 

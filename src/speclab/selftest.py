@@ -200,22 +200,22 @@ def check_sphere_multiplicities() -> None:
 
 
 def check_sphere_kernel_bounds() -> None:
-    cs = np.linspace(-1.0, 1.0, 401)
+    thetas = np.linspace(0.0, math.pi, 401)
     for n in (2, 3):
         for m in (0, 1, 4, 9, 25):
-            diag = sphere.addition_kernel(n, m, 1.0)
-            assert all(abs(sphere.addition_kernel(n, m, float(c))) <= diag * (1 + 1e-12) for c in cs)
+            diag = sphere.addition_kernel(n, m, 0.0)
+            assert all(abs(sphere.addition_kernel(n, m, float(th))) <= diag * (1 + 1e-12) for th in thetas)
 
 
 def check_sphere_band_additivity() -> None:
     for lam in (3.0, 7.5, 12.0, 20.0):
-        for c in (-0.4, 0.2, 1.0):
+        for theta in (2.0, 1.4, 0.0):
             gap = (
-                sphere.spectral_function_sphere(2, c, lam + 1.0)
-                - sphere.spectral_function_sphere(2, c, lam)
-                - sphere.band_kernel_sphere(2, c, lam)
+                sphere.spectral_function_sphere(2, theta, lam + 1.0)
+                - sphere.spectral_function_sphere(2, theta, lam)
+                - sphere.band_kernel_sphere(2, theta, lam)
             )
-            assert abs(gap) <= 1e-13 * max(1.0, sphere.spectral_function_sphere(2, 1.0, lam + 1.0))
+            assert abs(gap) <= 1e-13 * max(1.0, sphere.spectral_function_sphere(2, 0.0, lam + 1.0))
 
 
 def check_torus_band_kernel() -> None:

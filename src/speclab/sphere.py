@@ -17,12 +17,12 @@ from .analytic import (
     QUAD_ORDER_MAX,
     gauss_legendre_rule,
     gegenbauer_at_one,
-    gegenbauer_derivatives,
-    gegenbauer_largest_zero,
     gegenbauer_zeros,
-    largest_zero,
     _first_zero_in_s,
     _gegenbauer_pairs,
+    _pairs_at_angle,
+    _pairs_in_s,
+    _zero_from_pole,
     sphere_area,
 )
 from .errors import DomainError, NumericError, ResourceLimitError
@@ -115,45 +115,41 @@ def band_degrees(n: int, lam: float) -> range:
 # addition kernel and projector sums
 
 
-def addition_kernel(n: int, m: int, cos_theta: float) -> float:
-    """Degree-m reproducing kernel at geodesic-distance cosine cos_theta.
+def addition_kernel(n: int, m: int, theta: float) -> float:
+    """Degree-m reproducing kernel at geodesic distance theta.
 
-    Normalized so the diagonal value (cos_theta = 1) is multiplicity/area;
-    for n = 2 this is (2m+1)/(4 pi) P_m(cos_theta).
+    Normalized so the diagonal value (theta = 0) is multiplicity/area;
+    for n = 2 this is (2m+1)/(4 pi) P_m(cos theta).
     """
-    if not abs(cos_theta) <= 1.0:  # NaN fails this too
-        raise DomainError("cos_theta must lie in [-1, 1]")
     nu = (n - 1) / 2.0
     d = multiplicity(n, m)
-    ((val, _),) = _gegenbauer_pairs(nu, cos_theta, (m,))
+    ((val, _),) = _pairs_at_angle(nu, theta, (m,))
     return d / sphere_area(n) * val / gegenbauer_at_one(m, nu)
 
 
-def _kernel_telescopes(n: int, cos_theta: float, degrees) -> list[float]:
+def _kernel_telescopes(n: int, theta: float, degrees) -> list[float]:
     """Sums of the addition kernels of degrees 0..m, times the area of S^n, at each ascending m.
 
     d_k / C_k^nu(1) = (k + nu)/nu and (k + nu)/nu C_k^nu = C_k^{nu+1} - C_{k-2}^{nu+1}
     (DLMF 18.9), so the sum telescopes to C_m^{nu+1}(t) + C_{m-1}^{nu+1}(t).  One
-    recurrence serves every m.  At t = 1 on S^2 it runs in exact integers.
+    recurrence serves every m.  At theta = 0 on S^2 it runs in exact integers.
     """
-    if not abs(cos_theta) <= 1.0:  # NaN fails this too
-        raise DomainError("cos_theta must lie in [-1, 1]")
-    return [c + c_prev for c, c_prev in _gegenbauer_pairs((n + 1) / 2.0, cos_theta, degrees)]
+    return [c + c_prev for c, c_prev in _pairs_at_angle((n + 1) / 2.0, theta, degrees)]
 
 
-def spectral_function_sphere(n: int, cos_theta: float, lam: float) -> float:
-    """e(x, y, lambda) on S^n with cos(dist(x, y)) = cos_theta, in closed form."""
-    (total,) = _kernel_telescopes(n, cos_theta, (max_degree(n, lam),))
+def spectral_function_sphere(n: int, theta: float, lam: float) -> float:
+    """e(x, y, lambda) on S^n with dist(x, y) = theta, in closed form."""
+    (total,) = _kernel_telescopes(n, theta, (max_degree(n, lam),))
     return total / sphere_area(n)
 
 
-def band_kernel_sphere(n: int, cos_theta: float, lam: float) -> float:
+def band_kernel_sphere(n: int, theta: float, lam: float) -> float:
     """Kernel of the unit-band projection, summed over degrees in (lam, lam+1].
 
     One recurrence up to max_degree(lam + 1) passes the band's lower end on the way.
     """
     degs = band_degrees(n, lam)
-    below, top = _kernel_telescopes(n, cos_theta, (degs.start - 1, degs.stop - 1))
+    below, top = _kernel_telescopes(n, theta, (degs.start - 1, degs.stop - 1))
     return (top - below) / sphere_area(n)
 
 
@@ -177,17 +173,10 @@ class ZonalFamily(NamedTuple):
     def nu(self) -> float:
         return (self.n - 1) / 2.0
 
-    def at(self, t):
-        """The profile at t = cos(theta): a float at a number, elementwise over an array."""
-        (val,) = gegenbauer_derivatives(self.m, self.nu, t, 0)
+    def at(self, theta):
+        """The profile at colatitude theta in [0, pi]: a float at a number, elementwise over an array."""
+        ((val, _),) = _pairs_at_angle(self.nu, theta, (self.m,))
         return self.scale * val / gegenbauer_at_one(self.m, self.nu)
-
-    def slope_at(self, t):
-        """d/dtheta of the profile at t = cos(theta): -sin(theta) Z'(t), zero at t = +-1."""
-        _, der = gegenbauer_derivatives(self.m, self.nu, t, 1)
-        sin_sq = (1.0 - t) * (1.0 + t)
-        sin_th = math.sqrt(sin_sq) if isinstance(sin_sq, float) else sin_sq**0.5
-        return -self.scale * sin_th * der / gegenbauer_at_one(self.m, self.nu)
 
 
 def _zonal_quad_order(n: int, m: int, r: float) -> int:
@@ -235,7 +224,7 @@ def _piecewise_zonal_integral(fam: ZonalFamily, r: float) -> float:
     width = np.diff(edges)[:, None]
     theta = (edges[:-1, None] + width * (u * u * (3.0 - 2.0 * u))).ravel()
     w = (width * (3.0 * u * (1.0 - u) * rule.weights)).ravel()
-    profile = np.abs(fam.at(np.cos(theta)))
+    profile = np.abs(fam.at(theta))
     return float(np.sum(w * profile**r * np.sin(theta) ** (fam.n - 1)))
 
 
@@ -277,28 +266,36 @@ def zonal_gradient_sup(n: int, m: int) -> float:
     By the zonal equation Z'' + (n-1) cot(theta) Z' + lambda^2 Z = 0, Z'' = 0
     exactly where g(t) = lambda^2 C_m(t) - (n-1) t C_m'(t) vanishes.  g has m
     real zeros in (-1, 1), one at each relative maximum of |Z'|.  The sup is
-    taken at the first of these from the pole, the largest zero of g, found
-    by Newton from t = 1.  That this maximum is the highest is checked, not
-    proved: the tests hold it against a 200 m-point scan for n up to 150.
-    The zero must lie between the first zero of Z_m and the pole; otherwise
-    NumericError.
+    taken at the first of these from the pole, by Newton in s = 1 - t from
+    s = 0 to a step of 1e-12 s: near the zero g cancels to about 1e-15 of its
+    terms (a 1e-13 stop met a rounding step back at n = 150), and |Z'| is
+    stationary there.  That this maximum is the highest is checked, not proved:
+    the tests hold it against a 200 m-point scan for n up to 150.  The zero
+    must lie between the pole and the first zero of Z_m; otherwise NumericError.
     """
     if m < 1:
         raise DomainError("gradient sup requires degree >= 1")
     fam = ZonalFamily.create(n, m)
-    lam_sq = float(m * (m + n - 1))
+    nu, lam_sq = fam.nu, float(m * (m + n - 1))
 
-    def g(t: float) -> tuple[float, float]:
-        c, d1, d2 = gegenbauer_derivatives(m, fam.nu, t, 2)
-        return lam_sq * c - (n - 1) * t * d1, (lam_sq - (n - 1)) * d1 - (n - 1) * t * d2
+    def slopes(s: float) -> tuple[float, float]:  # C_m', C_m'' by d/dt C_k^a = 2 a C_{k-1}^{a+1}
+        ((d1, _),) = _pairs_in_s(nu + 1.0, s, (m - 1,))
+        ((_, d2),) = _pairs_in_s(nu + 2.0, s, (m - 1,))  # C_{m-2}^{nu+2}, and C_{-1} = 0 at m = 1
+        return 2.0 * nu * d1, 2.0 * nu * 2.0 * (nu + 1.0) * d2
 
-    t = largest_zero(g, f"Z_{m}'' on S^{n}")
-    first_zero = gegenbauer_largest_zero(m, fam.nu)
-    if not first_zero <= t < 1.0:
+    def g(s: float) -> tuple[float, float]:  # dg/ds = -dg/dt
+        ((c, _),) = _pairs_in_s(nu, s, (m,))
+        (d1, d2), t = slopes(s), 1.0 - s
+        return lam_sq * c - (n - 1) * t * d1, (n - 1) * t * d2 - (lam_sq - (n - 1)) * d1
+
+    s = _zero_from_pole(g, f"Z_{m}'' on S^{n}", tol=1e-12)
+    first_zero = _first_zero_in_s(m, nu)
+    if not 0.0 < s <= first_zero:
         raise NumericError(
-            f"inflection point t = {t!r} of Z_{m} on S^{n} lies outside [{first_zero!r}, 1)"
+            f"inflection point s = {s!r} of Z_{m} on S^{n} lies outside (0, {first_zero!r}]"
         )
-    return abs(float(fam.slope_at(t)))
+    # |d/dtheta Z| = scale sin(theta) |C_m'(t)| / C_m(1), with sin^2(theta) = s (2 - s)
+    return fam.scale * math.sqrt(s * (2.0 - s)) * abs(slopes(s)[0]) / gegenbauer_at_one(m, nu)
 
 
 # --------------------------------------------------------------------------
@@ -372,14 +369,18 @@ def hw_norm_quad(n: int, m: int, r: float) -> float:
 # nodal geometry of the zonal family
 
 
+def _angle(s: float) -> float:
+    """theta in [0, pi/2] from s = 1 - cos(theta) = 2 sin^2(theta/2) in [0, 1], with no cosine rounded."""
+    return 2.0 * math.asin(math.sqrt(0.5 * s))
+
+
 def nodal_gap_zonal(n: int, m: int) -> float:
     """theta_1, the colatitude of the first zero of Z_m: the polar nodal domain is the cap it bounds.
 
     The pole is the concentration point, so theta_1 is simultaneously the
-    nodal distance from the concentrating set and the cap's inner radius,
-    found in s = 1 - cos(theta) = 2 sin^2(theta/2) with no cosine rounded.
+    nodal distance from the concentrating set and the cap's inner radius.
     """
-    return 2.0 * math.asin(math.sqrt(0.5 * _first_zero_in_s(m, (n - 1) / 2.0)))
+    return _angle(_first_zero_in_s(m, (n - 1) / 2.0))
 
 
 def nadirashvili_ratio(n: int, m: int) -> float:
@@ -393,10 +394,10 @@ def nadirashvili_ratio(n: int, m: int) -> float:
     if m < 1:
         raise DomainError("ratio requires degree >= 1")
     fam = ZonalFamily.create(n, m)
-    troughs = [fam.at(-1.0)]
+    troughs = [fam.at(math.pi)]
     if m >= 2:
-        troughs.append(fam.at(gegenbauer_largest_zero(m - 1, fam.nu + 1.0)))
-    return float(fam.at(1.0) / -min(troughs))
+        troughs.append(fam.at(_angle(_first_zero_in_s(m - 1, fam.nu + 1.0))))
+    return float(fam.at(0.0) / -min(troughs))
 
 
 def sobolev_scale(lambda_j: float, s: float) -> float:

@@ -128,7 +128,7 @@ def test_criterion_06_band_sums():
     with _Budget("criterion 6: band sums", 10.0):
         fit = scaling_fit(probe_band("torus", 2, LAMBDA_GRID))
         assert abs(fit.exponent - 1.0) <= 0.1
-        assert band_kernel_sphere(2, 1.0, 10.0) == 21.0 / (4.0 * math.pi)
+        assert band_kernel_sphere(2, 0.0, 10.0) == 21.0 / (4.0 * math.pi)
 
 
 def test_criterion_07_hoelder_quotient():

@@ -22,18 +22,19 @@ from speclab.analytic import (
     gamma,
     gauss_legendre_rule,
     gegenbauer_at_one,
-    gegenbauer_derivatives,
-    gegenbauer_largest_zero,
+    gegenbauer_value_and_deriv,
     gegenbauer_zeros,
-    largest_zero,
     phi_kernel,
     phi_kernel_bessel,
     phi_kernel_zero,
     weyl_constant,
     _bessel_series,
+    _first_zero_in_s,
     _gegenbauer_pairs,
     _hankel,
+    _pairs_at_angle,
     _profile_pair,
+    _zero_from_pole,
 )
 from speclab.errors import DomainError, NumericError
 from speclab.sphere import ZonalFamily, addition_kernel
@@ -131,7 +132,7 @@ PHI_PIN_VALUES = {
 
 def gegenbauer(m, nu, t):
     """C_m^nu(t): the package's recurrence at a float, or elementwise over an array."""
-    return gegenbauer_derivatives(m, nu, t, 0)[0]
+    return next(_gegenbauer_pairs(nu, t, (m,)))[0]
 
 
 class TestGamma:
@@ -296,7 +297,7 @@ class TestGegenbauer:
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            addition_kernel(2, 3, 1.5)
+            addition_kernel(2, 3, 3.5)
         with pytest.raises(DomainError):
             addition_kernel(2, 3, math.nan)
         with pytest.raises(DomainError):
@@ -305,21 +306,19 @@ class TestGegenbauer:
             gegenbauer_at_one(5, 0.3)
 
     @staticmethod
-    def _numpy_scalar_pair(m, nu, t):
-        # Reinsch's recurrence at s = 1 - |t| as it runs on a 0-d array (numpy
-        # scalar arithmetic), then C_k(t) = sign(t)^k C_k(|t|), -0.0 positive
-        s = 1.0 - abs(t)
-        c_prev, c, d = np.zeros_like(t), np.ones_like(t), np.ones_like(t)
+    def _numpy_scalar_pair(m, nu, s, sign):
+        # Reinsch's recurrence at s as it runs on a 0-d array (numpy scalar
+        # arithmetic), then C_k(-x) = (-1)^k C_k(x) for sign = -1
+        c_prev, c, d = np.zeros_like(s), np.ones_like(s), np.ones_like(s)
         for k in range(1, m + 1):
             d = ((k + 2.0 * nu - 2.0) * d - 2.0 * (k + nu - 1.0) * s * c) / k
             c_prev, c = c, c + d
-        sign = -1.0 if t < 0.0 else 1.0
         return (sign * c, c_prev) if m % 2 else (c, sign * c_prev)
 
     def test_scalar_route_matches_array_route(self):
         # bit for bit (float.hex tells -0.0 from 0.0): one pass over ascending
         # degrees, repeats included, against one pass per degree, against the
-        # 0-d numpy recurrence, with float and array arguments
+        # 0-d numpy recurrence at s = 1 - |t|, -0.0 positive, with float and array arguments
         ts = [-1.0, -0.73, -0.3, -0.0, 0.0, 1e-3, 0.3, 0.5, 0.91, 1.0]
         degrees = (0, 0, 1, 2, 3, 7, 7, 40, 301)
         for nu in (0.5, 1.0, 1.5, 2.5, 6.0):
@@ -333,21 +332,45 @@ class TestGegenbauer:
                 for m, got, array_pair in zip(degrees, floats, arrays):
                     assert [type(v) for v in got] == [float, float], (m, nu, t)
                     (single,) = _gegenbauer_pairs(nu, t, (m,))
-                    ref = self._numpy_scalar_pair(m, nu, np.float64(t))
+                    ref = self._numpy_scalar_pair(m, nu, 1.0 - abs(np.float64(t)), -1.0 if t < 0.0 else 1.0)
                     want = [float(v).hex() for v in got]
                     assert [v.hex() for v in single] == want, (m, nu, t)
                     assert [float(v).hex() for v in ref] == want, (m, nu, t)
                     assert [float(v[i]).hex() for v in array_pair] == want, (m, nu, t)
 
+    def test_angle_route_matches_its_references(self):
+        # the theta entry: s = 2 sin^2(theta/2) up to pi/2, and past it the
+        # parity at s = 2 cos^2(theta/2).  Floats bit for bit against one pass
+        # per degree and the 0-d numpy recurrence at the same s; arrays take
+        # numpy's sin and cos, which may differ from math's by an ulp of s
+        thetas = [0.0, 1e-9, 1e-3, 0.3, 1.0, math.pi / 2.0, 1.6, 2.5, 3.14, math.pi]
+        degrees = (0, 0, 1, 2, 3, 7, 7, 40, 301)
+        for nu in (0.5, 1.0, 1.5, 2.5, 6.0):
+            arrays = list(_pairs_at_angle(nu, np.array(thetas), degrees))
+            for i, theta in enumerate(thetas):
+                far = theta > math.pi / 2.0
+                half = math.cos(0.5 * theta) if far else math.sin(0.5 * theta)
+                s = np.float64(2.0 * half * half)
+                floats = list(_pairs_at_angle(nu, theta, degrees))
+                for m, got, array_pair in zip(degrees, floats, arrays):
+                    assert [type(v) for v in got] == [float, float], (m, nu, theta)
+                    (single,) = _pairs_at_angle(nu, theta, (m,))
+                    ref = self._numpy_scalar_pair(m, nu, s, -1.0 if far else 1.0)
+                    want = [v.hex() for v in got]
+                    assert [v.hex() for v in single] == want, (m, nu, theta)
+                    assert [float(v).hex() for v in ref] == want, (m, nu, theta)
+                    scale = gegenbauer_at_one(m, nu)
+                    assert all(abs(float(v[i]) - w) <= 1e-15 * scale for v, w in zip(array_pair, got)), (m, nu, theta)
+
     def test_scalar_callers_keep_their_types(self):
         # Python floats in, Python floats out, at every degree
         for m in (0, 1, 2, 9):
             fam = ZonalFamily.create(2, m)
-            assert type(fam.at(1.0)) is float and type(fam.slope_at(0.3)) is float
+            assert type(fam.at(0.0)) is float and type(fam.at(2.0)) is float
             assert type(addition_kernel(2, m, 0.3)) is float
             assert type(gegenbauer(m, 0.5, 0.3)) is float
-            assert all(type(v) is float for v in gegenbauer_derivatives(m, 0.5, -0.3, 3))
-        assert ZonalFamily.create(2, 0).at(1.0) == ZonalFamily.create(2, 0).at(0.0)
+            assert all(type(v) is float for v in next(_pairs_at_angle(2.5, 2.0, (m,))))
+        assert ZonalFamily.create(2, 0).at(0.0) == ZonalFamily.create(2, 0).at(math.pi / 2.0)
 
 
 class TestGegenbauerZeros:
@@ -407,45 +430,36 @@ class TestGegenbauerZeros:
 
 
 class TestLargestZero:
+    """The largest zero of C_m^nu as 1 - s_1, s_1 the first zero in s from the pole."""
+
     @pytest.mark.parametrize("nu", [0.5, 1.0, 4.5, 74.5])
     def test_against_scipy(self, nu):
         for m in (1, 2, 7, 40, 400):
             ref = float(np.max(special.roots_gegenbauer(m, nu)[0]))
-            assert gegenbauer_largest_zero(m, nu) == pytest.approx(ref, rel=0.0, abs=2e-16)
+            assert 1.0 - _first_zero_in_s(m, nu) == pytest.approx(ref, rel=0.0, abs=2e-16)
 
     def test_matches_all_zeros_route(self):
         for nu in (0.5, 1.0):
             for m in (1, 3, 20, 301):
-                assert abs(gegenbauer_largest_zero(m, nu) - gegenbauer_zeros(m, nu)[-1]) <= 2e-16
-
-    def test_derivatives_at_the_endpoints(self):
-        # C_m^nu(1) = (2 nu)_m / m!, C'(1) = C(1) m (m + 2 nu) / (2 nu + 1)
-        for m, nu in ((5, 0.5), (12, 1.0), (30, 2.5)):
-            c, d1 = gegenbauer_derivatives(m, nu, 1.0, 1)
-            at_one = gegenbauer_at_one(m, nu)
-            assert c == pytest.approx(at_one, rel=1e-13, abs=0)
-            assert d1 == pytest.approx(at_one * m * (m + 2 * nu) / (2 * nu + 1), rel=1e-13, abs=0)
-            c_minus, d1_minus = gegenbauer_derivatives(m, nu, -1.0, 1)
-            assert c_minus == (-1) ** m * c and d1_minus == (-1) ** (m + 1) * d1
+                assert abs(1.0 - _first_zero_in_s(m, nu) - gegenbauer_zeros(m, nu)[-1]) <= 2e-16
 
     def test_derivatives_against_scipy(self):
+        # the first derivative that the Gauss-Legendre weights use, at interior t
         ts = np.linspace(-0.9, 0.9, 19)
         for m, nu in ((6, 0.5), (11, 1.5)):
-            _, d1, d2 = gegenbauer_derivatives(m, nu, ts, 2)
+            _, d1 = gegenbauer_value_and_deriv(m, nu, ts)
             ref1 = 2 * nu * special.eval_gegenbauer(m - 1, nu + 1, ts)
-            ref2 = 4 * nu * (nu + 1) * special.eval_gegenbauer(m - 2, nu + 2, ts)
             np.testing.assert_allclose(d1, ref1, rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(d2, ref2, rtol=1e-12, atol=1e-12)
-        assert gegenbauer_derivatives(1, 0.5, 0.3, 2)[2] == 0.0
 
     def test_rising_iterates_refused(self):
-        # t - 2 has its zero above the start t = 1, so Newton would climb
-        with pytest.raises(NumericError, match="rose"):
-            largest_zero(lambda t: (t - 2.0, 1.0), "t - 2")
+        # t - 2 has its zero above the pole t = 1, at s = 1 - t = -1 below the
+        # start s = 0: Newton would climb in t, step back in s, and is refused
+        with pytest.raises(NumericError, match="fell"):
+            _zero_from_pole(lambda s: (-1.0 - s, -1.0), "t - 2")
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            gegenbauer_largest_zero(0, 0.5)
+            _first_zero_in_s(0, 0.5)
 
 
 class TestGaussLegendre:

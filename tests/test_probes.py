@@ -322,7 +322,7 @@ def _unit(direction):
 def _band_reference(manifold, n, direction):
     """The band kernel at dist(x, y) = dist, from the public torus and sphere sums."""
     if manifold == "sphere":
-        return lambda lam, dist: sphere.band_kernel_sphere(n, math.cos(dist), lam)
+        return lambda lam, dist: sphere.band_kernel_sphere(n, dist, lam)
     d = np.array(torus.default_direction(n)) if direction is None else _unit(direction)
     return lambda lam, dist: torus.band_kernel_torus(n, d * dist, lam)
 
@@ -358,7 +358,7 @@ class TestKernelAssembly:
         if manifold == "torus":
             expected = [torus.band_diagonal_sum(n, lam) for lam in lambdas]
         else:
-            expected = [sphere.band_kernel_sphere(n, 1.0, lam) for lam in lambdas]
+            expected = [sphere.band_kernel_sphere(n, 0.0, lam) for lam in lambdas]
         res = probe_band(manifold, n, lambdas)
         assert [r.raw for r in res.rows] == expected
         assert res.abscissae() == lambdas
@@ -476,10 +476,10 @@ class TestCkSigmaProbe:
             lam = eigenvalue(n, m)
             fam = ZonalFamily.create(n, m)
             base = np.linspace(0.0, 10.0 / lam, 201)
-            zb = fam.at(np.cos(base))
+            zb = fam.at(base)
             best = 0.0
             for h in np.exp(np.linspace(math.log(0.1 / lam), math.log(10.0 / lam), 25)):
-                best = max(best, float(np.max(np.abs(fam.at(np.cos(base + h)) - zb))) / h ** delta)
+                best = max(best, float(np.max(np.abs(fam.at(base + h) - zb))) / h ** delta)
             assert _hoelder_proxy(n, m, lam, delta) == best
 
 
