@@ -27,7 +27,6 @@ __all__ = [
     "weyl_constant",
     "deriv_weyl_constant",
     "ball_moment",
-    "gegenbauer_value_and_deriv",
     "gegenbauer_at_one",
     "gegenbauer_zeros",
     "gauss_legendre_rule",
@@ -53,7 +52,7 @@ PROFILE_POWER_MAX = 30
 # largest Gauss-Legendre order gauss_legendre_rule builds
 QUAD_ORDER_MAX = 5000
 
-# Newton's method settles once every step is at most NEWTON_TOL in t, or relative to s
+# Newton's method settles once every step is at most NEWTON_TOL in theta, or relative to s
 NEWTON_TOL = 1e-13
 NEWTON_MAX_STEPS = 100
 
@@ -98,16 +97,19 @@ class MultiIndex(NamedTuple("MultiIndex", [("entries", tuple[int, ...])])):
 
 
 class QuadratureRule(
-    NamedTuple("QuadratureRule", [("nodes", "np.ndarray"), ("weights", "np.ndarray"), ("order", int)])
+    NamedTuple(
+        "QuadratureRule",
+        [("nodes", "np.ndarray"), ("weights", "np.ndarray"), ("order", int), ("angles", "np.ndarray")],
+    )
 ):
-    """Gauss-Legendre nodes/weights on (-1, 1), exact through degree 2N-1; both arrays read-only."""
+    """Gauss-Legendre nodes/weights on (-1, 1), exact through degree 2N-1; cos(angles) = |nodes|; read-only."""
 
     __slots__ = ()
 
-    def __new__(cls, nodes: np.ndarray, weights: np.ndarray, order: int) -> "QuadratureRule":
-        nodes.setflags(write=False)
-        weights.setflags(write=False)
-        return super().__new__(cls, nodes, weights, order)
+    def __new__(cls, nodes: np.ndarray, weights: np.ndarray, order: int, angles: np.ndarray) -> "QuadratureRule":
+        for table in (nodes, weights, angles):
+            table.setflags(write=False)
+        return super().__new__(cls, nodes, weights, order, angles)
 
     def integrate(self, values: np.ndarray) -> float:
         return float((self.weights * values).sum())
@@ -226,28 +228,14 @@ def _pairs_in_s(nu: float, s, degrees):
         yield c, c_prev
 
 
-def _with_parity(sign, degrees, pairs):
-    """Pairs at |x| into pairs at x = sign |x|, sign +-1 or an array of them: C_k(-x) = (-1)^k C_k(x)."""
-    for m, (c, c_prev) in zip(degrees, pairs):
-        yield (sign * c, c_prev) if m % 2 else (c, sign * c_prev)
-
-
-def _gegenbauer_pairs(nu: float, t, degrees):
-    """(C_m^nu(t), C_{m-1}^nu(t)) at each of the ascending `degrees`, float or array t in [-1, 1].
-
-    _pairs_in_s at s = 1 - |t|, exact for |t| >= 1/2 (Sterbenz), then the
-    parity, -0.0 positive; s = 1 - t would lose digits near t = -1.
-    """
-    return _with_parity(1.0 - 2.0 * (t < 0.0), degrees, _pairs_in_s(nu, 1.0 - abs(t), degrees))
-
-
 def _pairs_at_angle(nu: float, theta, degrees):
     """C_m^nu and C_{m-1}^nu at cos(theta) for each ascending degree; theta a float in [0, pi], or an array.
 
-    s = 2 sin^2(theta/2) up to pi/2, and past it the parity at s = 2 cos^2(theta/2),
-    so no cosine of theta is rounded; a float theta never imports numpy.  Array
-    entries may be any angle (2 sin^2(x/2) = 1 - cos x and 2 cos^2(x/2) = 1 + cos x
-    for every x): _hoelder_proxy's shifted points pass pi at low degree.
+    s = 2 sin^2(theta/2) up to pi/2, and past it the parity C_k(-x) = (-1)^k C_k(x)
+    at s = 2 cos^2(theta/2), so no cosine of theta is rounded; a float theta never
+    imports numpy.  Array entries may be any angle (2 sin^2(x/2) = 1 - cos x and
+    2 cos^2(x/2) = 1 + cos x for every x): _hoelder_proxy's shifted points pass pi
+    at low degree.
     """
     far = theta > 0.5 * math.pi
     if isinstance(theta, (int, float)):
@@ -257,14 +245,8 @@ def _pairs_at_angle(nu: float, theta, degrees):
     else:
         import numpy as np
         half = np.where(far, np.cos(0.5 * theta), np.sin(0.5 * theta))
-    return _with_parity(1.0 - 2.0 * far, degrees, _pairs_in_s(nu, 2.0 * half * half, degrees))
-
-
-def gegenbauer_value_and_deriv(m: int, nu: float, t):
-    """C_m^nu and d/dt C_m^nu at a float t strictly inside (-1, 1), or elementwise over an array of them."""
-    ((val, prev),) = _gegenbauer_pairs(nu, t, (m,))
-    der = ((m + 2.0 * nu - 1.0) * prev - m * t * val) / ((1.0 - t) * (1.0 + t))
-    return val, der
+    sign, pairs = 1.0 - 2.0 * far, _pairs_in_s(nu, 2.0 * half * half, degrees)
+    return ((sign * c, c_prev) if m % 2 else (c, sign * c_prev) for m, (c, c_prev) in zip(degrees, pairs))
 
 
 def gegenbauer_at_one(m: int, nu: float) -> float:
@@ -317,40 +299,53 @@ def _first_zero_in_s(m: int, nu: float) -> float:
 
 
 def gegenbauer_zeros(m: int, nu: float) -> np.ndarray:
-    """All m zeros of C_m^nu in increasing order, by Newton from cosine seeds.
+    """The m zeros cos(theta_k) of C_m^nu, as the angles 0 < theta_1 < ... < theta_m < pi.
 
-    Newton starts at t_k = cos(pi (k + nu/2 - 1/2) / (m + nu)), which is exact
-    for Chebyshev U (nu = 1) and the standard Legendre guess at nu = 1/2.
-    Its callers use nu = 1/2 (Gauss-Legendre rules, zonal norms on S^2) and
-    nu = 1 (zonal norms on S^3).  For nu >= 5 the seeds drift too far from
-    the zeros; if Newton does not settle, or the zeros come out outside
-    (-1, 1) or not strictly increasing, NumericError is raised.
+    Newton runs in theta from the seeds pi (k + nu/2 - 1/2) / (m + nu), exact
+    for Chebyshev U (nu = 1) and the standard Legendre guess at nu = 1/2, with
+    dC_m/dtheta = (m t C_m - (m + 2 nu - 1) C_{m-1}) / sin(theta), t = cos(theta)
+    (DLMF 18.9.8), from the same pass.  It runs on the zeros up to pi/2 only (an
+    odd m's middle one is pi/2), which a float holds to full relative precision;
+    the rest are pi - theta_k by parity.  Callers use nu = 1/2
+    (Gauss-Legendre rules, zonal norms on S^2) and nu = 1 (S^3).  For nu >= 5 the
+    seeds drift too far; if Newton does not settle, or the zeros leave (0, pi/2]
+    or come out unordered, NumericError is raised.
     """
     import numpy as np
     _check_gegenbauer_args(m, nu, 1)
-    k = np.arange(m, 0, -1, dtype=float)
-    x = np.cos(math.pi * (k + 0.5 * nu - 0.5) / (m + nu))
-    x = _newton(lambda t: gegenbauer_value_and_deriv(m, nu, t), x, f"the zeros of C_{m}^{nu:g}")
-    # enforce the exact symmetry of the zero set under t -> -t
-    x = 0.5 * (x - x[::-1])
-    if not (-1.0 < x[0] and x[-1] < 1.0 and np.all(np.diff(x) > 0.0)):
+
+    def value_and_slope(theta):
+        ((c, c_prev),) = _pairs_at_angle(nu, theta, (m,))
+        return c, (m * np.cos(theta) * c - (m + 2.0 * nu - 1.0) * c_prev) / np.sin(theta)
+
+    k = np.arange(1, (m + 1) // 2 + 1, dtype=float)
+    half = _newton(value_and_slope, math.pi * (k + 0.5 * nu - 0.5) / (m + nu), f"the zeros of C_{m}^{nu:g}")
+    if m % 2:
+        half[-1] = 0.5 * math.pi
+    theta = np.concatenate((half, math.pi - half[: m // 2][::-1]))
+    if not (0.0 < theta[0] and np.all(np.diff(theta) > 0.0)):
         raise NumericError(f"Newton from the cosine seeds lost a zero of C_{m}^{nu:g}")
-    return x
+    return theta
 
 
 @functools.lru_cache(maxsize=128)
 def gauss_legendre_rule(order: int) -> QuadratureRule:
-    """Gauss-Legendre rule of a given order on (-1, 1).
+    """Gauss-Legendre rule of a given order on (-1, 1), from the Legendre zeros theta_k <= pi/2.
 
-    Nodes are the Legendre zeros; weights use 2 / ((1-t^2) P_N'(t)^2).
+    Nodes +-cos(theta_k); weights 2 / ((1 - t^2) P_N'(t)^2) = 2 sin^2(theta_k) / (N P_{N-1}(cos theta_k))^2.
     """
+    import numpy as np
     if order < 1 or order > QUAD_ORDER_MAX:
         raise DomainError(f"quadrature order must lie in [1, {QUAD_ORDER_MAX}], got {order}")
-    nodes = gegenbauer_zeros(order, 0.5)
-    _, der = gegenbauer_value_and_deriv(order, 0.5, nodes)
-    weights = 2.0 / ((1.0 - nodes) * (1.0 + nodes) * der * der)
-    weights = 0.5 * (weights + weights[::-1])
-    return QuadratureRule(nodes=nodes, weights=weights, order=order)
+    half = gegenbauer_zeros(order, 0.5)[: (order + 1) // 2]
+    ((_, below),) = _pairs_at_angle(0.5, half, (order,))
+    angles, weights = (
+        np.concatenate((v, v[: order // 2][::-1])) for v in (half, 2.0 * (np.sin(half) / (order * below)) ** 2)
+    )
+    x = np.cos(angles)
+    x[: (order + 1) // 2] *= -1.0
+    # exactly odd, so an odd order's middle node is +0.0
+    return QuadratureRule(nodes=0.5 * (x - x[::-1]), weights=weights, order=order, angles=angles)
 
 
 # --------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from .analytic import (
     gegenbauer_at_one,
     gegenbauer_zeros,
     _first_zero_in_s,
-    _gegenbauer_pairs,
     _pairs_at_angle,
     _pairs_in_s,
     _zero_from_pole,
@@ -192,13 +191,13 @@ def _exact_zonal_integrals(degrees: list[int], r: float, order: int) -> dict[int
     """Int_{-1}^{1} |Z_m(t)|^r dt on S^2 for each m, from one Gauss-Legendre rule.
 
     |Z_m|^r is a polynomial of degree m r for even r, so `order` = max m r/2 + 1
-    nodes are exact for every degree at once; one Legendre recurrence up to the
-    largest degree passes each requested one on the way.
+    nodes are exact for every degree at once; one Legendre recurrence at the rule's
+    angles (|P_m| is even) passes each requested degree on the way.
     """
     rule = gauss_legendre_rule(order)
     out = {}
     ms = sorted(set(degrees))
-    for m, (c, _) in zip(ms, _gegenbauer_pairs(0.5, rule.nodes, ms)):
+    for m, (c, _) in zip(ms, _pairs_at_angle(0.5, rule.angles, ms)):
         profile = ZonalFamily.create(2, m).scale * abs(c) / gegenbauer_at_one(m, 0.5)
         out[m] = rule.integrate(profile**r)
     return out
@@ -217,8 +216,7 @@ def _piecewise_zonal_integral(fam: ZonalFamily, r: float) -> float:
     adaptive quadrature to 1e-10 relative.
     """
     import numpy as np
-    zeros = np.arccos(gegenbauer_zeros(fam.m, fam.nu))[::-1] if fam.m else np.empty(0)
-    edges = np.concatenate(([0.0], zeros, [math.pi]))
+    edges = np.concatenate(([0.0], gegenbauer_zeros(fam.m, fam.nu) if fam.m else [], [math.pi]))
     rule = gauss_legendre_rule(_PIECE_NODES)
     u = 0.5 * (rule.nodes + 1.0)
     width = np.diff(edges)[:, None]

@@ -22,7 +22,6 @@ from speclab.analytic import (
     gamma,
     gauss_legendre_rule,
     gegenbauer_at_one,
-    gegenbauer_value_and_deriv,
     gegenbauer_zeros,
     phi_kernel,
     phi_kernel_bessel,
@@ -30,14 +29,13 @@ from speclab.analytic import (
     weyl_constant,
     _bessel_series,
     _first_zero_in_s,
-    _gegenbauer_pairs,
     _hankel,
     _pairs_at_angle,
     _profile_pair,
     _zero_from_pole,
 )
 from speclab.errors import DomainError, NumericError
-from speclab.sphere import ZonalFamily, addition_kernel
+from speclab.sphere import ZonalFamily, _angle, addition_kernel
 
 TWO_PI = 2.0 * math.pi
 
@@ -130,9 +128,9 @@ PHI_PIN_VALUES = {
 }
 
 
-def gegenbauer(m, nu, t):
-    """C_m^nu(t): the package's recurrence at a float, or elementwise over an array."""
-    return next(_gegenbauer_pairs(nu, t, (m,)))[0]
+def gegenbauer(m, nu, theta):
+    """C_m^nu(cos theta): the package's recurrence at a float angle, or elementwise over an array."""
+    return next(_pairs_at_angle(nu, theta, (m,)))[0]
 
 
 class TestGamma:
@@ -250,43 +248,46 @@ class TestMultiIndex:
 
 class TestGegenbauer:
     def test_legendre_values(self):
-        assert gegenbauer(2, 0.5, 1.0) == 1.0
-        assert gegenbauer(3, 0.5, P3_ZERO) == pytest.approx(0.0, abs=1e-15)
-        assert gegenbauer(1, 1.0, 0.3) == pytest.approx(0.6, rel=1e-15, abs=0)
+        assert gegenbauer(2, 0.5, 0.0) == 1.0
+        assert gegenbauer(3, 0.5, math.acos(P3_ZERO)) == pytest.approx(0.0, abs=1e-15)
+        assert gegenbauer(1, 1.0, math.acos(0.3)) == pytest.approx(0.6, rel=1e-15, abs=0)
 
     def test_normalization_at_one(self):
         for m in range(0, 60, 7):
-            assert gegenbauer(m, 0.5, 1.0) == 1.0
+            assert gegenbauer(m, 0.5, 0.0) == 1.0
             assert gegenbauer_at_one(m, 0.5) == 1.0
         assert gegenbauer_at_one(5, 1.0) == pytest.approx(6.0, rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("nu", [0.5, 1.0, 2.5])
     def test_against_scipy(self, nu):
-        ts = np.linspace(-1.0, 1.0, 41)
+        thetas = np.linspace(0.0, math.pi, 41)
+        ts = np.cos(thetas)
         for m in (0, 1, 2, 5, 12, 30):
-            mine = gegenbauer(m, nu, ts)
+            mine = gegenbauer(m, nu, thetas)
             ref = special.eval_gegenbauer(m, nu, ts) if nu != 0.5 else special.eval_legendre(m, ts)
             np.testing.assert_allclose(mine, ref, rtol=1e-11, atol=1e-12)
 
     @pytest.mark.parametrize("nu", [0.5, 1.0, 1.5, 2.0, 5.0])
     def test_pairs_against_mpmath_near_the_poles(self, nu):
-        # 40-digit three-term recurrence at the same float t; run in floats, that
-        # cos(theta) form is up to 3.3e-12 C_m(1) off at these points
+        # 40-digit three-term recurrence at the cosine of the same float theta;
+        # run in floats at a rounded t = cos(theta), that form is up to 3.3e-12
+        # C_m(1) off at these points
+        near_pi = (math.pi - 4.5e-5, math.pi - 0.014, math.pi)
         for m in (20, 400, 2000):
-            for t in (-1.0, -1.0 + 1e-9, -0.9999, -0.6, 0.0, 0.3, 0.999, 1.0 - 1e-7, 1.0 - 3e-12, 1.0):
-                ((c, c_prev),) = _gegenbauer_pairs(nu, t, (m,))
+            for theta in (0.0, 2.5e-6, 4.5e-4, 0.045, 1.27, math.pi / 2.0, 2.2, *near_pi):
+                ((c, c_prev),) = _pairs_at_angle(nu, theta, (m,))
                 with mpmath.workdps(40):
-                    x, a = mpmath.mpf(t), mpmath.mpf(nu)
+                    x, a = mpmath.cos(mpmath.mpf(theta)), mpmath.mpf(nu)
                     ref_prev, ref = mpmath.mpf(0), mpmath.mpf(1)
                     for k in range(1, m + 1):
                         ref_prev, ref = ref, (2 * x * (k + a - 1) * ref - (k + 2 * a - 2) * ref_prev) / k
                     err = max(abs(c - ref), abs(c_prev - ref_prev))
-                assert err <= 1e-14 * gegenbauer_at_one(m, nu), (m, t)
+                assert err <= 1e-14 * gegenbauer_at_one(m, nu), (m, theta)
 
     def test_bounded_by_diagonal(self):
-        ts = np.linspace(-1.0, 1.0, 501)
+        thetas = np.linspace(0.0, math.pi, 501)
         for m, nu in ((7, 0.5), (20, 1.0), (13, 1.5)):
-            assert np.max(np.abs(gegenbauer(m, nu, ts))) <= gegenbauer_at_one(m, nu) * (1 + 1e-12)
+            assert np.max(np.abs(gegenbauer(m, nu, thetas))) <= gegenbauer_at_one(m, nu) * (1 + 1e-12)
 
     @pytest.mark.parametrize("nu", [0.5, 1.0, 1.5, 2.0, 2.5])
     def test_at_one_is_the_rounded_binomial(self, nu):
@@ -314,29 +315,6 @@ class TestGegenbauer:
             d = ((k + 2.0 * nu - 2.0) * d - 2.0 * (k + nu - 1.0) * s * c) / k
             c_prev, c = c, c + d
         return (sign * c, c_prev) if m % 2 else (c, sign * c_prev)
-
-    def test_scalar_route_matches_array_route(self):
-        # bit for bit (float.hex tells -0.0 from 0.0): one pass over ascending
-        # degrees, repeats included, against one pass per degree, against the
-        # 0-d numpy recurrence at s = 1 - |t|, -0.0 positive, with float and array arguments
-        ts = [-1.0, -0.73, -0.3, -0.0, 0.0, 1e-3, 0.3, 0.5, 0.91, 1.0]
-        degrees = (0, 0, 1, 2, 3, 7, 7, 40, 301)
-        for nu in (0.5, 1.0, 1.5, 2.5, 6.0):
-            arrays = list(_gegenbauer_pairs(nu, np.array(ts), degrees))
-            assert len(arrays) == len(degrees)
-            for c, c_prev in arrays:
-                assert isinstance(c, np.ndarray) and isinstance(c_prev, np.ndarray)
-                assert c.shape == c_prev.shape == (len(ts),)
-            for i, t in enumerate(ts):
-                floats = list(_gegenbauer_pairs(nu, t, degrees))
-                for m, got, array_pair in zip(degrees, floats, arrays):
-                    assert [type(v) for v in got] == [float, float], (m, nu, t)
-                    (single,) = _gegenbauer_pairs(nu, t, (m,))
-                    ref = self._numpy_scalar_pair(m, nu, 1.0 - abs(np.float64(t)), -1.0 if t < 0.0 else 1.0)
-                    want = [float(v).hex() for v in got]
-                    assert [v.hex() for v in single] == want, (m, nu, t)
-                    assert [float(v).hex() for v in ref] == want, (m, nu, t)
-                    assert [float(v[i]).hex() for v in array_pair] == want, (m, nu, t)
 
     def test_angle_route_matches_its_references(self):
         # the theta entry: s = 2 sin^2(theta/2) up to pi/2, and past it the
@@ -373,30 +351,52 @@ class TestGegenbauer:
         assert ZonalFamily.create(2, 0).at(0.0) == ZonalFamily.create(2, 0).at(math.pi / 2.0)
 
 
+def _legendre_zeros_in_theta(m):
+    """The zeros of P_m as 40-digit angles: Newton in theta from acos of scipy's roots, then parity."""
+    with mpmath.workdps(40):
+        out = []
+        for t in special.roots_legendre(m)[0][::-1][: (m + 1) // 2]:
+            theta = mpmath.acos(mpmath.mpf(float(t)))
+            for _ in range(4):
+                x = mpmath.cos(theta)
+                prev, p = mpmath.mpf(0), mpmath.mpf(1)
+                for k in range(1, m + 1):
+                    prev, p = p, ((2 * k - 1) * x * p - (k - 1) * prev) / k
+                # dP_m/dtheta = m (x P_m - P_{m-1}) / sin(theta)
+                step = p * mpmath.sin(theta) / (m * (x * p - prev))
+                theta -= step
+                if abs(step) < mpmath.mpf(10) ** -20 * theta:  # quadratic: the error left is near step^2
+                    break
+            out.append(theta)
+        if m % 2:
+            out[-1] = mpmath.pi / 2
+        return out + [mpmath.pi - z for z in out[: m // 2][::-1]]
+
+
 class TestGegenbauerZeros:
+    """gegenbauer_zeros returns angles; tests in t compare np.cos(z)[::-1] with the roots in t."""
+
     def test_closed_forms(self):
-        np.testing.assert_allclose(gegenbauer_zeros(1, 0.5), [0.0], atol=1e-15)
+        np.testing.assert_allclose(np.cos(gegenbauer_zeros(1, 0.5))[::-1], [0.0], atol=1e-15)
         np.testing.assert_allclose(
-            gegenbauer_zeros(2, 0.5), [-1.0 / math.sqrt(3.0), 1.0 / math.sqrt(3.0)], atol=1e-15
+            np.cos(gegenbauer_zeros(2, 0.5))[::-1], [-1.0 / math.sqrt(3.0), 1.0 / math.sqrt(3.0)], atol=1e-15
         )
-        np.testing.assert_allclose(gegenbauer_zeros(3, 0.5), [-P3_ZERO, 0.0, P3_ZERO], atol=1e-15)
+        np.testing.assert_allclose(np.cos(gegenbauer_zeros(3, 0.5))[::-1], [-P3_ZERO, 0.0, P3_ZERO], atol=1e-15)
 
     def test_count_and_sorted(self):
         for m in (1, 4, 17, 120):
             z = gegenbauer_zeros(m, 1.0)
             assert z.shape == (m,)
-            assert np.all(np.diff(z) > 0.0)
+            assert 0.0 < z[0] and z[-1] < math.pi and np.all(np.diff(z) > 0.0)
 
     @pytest.mark.parametrize("m", [10, 50, 137, 400])
     def test_against_scipy_legendre(self, m):
         np.testing.assert_allclose(
-            gegenbauer_zeros(m, 0.5), special.roots_legendre(m)[0], atol=5e-15
+            np.cos(gegenbauer_zeros(m, 0.5))[::-1], special.roots_legendre(m)[0], atol=5e-15
         )
 
     @pytest.mark.parametrize("nu", [0.5, 1.0])
     def test_residuals(self, nu):
-        # double precision limits the t-space residual to ~m^2 eps near the
-        # endpoints, so the 1e-12 bound is asserted in its feasible range
         for m in (5, 20, 80, 200, 300):
             z = gegenbauer_zeros(m, nu)
             residual = np.max(np.abs(gegenbauer(m, nu, z)))
@@ -414,19 +414,39 @@ class TestGegenbauerZeros:
         z = gegenbauer_zeros(2000, 0.5)
         assert z.shape == (2000,)
         ref = special.roots_legendre(2000)[0]
-        np.testing.assert_allclose(z, ref, atol=1e-14)
+        np.testing.assert_allclose(np.cos(z)[::-1], ref, atol=1e-14)
 
     @pytest.mark.parametrize("nu", [0.5, 1.0, 1.5, 2.0])
     def test_against_scipy_gegenbauer(self, nu):
         for m in (2, 17, 400, 1201, 5000):
             z = gegenbauer_zeros(m, nu)
-            np.testing.assert_allclose(z, special.roots_gegenbauer(m, nu)[0], rtol=0.0, atol=1e-15)
-            assert z[0] > -1.0 and z[-1] < 1.0 and np.all(np.diff(z) > 0.0)
+            np.testing.assert_allclose(np.cos(z)[::-1], special.roots_gegenbauer(m, nu)[0], rtol=0.0, atol=1e-15)
+            assert z[0] > 0.0 and z[-1] < math.pi and np.all(np.diff(z) > 0.0)
+
+    @pytest.mark.parametrize("m", [50, 200, 1000])
+    def test_chebyshev_u_zeros_in_theta(self, m):
+        # on S^3 the zeros are k pi/(m+1) exactly; acos of zeros found in t
+        # was 6.9e-15, 2.4e-14 and 5.1e-12 off at these m
+        ref = np.array([float(k * mpmath.pi / (m + 1)) for k in range(1, m + 1)])
+        assert np.max(np.abs(gegenbauer_zeros(m, 1.0) - ref) / ref) <= 1e-15
+
+    @pytest.mark.parametrize("m", [5, 40, 400])
+    def test_legendre_zeros_against_mpmath_in_theta(self, m):
+        ref = _legendre_zeros_in_theta(m)
+        assert max(abs(z - r) / r for z, r in zip(gegenbauer_zeros(m, 0.5), ref)) <= 1e-15
+
+    def test_first_zero_matches_the_pole_search(self):
+        # the first angle against Newton in s from the pole, turned into theta
+        for nu in (0.5, 1.0):
+            for m in (1, 3, 20, 301, 1201):
+                ref = _angle(_first_zero_in_s(m, nu))
+                assert abs(gegenbauer_zeros(m, nu)[0] - ref) <= 1e-15 * ref, (m, nu)
 
     def test_guard_refuses_far_seeds(self):
-        # the cosine seeds drift too far from the zeros once nu >= 5
-        with pytest.raises(NumericError):
-            gegenbauer_zeros(400, 10.0)
+        # the seeds drift too far from the zeros once nu >= 5
+        for m, nu in ((400, 10.0), (200, 5.0), (40, 5.5)):
+            with pytest.raises(NumericError):
+                gegenbauer_zeros(m, nu)
 
 
 class TestLargestZero:
@@ -437,19 +457,6 @@ class TestLargestZero:
         for m in (1, 2, 7, 40, 400):
             ref = float(np.max(special.roots_gegenbauer(m, nu)[0]))
             assert 1.0 - _first_zero_in_s(m, nu) == pytest.approx(ref, rel=0.0, abs=2e-16)
-
-    def test_matches_all_zeros_route(self):
-        for nu in (0.5, 1.0):
-            for m in (1, 3, 20, 301):
-                assert abs(1.0 - _first_zero_in_s(m, nu) - gegenbauer_zeros(m, nu)[-1]) <= 2e-16
-
-    def test_derivatives_against_scipy(self):
-        # the first derivative that the Gauss-Legendre weights use, at interior t
-        ts = np.linspace(-0.9, 0.9, 19)
-        for m, nu in ((6, 0.5), (11, 1.5)):
-            _, d1 = gegenbauer_value_and_deriv(m, nu, ts)
-            ref1 = 2 * nu * special.eval_gegenbauer(m - 1, nu + 1, ts)
-            np.testing.assert_allclose(d1, ref1, rtol=1e-12, atol=1e-12)
 
     def test_rising_iterates_refused(self):
         # t - 2 has its zero above the pole t = 1, at s = 1 - t = -1 below the
@@ -498,10 +505,22 @@ class TestGaussLegendre:
         assert [float(v).hex() for v in rule.nodes] == [(0.0).hex()]
         assert [float(v).hex() for v in rule.weights] == [(2.0).hex()]
 
+    @pytest.mark.parametrize("order", [1, 2, 3, 40, 1201])
+    def test_angles_are_the_nodes_in_theta(self, order):
+        # the angles come from Newton, and their cosines are the |nodes| except at an odd order's middle +0.0
+        rule = gauss_legendre_rule(order)
+        middle = order // 2 if order % 2 else None
+        assert np.all(0.0 < rule.angles) and np.all(rule.angles <= math.pi / 2.0)
+        for k, (angle, node) in enumerate(zip(rule.angles, rule.nodes)):
+            assert (angle == math.pi / 2.0 and node == 0.0) if k == middle else math.cos(angle) == abs(node)
+        assert rule.angles[: order // 2].tolist() == rule.angles[::-1][: order // 2].tolist()
+
     def test_rule_is_cached_and_frozen(self):
         assert gauss_legendre_rule(17) is gauss_legendre_rule(17)
         with pytest.raises(ValueError):
             gauss_legendre_rule(17).nodes[0] = 0.0
+        with pytest.raises(ValueError):
+            gauss_legendre_rule(17).angles[0] = 0.0
 
     def test_domain(self):
         with pytest.raises(DomainError):

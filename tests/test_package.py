@@ -75,10 +75,10 @@ def test_records_refuse_assignment(name):
 
 def test_record_arrays_stay_read_only():
     rule = gauss_legendre_rule(4)
-    fresh = QuadratureRule(nodes=np.zeros(2), weights=np.ones(2), order=2)
+    fresh = QuadratureRule(nodes=np.zeros(2), weights=np.ones(2), order=2, angles=np.full(2, np.pi / 2.0))
     shells = lattice_shells(2, 5.0)
     assert isinstance(shells, LatticeShells)
-    for table in (rule.nodes, rule.weights, fresh.nodes, fresh.weights,
+    for table in (rule.nodes, rule.weights, rule.angles, fresh.nodes, fresh.weights, fresh.angles,
                   shells.values, shells.radii, shells.mult):
         assert not table.flags.writeable
         with pytest.raises(ValueError):

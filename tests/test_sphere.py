@@ -463,6 +463,16 @@ class TestZonal:
 # roots_legendre reference by 6e-11 (r=4) and 7e-10 (r=6).
 ZONAL_NORM_400 = {4.0: 0.8042785149369742, 6.0: 1.3775692329449976}
 
+# ||Z_m||_r = sqrt((2m+1)/(4 pi)) (2 pi Int_{-1}^{1} P_m^r dt)^(1/r) on S^2, with
+# the integral done exactly: P_m's coefficients from Rodrigues' formula, its
+# r-th power and the moments 2/(k+1) in fractions.Fraction, and the root taken
+# by 40-digit mpmath
+ZONAL_NORM_EXACT = {
+    (6.0, 200): 1.227529458357055013875425,
+    (6.0, 400): 1.377569232944997604089894,
+    (4.0, 400): 0.8042785149369742173521811,
+}
+
 
 def _legendre_zonal_norm(m: int, r: float) -> float:
     """||Z_m||_r on S^2 from scipy Legendre roots and values, exact order m r/2 + 1."""
@@ -499,6 +509,13 @@ class TestZonalNorms:
         for m in (1, 20):
             assert zonal_norm(2, m, r) == pytest.approx(_legendre_zonal_norm(m, r), rel=1e-12)
         assert zonal_norm(2, 400, r) == pytest.approx(ZONAL_NORM_400[r], rel=1e-12)
+
+    def test_even_r_against_the_exact_integral(self):
+        # m = 200 shares the order-1201 rule with m = 400, as on the default lp grid
+        low, high = zonal_norms(2, [200, 400], 6.0)
+        assert low == pytest.approx(ZONAL_NORM_EXACT[6.0, 200], rel=3e-14, abs=0)
+        assert high == pytest.approx(ZONAL_NORM_EXACT[6.0, 400], rel=1e-14, abs=0)
+        assert zonal_norm(2, 400, 4.0) == pytest.approx(ZONAL_NORM_EXACT[4.0, 400], rel=1e-14, abs=0)
 
     @pytest.mark.parametrize(
         "n,m,r",
