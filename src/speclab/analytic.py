@@ -522,8 +522,9 @@ def phi_kernel(n: int, tau: float) -> float:
 
     Phi_n(0) equals the diagonal Weyl constant; the zeros of Phi_n mark the
     rescaled distances where the off-diagonal leading term degenerates.
-    n runs to 342, the last n whose vol(B_{n-1}) = pi^((n-1)/2) / Gamma((n+1)/2)
-    is a float; past it OverflowError is raised.
+    The tests check it against mpmath for n = 2 to 5 and tau <= 2448.  Past n = 342
+    Gamma((n+1)/2) overflows and OverflowError is raised; below, large n underflows
+    silently: 0.0 at (300, 0), -0.0 at (170, 1000), subnormal at (150, 2448); ROADMAP item 23.
     """
     if n < 2:
         raise DomainError(f"dimension must be >= 2, got {n}")

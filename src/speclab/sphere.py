@@ -126,30 +126,27 @@ def addition_kernel(n: int, m: int, theta: float) -> float:
     return d / sphere_area(n) * val / gegenbauer_at_one(m, nu)
 
 
-def _kernel_telescopes(n: int, theta: float, degrees) -> list[float]:
-    """Sums of the addition kernels of degrees 0..m, times the area of S^n, at each ascending m.
+def spectral_function_sphere(n: int, theta: float, lam: float) -> float:
+    """e(x, y, lambda) on S^n with dist(x, y) = theta, in closed form.
 
     d_k / C_k^nu(1) = (k + nu)/nu and (k + nu)/nu C_k^nu = C_k^{nu+1} - C_{k-2}^{nu+1}
-    (DLMF 18.9), so the sum telescopes to C_m^{nu+1}(t) + C_{m-1}^{nu+1}(t).  One
-    recurrence serves every m.  At theta = 0 on S^2 it runs in exact integers.
+    (DLMF 18.9), so the sum over degrees 0..m, times the area of S^n, telescopes to
+    C_m^{nu+1}(t) + C_{m-1}^{nu+1}(t).  At theta = 0 on S^2 it runs in exact integers.
     """
-    return [c + c_prev for c, c_prev in _pairs_at_angle((n + 1) / 2.0, theta, degrees)]
-
-
-def spectral_function_sphere(n: int, theta: float, lam: float) -> float:
-    """e(x, y, lambda) on S^n with dist(x, y) = theta, in closed form."""
-    (total,) = _kernel_telescopes(n, theta, (max_degree(n, lam),))
-    return total / sphere_area(n)
+    ((c, c_prev),) = _pairs_at_angle((n + 1) / 2.0, theta, (max_degree(n, lam),))
+    return (c + c_prev) / sphere_area(n)
 
 
 def band_kernel_sphere(n: int, theta: float, lam: float) -> float:
-    """Kernel of the unit-band projection, summed over degrees in (lam, lam+1].
+    """Kernel of the unit-band projection: the addition kernels of the one or two degrees in (lam, lam+1].
 
-    One recurrence up to max_degree(lam + 1) passes the band's lower end on the way.
+    d_m / C_m^nu(1) = (2m + n - 1)/(n - 1), so at theta = 0 each term is the exact
+    multiplicity.  One recurrence passes both degrees; no lambda^n-sized partial sums
+    cancel.
     """
     degs = band_degrees(n, lam)
-    below, top = _kernel_telescopes(n, theta, (degs.start - 1, degs.stop - 1))
-    return (top - below) / sphere_area(n)
+    terms = _pairs_at_angle((n - 1) / 2.0, theta, degs)
+    return sum((2 * m + n - 1) * c / (n - 1) for m, (c, _) in zip(degs, terms)) / sphere_area(n)
 
 
 # --------------------------------------------------------------------------

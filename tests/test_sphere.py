@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import integrate, special
 
 from speclab.analytic import (
+    _profile_pair,
     gauss_legendre_rule,
     phi_kernel,
     phi_kernel_zero,
@@ -257,51 +258,6 @@ class TestBandKernel:
         assert val / 10.0 == pytest.approx(1.0 / (2.0 * math.pi), rel=0.06)
 
 
-def _two_recurrence_band(n, theta, lam):
-    """The band kernel as one recurrence to each end of the band, as it was computed before.
-
-    Each recurrence is Reinsch's, at s = 2 sin^2(theta/2) up to pi/2 and past it
-    at s = 2 cos^2(theta/2), with C_k(-t) = (-1)^k C_k(t).
-    """
-
-    def telescope(m):
-        nu = (n + 1) / 2.0
-        far = theta > math.pi / 2.0
-        half = math.cos(0.5 * theta) if far else math.sin(0.5 * theta)
-        s = 2.0 * half * half
-        c_prev, c, d = 0.0, 1.0, 1.0
-        for k in range(1, m + 1):
-            d = ((k + 2.0 * nu - 2.0) * d - 2.0 * (k + nu - 1.0) * s * c) / k
-            c_prev, c = c, c + d
-        sign = -1.0 if far else 1.0
-        return sign * c + c_prev if m % 2 else c + sign * c_prev
-
-    degs = band_degrees(n, lam)
-    return (telescope(degs.stop - 1) - telescope(degs.start - 1)) / sphere_area(n)
-
-
-@st.composite
-def band_cases(draw):
-    """n, lambda (free, or a pinned eigenvalue, whose band is mostly empty) and theta in [0, pi]."""
-    n = draw(st.integers(2, 8))
-    lam = draw(
-        st.one_of(
-            st.floats(0.0, 300.0),
-            st.integers(0, 300).map(lambda m: eigenvalue(n, m)),
-        )
-    )
-    theta = draw(st.one_of(st.floats(0.0, math.pi), st.sampled_from([0.0, math.pi / 2.0, math.pi])))
-    return n, lam, theta
-
-
-class TestBandKernelOnePass:
-    @settings(derandomize=True, deadline=None, max_examples=300)
-    @given(band_cases())
-    def test_equals_the_two_recurrence_difference(self, case):
-        n, lam, theta = case
-        assert band_kernel_sphere(n, theta, lam).hex() == _two_recurrence_band(n, theta, lam).hex()
-
-
 @st.composite
 def kernel_cases(draw):
     """n, lambda and theta = dist: free, 0 or pi, or tau/lambda at tau in (0, 10], dist <= pi."""
@@ -361,6 +317,15 @@ def _mp_spectral(n, theta, m):
     return (mpmath.gegenbauer(m, a, t) + mpmath.gegenbauer(m - 1, a, t)) / _mp_area(n)
 
 
+def _mp_band(n, theta, lam):
+    """The band kernel at dist(x, y) = theta (the exact float), summed over its degrees in mpmath."""
+    nu = mpmath.mpf(n - 1) / 2
+    t = mpmath.cos(mpmath.mpf(theta))
+    degrees = band_degrees(n, lam)
+    terms = (multiplicity(n, k) * mpmath.gegenbauer(k, nu, t) / mpmath.gegenbauer(k, nu, 1) for k in degrees)
+    return mpmath.fsum(terms) / _mp_area(n)
+
+
 class TestKernelsAtTheExactAngle:
     """Sphere kernels near the pole against 40-digit mpmath at the exact float theta.
 
@@ -389,15 +354,32 @@ class TestKernelsAtTheExactAngle:
     @pytest.mark.parametrize("lam", [1e3, 1e4, 1e5])
     @pytest.mark.parametrize("n", [2, 3])
     def test_band_kernel(self, n, lam):
-        # the telescoped top - below cancels as lambda; the bound carries that factor
-        nu = mpmath.mpf(n - 1) / 2
+        # a bound that grows as lambda; test_band_kernel_to_the_diagonal holds the tighter one
         with mpmath.workdps(40):
-            t = mpmath.cos(mpmath.mpf(1.0 / lam))
-            ref = mpmath.fsum(
-                multiplicity(n, k) * mpmath.gegenbauer(k, nu, t) / mpmath.gegenbauer(k, nu, 1)
-                for k in band_degrees(n, lam)
-            ) / _mp_area(n)
+            ref = _mp_band(n, 1.0 / lam, lam)
             assert abs(band_kernel_sphere(n, 1.0 / lam, lam) / ref - 1) <= 1e-15 * lam
+
+    @pytest.mark.parametrize("lam", [1e3, 1e4, 1e5, 1e6])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_band_kernel_to_the_diagonal(self, n, lam):
+        # a band kernel formed as e(lambda + 1) - e(lambda) subtracts two lambda^n-sized
+        # sums and loses digits as lambda: it fails this from lambda = 10^4 on
+        with mpmath.workdps(40):
+            diagonal = _mp_band(n, 0.0, lam)
+            for tau in (0.5, 1.5, 3.0, 6.0):
+                ref = _mp_band(n, tau / lam, lam)
+                assert abs(band_kernel_sphere(n, tau / lam, lam) - ref) <= 1e-13 * diagonal
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_hoelder_raw(self, n):
+        # the raw sup over tau of 2 (K(0) - K(dist)) / dist of `hoelder --delta 0.5` at lambda = 10^5
+        lam = 1e5
+        (row,) = probes.probe_hoelder("sphere", n, 0.5, None, [lam]).rows
+        with mpmath.workdps(40):
+            k0 = _mp_band(n, 0.0, lam)
+            dists = [tau / lam for tau in probes.default_tau_grid()]
+            ref = max(2 * (k0 - _mp_band(n, dist, lam)) / mpmath.mpf(dist) for dist in dists)
+            assert abs(row.raw / ref - 1) <= 2e-14
 
     @pytest.mark.parametrize("m", [2 * 10**4, 99_000])
     def test_nodal_raw(self, m):
@@ -410,6 +392,45 @@ class TestKernelsAtTheExactAngle:
                 lambda th: mpmath.legendre(m, mpmath.cos(th)), (seed * (1 - 1e-6), seed * (1 + 1e-6)), solver="anderson"
             )
             assert abs(row.raw / (lam * root) - 1) <= 1e-14
+
+
+class TestRemainderIsHalfTheLastStep:
+    """The second term of e(x, y, lambda_M) at dist = tau/lambda_M is half the step at lambda_M.
+
+    e - lambda^n Phi_n(tau) = (B_n(tau)/2) lambda^(n-1) (1 + c/M + ...), where
+    B_n lambda^(n-1), B_n = n Phi_n + tau Phi_n', is the rise of lambda^n Phi_n(lambda
+    theta) over a unit of lambda at fixed theta.  These pin M (q - 1) at M <= 10^5;
+    past that, the rounding of the lambda^n-sized e moves it (ROADMAP item 8).
+    """
+
+    CASES = [
+        (2, 1.5, (0.4999, 0.5000, 0.5002), (0.4999, 0.5000, 0.5002)),
+        (2, 4.0, (0.5003, 0.5001, 0.5001), (0.4999, 0.5000, 0.5001)),
+        (3, 1.5, (1.4821, 1.4822, 1.4822), (1.4818, 1.4821, 1.4822)),
+    ]
+
+    @staticmethod
+    def _remainder(n, tau, m):
+        lam = eigenvalue(n, m)
+        return lam, spectral_function_sphere(n, tau / lam, lam) - lam**n * phi_kernel(n, tau)
+
+    @pytest.mark.parametrize("n,tau,expected,_", CASES, ids=["2-1.5", "2-4", "3-1.5"])
+    def test_against_the_profile(self, n, tau, expected, _):
+        # Phi_n' = -tau Lambda_{n/2+1}(tau) / (2 pi)^(n/2)
+        lo, hi = _profile_pair(n, tau)
+        scale = (2.0 * math.pi) ** (n / 2.0)
+        b_n = n * lo / scale - tau * tau * hi / scale
+        for m, value in zip((3200, 10**4, 10**5), expected):
+            lam, rem = self._remainder(n, tau, m)
+            assert m * (rem / lam ** (n - 1) / (b_n / 2.0) - 1.0) == pytest.approx(value, abs=0.002)
+
+    @pytest.mark.parametrize("n,tau,_,expected", CASES, ids=["2-1.5", "2-4", "3-1.5"])
+    def test_against_the_band_kernel(self, n, tau, _, expected):
+        # the band (lambda_M - ulp, lambda_M - ulp + 1] holds degree M alone
+        for m, value in zip((3200, 10**4, 10**5), expected):
+            lam, rem = self._remainder(n, tau, m)
+            step = band_kernel_sphere(n, tau / lam, math.nextafter(lam, 0.0))
+            assert m * (rem / (step / 2.0) - 1.0) == pytest.approx(value, abs=0.002)
 
 
 class TestZonal:
