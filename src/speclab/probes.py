@@ -432,7 +432,10 @@ def probe_lp(family: str, r: float, s: float, grid=None, *, n: int = 2) -> Probe
         norms = sphere.zonal_norms(n, ms, r)
     else:
         norms = [sphere.hw_norm(n, m, r) for m in ms]
-    raws = [sphere.sobolev_scale(lam, s) * norm for lam, norm in zip(lambdas, norms)]
+    try:
+        raws = [sphere.sobolev_scale(lam, s) * norm for lam, norm in zip(lambdas, norms)]
+    except OverflowError:  # the float ** of sobolev_scale raises where * gives inf
+        raws = [math.inf]
     if not all(math.isfinite(v) for v in raws):
         raise ResourceLimitError(f"the Sobolev-scaled norm at s = {s:g} overflows a float")
     exponent = s + epsilon_exponent(n, r)

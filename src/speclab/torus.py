@@ -50,28 +50,27 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
-# largest supported radius per dimension; it bounds the work of one sum
-_RADIUS_CAP = {2: 1500, 3: 200}
+# largest supported radius, for n = 2 and 3 alike; it bounds the work of one
+# sum, not of a run
+_RADIUS_CAP = 1500
 
-# largest window eps: at |s| <= 1500 + T the window forms y = eps s/4 of at
-# most 1500 eps/4 + 1000 < 4e307, so y stays finite
+# largest window eps: at |s| <= 1500 + T, for n = 2 and 3 alike, the window
+# forms y = eps s/4 of at most 1500 eps/4 + 1000 < 4e307, so y stays finite
 _EPS_MAX = 1e305
 
 
 def check_radius(n: int, radius: float) -> None:
-    """Refuse a sum over |k| <= radius that n or the radius cap rules out.
+    """Refuse a sum over |k| <= radius unless n is 2 or 3 and radius is within the cap.
 
-    A probe calls this once with the largest radius its grid needs, so a run
-    past the cap exits before any sum starts.
+    One cap serves both dimensions.  A probe calls this once with the largest
+    radius its grid needs, so a run past the cap exits before any sum starts.
     """
-    if n not in _RADIUS_CAP:
+    if n not in (2, 3):
         raise DomainError(f"torus dimension must be 2 or 3, got {n}")
     if not radius >= 0.0:
         raise DomainError(f"radius must be >= 0, got {radius}")
-    if radius > _RADIUS_CAP[n]:
-        raise ResourceLimitError(
-            f"radius {radius:g} exceeds the n={n} radius cap of {_RADIUS_CAP[n]}"
-        )
+    if radius > _RADIUS_CAP:
+        raise ResourceLimitError(f"radius {radius:g} exceeds the radius cap of {_RADIUS_CAP}")
 
 
 def default_direction(n: int) -> tuple[float, ...]:

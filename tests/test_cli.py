@@ -511,7 +511,7 @@ class TestResourceLimits:
         ids=["weyl", "offdiag"],
     )
     def test_torus_n3_cap_fits_in_512_mib(self, argv, tmp_path):
-        # at the n=3 radius cap the sums run over rows, never over all points
+        # the n=3 sums run over rows, never over all points
         proc = _run_cli(
             argv + ["--manifold", "torus", "--n", "3", "--grid", "50:200:50"], tmp_path, True
         )
@@ -519,7 +519,7 @@ class TestResourceLimits:
 
 
     def test_torus_cap_refused_before_any_sum(self, monkeypatch, tmp_path, capsys):
-        # hoelder needs radius max(lambda) + 1 = 201, past the n=3 cap of 200
+        # hoelder needs radius max(lambda) + 1 = 1501, past the cap of 1500
         calls = []
         real = torus.spectral_function_torus
 
@@ -530,11 +530,31 @@ class TestResourceLimits:
         monkeypatch.setattr(torus, "spectral_function_torus", counting)
         out = tmp_path / "out"
         argv = ["hoelder", "--manifold", "torus", "--n", "3", "--delta", "0.5",
-                "--grid", "50:200:50", "--out", str(out)]
+                "--grid", "50:1500:50", "--out", str(out)]
         assert run_command(argv) == 3
         assert calls == []
-        assert "radius 201 exceeds" in capsys.readouterr().err
+        assert "radius 1501 exceeds" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_torus_n3_default_grids_run(self, tmp_path):
+        runs = [
+            ["weyl", "--manifold", "torus"],
+            ["deriv", "--alpha", "1,0,0", "--beta", "1,0,0"],
+            ["offdiag", "--manifold", "torus", "--tau", "2"],
+            ["band", "--manifold", "torus"],
+            ["difference", "--manifold", "torus", "--tau", "2"],
+            ["hoelder", "--manifold", "torus", "--delta", "0.5"],
+            ["smoothed", "--eps", "4"],
+        ]
+        for argv in runs:
+            out = tmp_path / argv[0]
+            assert run_command(argv + ["--n", "3", "--formats", "csv", "--out", str(out)]) == 0, argv
+
+    def test_lp_sobolev_overflow_names_it(self, tmp_path, capsys):
+        # the float ** of the Sobolev factor raised a bare OverflowError
+        argv = ["lp", "--family", "hw", "--r", "4", "--s", "300", "--out", str(tmp_path / "out")]
+        assert run_command(argv) == 3
+        assert "the Sobolev-scaled norm at s = 300 overflows a float" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",
@@ -1281,7 +1301,7 @@ class TestFamilyExitContract:
 # --------------------------------------------------------------------------
 # the same contract for the sphere spectral subcommands and smoothed
 
-# eps >= 20 keeps the window's reach 4000/eps within both radius caps
+# eps >= 20 keeps the window's reach 4000/eps at most 200, and a run's shell table small
 _eps = _mostly(
     st.floats(20.0, 1000.0).map(repr),
     st.one_of(_ODD_NUMBERS, st.sampled_from(["4", "1e305", "1e306", "1e-300"])),

@@ -10,7 +10,7 @@ from speclab.analytic import (
     phi_kernel_zero,
     weyl_constant,
 )
-from speclab.errors import DomainError
+from speclab.errors import DomainError, ResourceLimitError
 from speclab.probes import (
     ProbeResult,
     default_degree_grid,
@@ -422,6 +422,11 @@ class TestLpProbe:
             with pytest.raises(DomainError, match="r >= 2|Sobolev order"):
                 probe_lp(family, r, s, SMALL_DEGREES)
 
+    def test_sobolev_overflow_refused(self):
+        # (1 + lambda^2)^(s/2) raises OverflowError from about s = 118 on the default grid
+        with pytest.raises(ResourceLimitError, match="overflows a float"):
+            probe_lp("hw", 4.0, 300.0)
+
     def test_zonal_builds_one_exact_rule_per_run(self):
         # the largest default degree, 400, needs 400 * 6/2 + 1 = 1201 nodes for r = 6
         gauss_legendre_rule.cache_clear()
@@ -575,6 +580,16 @@ class TestSmoothedProbe:
         floor = float(np.min(window.value(np.linspace(-1.0, 0.0, 2001))))
         for row in res.rows:
             assert row.raw >= floor * torus.band_diagonal_sum(2, row.abscissa)
+
+    def test_n3_ratios_match_the_radial_integral(self):
+        # within the window's Fourier support the lattice sum is the radial
+        # integral: 4/(3 pi eps) + (4/eps)^3/(4 pi lambda^2) for n = 3
+        eps = 4.0
+        res = probe_smoothed(3, eps, default_lambda_grid())
+        for row in res.rows:
+            lam = row.abscissa
+            expected = 4.0 / (3.0 * math.pi * eps) + (4.0 / eps) ** 3 / (4.0 * math.pi * lam**2)
+            assert row.ratio == pytest.approx(expected, rel=1e-6, abs=0.0)
 
 
 class TestProbeResultShape:

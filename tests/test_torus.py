@@ -68,13 +68,14 @@ def cube_norms_sq(n, top):
     return q
 
 
-def square_scan_shells(top):
-    """r_2(j) for j <= top^2 by a bincount over the square, block by block (oracle)."""
+def cube_scan_shells(n, top):
+    """r_n(j) for j <= top^2 by a bincount over the cube [-top, top]^n, block by block (oracle)."""
     bound = top * top
     sq = np.arange(-top, top + 1, dtype=np.int64) ** 2
+    rest = cube_norms_sq(n - 1, top)
     counts = np.zeros(bound + 1, dtype=np.int64)
     for block in np.array_split(sq, 16):
-        q = (block[:, None] + sq).ravel()
+        q = (block[:, None] + rest).ravel()
         counts += np.bincount(q[q <= bound], minlength=bound + 1)
     return counts
 
@@ -123,12 +124,20 @@ class TestEnumeration:
     def test_limits(self):
         with pytest.raises(ResourceLimitError, match="1500"):
             eigenvalue_count(2, 1500.5)
-        with pytest.raises(ResourceLimitError, match="200"):
-            eigenvalue_count(3, 201.0)
+        with pytest.raises(ResourceLimitError, match="radius cap of 1500"):
+            eigenvalue_count(3, 1500.5)
         with pytest.raises(DomainError):
             eigenvalue_count(4, 1.0)
         with pytest.raises(DomainError):
             eigenvalue_count(2, -1.0)
+
+    @pytest.mark.parametrize(
+        "radius, count", [(300, 113_094_545), (1300, 9_202_742_701), (1500, 14_137_142_777)]
+    )
+    def test_n3_count_is_the_shell_sum(self, radius, count):
+        # the row walker against the slice sums of r_2, up to the cap
+        assert eigenvalue_count(3, float(radius)) == count
+        assert int(torus.lattice_shells(3, radius).mult.sum()) == count
 
     def test_nan_radius_refused(self):
         with pytest.raises(DomainError):
@@ -144,7 +153,7 @@ class TestEnumeration:
 
 @functools.lru_cache(maxsize=1)
 def square_scan_1300():
-    return square_scan_shells(1300)
+    return cube_scan_shells(2, 1300)
 
 
 class TestShells:
@@ -183,11 +192,18 @@ class TestShells:
         np.testing.assert_array_equal(table.values, expected)
         np.testing.assert_array_equal(table.mult, counts[expected].astype(np.float64))
 
+    def test_n3_matches_cube_bincount(self):
+        table = torus.lattice_shells(3, 100)
+        counts = cube_scan_shells(3, 100)
+        expected = np.flatnonzero(counts)
+        np.testing.assert_array_equal(table.values, expected)
+        np.testing.assert_array_equal(table.mult, counts[expected].astype(np.float64))
+
     def test_radius_checked_first(self):
         with pytest.raises(ResourceLimitError, match="1500"):
             torus.lattice_shells(2, 1500.5)
-        with pytest.raises(ResourceLimitError, match="200"):
-            torus.lattice_shells(3, 200.5)
+        with pytest.raises(ResourceLimitError, match="radius cap of 1500"):
+            torus.lattice_shells(3, 1500.5)
         for radius in (-1.0, math.nan):
             with pytest.raises(DomainError):
                 torus.lattice_shells(2, radius)
@@ -580,7 +596,7 @@ class TestSmoothedSum:
         # the cut at lambda + T bounds the weight by 1e-12, not the tail: the
         # shells out to the n=2 limit still add about 1e-8
         w = SmoothingWindow(eps=4.0)
-        counts = square_scan_shells(1500)
+        counts = cube_scan_shells(2, 1500)
         values = np.flatnonzero(counts)
         mult = counts[values]
         radii = np.sqrt(values.astype(np.float64))
@@ -832,8 +848,9 @@ u3_components = st.one_of(
 
 class TestCosineSum3AgainstReference:
     # Each term's argument p . u' carries a rounding of up to about
-    # 2 (R + 1) pi 2^-52 (2.8e-13 at the n = 3 cap R = 200), and |D_w| <= 2w + 1,
-    # so the two routes may differ by that fraction of the diagonal e(x, x, lambda).
+    # 2 (R + 1) pi 2^-52 (4.2e-13 at R = 300), and |D_w| <= 2w + 1, so the two
+    # routes may differ by that fraction of the diagonal e(x, x, lambda).
+    # The roundings mostly cancel: at R = 300 and 301 the gap read 1.3e-16.
     TOL = 1e-13
 
     @settings(derandomize=True, deadline=None, max_examples=150)
@@ -853,6 +870,14 @@ class TestCosineSum3AgainstReference:
         band = numpy_cosine_sum3(u, lam + 1.0) - numpy_cosine_sum3(u, lam)
         scale = spectral_function_torus(3, (0.0, 0.0, 0.0), lam + 1.0)
         assert abs(torus.band_kernel_torus(3, u, lam) - band) <= self.TOL * scale
+
+    @pytest.mark.parametrize("lam", [300.0, 301.0])
+    def test_at_the_end_of_the_default_grid(self, lam):
+        diagonal = spectral_function_torus(3, (0.0, 0.0, 0.0), lam)
+        for tau in (0.5, 2.0, 6.0):
+            u = [tau / lam * v for v in default_direction(3)]
+            got = spectral_function_torus(3, u, lam)
+            assert abs(got - numpy_cosine_sum3(u, lam)) <= self.TOL * diagonal
 
 
 def annulus(n, lam):
@@ -874,14 +899,20 @@ class TestBandKernel:
     @pytest.mark.parametrize("n", [2, 3])
     def test_diagonal_is_the_band_count(self, n):
         # both cosine sums are exact counts at u = 0 and are subtracted before
-        # the division, so the kernel has band_diagonal_sum's bits up to the cap
-        cap = {2: 1499, 3: 199}[n]
+        # the division, so the kernel has band_diagonal_sum's bits; the sweep
+        # ends at the cap for n = 2 and at 199 for n = 3, whose sums cost more
+        top = {2: 1499, 3: 199}[n]
         step = {2: 15, 3: 11}[n]
-        lams = [j / 4 for j in range(0, 4 * cap + 1, step)] + [float(cap)]
-        lams += [math.sqrt(j) for j in range(0, cap * cap, cap * cap // 40)]
+        lams = [j / 4 for j in range(0, 4 * top + 1, step)] + [float(top)]
+        lams += [math.sqrt(j) for j in range(0, top * top, top * top // 40)]
         for lam in lams:
             got = torus.band_kernel_torus(n, (0.0,) * n, lam)
             assert got.hex() == band_diagonal_sum(n, lam).hex(), lam
+
+    @pytest.mark.parametrize("lam", [300.0, 1000.0, 1499.0])
+    def test_n3_diagonal_is_the_band_count_up_to_the_cap(self, lam):
+        got = torus.band_kernel_torus(3, (0.0, 0.0, 0.0), lam)
+        assert got.hex() == band_diagonal_sum(3, lam).hex()
 
     # Each cosine sum is off by a few ulps of its size, the count N(lambda + 1),
     # and that is about (lambda + 1)/n times the band's count.  Measured: at most
