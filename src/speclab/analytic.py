@@ -40,6 +40,10 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
+# largest n whose c_n = vol(B_n)/(2 pi)^n is a normal float (c_225 = 1.04e-307,
+# c_226 = 2.76e-309); weyl_constant and phi_kernel, |Phi_n| <= c_n, refuse past it
+_WEYL_N_MAX = 225
+
 # Zeros of Lambda_nu = J_nu / x^nu by Newton on Miller's recurrence
 # (_profile_zero).  Its error falls with x as the profile does, so every zero
 # below PHI_ZERO_TAU_MAX for every 2 nu <= PROFILE_POWER_MAX was within 1.8e-14
@@ -148,10 +152,18 @@ def sphere_area(dim: int) -> float:
     return 2.0 * math.pi ** ((dim + 1) / 2.0) / math.gamma((dim + 1) / 2.0)
 
 
-def weyl_constant(n: int) -> float:
-    """Leading constant of the diagonal spectral function, vol(B_n)/(2 pi)^n."""
+def _check_weyl_dimension(n: int) -> None:
+    """Refuse n outside 2 <= n <= _WEYL_N_MAX, the dimensions whose c_n is a normal float."""
     if n < 2:
         raise DomainError(f"dimension must be >= 2, got {n}")
+    if n > _WEYL_N_MAX:
+        raise DomainError(f"dimension must be <= {_WEYL_N_MAX}, got {n}: past it c_n is below "
+                          "the smallest normal float")
+
+
+def weyl_constant(n: int) -> float:
+    """Leading constant of the diagonal spectral function, vol(B_n)/(2 pi)^n, for 2 <= n <= 225."""
+    _check_weyl_dimension(n)
     return 1.0 / (2.0 ** n * math.pi ** (n / 2.0) * math.gamma(1.0 + n / 2.0))
 
 
@@ -522,18 +534,16 @@ def phi_kernel(n: int, tau: float) -> float:
 
     Phi_n(0) equals the diagonal Weyl constant; the zeros of Phi_n mark the
     rescaled distances where the off-diagonal leading term degenerates.
-    The tests check it against mpmath for n = 2 to 5 and tau <= 2448.  Past n = 342
-    Gamma((n+1)/2) overflows and OverflowError is raised; below, large n underflows
-    silently: 0.0 at (300, 0), -0.0 at (170, 1000), subnormal at (150, 2448); ROADMAP item 23.
+    The tests check it against mpmath for n = 2 to 5 and tau <= 2448, and at
+    (225, 0).  Past n = 225, where |Phi_n| <= Phi_n(0) = c_n is below the
+    smallest normal float, DomainError is raised; below, large n can still
+    underflow at large tau: -0.0 at (170, 1000), subnormal at (150, 2448); ROADMAP item 23.
     """
-    if n < 2:
-        raise DomainError(f"dimension must be >= 2, got {n}")
+    _check_weyl_dimension(n)
     if not tau >= 0.0:
         raise DomainError(f"tau must be >= 0, got {tau}")
     if tau > PHI_TAU_MAX:
         raise DomainError(f"tau = {tau:g} exceeds the largest supported tau, {PHI_TAU_MAX:g}")
-    if n > 342:
-        raise OverflowError(f"Phi_{n}: Gamma((n + 1)/2) overflows a float past n = 342")
     value = _profile_pair(n, tau)[0] / TWO_PI ** (0.5 * n)
     if n in (2, 3):
         other = phi_kernel_bessel(n, tau)

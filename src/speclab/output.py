@@ -132,6 +132,8 @@ def _scale(vals, lo_px, hi_px, log: bool):
         vmin, vmax = math.log10(vmin), math.log10(vmax)
     if vmax == vmin:
         vmin, vmax = vmin - 0.5, vmax + 0.5
+    if vmax == vmin:  # from |v| = 2^52 the 0.5 pad can round away
+        vmin, vmax = vmin - math.ulp(vmin), vmax + math.ulp(vmax)
     span = vmax - vmin
 
     def to_px(v: float) -> float:

@@ -202,12 +202,28 @@ def _check_degree_budget(total: int, budget: int, what: str) -> None:
         raise ResourceLimitError(f"{what} sums to {total}, past the budget of {budget} summed degrees")
 
 
-def _rows(abscissae, raws, scales, limit) -> list[ProbeRow]:
-    """One row per abscissa, its ratio raw / scale, or no ratio when the limit is exactly 0."""
-    return [
-        ProbeRow(abscissa=float(a), raw=v, ratio=None if limit == 0.0 else v / scale)
-        for a, v, scale in zip(abscissae, raws, scales)
-    ]
+def _table(probe, params, abscissae, raws, exponent, limit=None, *, lambdas=None, scales=None, extra=None):
+    """The probe's table: each row's ratio is its raw over lambdas[i] ** exponent, or over scales[i].
+
+    lambdas default to the abscissae; passed, they are the fit abscissae.  A
+    limit of exactly 0 leaves every ratio out.
+    """
+    if lambdas is None:
+        lambdas = abscissae
+    else:
+        extra = {"fit_abscissa": lambdas, **(extra or {})}
+    if scales is None:
+        scales = []
+        for lam in lambdas:
+            try:
+                scales.append(lam ** exponent)
+            except OverflowError:
+                raise ResourceLimitError(
+                    f"the predicted growth lambda^{exponent:g} overflows a float at lambda = {lam:g}"
+                ) from None
+    rows = [ProbeRow(float(a), v, None if limit == 0.0 else v / scale)
+            for a, v, scale in zip(abscissae, raws, scales)]
+    return ProbeResult(probe, params, rows, limit, exponent, extra)
 
 
 def _snap_zero(n: int, limit: float) -> float:
@@ -276,16 +292,10 @@ def _kernel(manifold: str, n: int, grid, direction, taus, *, band: bool = False)
 
 def probe_weyl(manifold: str, n: int, grid=None) -> ProbeResult:
     """Diagonal spectral function against the volume-counting prediction."""
+    limit = weyl_constant(n)
     lambdas, kernel = _kernel(manifold, n, grid, None, (0.0,))
     raws = [kernel(lam, 0.0) for lam in lambdas]
-    limit = weyl_constant(n)
-    return ProbeResult(
-        probe="weyl",
-        params={"manifold": manifold, "n": n},
-        rows=_rows(lambdas, raws, [lam ** float(n) for lam in lambdas], limit),
-        predicted_limit=limit,
-        predicted_exponent=float(n),
-    )
+    return _table("weyl", {"manifold": manifold, "n": n}, lambdas, raws, float(n), limit)
 
 
 def probe_offdiag(
@@ -300,13 +310,7 @@ def probe_offdiag(
     limit = _snap_phi_limit(n, tau)
     lambdas, kernel = _kernel(manifold, n, grid, direction, (tau,))
     raws = [kernel(lam, tau / lam) for lam in lambdas]
-    return ProbeResult(
-        probe="offdiag",
-        params={"manifold": manifold, "n": n, "tau": tau},
-        rows=_rows(lambdas, raws, [lam ** float(n) for lam in lambdas], limit),
-        predicted_limit=limit,
-        predicted_exponent=float(n),
-    )
+    return _table("offdiag", {"manifold": manifold, "n": n, "tau": tau}, lambdas, raws, float(n), limit)
 
 
 def probe_difference(
@@ -323,13 +327,8 @@ def probe_difference(
     offs = [kernel(lam, tau / lam) for lam in lambdas]
     diags = [kernel(lam, 0.0) for lam in lambdas]
     raws = [2.0 * (d - o) for d, o in zip(diags, offs)]
-    return ProbeResult(
-        probe="difference",
-        params={"manifold": manifold, "n": n, "tau": tau},
-        rows=_rows(lambdas, raws, [lam ** float(n) for lam in lambdas], limit),
-        predicted_limit=limit,
-        predicted_exponent=float(n),
-    )
+    params = {"manifold": manifold, "n": n, "tau": tau}
+    return _table("difference", params, lambdas, raws, float(n), limit)
 
 
 def probe_deriv(n: int, alpha: MultiIndex, beta: MultiIndex, grid=None) -> ProbeResult:
@@ -337,20 +336,9 @@ def probe_deriv(n: int, alpha: MultiIndex, beta: MultiIndex, grid=None) -> Probe
     lambdas = _lambda_grid(grid)
     torus.check_radius(n, max(lambdas))
     raws = [torus.derivative_diagonal_sum(n, alpha, beta, lam) for lam in lambdas]
-    limit = deriv_weyl_constant(n, alpha, beta)
+    params = {"manifold": "torus", "n": n, "alpha": list(alpha.entries), "beta": list(beta.entries)}
     exponent = float(n + alpha.order + beta.order)
-    return ProbeResult(
-        probe="deriv",
-        params={
-            "manifold": "torus",
-            "n": n,
-            "alpha": list(alpha.entries),
-            "beta": list(beta.entries),
-        },
-        rows=_rows(lambdas, raws, [lam ** exponent for lam in lambdas], limit),
-        predicted_limit=limit,
-        predicted_exponent=exponent,
-    )
+    return _table("deriv", params, lambdas, raws, exponent, deriv_weyl_constant(n, alpha, beta))
 
 
 def probe_band(manifold: str, n: int, grid=None) -> ProbeResult:
@@ -360,18 +348,12 @@ def probe_band(manifold: str, n: int, grid=None) -> ProbeResult:
     sit slightly more than 1 apart, which would leave every band empty);
     empty-band rows report zero and are excluded from fits.
     """
+    limit = float(n) * weyl_constant(n)
     lambdas, band = _kernel(manifold, n, grid, None, (0.0,), band=True)
     raws = [band(lam, 0.0) for lam in lambdas]
     witness = [math.sqrt(v) / lam ** ((n - 1) / 2.0) for v, lam in zip(raws, lambdas)]
-    limit = float(n) * weyl_constant(n)
-    return ProbeResult(
-        probe="band",
-        params={"manifold": manifold, "n": n},
-        rows=_rows(lambdas, raws, [lam ** float(n - 1) for lam in lambdas], limit),
-        predicted_limit=limit,
-        predicted_exponent=float(n - 1),
-        extra={"sqrt_band_norm_witness": witness},
-    )
+    return _table("band", {"manifold": manifold, "n": n}, lambdas, raws, float(n - 1), limit,
+                  extra={"sqrt_band_norm_witness": witness})
 
 
 def probe_hoelder(
@@ -401,14 +383,8 @@ def probe_hoelder(
         return best
 
     raws = [one(lam) for lam in lambdas]
-    exponent = (n - 1.0) + 2.0 * delta
-    return ProbeResult(
-        probe="hoelder",
-        params={"manifold": manifold, "n": n, "delta": delta, "tau_grid": taus},
-        rows=_rows(lambdas, raws, [lam ** exponent for lam in lambdas], None),
-        predicted_limit=None,
-        predicted_exponent=exponent,
-    )
+    params = {"manifold": manifold, "n": n, "delta": delta, "tau_grid": taus}
+    return _table("hoelder", params, lambdas, raws, (n - 1.0) + 2.0 * delta)
 
 
 # --------------------------------------------------------------------------
@@ -438,16 +414,9 @@ def probe_lp(family: str, r: float, s: float, grid=None, *, n: int = 2) -> Probe
         raws = [math.inf]
     if not all(math.isfinite(v) for v in raws):
         raise ResourceLimitError(f"the Sobolev-scaled norm at s = {s:g} overflows a float")
-    exponent = s + epsilon_exponent(n, r)
-    return ProbeResult(
-        probe="lp",
-        params={"manifold": "sphere", "n": n, "family": family,
-                "r": "inf" if math.isinf(r) else r, "s": s},
-        rows=_rows(ms, raws, [lam ** exponent for lam in lambdas], None),
-        predicted_limit=None,
-        predicted_exponent=exponent,
-        extra={"fit_abscissa": lambdas},
-    )
+    params = {"manifold": "sphere", "n": n, "family": family,
+              "r": "inf" if math.isinf(r) else r, "s": s}
+    return _table("lp", params, ms, raws, s + epsilon_exponent(n, r), lambdas=lambdas)
 
 
 def _hoelder_proxy(n: int, m: int, lam: float, delta: float) -> float:
@@ -480,15 +449,9 @@ def probe_cksigma(sigma: float, grid=None, *, n: int = 2) -> ProbeResult:
         raws = [sphere.zonal_gradient_sup(n, m) for m in ms]
     else:
         raws = [_hoelder_proxy(n, m, lam, sigma) for m, lam in zip(ms, lambdas)]
-    scales = [lam ** sigma * sup for lam, sup in zip(lambdas, sups)]
-    return ProbeResult(
-        probe="cksigma",
-        params={"manifold": "sphere", "n": n, "sigma": sigma},
-        rows=_rows(ms, raws, scales, None),
-        predicted_limit=None,
-        predicted_exponent=sigma + (n - 1.0) / 2.0,
-        extra={"fit_abscissa": lambdas},
-    )
+    return _table("cksigma", {"manifold": "sphere", "n": n, "sigma": sigma}, ms, raws,
+                  sigma + (n - 1.0) / 2.0, lambdas=lambdas,
+                  scales=[lam ** sigma * sup for lam, sup in zip(lambdas, sups)])
 
 
 def _nodal_limit(n: int) -> float | None:
@@ -512,20 +475,9 @@ def probe_nodal(grid=None, *, n: int = 2) -> ProbeResult:
     thetas = [sphere.nodal_gap_zonal(n, m) for m in ms]
     ratios = [sphere.nadirashvili_ratio(n, m) for m in ms]
     raws = [lam * theta for lam, theta in zip(lambdas, thetas)]
-    limit = _nodal_limit(n)
-    return ProbeResult(
-        probe="nodal",
-        params={"manifold": "sphere", "n": n},
-        rows=_rows(ms, raws, [1.0] * len(ms), limit),
-        predicted_limit=limit,
-        predicted_exponent=0.0,
-        extra={
-            "fit_abscissa": lambdas,
-            "theta_first_zero": thetas,
-            "cap_inner_radius": thetas,
-            "nadirashvili_ratio": ratios,
-        },
-    )
+    extra = {"theta_first_zero": thetas, "cap_inner_radius": thetas, "nadirashvili_ratio": ratios}
+    return _table("nodal", {"manifold": "sphere", "n": n}, ms, raws, 0.0, _nodal_limit(n),
+                  lambdas=lambdas, extra=extra)
 
 
 def probe_smoothed(n: int, eps: float | None = None, grid=None) -> ProbeResult:
@@ -534,10 +486,5 @@ def probe_smoothed(n: int, eps: float | None = None, grid=None) -> ProbeResult:
     lambdas = _lambda_grid(grid)
     shells = torus.lattice_shells(n, max(lambdas) + win.truncation_radius)
     raws = [torus.smoothed_diagonal_sum(n, lam, win, shells=shells) for lam in lambdas]
-    return ProbeResult(
-        probe="smoothed",
-        params={"manifold": "torus", "n": n, "window": "sinc4", "eps": win.eps},
-        rows=_rows(lambdas, raws, [lam ** float(n - 1) for lam in lambdas], None),
-        predicted_limit=None,
-        predicted_exponent=float(n - 1),
-    )
+    params = {"manifold": "torus", "n": n, "window": "sinc4", "eps": win.eps}
+    return _table("smoothed", params, lambdas, raws, float(n - 1))

@@ -173,6 +173,13 @@ class TestDoubleFactorial:
             double_factorial(-2)
 
 
+def _weyl_constant_40_digits(n):
+    """c_n = 1/(2^n pi^(n/2) Gamma(1 + n/2)) in 40-digit mpmath."""
+    with mpmath.workdps(40):
+        half = mpmath.mpf(n) / 2
+        return 1 / (2 ** mpmath.mpf(n) * mpmath.pi ** half * mpmath.gamma(1 + half))
+
+
 class TestWeylConstant:
     def test_known_dimensions(self):
         assert weyl_constant(2) == pytest.approx(1.0 / (4.0 * math.pi), abs=1e-13)
@@ -187,6 +194,22 @@ class TestWeylConstant:
     def test_domain(self):
         with pytest.raises(DomainError):
             weyl_constant(1)
+
+    def test_last_normal_dimension_against_mpmath(self):
+        # c_225 = 1.04e-307 is the last c_n above the smallest normal float;
+        # measured 4.5e-15 relative from 40-digit mpmath
+        assert abs(weyl_constant(225) / _weyl_constant_40_digits(225) - 1) <= 1e-13
+
+    def test_every_served_dimension_keeps_its_closed_form(self):
+        # the refusal past n = 225 leaves every value below it bit for bit
+        for n in range(2, 226):
+            assert weyl_constant(n) == 1.0 / (2.0 ** n * math.pi ** (n / 2.0) * math.gamma(1.0 + n / 2.0))
+
+    @pytest.mark.parametrize("n", [226, 341, 342, 400])
+    def test_refuses_a_subnormal_constant(self, n):
+        # 226 <= n <= 341 returned 0.0, and n >= 342 raised a bare OverflowError
+        with pytest.raises(DomainError, match=rf"dimension must be <= 225, got {n}: .*smallest normal float"):
+            weyl_constant(n)
 
 
 def _multi_indices(n, top):
@@ -788,6 +811,17 @@ class TestPhiKernel:
         bound = Fraction(3e-15) * Fraction(weyl_constant(n))
         for tau, pinned in zip(PHI_PIN_TAUS, PHI_PIN_VALUES[n]):
             assert abs(Fraction(phi_kernel(n, tau)) - Fraction(pinned)) <= bound, tau
+
+    def test_last_normal_dimension_against_mpmath(self):
+        # Phi_225(0) = c_225; measured 4.7e-15 relative from 40-digit mpmath
+        assert abs(phi_kernel(225, 0.0) / _weyl_constant_40_digits(225) - 1) <= 1e-13
+
+    @pytest.mark.parametrize("n", [226, 250, 343])
+    def test_refuses_past_the_last_normal_constant(self, n):
+        # |Phi_n| <= Phi_n(0) = c_n; phi_kernel(250, 0) returned 0.0, and past
+        # n = 342 it raised OverflowError
+        with pytest.raises(DomainError, match=rf"dimension must be <= 225, got {n}"):
+            phi_kernel(n, 0.0)
 
     def test_tau_beyond_rule_cap_names_the_limit(self):
         # the cap is the served domain, not a cost bound: a call at tau = 2448 takes about 1 ms

@@ -557,6 +557,40 @@ class TestResourceLimits:
         assert "the Sobolev-scaled norm at s = 300 overflows a float" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "argv, text",
+        [
+            # m = 80 pins lambda = sqrt(80 * 229); 135.351^150 is past the float range
+            (["weyl", "--manifold", "sphere", "--n", "150", "--grid", "20:400:20"],
+             "the predicted growth lambda^150 overflows a float at lambda = 135.351"),
+            (["band", "--manifold", "sphere", "--n", "200"],
+             "the predicted growth lambda^199 overflows a float at lambda = 50"),
+        ],
+        ids=["weyl", "band"],
+    )
+    def test_predicted_growth_overflow_names_it(self, argv, text, tmp_path, capsys):
+        # lam ** exponent raised a bare OverflowError: (34, 'Numerical result out of range')
+        out = tmp_path / "out"
+        assert run_command(argv + ["--out", str(out)]) == 3
+        assert f"error: {text}\n" == capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["weyl", "--manifold", "sphere", "--n", "226", "--grid", "1"],
+        ["band", "--manifold", "sphere", "--n", "226", "--grid", "20"],
+    ], ids=["weyl", "band"])
+    def test_subnormal_weyl_constant_refused_before_any_kernel_call(self, argv, monkeypatch, tmp_path, capsys):
+        # c_226 is subnormal: band wrote predicted_limit 0.0 and a blank ratio
+        # column with exit 0, and weyl exited 1 in render_plot
+        calls = []
+        for name in ("spectral_function_sphere", "band_kernel_sphere"):
+            monkeypatch.setattr(sphere, name, lambda *args: calls.append(args))
+        out = tmp_path / "out"
+        assert run_command(argv + ["--out", str(out)]) == 2
+        assert calls == []
+        assert "dimension must be <= 225, got 226" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["nodal", "--grid", "1000000,1000001"],
@@ -1097,6 +1131,20 @@ class TestSvg:
         assert text.count("<circle") == 2
         assert "nan" not in text and "inf" not in text
 
+    @pytest.mark.parametrize("raw", [-1.16e16, 2.0 ** 53, -(2.0 ** 60), 1e300])
+    def test_flat_series_past_2_52_renders(self, tmp_path, raw):
+        # from |v| = 2^52 the +-0.5 pad of a flat series can round away, and
+        # the zero span raised ZeroDivisionError: offdiag --manifold sphere --n 5
+        # at tau = j_{5/2,1} plots raws of -1.16e16 and exited 1
+        res = probe_weyl("torus", 2, [50.0, 75.0])
+        res = res._replace(rows=[r._replace(raw=raw, ratio=None) for r in res.rows], predicted_limit=0.0)
+        text = self._render(tmp_path, res)
+        ET.fromstring(text)
+        assert "nan" not in text and "inf" not in text
+        # the flat trace sits mid-panel
+        (points,) = re.findall(r'<polyline points="([^"]*)"', text)
+        assert [p.split(",")[1] for p in points.split()] == ["200.00", "200.00"]
+
     def test_zero_limit_probe_renders(self, tmp_path):
         res = probe_difference("torus", 2, 0.0, [50.0, 75.0, 100.0])
         text = self._render(tmp_path, res)
@@ -1204,7 +1252,8 @@ class TestTorusExitContract:
     def test_every_run_exits_0_2_or_3(self, tmp_path_factory, argv):
         # exit 0 writes finite raw values: a nan or inf row would be silently wrong
         out = tmp_path_factory.mktemp("contract")
-        rc = run_command(argv + ["--formats", "csv", "--out", str(out)])
+        # every format is written, so render_plot sees each input too
+        rc = run_command(argv + ["--out", str(out)])
         assert rc in (0, 2, 3), (argv, rc)
         if rc == 0:
             (csv_path,) = _files(out, ".csv")
@@ -1276,7 +1325,8 @@ class TestFamilyExitContract:
         # exit 0 writes positive finite raws: norms, gradient sups and nodal
         # products are all positive
         out = tmp_path_factory.mktemp("contract")
-        rc = run_command(argv + ["--formats", "csv", "--out", str(out)])
+        # every format is written, so render_plot sees each input too
+        rc = run_command(argv + ["--out", str(out)])
         assert rc in (0, 2, 3), (argv, rc)
         if rc == 0:
             (csv_path,) = _files(out, ".csv")
@@ -1333,8 +1383,13 @@ class TestSphereExitContract:
     @given(sphere_argvs())
     # the degree budget refuses the grid before max_degree runs
     @example(["band", "--manifold", "sphere", "--grid", "1e300"])
-    # lam ** n overflows in the normalization: OverflowError, exit 3
+    # lambda^150 overflows in the normalization: refused by name, exit 3
     @example(["weyl", "--manifold", "sphere", "--n", "150", "--grid", "20:400:20"])
+    # the limit snaps to 0 at tau = j_{5/2,1}, and the flat raw trace of -1.16e16
+    # gave render_plot a zero span: exit 1
+    @example(["offdiag", "--manifold", "sphere", "--n", "5", "--tau", "5.76345919689455", "--grid", "100000"])
+    # c_226 is subnormal: a 0.0 limit and the same flat trace, exit 1
+    @example(["weyl", "--manifold", "sphere", "--n", "226", "--grid", "1"])
     # the window's reach is infinite, past the radius cap
     @example(["smoothed", "--eps", "5e-324", "--grid", "10"])
     @example(["offdiag", "--manifold", "sphere", "--tau", "5e-324", "--grid", "1"])
@@ -1342,7 +1397,8 @@ class TestSphereExitContract:
     def test_every_run_exits_0_2_or_3(self, tmp_path_factory, argv):
         # exit 0 writes finite raw values: a nan or inf row would be silently wrong
         out = tmp_path_factory.mktemp("contract")
-        rc = run_command(argv + ["--formats", "csv", "--out", str(out)])
+        # every format is written, so render_plot sees each input too
+        rc = run_command(argv + ["--out", str(out)])
         assert rc in (0, 2, 3), (argv, rc)
         if rc == 0:
             (csv_path,) = _files(out, ".csv")

@@ -592,31 +592,49 @@ class TestSmoothedProbe:
             assert row.ratio == pytest.approx(expected, rel=1e-6, abs=0.0)
 
 
+# every probe on a small grid, with a zero limit for offdiag, difference and deriv
+_SMALL_RUNS = {
+    "small-weyl": lambda: probe_weyl("sphere", 3, SMALL_DEGREES),
+    "small-offdiag": lambda: probe_offdiag("torus", 2, 1.5, SMALL_LAMBDAS),
+    "small-offdiag-zero": lambda: probe_offdiag("sphere", 2, phi_kernel_zero(2, 1), SMALL_DEGREES),
+    "small-difference": lambda: probe_difference("sphere", 2, 1.5, SMALL_DEGREES),
+    "small-difference-zero": lambda: probe_difference("torus", 2, 0.0, SMALL_LAMBDAS),
+    "small-deriv": lambda: probe_deriv(2, MultiIndex.of(2, 0), MultiIndex.of(0, 0), SMALL_LAMBDAS),
+    "small-deriv-zero": lambda: probe_deriv(2, MultiIndex.of(1, 0), MultiIndex.of(0, 0), SMALL_LAMBDAS),
+    "small-band": lambda: probe_band("torus", 2, SMALL_LAMBDAS),
+    "small-hoelder": lambda: probe_hoelder("sphere", 2, 0.5, None, SMALL_LAMBDAS),
+    "small-lp": lambda: probe_lp("hw", 4.0, 1.0, SMALL_DEGREES),
+    "small-cksigma-0.5": lambda: probe_cksigma(0.5, SMALL_DEGREES),
+    "small-cksigma-1": lambda: probe_cksigma(1.0, SMALL_DEGREES, n=3),
+    "small-nodal": lambda: probe_nodal(SMALL_DEGREES),
+    "small-smoothed": lambda: probe_smoothed(2, None, SMALL_LAMBDAS),
+}
+
+
 class TestProbeResultShape:
     def test_params_recorded(self):
         res = probe_offdiag("torus", 2, 1.5, SMALL_LAMBDAS)
         assert res.params == {"manifold": "torus", "n": 2, "tau": 1.5}
 
-    @pytest.mark.parametrize("name", list(_DEFAULT_RUNS))
+    @pytest.mark.parametrize("name", list(_DEFAULT_RUNS) + list(_SMALL_RUNS))
     def test_ratio_rule_bit_for_bit(self, name):
-        # raw over the predicted growth: abscissa^e for lambda-indexed probes,
-        # lambda_m^e for lp, lambda_m^sigma ||Z_m||_inf for cksigma, 1 for nodal;
-        # no ratio where the predicted limit is 0
-        res = _DEFAULT_RUNS[name]()
+        # the ratio is the raw over fit_abscissa ** predicted_exponent, or over
+        # lambda^sigma ||Z||_inf for cksigma, and no ratio where the limit is 0;
+        # only the degree-indexed probes carry their eigenvalues as fit abscissae
+        res = {**_DEFAULT_RUNS, **_SMALL_RUNS}[name]()
+        assert (res.predicted_limit == 0.0) == name.endswith("-zero")
         n, e = res.params["n"], res.predicted_exponent
-        for row in res.rows:
-            m = int(row.abscissa)
+        degree_indexed = res.probe in ("lp", "cksigma", "nodal")
+        assert ("fit_abscissa" in (res.extra or {})) == degree_indexed
+        if degree_indexed:
+            assert res.fit_abscissae() == [eigenvalue(n, int(m)) for m in res.abscissae()]
+        for row, lam in zip(res.rows, res.fit_abscissae()):
             if res.predicted_limit == 0.0:
                 want = None
-            elif res.probe == "nodal":
-                want = row.raw
             elif res.probe == "cksigma":
-                sigma = res.params["sigma"]
-                want = row.raw / (eigenvalue(n, m) ** sigma * sphere.zonal_norm(n, m, math.inf))
-            elif res.probe == "lp":
-                want = row.raw / eigenvalue(n, m) ** e
+                want = row.raw / (lam ** res.params["sigma"] * sphere.zonal_norm(n, int(row.abscissa), math.inf))
             else:
-                want = row.raw / row.abscissa ** e
+                want = row.raw / lam ** e
             assert row.ratio == want, (row, want)
 
     def test_probe_result_equality_semantics(self):
