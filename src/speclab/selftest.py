@@ -1,8 +1,10 @@
 """Invariant battery behind `speclab selftest`.
 
-Each check is independent and prints one PASS/FAIL line; probe-backed checks
-also persist their tables (fixed file names, timestamp-free contents) so two
-selftest runs can be compared byte for byte.
+`CHECKS` lists every check once, in print order.  Each is independent and
+prints one PASS/FAIL line under its name without "check_"; the probe-backed
+checks take the output directory and persist their tables there (fixed file
+names, timestamp-free contents) so two selftest runs can be compared byte for
+byte.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import numpy as np
 
 from . import output, probes, sphere, torus
 from .analytic import (
+    TWO_PI,
     MultiIndex,
     ball_moment,
     bessel_profile,
@@ -31,8 +34,6 @@ from .analytic import (
 
 __all__ = ["run_selftest"]
 
-TWO_PI = 2.0 * math.pi
-
 
 def _all_multi_indices(n: int, max_total: int):
     """Every n-tuple of non-negative integers with sum at most max_total, in lexicographic order."""
@@ -48,7 +49,7 @@ def check_gamma_recursion() -> None:
         assert abs(gamma(x + 1.0) / (x * gamma(x)) - 1.0) <= 1e-13
 
 
-def check_phi_weyl_constant() -> None:
+def check_phi_equals_weyl_constant() -> None:
     for n in (2, 3, 4, 5):
         assert abs(phi_kernel(n, 0.0) - weyl_constant(n)) <= 1e-12
 
@@ -264,95 +265,80 @@ def _write_probe(result, fit, out_dir: Path, name: str) -> None:
     output.write_summary(result, fit, out_dir / f"selftest_{name}_summary.json")
 
 
-def make_probe_checks(out_dir: Path):
-    def probe_weyl_torus() -> None:
-        res = probes.probe_weyl("torus", 2, [50.0, 75.0, 100.0, 125.0, 150.0])
-        fit = probes.scaling_fit(res)
-        _write_probe(res, fit, out_dir, "weyl_torus")
-        assert abs(res.rows[-1].ratio / weyl_constant(2) - 1.0) <= 0.05
-        assert abs(fit.exponent - 2.0) <= 0.05
+def check_probe_weyl_torus(out_dir: Path) -> None:
+    res = probes.probe_weyl("torus", 2, [50.0, 75.0, 100.0, 125.0, 150.0])
+    fit = probes.scaling_fit(res)
+    _write_probe(res, fit, out_dir, "weyl_torus")
+    assert abs(res.rows[-1].ratio / weyl_constant(2) - 1.0) <= 0.05
+    assert abs(fit.exponent - 2.0) <= 0.05
 
-    def probe_weyl_sphere() -> None:
-        res = probes.probe_weyl("sphere", 2, list(range(20, 201, 20)))
-        fit = probes.scaling_fit(res)
-        _write_probe(res, fit, out_dir, "weyl_sphere")
-        assert abs(res.rows[-1].ratio / weyl_constant(2) - 1.0) <= 0.05
 
-    def probe_offdiag_consistency() -> None:
-        grid = [50.0, 75.0, 100.0]
-        w = probes.probe_weyl("torus", 2, grid)
-        o = probes.probe_offdiag("torus", 2, 0.0, grid)
-        assert [r.raw for r in w.rows] == [r.raw for r in o.rows]
-        d = probes.probe_difference("torus", 2, 1.5, grid)
-        o15 = probes.probe_offdiag("torus", 2, 1.5, grid)
-        _write_probe(o15, probes.scaling_fit(o15), out_dir, "offdiag_torus")
-        assert all(
-            dr.raw == 2.0 * (wr.raw - orow.raw)
-            for dr, wr, orow in zip(d.rows, w.rows, o15.rows)
-        )
+def check_probe_weyl_sphere(out_dir: Path) -> None:
+    res = probes.probe_weyl("sphere", 2, list(range(20, 201, 20)))
+    fit = probes.scaling_fit(res)
+    _write_probe(res, fit, out_dir, "weyl_sphere")
+    assert abs(res.rows[-1].ratio / weyl_constant(2) - 1.0) <= 0.05
 
-    def probe_band_sphere() -> None:
-        res = probes.probe_band("sphere", 2, [float(v) for v in range(20, 201, 20)])
-        fit = probes.scaling_fit(res)
-        _write_probe(res, fit, out_dir, "band_sphere")
-        assert abs(fit.exponent - 1.0) <= 0.2
 
-    def probe_lp_zonal() -> None:
-        res = probes.probe_lp("zonal", math.inf, 0.0, list(range(20, 201, 20)))
-        fit = probes.scaling_fit(res)
-        _write_probe(res, fit, out_dir, "lp_zonal")
-        assert abs(fit.exponent - 0.5) <= 0.02
+def check_probe_offdiag_consistency(out_dir: Path) -> None:
+    grid = [50.0, 75.0, 100.0]
+    w = probes.probe_weyl("torus", 2, grid)
+    o = probes.probe_offdiag("torus", 2, 0.0, grid)
+    assert [r.raw for r in w.rows] == [r.raw for r in o.rows]
+    d = probes.probe_difference("torus", 2, 1.5, grid)
+    o15 = probes.probe_offdiag("torus", 2, 1.5, grid)
+    _write_probe(o15, probes.scaling_fit(o15), out_dir, "offdiag_torus")
+    assert all(dr.raw == 2.0 * (wr.raw - orow.raw) for dr, wr, orow in zip(d.rows, w.rows, o15.rows))
 
-    def probe_nodal_gap() -> None:
-        res = probes.probe_nodal(list(range(20, 121, 20)))
-        fit = None
-        _write_probe(res, fit, out_dir, "nodal")
-        assert abs(res.rows[-1].raw / res.predicted_limit - 1.0) <= 0.01
 
-    return [
-        ("probe_weyl_torus", probe_weyl_torus),
-        ("probe_weyl_sphere", probe_weyl_sphere),
-        ("probe_offdiag_consistency", probe_offdiag_consistency),
-        ("probe_band_sphere", probe_band_sphere),
-        ("probe_lp_zonal", probe_lp_zonal),
-        ("probe_nodal_gap", probe_nodal_gap),
-    ]
+def check_probe_band_sphere(out_dir: Path) -> None:
+    res = probes.probe_band("sphere", 2, [float(v) for v in range(20, 201, 20)])
+    fit = probes.scaling_fit(res)
+    _write_probe(res, fit, out_dir, "band_sphere")
+    assert abs(fit.exponent - 1.0) <= 0.2
+
+
+def check_probe_lp_zonal(out_dir: Path) -> None:
+    res = probes.probe_lp("zonal", math.inf, 0.0, list(range(20, 201, 20)))
+    fit = probes.scaling_fit(res)
+    _write_probe(res, fit, out_dir, "lp_zonal")
+    assert abs(fit.exponent - 0.5) <= 0.02
+
+
+def check_probe_nodal_gap(out_dir: Path) -> None:
+    res = probes.probe_nodal(list(range(20, 121, 20)))
+    _write_probe(res, None, out_dir, "nodal")
+    assert abs(res.rows[-1].raw / res.predicted_limit - 1.0) <= 0.01
+
+
+# ------------------------------------------------------------- the battery
+
+CHECKS = (
+    check_gamma_recursion, check_phi_equals_weyl_constant, check_phi_dual_routes,
+    check_phi3_tan_zeros, check_deriv_constant_routes, check_epsilon_branches,
+    check_gauss_legendre_moments, check_gegenbauer_interlacing,
+    check_torus_count_bruteforce, check_torus_kernel_bruteforce, check_torus_spectral_bounds,
+    check_torus_parity_zero, check_sphere_multiplicities, check_sphere_kernel_bounds,
+    check_sphere_band_additivity, check_torus_band_kernel, check_zonal_l2_normalization,
+    check_hw_norm_routes, check_odd_nadirashvili,
+    check_probe_weyl_torus, check_probe_weyl_sphere, check_probe_offdiag_consistency,
+    check_probe_band_sphere, check_probe_lp_zonal, check_probe_nodal_gap,
+)
 
 
 def run_selftest(out_dir: Path) -> int:
-    """Run every invariant check; returns the number of failures."""
+    """Run every check in CHECKS; returns the number of failures."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    checks = [
-        ("gamma_recursion", check_gamma_recursion),
-        ("phi_equals_weyl_constant", check_phi_weyl_constant),
-        ("phi_dual_routes", check_phi_dual_routes),
-        ("phi3_tan_zeros", check_phi3_tan_zeros),
-        ("deriv_constant_routes", check_deriv_constant_routes),
-        ("epsilon_branches", check_epsilon_branches),
-        ("gauss_legendre_moments", check_gauss_legendre_moments),
-        ("gegenbauer_interlacing", check_gegenbauer_interlacing),
-        ("torus_count_bruteforce", check_torus_count_bruteforce),
-        ("torus_kernel_bruteforce", check_torus_kernel_bruteforce),
-        ("torus_spectral_bounds", check_torus_spectral_bounds),
-        ("torus_parity_zero", check_torus_parity_zero),
-        ("sphere_multiplicities", check_sphere_multiplicities),
-        ("sphere_kernel_bounds", check_sphere_kernel_bounds),
-        ("sphere_band_additivity", check_sphere_band_additivity),
-        ("torus_band_kernel", check_torus_band_kernel),
-        ("zonal_l2_normalization", check_zonal_l2_normalization),
-        ("hw_norm_routes", check_hw_norm_routes),
-        ("odd_nadirashvili", check_odd_nadirashvili),
-    ]
-    checks.extend(make_probe_checks(out_dir))
     failures = 0
-    for name, fn in checks:
+    for check in CHECKS:
+        name = check.__name__.removeprefix("check_")
         try:
-            fn()
+            check(out_dir) if check.__code__.co_argcount else check()
         except Exception as exc:  # noqa: BLE001 - report and keep going
             failures += 1
             print(f"FAIL {name}: {exc}")
         else:
             print(f"PASS {name}")
-    print(f"{len(checks) - failures}/{len(checks)} invariants passed")
+    print(f"{len(CHECKS) - failures}/{len(CHECKS)} invariants passed")
     return failures

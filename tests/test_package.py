@@ -93,3 +93,11 @@ def test_probe_result_compares_by_value():
     assert res._replace(predicted_limit=None) != again
     assert ProbeResult("p", {}, [], 1.0, 2.0) == ProbeResult(
         probe="p", params={}, rows=[], predicted_limit=1.0, predicted_exponent=2.0, extra=None)
+
+
+def test_selftest_table_lists_every_check_once():
+    # a check_* function left out of CHECKS would never run
+    from speclab import selftest
+
+    defined = [name for name in vars(selftest) if name.startswith("check_")]
+    assert sorted(check.__name__ for check in selftest.CHECKS) == sorted(defined)
