@@ -44,6 +44,10 @@ TWO_PI = 2.0 * math.pi
 # c_226 = 2.76e-309); weyl_constant and phi_kernel, |Phi_n| <= c_n, refuse past it
 _WEYL_N_MAX = 225
 
+# largest dim whose area |S^dim| = 2 pi^((dim+1)/2) / Gamma((dim+1)/2) is a float:
+# Gamma(171.5) is, Gamma(172) overflows; sphere_area refuses past it
+_SPHERE_AREA_DIM_MAX = 342
+
 # Zeros of Lambda_nu = J_nu / x^nu by Newton on Miller's recurrence
 # (_profile_zero).  Its error falls with x as the profile does, so every zero
 # below PHI_ZERO_TAU_MAX for every 2 nu <= PROFILE_POWER_MAX was within 1.8e-14
@@ -146,9 +150,12 @@ def double_factorial(k: int) -> int:
 
 
 def sphere_area(dim: int) -> float:
-    """Surface area of the unit sphere S^dim embedded in R^{dim+1}."""
+    """Surface area of the unit sphere S^dim embedded in R^{dim+1}, for 0 <= dim <= 342."""
     if dim < 0:
         raise DomainError("sphere dimension must be >= 0")
+    if dim > _SPHERE_AREA_DIM_MAX:
+        raise DomainError(f"sphere dimension must be <= {_SPHERE_AREA_DIM_MAX}, got {dim}: past it "
+                          "Gamma((dim + 1)/2) in the area |S^dim| overflows a float")
     return 2.0 * math.pi ** ((dim + 1) / 2.0) / math.gamma((dim + 1) / 2.0)
 
 

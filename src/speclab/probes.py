@@ -206,23 +206,24 @@ def _table(probe, params, abscissae, raws, exponent, limit=None, *, lambdas=None
     """The probe's table: each row's ratio is its raw over lambdas[i] ** exponent, or over scales[i].
 
     lambdas default to the abscissae; passed, they are the fit abscissae.  A
-    limit of exactly 0 leaves every ratio out.
+    limit of exactly 0 leaves every ratio out and forms no growth.
     """
     if lambdas is None:
         lambdas = abscissae
     else:
         extra = {"fit_abscissa": lambdas, **(extra or {})}
-    if scales is None:
-        scales = []
-        for lam in lambdas:
-            try:
-                scales.append(lam ** exponent)
-            except OverflowError:
-                raise ResourceLimitError(
-                    f"the predicted growth lambda^{exponent:g} overflows a float at lambda = {lam:g}"
-                ) from None
-    rows = [ProbeRow(float(a), v, None if limit == 0.0 else v / scale)
-            for a, v, scale in zip(abscissae, raws, scales)]
+    ratios = [None] * len(raws)
+    if limit != 0.0:
+        if scales is None:
+            scales = []
+            for lam in lambdas:
+                try:
+                    scales.append(lam ** exponent)
+                except OverflowError:
+                    raise ResourceLimitError(f"the predicted growth lambda^{exponent:g} overflows "
+                                             f"a float at lambda = {lam:g}") from None
+        ratios = [v / scale for v, scale in zip(raws, scales)]
+    rows = [ProbeRow(float(a), v, ratio) for a, v, ratio in zip(abscissae, raws, ratios)]
     return ProbeResult(probe, params, rows, limit, exponent, extra)
 
 

@@ -162,8 +162,17 @@ class ZonalFamily(NamedTuple):
 
     @classmethod
     def create(cls, n: int, m: int) -> "ZonalFamily":
-        # multiplicity checks n and m
-        return cls(n=n, m=m, scale=math.sqrt(multiplicity(n, m) / sphere_area(n)))
+        # multiplicity checks n and m; the quotient turns its exact int into a float
+        try:
+            scale = math.sqrt(multiplicity(n, m) / sphere_area(n))
+        except OverflowError:
+            scale = math.inf
+        if scale == math.inf:
+            raise ResourceLimitError(
+                f"the zonal harmonic of degree {m} on S^{n} has pole value sqrt(multiplicity/area) "
+                f"past the float limit {sys.float_info.max:.6g}"
+            )
+        return cls(n=n, m=m, scale=scale)
 
     @property
     def nu(self) -> float:

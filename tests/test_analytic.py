@@ -26,6 +26,7 @@ from speclab.analytic import (
     phi_kernel,
     phi_kernel_bessel,
     phi_kernel_zero,
+    sphere_area,
     weyl_constant,
     _bessel_series,
     _first_zero_in_s,
@@ -210,6 +211,19 @@ class TestWeylConstant:
         # 226 <= n <= 341 returned 0.0, and n >= 342 raised a bare OverflowError
         with pytest.raises(DomainError, match=rf"dimension must be <= 225, got {n}: .*smallest normal float"):
             weyl_constant(n)
+
+
+class TestSphereArea:
+    def test_every_served_dimension_keeps_its_closed_form(self):
+        # the refusal past dim = 342 leaves every value below it bit for bit
+        for dim in range(343):
+            assert sphere_area(dim) == 2.0 * math.pi ** ((dim + 1) / 2.0) / math.gamma((dim + 1) / 2.0)
+
+    @pytest.mark.parametrize("dim", [343, 398, 10**6])
+    def test_refuses_past_the_float_range_of_gamma(self, dim):
+        # Gamma((dim + 1)/2) overflowed from Gamma(172), dim = 343: a bare OverflowError
+        with pytest.raises(DomainError, match=rf"sphere dimension must be <= 342, got {dim}: .*overflows"):
+            sphere_area(dim)
 
 
 def _multi_indices(n, top):

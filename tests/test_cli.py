@@ -590,6 +590,56 @@ class TestResourceLimits:
         assert "dimension must be <= 225, got 226" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["hoelder", "--manifold", "sphere", "--delta", "0.5", "--n", "400", "--grid", "20,40,60"],
+        ["nodal", "--n", "400", "--grid", "20,40,60"],
+        ["cksigma", "--sigma", "0", "--n", "400", "--grid", "20,40,60"],
+        ["lp", "--family", "zonal", "--r", "inf", "--s", "0", "--n", "400", "--grid", "20,40,60"],
+        ["lp", "--family", "hw", "--r", "4", "--s", "0", "--n", "400"],
+    ], ids=["hoelder", "nodal", "cksigma", "lp-zonal", "lp-hw"])
+    def test_sphere_area_bound_refused(self, argv, tmp_path, capsys):
+        # Gamma((dim + 1)/2) in |S^dim| overflowed from dim = 343: exit 3 through
+        # a bare OverflowError; the hw norm forms |S^(n-2)|
+        out = tmp_path / "out"
+        assert run_command(argv + ["--out", str(out)]) == 2
+        assert "sphere dimension must be <= 342, got" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["nodal", "--n", "342", "--grid", "20,40,60"],
+        ["lp", "--family", "hw", "--r", "4", "--s", "0", "--n", "344", "--grid", "20,40"],
+    ], ids=["nodal", "lp-hw"])
+    def test_sphere_area_bound_serves_its_last_dimension(self, argv, tmp_path):
+        # both form |S^342|
+        assert run_command(argv + ["--formats", "csv", "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["cksigma", "--sigma", "1"],
+        ["cksigma", "--sigma", "0"],
+        ["lp", "--family", "zonal", "--r", "inf", "--s", "0"],
+    ], ids=["cksigma-1", "cksigma-0", "lp-zonal"])
+    def test_zonal_pole_value_overflow_names_it(self, argv, monkeypatch, tmp_path, capsys):
+        # multiplicity(150, 7000) ~ 2e313 turned into a float: a bare OverflowError
+        calls = []
+        monkeypatch.setattr(sphere, "zonal_gradient_sup", lambda *args: calls.append(args))
+        out = tmp_path / "out"
+        assert run_command(argv + ["--n", "150", "--grid", "5000,7000", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "error: the zonal harmonic of degree 5000 on S^150 has pole value "
+            "sqrt(multiplicity/area) past the float limit 1.79769e+308\n")
+        assert calls == []
+        assert not out.exists()
+
+    def test_zero_limit_table_forms_no_growth(self, tmp_path):
+        # tau = j_{75,1}, so the limit snaps to 0; 123.814^150 overflows a float
+        # and was refused with exit 3, though no ratio divides by it
+        argv = ["offdiag", "--manifold", "sphere", "--n", "150", "--tau", "83.07089852831263",
+                "--grid", "20,70", "--formats", "csv", "--out", str(tmp_path)]
+        assert run_command(argv) == 0
+        (csv_path,) = _files(tmp_path, ".csv")
+        rows = [line.split(",") for line in csv_path.read_text().splitlines()[1:]]
+        assert [row[2] for row in rows] == ["", ""]
+
     @pytest.mark.parametrize(
         "argv",
         [

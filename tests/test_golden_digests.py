@@ -71,6 +71,18 @@ RUNS = (
     "weyl --manifold torus --n 4",
     "selftest",
     "smoothed --eps 4 --threads 2",
+    # |S^dim| past dim = 342: refused with exit 2
+    "hoelder --manifold sphere --delta 0.5 --n 400 --grid 20,40,60",
+    "nodal --n 400 --grid 20,40,60",
+    "cksigma --sigma 0 --n 400 --grid 20,40,60",
+    "lp --family zonal --r inf --s 0 --n 400 --grid 20,40,60",
+    "lp --family hw --r 4 --s 0 --n 400",
+    # a zonal pole value past the float range: refused with exit 3
+    "cksigma --sigma 1 --n 150 --grid 5000,7000",
+    "cksigma --sigma 0 --n 150 --grid 5000,7000",
+    "lp --family zonal --r inf --s 0 --n 150 --grid 5000,7000",
+    # a zero limit forms no growth: exit 0 with a blank ratio column
+    "offdiag --manifold sphere --n 150 --tau 83.07089852831263 --grid 20,70",
 )
 
 # the timestamp that cli._timestamp puts in every file name

@@ -13,6 +13,7 @@ from speclab.analytic import (
 from speclab.errors import DomainError, ResourceLimitError
 from speclab.probes import (
     ProbeResult,
+    ProbeRow,
     default_degree_grid,
     default_lambda_grid,
     fit_scaling,
@@ -636,6 +637,12 @@ class TestProbeResultShape:
             else:
                 want = row.raw / lam ** e
             assert row.ratio == want, (row, want)
+
+    def test_zero_limit_forms_no_growth(self):
+        # 1000^200 overflows a float; a zero limit writes no ratio, so it divides by none
+        assert probes._table("p", {}, [1e3], [1.0], 200.0, 0.0).rows == [ProbeRow(1000.0, 1.0, None)]
+        with pytest.raises(ResourceLimitError, match=r"lambda\^200 overflows a float at lambda = 1000"):
+            probes._table("p", {}, [1e3], [1.0], 200.0, 1.0)
 
     def test_probe_result_equality_semantics(self):
         a = probe_weyl("torus", 2, SMALL_LAMBDAS)

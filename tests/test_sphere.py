@@ -475,6 +475,17 @@ class TestZonal:
         with pytest.raises(DomainError):
             ZonalFamily.create(2, -1)
 
+    @pytest.mark.parametrize("m", [3000, 5000, 7000])
+    def test_pole_value_past_the_float_range_refused(self, m):
+        # multiplicity(150, 7000) ~ 2e313 raised a bare OverflowError as a float;
+        # from m = 3000 the quotient by |S^150| ~ 2.4e-71 overflowed to an inf scale
+        with pytest.raises(ResourceLimitError, match=rf"degree {m} on S\^150 .* float limit 1.79769e\+308"):
+            ZonalFamily.create(150, m)
+
+    def test_finite_pole_values_keep_their_bits(self):
+        for n, m in ((2, 7000), (150, 2000), (342, 1)):
+            assert ZonalFamily.create(n, m).scale == math.sqrt(multiplicity(n, m) / sphere_area(n))
+
 
 # ||Z_400||_r for r = 4, 6 from a 34-digit Gauss-Legendre rule at the exact
 # order (mpmath, Newton-refined nodes).  The r=4 value also equals, to the
