@@ -12,27 +12,4 @@ import os
 # at import); its idle worker thread would only spin
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .analytic import (
-    MultiIndex,
-    QuadratureRule,
-    ball_moment,
-    deriv_weyl_constant,
-    double_factorial,
-    epsilon_exponent,
-    gamma,
-    gauss_legendre_rule,
-    gegenbauer_zeros,
-    phi_kernel,
-    phi_kernel_bessel,
-    phi_kernel_zero,
-    weyl_constant,
-)
-from .errors import (
-    ConfigError,
-    DomainError,
-    NumericError,
-    ResourceLimitError,
-    SpecLabError,
-)
-
 __version__ = "0.1.0"

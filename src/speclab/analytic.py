@@ -34,7 +34,6 @@ __all__ = [
     "bessel_zero",
     "phi_kernel",
     "phi_kernel_bessel",
-    "phi_kernel_zero",
     "epsilon_exponent",
 ]
 
@@ -559,13 +558,6 @@ def phi_kernel(n: int, tau: float) -> float:
                 f"Phi_{n}({tau}): recurrence {value!r} and Bessel {other!r} routes disagree"
             )
     return value
-
-
-def phi_kernel_zero(n: int, i: int) -> float:
-    """i-th positive zero of Phi_n, j_{n/2,i}, up to PHI_ZERO_TAU_MAX for 2 <= n <= PROFILE_POWER_MAX."""
-    if not 2 <= n <= PROFILE_POWER_MAX:
-        raise DomainError(f"zeros are served for 2 <= n <= {PROFILE_POWER_MAX}, got n={n}")
-    return _profile_zero(n, i, f"Phi_{n}")
 
 
 # --------------------------------------------------------------------------

@@ -38,7 +38,6 @@ __all__ = [
     "addition_kernel",
     "spectral_function_sphere",
     "band_kernel_sphere",
-    "zonal_norm",
     "zonal_norms",
     "zonal_gradient_sup",
     "hw_norm",
@@ -257,11 +256,6 @@ def zonal_norms(n: int, degrees, r: float) -> list[float]:
     else:
         values = [_piecewise_zonal_integral(fam, r) for fam in fams]
     return [float((sphere_area(n - 1) * v) ** (1.0 / r)) for v in values]
-
-
-def zonal_norm(n: int, m: int, r: float) -> float:
-    """L_r norm of one zonal family member; see zonal_norms."""
-    return zonal_norms(n, [m], r)[0]
 
 
 def zonal_gradient_sup(n: int, m: int) -> float:

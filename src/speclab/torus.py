@@ -384,7 +384,7 @@ def smoothed_diagonal_sum(
     lam: float,
     window: SmoothingWindow | None = None,
     *,
-    shells: LatticeShells | None = None,
+    shells: LatticeShells,
     enum=None,
 ) -> float:
     """Window-weighted diagonal sum sum_k rho(lambda - |k|) / (2 pi)^n.
@@ -393,11 +393,10 @@ def smoothed_diagonal_sum(
     lattice shells with |k| <= lambda + T (T = window.truncation_radius),
     each weighted by its multiplicity.  `shells` is a `lattice_shells(n, R)`
     table with R >= lambda + T, which a probe builds once for its whole grid;
-    a table for another n or a smaller R is refused.  Without it the call
-    builds one for lambda + T.  There is one window pass over the shells
-    inside the cut, an in-place product with their multiplicities and one
-    pairwise np.sum in a fixed order, so the result does not depend on a
-    BLAS, its threads or the size of the table.
+    a table for another n or a smaller R is refused.  There is one window
+    pass over the shells inside the cut, an in-place product with their
+    multiplicities and one pairwise np.sum in a fixed order, so the result
+    does not depend on a BLAS, its threads or the size of the table.
 
     The cut drops weights below 1e-12, but the omitted tail is larger (see
     SmoothingWindow.truncation_radius): at eps 4 in n = 2, the shells in
@@ -409,11 +408,9 @@ def smoothed_diagonal_sum(
     if window is None:
         window = SmoothingWindow()
     radius = lam + window.truncation_radius
-    check_radius(n, radius)  # with or without a table: the bound below needs a finite radius
+    check_radius(n, radius)  # the bound below needs a finite radius
     bound = norm_sq_bound(radius)
-    if shells is None:
-        shells = lattice_shells(n, radius)
-    elif shells.n != n or shells.bound < bound:
+    if shells.n != n or shells.bound < bound:
         raise DomainError(
             f"shell table covers |k|^2 <= {shells.bound} in n={shells.n}; the n={n} sum at "
             f"lambda + T = {radius:g} needs |k|^2 <= {bound}"

@@ -19,10 +19,10 @@ from speclab.analytic import (
     MultiIndex,
     ball_moment,
     bessel_profile,
+    bessel_zero,
     deriv_weyl_constant,
     phi_kernel,
     phi_kernel_bessel,
-    phi_kernel_zero,
     weyl_constant,
 )
 from speclab.probes import (
@@ -104,7 +104,7 @@ def test_criterion_03_derivative_weyl_law():
 def test_criterion_04_offdiagonal_asymptotics():
     with _Budget("criterion 4: off-diagonal asymptotics", 30.0):
         tol = 0.02 * weyl_constant(2)
-        tau_zero = phi_kernel_zero(2, 1)
+        tau_zero = bessel_zero(1.0, 1)
         phi_2 = phi_kernel(2, 2.0)
         for manifold in ("torus", "sphere"):
             grid = LAMBDA_GRID if manifold == "torus" else DEGREE_GRID
@@ -165,7 +165,7 @@ def test_criterion_10_nodal_geometry():
         oracle = float(special.jn_zeros(0, 1)[0])  # from scipy, not hard-coded
         assert abs(product / oracle - 1.0) <= 0.005
         assert abs(nadirashvili_ratio(2, 299) - 1.0) <= 1e-10
-        min_j0 = abs(float(special.j0(phi_kernel_zero(2, 1))))
+        min_j0 = abs(float(special.j0(bessel_zero(1.0, 1))))
         assert abs(nadirashvili_ratio(2, 300) * min_j0 - 1.0) <= 0.05
 
 
@@ -185,7 +185,7 @@ def test_criterion_12_analytic_cross_checks():
             sup = max(abs(v - phi_kernel_bessel(n, float(t))) for v, t in zip(route, taus))
             assert sup <= 1e-9
         for i in (1, 2, 3):
-            z = phi_kernel_zero(3, i)
+            z = bessel_zero(1.5, i)
             root = _bisect_tan_root(i)
             assert abs(z - root) <= 1e-10
         for n in (2, 3):

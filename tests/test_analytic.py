@@ -25,7 +25,6 @@ from speclab.analytic import (
     gegenbauer_zeros,
     phi_kernel,
     phi_kernel_bessel,
-    phi_kernel_zero,
     sphere_area,
     weyl_constant,
     _bessel_series,
@@ -740,10 +739,10 @@ class TestZeroCost:
     def test_rule_sums_per_phi_zero(self, monkeypatch, n, i):
         calls = _count_rule_sums(monkeypatch)
         if n == 4 and i == 63:  # j_{2,63} = 200.27 lies past the cap
-            with pytest.raises(DomainError, match="zero 63 of Phi_4 lies beyond"):
-                phi_kernel_zero(n, i)
+            with pytest.raises(DomainError, match="zero 63 of J_2 lies beyond"):
+                bessel_zero(n / 2, i)
         else:
-            phi_kernel_zero(n, i)
+            bessel_zero(n / 2, i)
         assert 2 <= calls[0] <= 16
 
     @pytest.mark.parametrize("n", range(2, PROFILE_POWER_MAX + 3))
@@ -755,24 +754,18 @@ class TestZeroCost:
 
     def test_no_sum_past_the_cap(self, monkeypatch):
         calls = _count_rule_sums(monkeypatch)
-        with pytest.raises(DomainError, match="zero 64 of Phi_2 lies beyond tau = 200"):
-            phi_kernel_zero(2, 64)
+        with pytest.raises(DomainError, match="zero 64 of J_1 lies beyond tau = 200"):
+            bessel_zero(1.0, 64)
         # a far too large or non-integer index is refused before any float arithmetic on it
-        with pytest.raises(DomainError, match="lies beyond tau = 200"):
-            phi_kernel_zero(2, 10 ** 400)
         with pytest.raises(DomainError, match="lies beyond tau = 200"):
             bessel_zero(0, 10 ** 400)
         # past the 4300 digits Python converts to a string, the message names the index by its size
-        with pytest.raises(DomainError, match="zero <16610-bit integer> of Phi_2 lies beyond tau = 200"):
-            phi_kernel_zero(2, 10 ** 5000)
         with pytest.raises(DomainError, match="zero <16610-bit integer> of J_0 lies beyond tau = 200"):
             bessel_zero(0, 10 ** 5000)
         with pytest.raises(DomainError, match="zero <16610-bit integer> of J_3 lies beyond tau = 200"):
             bessel_zero(3.0, 10 ** 5000)
         with pytest.raises(DomainError, match="integer >= 1, got -<16610-bit integer>"):
-            phi_kernel_zero(2, -10 ** 5000)
-        with pytest.raises(DomainError, match="zero index must be an integer >= 1, got 1.5"):
-            phi_kernel_zero(2, 1.5)
+            bessel_zero(1.0, -10 ** 5000)
         with pytest.raises(DomainError, match="zero index must be an integer >= 1, got 2.5"):
             bessel_zero(0.0, 2.5)
         # the index's type is checked before it is compared with a float
@@ -845,42 +838,33 @@ class TestPhiKernel:
 
 
 class TestPhiKernelZero:
+    # the zeros of Phi_n are those of J_{n/2}
     def test_known_zeros(self):
-        assert phi_kernel_zero(2, 1) == pytest.approx(J1_ZERO_1, abs=1e-9)
-        assert phi_kernel_zero(3, 1) == pytest.approx(TAN_ROOT_1, abs=1e-9)
-        assert phi_kernel_zero(3, 2) == pytest.approx(TAN_ROOT_2, abs=1e-9)
+        assert bessel_zero(1.0, 1) == pytest.approx(J1_ZERO_1, abs=1e-9)
+        assert bessel_zero(1.5, 1) == pytest.approx(TAN_ROOT_1, abs=1e-9)
+        assert bessel_zero(1.5, 2) == pytest.approx(TAN_ROOT_2, abs=1e-9)
 
     def test_phi3_zeros_satisfy_tan_identity(self):
         for i in (1, 2, 3, 4):
-            z = phi_kernel_zero(3, i)
+            z = bessel_zero(1.5, i)
             # tan z = z, checked through the scale-free residual sin - z cos
             assert abs(math.sin(z) - z * math.cos(z)) <= 1e-10 * (1.0 + z * z)
 
     def test_range_error(self):
-        with pytest.raises(DomainError, match=r"zero 100 of Phi_2 lies beyond tau = 200"):
-            phi_kernel_zero(2, 100)
+        with pytest.raises(DomainError, match=r"zero 100 of J_1 lies beyond tau = 200"):
+            bessel_zero(1.0, 100)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_every_zero_below_the_cap_is_found(self, n):
-        # the zeros of Phi_n are those of J_{n/2}; each is found on its own, so
-        # every one is checked, and the first past the cap is refused
+        # each zero is found on its own, so every one is checked, and the first
+        # past the cap is refused
         ref = _zeros_of_j(n / 2.0, 64)
         count = sum(z <= PHI_ZERO_TAU_MAX for z in ref)
         assert count == (62 if n == 4 else 63)
-        got = [phi_kernel_zero(n, i) for i in range(1, count + 1)]
+        got = [bessel_zero(n / 2, i) for i in range(1, count + 1)]
         np.testing.assert_allclose(got, ref[:count], rtol=0.0, atol=ZERO_TOL)
-        with pytest.raises(DomainError, match=rf"zero {count + 1} of Phi_{n} lies beyond tau = 200"):
-            phi_kernel_zero(n, count + 1)
-
-    def test_domain(self):
-        assert phi_kernel_zero(5, 2) == pytest.approx(9.095011330476355, rel=1e-13, abs=0)
-        assert phi_kernel_zero(30, 1) == pytest.approx(_zeros_of_j(15.0, 1)[0], rel=1e-13, abs=0)
-        with pytest.raises(DomainError, match=r"2 <= n <= 30, got n=31"):
-            phi_kernel_zero(31, 1)
-        with pytest.raises(DomainError):
-            phi_kernel_zero(1, 1)
-        with pytest.raises(DomainError):
-            phi_kernel_zero(2, 0)
+        with pytest.raises(DomainError, match=rf"zero {count + 1} of J_{n / 2:g} lies beyond tau = 200"):
+            bessel_zero(n / 2, count + 1)
 
 
 class TestEpsilonExponent:

@@ -1,13 +1,11 @@
 """The package's export lists and record classes.
 
-Every name a module or the package advertises exists.  The records are
+Every name a module advertises exists.  The records are
 NamedTuples: they refuse assignment and keep their arrays read-only.
 """
 
-import ast
 import importlib
 import pkgutil
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,18 +34,6 @@ def test_all_resolves_and_star_import_works(name):
     namespace = {}
     exec(f"from speclab.{name} import *", namespace)
     assert [n for n in exported if n not in namespace] == []
-
-
-def test_package_imports_exist():
-    tree = ast.parse(Path(speclab.__file__).read_text(encoding="utf-8"))
-    imported = [
-        alias.asname or alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    ]
-    assert imported
-    assert [n for n in imported if not hasattr(speclab, n)] == []
 
 
 RECORDS = {

@@ -6,8 +6,8 @@ import pytest
 from speclab import probes, sphere, torus
 from speclab.analytic import (
     MultiIndex,
+    bessel_zero,
     gauss_legendre_rule,
-    phi_kernel_zero,
     weyl_constant,
 )
 from speclab.errors import DomainError, ResourceLimitError
@@ -220,7 +220,7 @@ class TestWeylProbe:
 
 class TestOffdiagProbe:
     def test_zero_limit_rows_report_raw_only(self):
-        res = probe_offdiag("torus", 2, phi_kernel_zero(2, 1), SMALL_LAMBDAS)
+        res = probe_offdiag("torus", 2, bessel_zero(1.0, 1), SMALL_LAMBDAS)
         assert res.predicted_limit == 0.0
         assert all(r.ratio is None for r in res.rows)
         assert all(math.isfinite(r.raw) for r in res.rows)
@@ -461,7 +461,7 @@ class TestCkSigmaProbe:
         res = probe_cksigma(0.0, SMALL_DEGREES)
         monkeypatch.undo()
         assert built == SMALL_DEGREES
-        assert [r.raw for r in res.rows] == [sphere.zonal_norm(2, m, math.inf) for m in SMALL_DEGREES]
+        assert [r.raw for r in res.rows] == [sphere.zonal_norms(2, [m], math.inf)[0] for m in SMALL_DEGREES]
         assert all(r.ratio == 1.0 for r in res.rows)
 
     def test_gradient_proxy_exponent(self):
@@ -597,7 +597,7 @@ class TestSmoothedProbe:
 _SMALL_RUNS = {
     "small-weyl": lambda: probe_weyl("sphere", 3, SMALL_DEGREES),
     "small-offdiag": lambda: probe_offdiag("torus", 2, 1.5, SMALL_LAMBDAS),
-    "small-offdiag-zero": lambda: probe_offdiag("sphere", 2, phi_kernel_zero(2, 1), SMALL_DEGREES),
+    "small-offdiag-zero": lambda: probe_offdiag("sphere", 2, bessel_zero(1.0, 1), SMALL_DEGREES),
     "small-difference": lambda: probe_difference("sphere", 2, 1.5, SMALL_DEGREES),
     "small-difference-zero": lambda: probe_difference("torus", 2, 0.0, SMALL_LAMBDAS),
     "small-deriv": lambda: probe_deriv(2, MultiIndex.of(2, 0), MultiIndex.of(0, 0), SMALL_LAMBDAS),
@@ -633,7 +633,7 @@ class TestProbeResultShape:
             if res.predicted_limit == 0.0:
                 want = None
             elif res.probe == "cksigma":
-                want = row.raw / (lam ** res.params["sigma"] * sphere.zonal_norm(n, int(row.abscissa), math.inf))
+                want = row.raw / (lam ** res.params["sigma"] * sphere.zonal_norms(n, [int(row.abscissa)], math.inf)[0])
             else:
                 want = row.raw / lam ** e
             assert row.ratio == want, (row, want)

@@ -10,9 +10,9 @@ from scipy import integrate, special
 
 from speclab.analytic import (
     _profile_pair,
+    bessel_zero,
     gauss_legendre_rule,
     phi_kernel,
-    phi_kernel_zero,
     sphere_area,
     weyl_constant,
 )
@@ -33,7 +33,6 @@ from speclab.sphere import (
     sobolev_scale,
     spectral_function_sphere,
     zonal_gradient_sup,
-    zonal_norm,
     zonal_norms,
 )
 
@@ -232,7 +231,7 @@ class TestSpectralFunction:
 
     def test_off_diagonal_tracks_phi(self):
         lam = eigenvalue(2, 400)
-        for tau in (2.0, phi_kernel_zero(2, 1)):
+        for tau in (2.0, bessel_zero(1.0, 1)):
             e = spectral_function_sphere(2, tau / lam, lam)
             assert abs(e / lam**2 - phi_kernel(2, tau)) <= 0.02 * weyl_constant(2)
 
@@ -446,11 +445,11 @@ class TestZonal:
     @pytest.mark.parametrize("n,ms", [(2, (1, 3, 17, 60, 200, 500)), (3, (1, 3, 17, 60))])
     def test_l2_norm_is_one(self, n, ms):
         for m in ms:
-            assert zonal_norm(n, m, 2.0) == pytest.approx(1.0, abs=1e-10)
+            assert zonal_norms(n, [m], 2.0)[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_sup_norm_and_pole(self):
         for m in (1, 6, 41):
-            sup = zonal_norm(2, m, math.inf)
+            sup = zonal_norms(2, [m], math.inf)[0]
             assert sup == zonal_eval(2, m, 0.0)
             grid = np.linspace(0.0, math.pi, 40 * m + 1)
             fam_vals = np.array([zonal_eval(2, m, float(t)) for t in grid])
@@ -458,20 +457,20 @@ class TestZonal:
 
     def test_sup_norm_closed_form(self):
         for m in (10, 100):
-            assert zonal_norm(2, m, math.inf) == pytest.approx(
+            assert zonal_norms(2, [m], math.inf)[0] == pytest.approx(
                 math.sqrt((2 * m + 1) / FOUR_PI), rel=1e-14
             )
 
     def test_resource_cap(self):
         with pytest.raises(ResourceLimitError):
-            zonal_norm(2, 4000, 6.0)
+            zonal_norms(2, [4000], 6.0)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            zonal_norm(2, 5, 1.5)
+            zonal_norms(2, [5], 1.5)
         for r in (math.nan, -math.inf):
             with pytest.raises(DomainError, match="r >= 2"):
-                zonal_norm(2, 5, r)
+                zonal_norms(2, [5], r)
         with pytest.raises(DomainError):
             ZonalFamily.create(2, -1)
 
@@ -539,22 +538,22 @@ class TestZonalNorms:
     @pytest.mark.parametrize("r", [4.0, 6.0])
     def test_even_r_against_scipy_legendre(self, r):
         for m in (1, 20):
-            assert zonal_norm(2, m, r) == pytest.approx(_legendre_zonal_norm(m, r), rel=1e-12)
-        assert zonal_norm(2, 400, r) == pytest.approx(ZONAL_NORM_400[r], rel=1e-12)
+            assert zonal_norms(2, [m], r)[0] == pytest.approx(_legendre_zonal_norm(m, r), rel=1e-12)
+        assert zonal_norms(2, [400], r)[0] == pytest.approx(ZONAL_NORM_400[r], rel=1e-12)
 
     def test_even_r_against_the_exact_integral(self):
         # m = 200 shares the order-1201 rule with m = 400, as on the default lp grid
         low, high = zonal_norms(2, [200, 400], 6.0)
         assert low == pytest.approx(ZONAL_NORM_EXACT[6.0, 200], rel=3e-14, abs=0)
         assert high == pytest.approx(ZONAL_NORM_EXACT[6.0, 400], rel=1e-14, abs=0)
-        assert zonal_norm(2, 400, 4.0) == pytest.approx(ZONAL_NORM_EXACT[4.0, 400], rel=1e-14, abs=0)
+        assert zonal_norms(2, [400], 4.0)[0] == pytest.approx(ZONAL_NORM_EXACT[4.0, 400], rel=1e-14, abs=0)
 
     @pytest.mark.parametrize(
         "n,m,r",
         [(2, 1, 3.0), (2, 20, 3.0), (2, 400, 3.0), (2, 100, 2.5), (2, 900, 5.0), (3, 1, 3.0), (3, 60, 3.0)],
     )
     def test_other_r_against_adaptive_quadrature(self, n, m, r):
-        assert zonal_norm(n, m, r) == pytest.approx(_adaptive_zonal_norm(n, m, r), rel=1e-10)
+        assert zonal_norms(n, [m], r)[0] == pytest.approx(_adaptive_zonal_norm(n, m, r), rel=1e-10)
 
     def test_one_rule_for_the_whole_grid(self):
         degrees = [0, 3, 20, 7, 20]
@@ -564,24 +563,24 @@ class TestZonalNorms:
         gauss_legendre_rule(3 * 20 + 1)
         assert gauss_legendre_rule.cache_info().misses == 1
         # single degrees use smaller exact rules, so only rounding may differ
-        assert norms == pytest.approx([zonal_norm(2, m, 6.0) for m in degrees], rel=1e-13)
+        assert norms == pytest.approx([zonal_norms(2, [m], 6.0)[0] for m in degrees], rel=1e-13)
 
     @pytest.mark.parametrize("n,r", [(2, math.inf), (2, 3.0), (3, 2.0)])
     def test_batch_matches_single(self, n, r):
         degrees = [1, 5, 12]
-        assert zonal_norms(n, degrees, r) == [zonal_norm(n, m, r) for m in degrees]
+        assert zonal_norms(n, degrees, r) == [zonal_norms(n, [m], r)[0] for m in degrees]
 
     def test_degree_zero(self):
         # Z_0 = area^(-1/2), so ||Z_0||_r = area^(1/r - 1/2)
         for n, area in ((2, FOUR_PI), (3, 2.0 * math.pi**2)):
             for r in (3.0, 6.0):
-                assert zonal_norm(n, 0, r) == pytest.approx(area ** (1.0 / r - 0.5), rel=1e-14)
+                assert zonal_norms(n, [0], r)[0] == pytest.approx(area ** (1.0 / r - 0.5), rel=1e-14)
 
     def test_resource_cap_counts_every_degree(self):
         with pytest.raises(ResourceLimitError):
             zonal_norms(2, [20, 4000], 6.0)
         with pytest.raises(ResourceLimitError):
-            zonal_norm(2, 3334, 3.0)  # 3334 * 3/2 + 1 > 5000 nodes
+            zonal_norms(2, [3334], 3.0)  # 3334 * 3/2 + 1 > 5000 nodes
 
 
 class TestZonalGradient:
@@ -592,7 +591,7 @@ class TestZonalGradient:
         # d/dz J_0 = -J_1: the rescaled gradient sup approaches max |J_1|
         m = 300
         lam = eigenvalue(2, m)
-        ratio = zonal_gradient_sup(2, m) / (lam * zonal_norm(2, m, math.inf))
+        ratio = zonal_gradient_sup(2, m) / (lam * zonal_norms(2, [m], math.inf)[0])
         grid = np.linspace(1.0, 3.0, 4001)
         max_j1 = float(np.max(np.abs(special.j1(grid))))
         assert ratio == pytest.approx(max_j1, rel=5e-3)
@@ -782,7 +781,7 @@ class TestNadirashvili:
         assert nadirashvili_ratio(2, 2) == pytest.approx(2.0, abs=1e-9)
 
     def test_even_bessel_limit(self):
-        oracle = 1.0 / abs(special.j0(phi_kernel_zero(2, 1)))
+        oracle = 1.0 / abs(special.j0(bessel_zero(1.0, 1)))
         assert nadirashvili_ratio(2, 300) == pytest.approx(oracle, rel=0.05)
 
 

@@ -145,7 +145,7 @@ class TestEnumeration:
         with pytest.raises(DomainError):
             eigenvalue_count(2, math.nan)
         with pytest.raises(DomainError):
-            smoothed_diagonal_sum(2, math.nan)
+            smoothed_diagonal_sum(2, math.nan, shells=shells_1300())
         # an infinite radius lies past every cap
         with pytest.raises(ResourceLimitError):
             torus.check_radius(3, math.inf)
@@ -445,7 +445,7 @@ class TestSmoothingWindow:
             for lam in (50.0, 1499.0):
                 shell = np.searchsorted(table.values, int(lam) ** 2)
                 expected = float(table.mult[shell]) / TWO_PI**2
-                assert smoothed_diagonal_sum(2, lam, w) == expected
+                assert smoothed_diagonal_sum(2, lam, w, shells=table) == expected
         with pytest.raises(DomainError, match="1e\\+305"):
             SmoothingWindow(eps=math.nextafter(1e305, math.inf))
         with pytest.raises(DomainError):
@@ -495,26 +495,27 @@ class TestSmoothingWindow:
 class TestSmoothedSum:
     def test_converges_at_lambda_zero(self):
         w = SmoothingWindow(eps=100.0)  # small truncation radius keeps this cheap
-        val = smoothed_diagonal_sum(2, 0.0, w)
+        val = smoothed_diagonal_sum(2, 0.0, w, shells=torus.lattice_shells(2, w.truncation_radius))
         assert math.isfinite(val) and val > 0.0
 
     def test_dominates_band(self):
         w = SmoothingWindow()
         floor = float(np.min(w.value(np.linspace(-1.0, 0.0, 2001))))
         for lam in (30.0, 60.0, 100.0):
-            assert smoothed_diagonal_sum(2, lam, w) >= floor * band_diagonal_sum(2, lam)
+            smoothed = smoothed_diagonal_sum(2, lam, w, shells=shells_1300())
+            assert smoothed >= floor * band_diagonal_sum(2, lam)
 
     def test_value_decreases_as_eps_grows(self):
         # wider Fourier support means a narrower weight in s, hence smaller sums
         vals = [
-            smoothed_diagonal_sum(2, 80.0, SmoothingWindow(eps=e))
+            smoothed_diagonal_sum(2, 80.0, SmoothingWindow(eps=e), shells=shells_1300())
             for e in (3.4, 4.0, 5.0, 6.5)
         ]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_truncation_resource_error(self):
         with pytest.raises(ResourceLimitError):
-            smoothed_diagonal_sum(2, 600.0, SmoothingWindow(eps=4.0))
+            smoothed_diagonal_sum(2, 600.0, SmoothingWindow(eps=4.0), shells=shells_1300())
 
     def test_table_short_of_the_cut_refused(self):
         # a table for R = 500 ends below lambda + T = 1050: the sum would stop at
@@ -529,7 +530,8 @@ class TestSmoothedSum:
         # a table that reaches the cut exactly serves, bit for bit
         table = torus.lattice_shells(2, 10.0 + w.truncation_radius)
         assert table.bound == norm_sq_bound(60.0)
-        assert smoothed_diagonal_sum(2, 10.0, w, shells=table) == smoothed_diagonal_sum(2, 10.0, w)
+        assert smoothed_diagonal_sum(2, 10.0, w, shells=table) == smoothed_diagonal_sum(
+            2, 10.0, w, shells=torus.lattice_shells(2, 500.0))
 
     @pytest.mark.parametrize(
         "n, eps, lams", [(2, 4.0, (0.0, 57.3, 100.0)), (3, 80.0, (0.0, 10.0, 30.0))]
@@ -537,10 +539,11 @@ class TestSmoothedSum:
     def test_shell_route_matches_pointwise_sum(self, n, eps, lams):
         w = SmoothingWindow(eps=eps)
         norms_sq = cube_norms_sq(n, math.floor(max(lams) + w.truncation_radius))
+        shells = torus.lattice_shells(n, max(lams) + w.truncation_radius)
         for lam in lams:
             inside = norms_sq[norms_sq <= norm_sq_bound(lam + w.truncation_radius)]
             reference = float(np.sum(w.value(lam - np.sqrt(inside)))) / TWO_PI**n
-            got = smoothed_diagonal_sum(n, lam, w)
+            got = smoothed_diagonal_sum(n, lam, w, shells=shells)
             assert got == pytest.approx(reference, rel=1e-13, abs=0.0)
 
     def test_default_probe_rows_match_sinc_route(self):
@@ -577,7 +580,8 @@ class TestSmoothedSum:
             bound = math.floor((max(grid) + window.truncation_radius) ** 2)
             assert table.values[-1] == bound
             assert [row.raw for row in res.rows] == [
-                smoothed_diagonal_sum(n, lam, window) for lam in grid
+                smoothed_diagonal_sum(n, lam, window, shells=real(n, lam + window.truncation_radius))
+                for lam in grid
             ]
 
     def test_default_probe_raws_pinned(self):
@@ -637,12 +641,11 @@ class TestNormSqBound:
         )
 
     def test_infinite_radius_refused_before_the_bound(self):
-        # math.floor(inf) raises OverflowError; the radius check comes first, table or not
-        for shells in (None, shells_1300()):
-            with pytest.raises(ResourceLimitError):
-                smoothed_diagonal_sum(2, math.inf, shells=shells)
-            with pytest.raises(ResourceLimitError):
-                smoothed_diagonal_sum(2, 600.0, shells=shells)
+        # math.floor(inf) raises OverflowError; the radius check comes first
+        with pytest.raises(ResourceLimitError):
+            smoothed_diagonal_sum(2, math.inf, shells=shells_1300())
+        with pytest.raises(ResourceLimitError):
+            smoothed_diagonal_sum(2, 600.0, shells=shells_1300())
 
 
 # --------------------------------------------------------------------------
