@@ -2,7 +2,8 @@
 
 CSV and JSON payloads are timestamp-free and formatted so that identical
 probe results produce identical bytes; floats round-trip exactly (17
-significant digits in CSV, repr-shortest in JSON).
+significant digits in CSV, repr-shortest in JSON).  JSON is strict: a NaN or
+an infinity, which JSON cannot hold, is refused with NumericError.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import json
 import math
 from pathlib import Path
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, NumericError, ResourceLimitError
 from .probes import ProbeResult, ScalingFit
 
 __all__ = [
@@ -71,7 +72,7 @@ def write_json(result: ProbeResult, path) -> Path:
     if not result.rows:
         raise DomainError("refusing to write an empty probe table")
     path = Path(path)
-    _write_text(path, json.dumps(_result_payload(result), sort_keys=True, indent=1) + "\n")
+    _write_json_text(path, _result_payload(result))
     return path
 
 
@@ -104,8 +105,16 @@ def summary_payload(result: ProbeResult, fit: ScalingFit | None) -> dict:
 
 def write_summary(result: ProbeResult, fit: ScalingFit | None, path) -> Path:
     path = Path(path)
-    _write_text(path, json.dumps(summary_payload(result, fit), sort_keys=True, indent=1) + "\n")
+    _write_json_text(path, summary_payload(result, fit))
     return path
+
+
+def _write_json_text(path: Path, payload: dict) -> None:
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=1, allow_nan=False)
+    except ValueError as exc:  # by default json writes NaN and Infinity, which are not JSON
+        raise NumericError(f"cannot write {path}: {exc}") from None
+    _write_text(path, text + "\n")
 
 
 def _write_text(path: Path, text: str) -> None:

@@ -21,7 +21,7 @@ from .analytic import (
     phi_kernel,
     weyl_constant,
 )
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, NumericError, ResourceLimitError
 from .sphere import ZonalFamily
 from .torus import SmoothingWindow
 
@@ -206,7 +206,9 @@ def _table(probe, params, abscissae, raws, exponent, limit=None, *, lambdas=None
     """The probe's table: each row's ratio is its raw over lambdas[i] ** exponent, or over scales[i].
 
     lambdas default to the abscissae; passed, they are the fit abscissae.  A
-    limit of exactly 0 leaves every ratio out and forms no growth.
+    limit of exactly 0 leaves every ratio out and forms no growth.  A raw, a
+    ratio or an extra that is not finite is refused with NumericError, so a
+    table that is written holds finite numbers only.
     """
     if lambdas is None:
         lambdas = abscissae
@@ -223,6 +225,10 @@ def _table(probe, params, abscissae, raws, exponent, limit=None, *, lambdas=None
                     raise ResourceLimitError(f"the predicted growth lambda^{exponent:g} overflows "
                                              f"a float at lambda = {lam:g}") from None
         ratios = [v / scale for v, scale in zip(raws, scales)]
+    for column, values in {"raw": raws, "ratio": ratios, **(extra or {})}.items():
+        for a, v in zip(abscissae, values):
+            if v is not None and not math.isfinite(v):
+                raise NumericError(f"{probe}: {column} {v!r} at abscissa {a:g} is not finite")
     rows = [ProbeRow(float(a), v, ratio) for a, v, ratio in zip(abscissae, raws, ratios)]
     return ProbeResult(probe, params, rows, limit, exponent, extra)
 

@@ -640,6 +640,36 @@ class TestResourceLimits:
         rows = [line.split(",") for line in csv_path.read_text().splitlines()[1:]]
         assert [row[2] for row in rows] == ["", ""]
 
+    @pytest.mark.parametrize("argv,message,finite_grid", [
+        (["cksigma", "--sigma", "1", "--n", "150", "--grid", "500,1000"],
+         "cksigma: raw inf at abscissa 1000", "500"),
+        (["cksigma", "--sigma", "0.5", "--n", "150", "--grid", "2000"],
+         "cksigma: raw nan at abscissa 2000", "500"),
+        (["offdiag", "--manifold", "sphere", "--n", "170", "--tau", "1000", "--grid", "20000,30000"],
+         "offdiag: raw nan at abscissa 20084.3", "2000"),
+        (["nodal", "--n", "150", "--grid", "500,1000,2000"],
+         "nodal: nadirashvili_ratio inf at abscissa 1000", "500"),
+        (["nodal", "--n", "100", "--grid", "2000,4000"],
+         "nodal: nadirashvili_ratio nan at abscissa 4000", "2000"),
+    ], ids=["cksigma-1", "cksigma-0.5", "offdiag", "nodal-150", "nodal-100"])
+    def test_non_finite_table_refused(self, argv, message, finite_grid, tmp_path, capsys):
+        # each wrote inf or nan to its CSV, or NaN or Infinity to its JSON, with
+        # exit 0: ZonalFamily.at and the sphere kernel overflow at large n
+        out = tmp_path / "out"
+        if "0.5" in argv:  # the Hoelder proxy's array path overflows, and numpy warns
+            with pytest.warns(RuntimeWarning) as caught:
+                assert run_command(argv + ["--out", str(out)]) == 3
+            assert any("overflow" in str(w.message) for w in caught)
+        else:
+            assert run_command(argv + ["--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: {message} is not finite\n"
+        assert not out.exists()
+        # the grid's finite part still runs, and writes finite numbers only
+        finite = tmp_path / "finite"
+        assert run_command(argv[:argv.index("--grid")] + ["--grid", finite_grid, "--out", str(finite)]) == 0
+        for path in finite.iterdir():
+            assert not re.search(r"\b(nan|inf|NaN|Infinity)\b", path.read_text()), path.name
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -1212,6 +1242,16 @@ class TestSummary:
         res = probe_difference("torus", 2, 0.0, [50.0, 75.0, 100.0])
         payload = output.summary_payload(res, None)
         assert payload["relative_deviation"] is None
+
+    def test_json_holds_no_nan_or_infinity(self, tmp_path):
+        # json.dumps writes NaN and Infinity by default, which no JSON parser need accept
+        res = probes.ProbeResult("p", {}, [probes.ProbeRow(1.0, 1.0, 1e300)], 5e-324, 1.0)
+        assert output.summary_payload(res, None)["relative_deviation"] == math.inf
+        with pytest.raises(NumericError, match=r"cannot write .*summary\.json: Out of range float"):
+            output.write_summary(res, None, tmp_path / "summary.json")
+        with pytest.raises(NumericError, match=r"cannot write .*t\.json: Out of range float"):
+            output.write_json(res._replace(params={"tau": math.nan}), tmp_path / "t.json")
+        assert list(tmp_path.iterdir()) == []
 
 
 # --------------------------------------------------------------------------
