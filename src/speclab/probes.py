@@ -417,10 +417,8 @@ def probe_lp(family: str, r: float, s: float, grid=None, *, n: int = 2) -> Probe
         norms = [sphere.hw_norm(n, m, r) for m in ms]
     try:
         raws = [sphere.sobolev_scale(lam, s) * norm for lam, norm in zip(lambdas, norms)]
-    except OverflowError:  # the float ** of sobolev_scale raises where * gives inf
-        raws = [math.inf]
-    if not all(math.isfinite(v) for v in raws):
-        raise ResourceLimitError(f"the Sobolev-scaled norm at s = {s:g} overflows a float")
+    except OverflowError:  # the float ** of sobolev_scale; _table refuses an inf product
+        raise ResourceLimitError(f"the Sobolev-scaled norm at s = {s:g} overflows a float") from None
     params = {"manifold": "sphere", "n": n, "family": family,
               "r": "inf" if math.isinf(r) else r, "s": s}
     return _table("lp", params, ms, raws, s + epsilon_exponent(n, r), lambdas=lambdas)

@@ -122,7 +122,7 @@ def addition_kernel(n: int, m: int, theta: float) -> float:
     nu = (n - 1) / 2.0
     d = multiplicity(n, m)
     ((val, _),) = _pairs_at_angle(nu, theta, (m,))
-    return d / sphere_area(n) * val / gegenbauer_at_one(m, nu)
+    return d / sphere_area(n) * (val / gegenbauer_at_one(m, nu))
 
 
 def spectral_function_sphere(n: int, theta: float, lam: float) -> float:
@@ -177,10 +177,14 @@ class ZonalFamily(NamedTuple):
     def nu(self) -> float:
         return (self.n - 1) / 2.0
 
+    def _unit(self, value):
+        """value / C_m^nu(1), taken before the pole value scales it: their product overflows first."""
+        return value / gegenbauer_at_one(self.m, self.nu)
+
     def at(self, theta):
         """The profile at colatitude theta in [0, pi]: a float at a number, elementwise over an array."""
         ((val, _),) = _pairs_at_angle(self.nu, theta, (self.m,))
-        return self.scale * val / gegenbauer_at_one(self.m, self.nu)
+        return self.scale * self._unit(val)
 
 
 def _zonal_quad_order(n: int, m: int, r: float) -> int:
@@ -192,19 +196,19 @@ def _zonal_quad_order(n: int, m: int, r: float) -> int:
     return needed
 
 
-def _exact_zonal_integrals(degrees: list[int], r: float, order: int) -> dict[int, float]:
-    """Int_{-1}^{1} |Z_m(t)|^r dt on S^2 for each m, from one Gauss-Legendre rule.
+def _exact_zonal_integrals(fams: list[ZonalFamily], r: float, order: int) -> dict[int, float]:
+    """Int_{-1}^{1} |Z_m(t)|^r dt on S^2 for each family's degree m, from one Gauss-Legendre rule.
 
     |Z_m|^r is a polynomial of degree m r for even r, so `order` = max m r/2 + 1
     nodes are exact for every degree at once; one Legendre recurrence at the rule's
     angles (|P_m| is even) passes each requested degree on the way.
     """
     rule = gauss_legendre_rule(order)
+    fam_of = {fam.m: fam for fam in fams}
+    ms = sorted(fam_of)
     out = {}
-    ms = sorted(set(degrees))
     for m, (c, _) in zip(ms, _pairs_at_angle(0.5, rule.angles, ms)):
-        profile = ZonalFamily.create(2, m).scale * abs(c) / gegenbauer_at_one(m, 0.5)
-        out[m] = rule.integrate(profile**r)
+        out[m] = rule.integrate((fam_of[m].scale * fam_of[m]._unit(abs(c))) ** r)
     return out
 
 
@@ -251,7 +255,7 @@ def zonal_norms(n: int, degrees, r: float) -> list[float]:
     # the resource cap applies to both routes, whatever size of rule each builds
     order = max(_zonal_quad_order(n, fam.m, r) for fam in fams)
     if n == 2 and r % 2.0 == 0.0:  # even integer r
-        integrals = _exact_zonal_integrals([fam.m for fam in fams], r, order)
+        integrals = _exact_zonal_integrals(fams, r, order)
         values = [integrals[fam.m] for fam in fams]
     else:
         values = [_piecewise_zonal_integral(fam, r) for fam in fams]
@@ -293,7 +297,7 @@ def zonal_gradient_sup(n: int, m: int) -> float:
             f"inflection point s = {s!r} of Z_{m} on S^{n} lies outside (0, {first_zero!r}]"
         )
     # |d/dtheta Z| = scale sin(theta) |C_m'(t)| / C_m(1), with sin^2(theta) = s (2 - s)
-    return fam.scale * math.sqrt(s * (2.0 - s)) * abs(slopes(s)[0]) / gegenbauer_at_one(m, nu)
+    return (fam.scale * math.sqrt(s * (2.0 - s))) * fam._unit(abs(slopes(s)[0]))
 
 
 # --------------------------------------------------------------------------

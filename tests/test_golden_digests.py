@@ -83,12 +83,13 @@ RUNS = (
     "lp --family zonal --r inf --s 0 --n 150 --grid 5000,7000",
     # a zero limit forms no growth: exit 0 with a blank ratio column
     "offdiag --manifold sphere --n 150 --tau 83.07089852831263 --grid 20,70",
-    # a raw, ratio or extra that is not finite: refused with exit 3 (cksigma at
-    # sigma = 0.5 is left out, since numpy's warning text names a source path)
-    "cksigma --sigma 1 --n 150 --grid 500,1000",
+    # a raw that is not finite: refused with exit 3
     "offdiag --manifold sphere --n 170 --tau 1000 --grid 20000,30000",
+    # the pole value times C_m^nu past the float range: finite, exit 0
+    "cksigma --sigma 1 --n 150 --grid 500,1000",
     "nodal --n 150 --grid 500,1000,2000",
     "nodal --n 100 --grid 2000,4000",
+    "cksigma --sigma 0.5 --n 150 --grid 2000",
 )
 
 # the timestamp that cli._timestamp puts in every file name

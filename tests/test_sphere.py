@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import integrate, special
 
 from speclab.analytic import (
+    _first_zero_in_s,
     _profile_pair,
     bessel_zero,
     gauss_legendre_rule,
@@ -722,21 +723,23 @@ def test_nodal_gap_on_s3_against_its_exact_value(m):
     assert abs(nodal_gap_zonal(3, m) - exact) <= 1e-13 * exact
 
 
+def _mp_gegenbauer(m, nu, t):
+    """C_m^nu(t) by the three-term recurrence, at mpmath's working precision."""
+    c_prev, c = mpmath.mpf(0), mpmath.mpf(1)
+    for k in range(1, m + 1):
+        c_prev, c = c, (2 * t * (k + nu - 1) * c - (k + 2 * nu - 2) * c_prev) / k
+    return c
+
+
 def _first_zero_in_theta(n, m):
     """theta_1 of C_m^nu(cos theta) to 40 digits: scipy's root brackets it, mpmath refines it in theta."""
     with mpmath.workdps(40):
         nu = mpmath.mpf(n - 1) / 2
-
-        def gegenbauer(t):
-            c_prev, c = mpmath.mpf(0), mpmath.mpf(1)
-            for k in range(1, m + 1):
-                c_prev, c = c, (2 * t * (k + nu - 1) * c - (k + 2 * nu - 2) * c_prev) / k
-            return c
-
-        at_one = gegenbauer(mpmath.mpf(1))
+        at_one = _mp_gegenbauer(m, nu, mpmath.mpf(1))
         seed = mpmath.acos(float(np.max(special.roots_gegenbauer(m, float(nu))[0])))
         bracket = (seed * (1 - mpmath.mpf(1e-6)), seed * (1 + mpmath.mpf(1e-6)))
-        return float(mpmath.findroot(lambda th: gegenbauer(mpmath.cos(th)) / at_one, bracket, solver="anderson"))
+        return float(mpmath.findroot(
+            lambda th: _mp_gegenbauer(m, nu, mpmath.cos(th)) / at_one, bracket, solver="anderson"))
 
 
 @pytest.mark.parametrize("m", [40, 400, 5000])
@@ -783,6 +786,44 @@ class TestNadirashvili:
     def test_even_bessel_limit(self):
         oracle = 1.0 / abs(special.j0(bessel_zero(1.0, 1)))
         assert nadirashvili_ratio(2, 300) == pytest.approx(oracle, rel=0.05)
+
+
+class TestPoleValueTimesGegenbauerPastTheFloatRange:
+    """Zonal values at n, m where scale * C_m^nu overflows a float, against 40-digit mpmath.
+
+    The references evaluate at the program's own float angles.  Scaling before
+    dividing by C_m^nu(1) made both ratios and the gradient sup inf or nan.
+    """
+
+    @pytest.mark.parametrize("n,m", [(150, 1000), (100, 4000)])
+    def test_nadirashvili_ratio(self, n, m):
+        # the trough at the largest zero of C_{m-1}^{nu+1}, as nadirashvili_ratio finds it
+        theta = sphere._angle(_first_zero_in_s(m - 1, (n - 1) / 2.0 + 1.0))
+        with mpmath.workdps(40):
+            nu = mpmath.mpf(n - 1) / 2
+            trough = _mp_gegenbauer(m, nu, mpmath.cos(mpmath.mpf(theta)))
+            ref = _mp_gegenbauer(m, nu, 1) / -min(_mp_gegenbauer(m, nu, -1), trough)
+        # 9.3e-15 and 1.0e-14 relative
+        assert nadirashvili_ratio(n, m) == pytest.approx(float(ref), rel=2e-14, abs=0)
+
+    def test_gradient_sup(self, monkeypatch):
+        n, m = 150, 1000
+        found = []
+        real = sphere._zero_from_pole
+
+        def recording(*args, **kwargs):
+            found.append(real(*args, **kwargs))
+            return found[-1]
+
+        monkeypatch.setattr(sphere, "_zero_from_pole", recording)
+        got = zonal_gradient_sup(n, m)
+        with mpmath.workdps(40):
+            nu, s = mpmath.mpf(n - 1) / 2, mpmath.mpf(found[0])
+            # |d/dtheta Z| = scale sin(theta) 2 nu |C_{m-1}^{nu+1}(1 - s)| / C_m^nu(1)
+            slope = 2 * nu * abs(_mp_gegenbauer(m - 1, nu + 1, 1 - s)) / _mp_gegenbauer(m, nu, 1)
+            ref = mpmath.sqrt(multiplicity(n, m) / _mp_area(n)) * mpmath.sqrt(s * (2 - s)) * slope
+        # 5.3e-15 relative
+        assert got == pytest.approx(float(ref), rel=2e-14, abs=0)
 
 
 class TestSobolevScale:
